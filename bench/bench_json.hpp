@@ -6,6 +6,9 @@
 // metrics on a root object plus named arrays of flat records.
 #pragma once
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -161,10 +164,10 @@ private:
 /// macro-bench. Captures wall-clock and the process-wide event counter
 /// at construction — build it first thing in main() so every simulated
 /// event the bench drives is covered — then stamp() writes
-/// events_executed, wall_clock_seconds and derived events_per_sec onto
-/// the root object. Wall-clock includes setup/teardown around the sim
-/// loops, so treat events_per_sec here as a trend signal; the controlled
-/// number lives in BENCH_sim_throughput.json.
+/// events_executed, wall_clock_seconds, derived events_per_sec and
+/// peak_rss_mb onto the root object. Wall-clock includes setup/teardown
+/// around the sim loops, so treat events_per_sec here as a trend signal;
+/// the controlled number lives in BENCH_sim_throughput.json.
 class SimSpeedMeter {
 public:
     SimSpeedMeter()
@@ -190,12 +193,21 @@ public:
             const long parsed = std::strtol(env, nullptr, 10);
             if (parsed > 0) threads = parsed;
         }
+        // Peak resident set of this process or of any child it waited
+        // for (the throughput macro-bench's trials run as children).
+        // ru_maxrss is in KiB on Linux.
+        rusage self{};
+        rusage children{};
+        getrusage(RUSAGE_SELF, &self);
+        getrusage(RUSAGE_CHILDREN, &children);
+        const long peak_kib = std::max(self.ru_maxrss, children.ru_maxrss);
         json.root()
             .integer("events_executed", events)
             .number("wall_clock_seconds", seconds)
             .number("events_per_sec",
                     seconds > 0 ? static_cast<double>(events) / seconds : 0.0)
-            .integer("threads", static_cast<std::uint64_t>(threads));
+            .integer("threads", static_cast<std::uint64_t>(threads))
+            .number("peak_rss_mb", static_cast<double>(peak_kib) / 1024.0);
         // When the bench ran with the self-profiler on, the utilization
         // breakdown lands next to sim_speed: the root gets the summary,
         // publish() puts the per-shard exec/barrier/drain split into the

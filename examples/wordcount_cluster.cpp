@@ -5,7 +5,6 @@
 // Usage: wordcount_cluster [total_words] [vocabulary] [star|leaf-spine|fat-tree]
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "common/table.hpp"
@@ -21,10 +20,20 @@ int main(int argc, char** argv) {
     cc.num_mappers = 12;
     cc.num_reducers = 6;
     rt::TopologyKind topology = rt::TopologyKind::kStar;
-    if (argc > 3 && std::strcmp(argv[3], "leaf-spine") == 0) {
-        topology = rt::TopologyKind::kLeafSpine;
-    } else if (argc > 3 && std::strcmp(argv[3], "fat-tree") == 0) {
-        topology = rt::TopologyKind::kFatTree;
+    if (argc > 3) {
+        bool known = false;
+        for (const auto kind : {rt::TopologyKind::kStar, rt::TopologyKind::kLeafSpine,
+                                rt::TopologyKind::kFatTree}) {
+            if (argv[3] == rt::to_string(kind)) {
+                topology = kind;
+                known = true;
+            }
+        }
+        if (!known) {
+            std::fprintf(stderr, "unknown topology \"%s\" (want star|leaf-spine|fat-tree)\n",
+                         argv[3]);
+            return 2;
+        }
     }
     std::printf("generating corpus: %zu words, %zu distinct, %zu mappers, "
                 "%zu reducers (%s fabric)\n",

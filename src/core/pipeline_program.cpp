@@ -8,20 +8,49 @@
 
 namespace daiet {
 
-DaietSwitchProgram::Slot::Slot(const Config& cfg, std::size_t slot_idx,
-                               dp::SramBook& sram)
-    : keys{"t" + std::to_string(slot_idx) + ".keys", cfg.register_size, sram},
-      values{"t" + std::to_string(slot_idx) + ".values", cfg.register_size, sram},
-      index_stack{"t" + std::to_string(slot_idx) + ".stack", cfg.register_size, sram},
-      stack_depth{"t" + std::to_string(slot_idx) + ".depth", 1, sram},
-      spill{"t" + std::to_string(slot_idx) + ".spill", cfg.spillover_capacity, sram},
-      spill_head{"t" + std::to_string(slot_idx) + ".spillhead", 1, sram},
-      spill_count{"t" + std::to_string(slot_idx) + ".spillcnt", 1, sram},
-      children{"t" + std::to_string(slot_idx) + ".children", 1, sram},
-      pairs_in{"t" + std::to_string(slot_idx) + ".pairs_in", 1, sram},
-      pairs_out{"t" + std::to_string(slot_idx) + ".pairs_out", 1, sram},
-      declared{"t" + std::to_string(slot_idx) + ".declared", 1, sram},
-      dirty{"t" + std::to_string(slot_idx) + ".dirty", 1, sram} {}
+DaietSwitchProgram::Slot::Slot(const Config& cfg, std::size_t slot_idx)
+    : keys{"t" + std::to_string(slot_idx) + ".keys", cfg.register_size},
+      values{"t" + std::to_string(slot_idx) + ".values", cfg.register_size},
+      index_stack{"t" + std::to_string(slot_idx) + ".stack", cfg.register_size},
+      stack_depth{"t" + std::to_string(slot_idx) + ".depth", 1},
+      spill{"t" + std::to_string(slot_idx) + ".spill", cfg.spillover_capacity},
+      spill_head{"t" + std::to_string(slot_idx) + ".spillhead", 1},
+      spill_count{"t" + std::to_string(slot_idx) + ".spillcnt", 1},
+      children{"t" + std::to_string(slot_idx) + ".children", 1},
+      pairs_in{"t" + std::to_string(slot_idx) + ".pairs_in", 1},
+      pairs_out{"t" + std::to_string(slot_idx) + ".pairs_out", 1},
+      declared{"t" + std::to_string(slot_idx) + ".declared", 1},
+      dirty{"t" + std::to_string(slot_idx) + ".dirty", 1} {}
+
+std::size_t DaietSwitchProgram::Slot::footprint_bytes(const Config& cfg) {
+    // index_stack plus the eight one-cell registers, depth through dirty.
+    constexpr std::size_t kScalarRegisters = 8;
+    return dp::RegisterArray<Key16>::footprint_for(cfg.register_size) +
+           dp::RegisterArray<WireValue>::footprint_for(cfg.register_size) +
+           dp::RegisterArray<std::uint32_t>::footprint_for(cfg.register_size +
+                                                           kScalarRegisters) +
+           dp::RegisterArray<KvPair>::footprint_for(cfg.spillover_capacity);
+}
+
+void DaietSwitchProgram::Slot::wipe(AggFnId fn) {
+    const std::uint32_t depth = stack_depth.peek(0);
+    for (std::uint32_t i = 0; i < depth; ++i) {
+        const std::uint32_t idx = index_stack.peek(i);
+        keys.poke(idx, Key16{});
+        values.poke(idx, identity_of(fn));
+    }
+    stack_depth.poke(0, 0);
+    spill_head.poke(0, 0);
+    spill_count.poke(0, 0);
+}
+
+void DaietSwitchProgram::Slot::arm(std::uint32_t num_children) {
+    children.poke(0, num_children);
+    pairs_in.poke(0, 0);
+    pairs_out.poke(0, 0);
+    declared.poke(0, 0);
+    dirty.poke(0, 0);
+}
 
 DaietSwitchProgram::DaietSwitchProgram(Config config, dp::PipelineSwitch& chip)
     : DaietSwitchProgram{config, chip,
@@ -33,53 +62,31 @@ DaietSwitchProgram::DaietSwitchProgram(Config config, dp::PipelineSwitch& chip,
       config_{config},
       chip_{&chip},
       tree_table_{"daiet_tree", std::max<std::size_t>(config.max_trees, 1),
-                  chip.sram()} {
-    slots_.reserve(config_.max_trees);
-    for (std::size_t s = 0; s < config_.max_trees; ++s) {
-        slots_.push_back(std::make_unique<Slot>(config_, s, chip.sram()));
-    }
-}
+                  chip.sram()},
+      slot_sram_{chip.sram(), "daiet_slots",
+                 config.max_trees * Slot::footprint_bytes(config)} {}
 
 std::size_t DaietSwitchProgram::sram_bytes() const {
-    std::size_t total = tree_table_.footprint_bytes();
-    for (const auto& slot : slots_) {
-        total += slot->keys.footprint_bytes() + slot->values.footprint_bytes() +
-                 slot->index_stack.footprint_bytes() +
-                 slot->stack_depth.footprint_bytes() +
-                 slot->spill.footprint_bytes() +
-                 slot->spill_head.footprint_bytes() +
-                 slot->spill_count.footprint_bytes() +
-                 slot->children.footprint_bytes() +
-                 slot->pairs_in.footprint_bytes() +
-                 slot->pairs_out.footprint_bytes() +
-                 slot->declared.footprint_bytes() + slot->dirty.footprint_bytes();
-    }
-    return total;
+    return tree_table_.footprint_bytes() + slot_sram_.bytes();
 }
 
 void DaietSwitchProgram::configure_tree(TreeId tree, const TreeRule& rule) {
     DAIET_EXPECTS(rule.num_children > 0);
     DAIET_EXPECTS(rule.out_port != dp::kPortInvalid);
-    if (next_slot_ >= slots_.size() && tree_table_.peek(tree) == nullptr) {
-        throw std::runtime_error{"DaietSwitchProgram: out of tree slots"};
-    }
     TreeRule stored = rule;
     if (const TreeRule* existing = tree_table_.peek(tree)) {
         stored.slot = existing->slot;  // reconfigure in place
+        slots_[stored.slot]->wipe(stored.fn);
     } else {
-        stored.slot = next_slot_++;
+        if (slots_.size() >= config_.max_trees) {
+            throw std::runtime_error{"DaietSwitchProgram: out of tree slots"};
+        }
+        // First placement in this slot: its SRAM is already reserved;
+        // allocate the cells (a fresh slot is empty).
+        stored.slot = static_cast<std::uint16_t>(slots_.size());
+        slots_.push_back(std::make_unique<Slot>(config_, stored.slot));
     }
-    Slot& slot = *slots_[stored.slot];
-    slot.keys.fill(Key16{});
-    slot.values.fill(identity_of(stored.fn));
-    slot.stack_depth.poke(0, 0);
-    slot.spill_head.poke(0, 0);
-    slot.spill_count.poke(0, 0);
-    slot.children.poke(0, stored.num_children);
-    slot.pairs_in.poke(0, 0);
-    slot.pairs_out.poke(0, 0);
-    slot.declared.poke(0, 0);
-    slot.dirty.poke(0, 0);
+    slots_[stored.slot]->arm(stored.num_children);
     tree_table_.install(tree, stored);
 }
 
@@ -89,11 +96,7 @@ void DaietSwitchProgram::reset_tree(TreeId tree, std::uint32_t num_children) {
     Slot& slot = *slots_[rule->slot];
     DAIET_EXPECTS(slot.stack_depth.peek(0) == 0);
     DAIET_EXPECTS(slot.spill_count.peek(0) == 0);
-    slot.children.poke(0, num_children);
-    slot.pairs_in.poke(0, 0);
-    slot.pairs_out.poke(0, 0);
-    slot.declared.poke(0, 0);
-    slot.dirty.poke(0, 0);
+    slot.arm(num_children);
     TreeRule updated = *rule;
     updated.num_children = num_children;
     tree_table_.install(tree, updated);
@@ -103,36 +106,37 @@ void DaietSwitchProgram::clear_tree(TreeId tree, std::uint32_t num_children) {
     const TreeRule* rule = tree_table_.peek(tree);
     DAIET_EXPECTS(rule != nullptr);
     Slot& slot = *slots_[rule->slot];
-    slot.keys.fill(Key16{});
-    slot.values.fill(identity_of(rule->fn));
-    slot.stack_depth.poke(0, 0);
-    slot.spill_head.poke(0, 0);
-    slot.spill_count.poke(0, 0);
-    slot.children.poke(0, num_children);
-    slot.pairs_in.poke(0, 0);
-    slot.pairs_out.poke(0, 0);
-    slot.declared.poke(0, 0);
-    slot.dirty.poke(0, 0);
+    slot.wipe(rule->fn);
+    slot.arm(num_children);
     TreeRule updated = *rule;
     updated.num_children = num_children;
     tree_table_.install(tree, updated);
 }
 
-const AgentTreeStats& DaietSwitchProgram::tree_stats(TreeId tree) const {
+const DaietSwitchProgram::Slot& DaietSwitchProgram::slot_of(TreeId tree) const {
     const TreeRule* rule = tree_table_.peek(tree);
     if (rule == nullptr) {
         throw std::runtime_error{"DaietSwitchProgram: unknown tree " + std::to_string(tree)};
     }
-    return slots_[rule->slot]->stats;
+    return *slots_[rule->slot];
+}
+
+const AgentTreeStats& DaietSwitchProgram::tree_stats(TreeId tree) const {
+    return slot_of(tree).stats;
 }
 
 std::size_t DaietSwitchProgram::held_pairs(TreeId tree) const {
-    const TreeRule* rule = tree_table_.peek(tree);
-    if (rule == nullptr) {
-        throw std::runtime_error{"DaietSwitchProgram: unknown tree " + std::to_string(tree)};
-    }
-    const Slot& slot = *slots_[rule->slot];
+    const Slot& slot = slot_of(tree);
     return slot.stack_depth.peek(0) + slot.spill_count.peek(0);
+}
+
+std::size_t DaietSwitchProgram::occupied_cells(TreeId tree) const {
+    const Slot& slot = slot_of(tree);
+    std::size_t occupied = 0;
+    for (std::size_t i = 0; i < slot.keys.size(); ++i) {
+        if (!slot.keys.peek(i).empty()) ++occupied;
+    }
+    return occupied;
 }
 
 bool DaietSwitchProgram::claims(const sim::ParsedFrame& frame,

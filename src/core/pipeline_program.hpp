@@ -48,10 +48,13 @@ struct TreeRule {
 
 class DaietSwitchProgram : public TenantProgram {
 public:
-    /// Allocates all per-tree register state up front from the chip's
-    /// SRAM book, as a P4 compile would. Throws dp::ResourceError if the
-    /// configuration does not fit the chip. This standalone form owns a
-    /// private FabricRouter (single-tenant chip).
+    /// Reserves the SRAM of all `max_trees` register slots from the
+    /// chip's book at construction, as a P4 compile would, and throws
+    /// dp::ResourceError if the configuration does not fit the chip.
+    /// Host memory for a slot's registers is allocated only when the
+    /// controller first places a tree in it (configure_tree), so a
+    /// switch no tree crosses costs its reservation but no cells. This
+    /// standalone form owns a private FabricRouter (single-tenant chip).
     DaietSwitchProgram(Config config, dp::PipelineSwitch& chip);
 
     /// Co-resident form: resolve ports through the chip's shared router
@@ -79,6 +82,8 @@ public:
     // --- observability ------------------------------------------------------
     const AgentTreeStats& tree_stats(TreeId tree) const;
     std::size_t held_pairs(TreeId tree) const;
+    /// Control-plane scan: key cells of the tree's slot that hold a key.
+    std::size_t occupied_cells(TreeId tree) const;
     const Config& config() const noexcept { return config_; }
 
 private:
@@ -98,8 +103,23 @@ private:
         dp::RegisterArray<std::uint32_t> dirty;         // [1]
         AgentTreeStats stats;
 
-        Slot(const Config& cfg, std::size_t slot_idx, dp::SramBook& sram);
+        /// Host storage only: the program's slot reservation already
+        /// holds footprint_bytes(cfg) of SRAM for every slot.
+        Slot(const Config& cfg, std::size_t slot_idx);
+        /// SRAM of one slot: the sum of its register arrays' footprints.
+        static std::size_t footprint_bytes(const Config& cfg);
+
+        /// Control-plane wipe of the aggregation state. Only cells on the
+        /// index stack can hold a key (every empty->occupied write pushes
+        /// its index), and the data plane never reads an empty cell's
+        /// value, so clearing [0, depth) leaves what a full fill() would.
+        void wipe(AggFnId fn);
+        /// Arm for a round: child countdown and loss-detection counters.
+        void arm(std::uint32_t num_children);
     };
+
+    /// The slot of an installed tree; throws std::runtime_error otherwise.
+    const Slot& slot_of(TreeId tree) const;
 
     void handle_data(dp::PacketContext& ctx, const TreeRule& rule, Slot& slot,
                      const DataPacket& data);
@@ -122,8 +142,10 @@ private:
     Config config_;
     dp::PipelineSwitch* chip_;
     dp::ExactMatchTable<TreeId, TreeRule> tree_table_;
+    dp::SramReservation slot_sram_;  ///< all max_trees slots
+    /// Placed slots in assignment order; slots are never freed, so
+    /// slots_.size() is the next free slot index.
     std::vector<std::unique_ptr<Slot>> slots_;
-    std::uint16_t next_slot_{0};
 };
 
 /// Convenience: create a program and load it into `chip`.

@@ -26,11 +26,18 @@ public:
     /// the array. T must be trivially copyable (register cells are raw
     /// SRAM words, not objects with behaviour).
     RegisterArray(std::string name, std::size_t size, SramBook& book)
-        : name_{std::move(name)}, cells_(size), book_{&book} {
+        : RegisterArray{std::move(name), size} {
+        book.reserve(name_, footprint_bytes());
+        book_ = &book;  // only once reserved: a throw must not release
+    }
+
+    /// Host storage for an array whose SRAM is already held elsewhere,
+    /// by an SramReservation covering footprint_for(size) bytes.
+    RegisterArray(std::string name, std::size_t size)
+        : name_{std::move(name)}, cells_(size), book_{nullptr} {
         static_assert(std::is_trivially_copyable_v<T>,
                       "register cells must be raw data");
         DAIET_EXPECTS(size > 0);
-        book_->reserve(name_, footprint_bytes());
     }
 
     ~RegisterArray() {
@@ -76,7 +83,11 @@ public:
     void fill(const T& value) { cells_.assign(cells_.size(), value); }
 
     std::size_t size() const noexcept { return cells_.size(); }
-    std::size_t footprint_bytes() const noexcept { return cells_.size() * sizeof(T); }
+    std::size_t footprint_bytes() const noexcept { return footprint_for(cells_.size()); }
+    /// SRAM bytes an array of `size` cells occupies.
+    static constexpr std::size_t footprint_for(std::size_t size) noexcept {
+        return size * sizeof(T);
+    }
     const std::string& name() const noexcept { return name_; }
 
 private:

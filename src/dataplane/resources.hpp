@@ -49,4 +49,28 @@ private:
     std::size_t used_bytes_{0};
 };
 
+/// A block of SRAM held in `book` for the reservation's lifetime,
+/// independent of any host storage: a program claims the footprint of
+/// state it materializes later, as a P4 compile fixes a program's whole
+/// register layout before the first table entry is installed.
+class SramReservation {
+public:
+    /// Throws ResourceError if `bytes` does not fit the book's budget.
+    SramReservation(SramBook& book, const std::string& owner, std::size_t bytes)
+        : book_{&book}, bytes_{bytes} {
+        book_->reserve(owner, bytes_);
+    }
+
+    ~SramReservation() { book_->release(bytes_); }
+
+    SramReservation(const SramReservation&) = delete;
+    SramReservation& operator=(const SramReservation&) = delete;
+
+    std::size_t bytes() const noexcept { return bytes_; }
+
+private:
+    SramBook* book_;
+    std::size_t bytes_;
+};
+
 }  // namespace daiet::dp

@@ -2,7 +2,7 @@
 // (src/trace/profiler.*), time-series counter tracks and their Perfetto
 // export (src/trace/timeseries.* + export.*), the per-service SLO
 // monitor (src/trace/slo.*), JSON escaping of hostile metric names, and
-// the DAIET_TRACE / DAIET_LOG_LEVEL env-parsing paths.
+// the DAIET_TRACE / DAIET_LOG_LEVEL / DAIET_SCALE env-parsing paths.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -24,6 +24,7 @@
 #include "trace/slo.hpp"
 #include "trace/timeseries.hpp"
 #include "trace/trace.hpp"
+#include "../bench/bench_util.hpp"
 
 namespace daiet {
 namespace {
@@ -249,6 +250,18 @@ TEST(EnvParsing, LogLevelGrammar) {
     EXPECT_FALSE(ok);
     EXPECT_EQ(detail::parse_log_level("WARN", ok), LogLevel::kWarn);
     EXPECT_FALSE(ok);
+}
+
+TEST(EnvParsing, ScaleGrammar) {
+    EXPECT_EQ(bench::parse_scale("0.05"), 0.05);
+    EXPECT_EQ(bench::parse_scale("2"), 2.0);
+    EXPECT_EQ(bench::parse_scale("1e-1"), 0.1);
+    // Garbage, trailing junk and non-positive values are refused, never
+    // read as full scale.
+    for (const char* junk : {"", "abc", "0.3x", " ", "0", "-1", "nan", "inf", "1e999"}) {
+        EXPECT_FALSE(bench::parse_scale(junk).has_value()) << '"' << junk << '"';
+    }
+    EXPECT_FALSE(bench::parse_scale(nullptr).has_value());
 }
 
 // -------------------------------------------------------- profiler

@@ -130,6 +130,34 @@ TEST(DaietProgram, SpuriousEndIsDropped) {
     EXPECT_TRUE(h.end().empty());  // extra END after completion
 }
 
+// The recovery wipe visits only the cells on the index stack and resets
+// the spill ring; it must still leave no key behind and hand the next
+// round exactly the state of a fresh program.
+TEST(DaietProgram, ClearTreeWipesStoredAndSpilledPairs) {
+    Harness h{tiny_config(4)};
+    std::vector<KvPair> partial;
+    for (int i = 0; i < 8; ++i) partial.push_back(kv("p" + std::to_string(i), i + 1));
+    EXPECT_TRUE(h.data(partial).empty());  // no END: the round is abandoned
+    ASSERT_GT(h.program->tree_stats(1).pairs_spilled, 0U);
+    ASSERT_GT(h.program->occupied_cells(1), 0U);
+
+    h.program->clear_tree(1, 1);
+    EXPECT_EQ(h.program->occupied_cells(1), 0U);
+    EXPECT_EQ(h.program->held_pairs(1), 0U);
+
+    const auto round = [](Harness& target) {
+        std::vector<KvPair> pairs;
+        for (int i = 0; i < 6; ++i) pairs.push_back(kv("r" + std::to_string(i % 5), i));
+        auto out = target.data(pairs);
+        for (auto& p : target.end()) out.push_back(std::move(p));
+        std::vector<std::vector<std::byte>> payloads;
+        for (const auto& p : out) payloads.emplace_back(p.payload().begin(), p.payload().end());
+        return payloads;
+    };
+    Harness fresh{tiny_config(4)};
+    EXPECT_EQ(round(h), round(fresh));
+}
+
 TEST(DaietProgram, LargeFlushRecirculates) {
     Config cfg = tiny_config(512);
     Harness h{cfg};

@@ -2,7 +2,10 @@
 // tree pool, round-based job orchestration, recovery, and the networked
 // ML / Pregel workloads that ride on it.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <fstream>
 #include <map>
 #include <string>
 
@@ -190,6 +193,44 @@ TEST(ClusterRuntime, FatTreeAggregatesAcrossAllLevels) {
     EXPECT_EQ(round.pairs_sent, 15U);
     EXPECT_EQ(round.pairs_received, 1U);
     EXPECT_GT(round.traffic_reduction(), 0.9);
+}
+
+/// Resident set of this process, from /proc/self/statm.
+std::size_t resident_bytes() {
+    std::ifstream statm{"/proc/self/statm"};
+    std::size_t size_pages = 0;
+    std::size_t resident_pages = 0;
+    statm >> size_pages >> resident_pages;
+    return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(ClusterRuntime, UnplacedTreeSlotsReserveSramButNoHostMemory) {
+    // Paper-default registers (16K cells x 12 trees) on all 320 switches
+    // of a k=16 fat-tree: ~1.45 GB of cells if every slot were allocated
+    // up front. No tree is placed, so only the SRAM books are charged.
+    ClusterOptions opts;
+    opts.topology = TopologyKind::kFatTree;
+    opts.fat_tree_k = 16;
+    opts.num_hosts = 16;
+    const std::size_t before = resident_bytes();
+    ClusterRuntime rt{opts};
+    const std::size_t after = resident_bytes();
+    EXPECT_LT(after - std::min(before, after), 256U << 20);
+
+    const Config& cfg = opts.config;
+    const std::size_t per_slot =
+        cfg.register_size * (sizeof(Key16) + sizeof(WireValue) + sizeof(std::uint32_t)) +
+        cfg.spillover_capacity * sizeof(KvPair) + 8 * sizeof(std::uint32_t);
+    const std::size_t program_sram =
+        cfg.max_trees * (sizeof(TreeId) + sizeof(TreeRule) + per_slot);
+    ASSERT_EQ(rt.daiet_switches().size(), 320U);
+    for (const sim::PipelineSwitchNode* sw : rt.daiet_switches()) {
+        const DaietSwitchProgram* program = rt.program_at(sw->id());
+        ASSERT_NE(program, nullptr);
+        EXPECT_EQ(program->sram_bytes(), program_sram);
+        EXPECT_EQ(rt.chip_at(sw->id()).sram().used_bytes(),
+                  program_sram + rt.router_at(sw->id())->sram_bytes());
+    }
 }
 
 TEST(ClusterRuntime, FatTreeRejectsOversubscription) {

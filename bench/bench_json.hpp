@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/framebuf.hpp"
 #include "netsim/simulator.hpp"
 #include "trace/metrics.hpp"
 #include "trace/profiler.hpp"
@@ -164,10 +165,11 @@ private:
 /// macro-bench. Captures wall-clock and the process-wide event counter
 /// at construction — build it first thing in main() so every simulated
 /// event the bench drives is covered — then stamp() writes
-/// events_executed, wall_clock_seconds, derived events_per_sec and
-/// peak_rss_mb onto the root object. Wall-clock includes setup/teardown
-/// around the sim loops, so treat events_per_sec here as a trend signal;
-/// the controlled number lives in BENCH_sim_throughput.json.
+/// events_executed, wall_clock_seconds, derived events_per_sec,
+/// peak_rss_mb and frame_pool_peak_mb onto the root object. Wall-clock
+/// includes setup/teardown around the sim loops, so treat events_per_sec
+/// here as a trend signal; the controlled number lives in
+/// BENCH_sim_throughput.json.
 class SimSpeedMeter {
 public:
     SimSpeedMeter()
@@ -207,7 +209,12 @@ public:
             .number("events_per_sec",
                     seconds > 0 ? static_cast<double>(events) / seconds : 0.0)
             .integer("threads", static_cast<std::uint64_t>(threads))
-            .number("peak_rss_mb", static_cast<double>(peak_kib) / 1024.0);
+            .number("peak_rss_mb", static_cast<double>(peak_kib) / 1024.0)
+            // High-water mark of pooled frame-slab bytes on this thread
+            // (the sequential simulator's), the frame share of the RSS.
+            .number("frame_pool_peak_mb",
+                    static_cast<double>(FrameBuf::pool_stats().peak_live_bytes) /
+                        (1024.0 * 1024.0));
         // When the bench ran with the self-profiler on, the utilization
         // breakdown lands next to sim_speed: the root gets the summary,
         // publish() puts the per-shard exec/barrier/drain split into the

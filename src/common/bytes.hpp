@@ -118,6 +118,9 @@ private:
     }
 
     void append(const void* data, std::size_t n) {
+        // An empty span's data() may be null, and memcpy from null is
+        // undefined even for zero bytes.
+        if (n == 0) return;
         ensure_room(n);
         const auto* p = static_cast<const std::byte*>(data);
         if (fixed_mode_) {

@@ -1,5 +1,6 @@
 #include "common/framebuf.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <new>
 
@@ -13,10 +14,21 @@ namespace {
 
 bool& g_fastpath_compat = detail::g_fastpath_compat;
 
-/// Per-thread slab free list. The destructor releases parked slabs at
-/// thread exit so leak checkers see a clean heap.
+static_assert(std::ranges::is_sorted(FrameBuf::kSlabClasses) &&
+                  FrameBuf::kSlabClasses.back() == FrameBuf::kSlabCapacity,
+              "size classes must ascend to kSlabCapacity");
+
+/// The smallest size class that holds `size` (<= kSlabCapacity).
+std::uint8_t class_of(std::size_t size) noexcept {
+    return static_cast<std::uint8_t>(
+        std::ranges::lower_bound(FrameBuf::kSlabClasses, size) - FrameBuf::kSlabClasses.begin());
+}
+
+/// Per-thread slab free lists, one per size class. The destructor
+/// releases parked slabs at thread exit so leak checkers see a clean
+/// heap.
 struct FramePool {
-    void* free_head{nullptr};
+    std::array<void*, FrameBuf::kSlabClasses.size()> free_head{};
     FramePoolStats stats;
 
     ~FramePool();
@@ -32,27 +44,33 @@ void set_fastpath_compat(bool on) noexcept { detail::g_fastpath_compat = on; }
 
 FrameBuf FrameBuf::allocate(std::size_t size) {
     static_assert(sizeof(Slab) <= kHeaderSize);
-    Slab* slab = nullptr;
-    if (!g_fastpath_compat && size <= kSlabCapacity && g_pool.free_head != nullptr) {
-        slab = static_cast<Slab*>(g_pool.free_head);
-        g_pool.free_head = slab->next_free;
+    const bool pooled = !g_fastpath_compat && size <= kSlabCapacity;
+    const std::uint8_t cls =
+        pooled ? class_of(size) : kOversize;
+    Slab* slab = pooled ? static_cast<Slab*>(g_pool.free_head[cls]) : nullptr;
+    if (slab != nullptr) {
+        g_pool.free_head[cls] = slab->next_free;
         slab->refs = 1;
         slab->next_free = nullptr;
         slab->trace_id = 0;  // reused slab must not leak the old frame's id
         ++g_pool.stats.reuses;
         --g_pool.stats.free_slabs;
     } else {
-        const bool pooled = !g_fastpath_compat && size <= kSlabCapacity;
-        const std::size_t capacity = pooled ? kSlabCapacity : size;
+        const std::size_t capacity = pooled ? kSlabClasses[cls] : size;
         void* raw = ::operator new(kHeaderSize + capacity);
         slab = new (raw) Slab{};
         slab->capacity = static_cast<std::uint32_t>(capacity);
-        slab->pooled = pooled;
+        slab->size_class = cls;
         if (pooled) {
             ++g_pool.stats.slab_allocs;
         } else {
             ++g_pool.stats.oversize_allocs;
         }
+    }
+    if (pooled) {
+        FramePoolStats& stats = g_pool.stats;
+        stats.live_bytes += slab->capacity;
+        stats.peak_live_bytes = std::max(stats.peak_live_bytes, stats.live_bytes);
     }
     slab->size = static_cast<std::uint32_t>(size);
     return FrameBuf{slab};
@@ -99,11 +117,14 @@ std::span<std::byte> FrameBuf::mutable_bytes() {
 }
 
 void FrameBuf::release_slab(Slab* slab) noexcept {
-    if (slab->pooled && !g_fastpath_compat) {
-        slab->next_free = static_cast<Slab*>(g_pool.free_head);
-        g_pool.free_head = slab;
-        ++g_pool.stats.free_slabs;
-        return;
+    if (slab->size_class != kOversize) {
+        g_pool.stats.live_bytes -= slab->capacity;
+        if (!g_fastpath_compat) {
+            slab->next_free = static_cast<Slab*>(g_pool.free_head[slab->size_class]);
+            g_pool.free_head[slab->size_class] = slab;
+            ++g_pool.stats.free_slabs;
+            return;
+        }
     }
     slab->~Slab();
     ::operator delete(slab);
@@ -112,12 +133,14 @@ void FrameBuf::release_slab(Slab* slab) noexcept {
 FramePoolStats FrameBuf::pool_stats() noexcept { return g_pool.stats; }
 
 void FrameBuf::trim_pool() noexcept {
-    while (g_pool.free_head != nullptr) {
-        auto* slab = static_cast<Slab*>(g_pool.free_head);
-        g_pool.free_head = slab->next_free;
-        slab->~Slab();
-        ::operator delete(slab);
-        --g_pool.stats.free_slabs;
+    for (void*& head : g_pool.free_head) {
+        while (head != nullptr) {
+            auto* slab = static_cast<Slab*>(head);
+            head = slab->next_free;
+            slab->~Slab();
+            ::operator delete(slab);
+            --g_pool.stats.free_slabs;
+        }
     }
 }
 

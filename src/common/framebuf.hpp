@@ -3,10 +3,15 @@
 // Every hop of the simulated fabric used to copy frames through
 // std::vector<std::byte>, which put one or more heap round-trips on the
 // per-frame fast path (build, per-hop closure capture, switch fan-out).
-// FrameBuf replaces that with fixed-capacity slabs recycled through a
-// per-thread free list: steady-state traffic allocates nothing, and
-// copying a FrameBuf is a refcount bump with copy-on-write on the first
-// mutation, so sharing is never observable.
+// FrameBuf replaces that with pooled slabs recycled through per-thread
+// free lists, one per size class: steady-state traffic allocates
+// nothing, and copying a FrameBuf is a refcount bump with copy-on-write
+// on the first mutation, so sharing is never observable.
+//
+// A frame sits in the smallest class that holds it. The classes are
+// fitted to the frames the fabric builds, because slab padding is most
+// of the simulator's frame memory: a WordCount shuffle keeps ~120K
+// frames in flight, nearly all of them DAIET data packets <= 256 B.
 //
 // Thread model: the simulator is single-threaded; the pool and the
 // refcounts are deliberately non-atomic and per-thread (each thread gets
@@ -20,6 +25,7 @@
 // compat run and a fast run of the same seed must be bit-identical.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -44,20 +50,34 @@ void set_fastpath_compat(bool on) noexcept;
 /// reset): the observability behind the "zero steady-state heap
 /// allocations per delivered frame" gate in bench_sim_throughput.
 struct FramePoolStats {
-    std::uint64_t slab_allocs{0};     ///< standard-capacity slabs heap-allocated
+    std::uint64_t slab_allocs{0};     ///< pooled-class slabs heap-allocated
     std::uint64_t oversize_allocs{0}; ///< > kSlabCapacity slabs (never pooled)
-    std::uint64_t reuses{0};          ///< allocations served from the free list
+    std::uint64_t reuses{0};          ///< allocations served from a free list
     std::uint64_t cow_copies{0};      ///< copy-on-write clones of shared buffers
-    std::uint64_t free_slabs{0};      ///< slabs currently parked in the free list
+    std::uint64_t free_slabs{0};      ///< slabs currently parked in the free lists
+    /// Pooled slab capacity handed out and not yet released, in bytes,
+    /// and its high-water mark. Signed: under the parallel driver a
+    /// frame can be released on another thread than the one that
+    /// allocated it, so one thread's count may go negative.
+    std::int64_t live_bytes{0};
+    std::int64_t peak_live_bytes{0};
 };
 
 class FrameBuf {
 public:
-    /// Every pooled slab holds this many payload bytes — comfortably
-    /// above the fabric's largest frame (MTU-sized DAIET data packets
-    /// plus headers). Larger requests fall back to exact-size heap
-    /// blocks that are freed, not pooled.
+    /// The largest pooled slab — comfortably above the fabric's largest
+    /// frame (MTU-sized DAIET data packets plus headers). Larger
+    /// requests fall back to exact-size heap blocks that are freed, not
+    /// pooled.
     static constexpr std::size_t kSlabCapacity = 2048;
+
+    /// Payload capacities of the pooled size classes, smallest first:
+    /// 46 B echo and 54 B TCP ACK frames, 74 B kv messages, DAIET data
+    /// packets (<= 250 B at the default pairs per packet), short TCP
+    /// segments, 1078 B TCP segments (a 1024 B application chunk), and
+    /// 1514 B MTU frames.
+    static constexpr std::array<std::uint32_t, 7> kSlabClasses{
+        64, 128, 256, 512, 1088, 1536, kSlabCapacity};
 
     FrameBuf() noexcept = default;
 
@@ -114,6 +134,10 @@ public:
     /// copy of a broadcast frame leaves the other copies clean.
     std::span<std::byte> mutable_bytes();
 
+    /// Payload bytes the underlying slab can hold: its size class for a
+    /// pooled slab, exactly size() for an oversize or compat one.
+    std::size_t capacity() const noexcept { return slab_ ? slab_->capacity : 0; }
+
     /// True when no other FrameBuf shares the underlying slab.
     bool unique() const noexcept { return slab_ == nullptr || slab_->refs == 1; }
 
@@ -130,7 +154,7 @@ public:
 
     /// Pool counters for this thread.
     static FramePoolStats pool_stats() noexcept;
-    /// Release every slab parked in this thread's free list (tests).
+    /// Release every slab parked in this thread's free lists (tests).
     static void trim_pool() noexcept;
 
 private:
@@ -138,7 +162,7 @@ private:
         std::uint32_t refs{1};
         std::uint32_t size{0};
         std::uint32_t capacity{0};
-        bool pooled{false};  ///< recycle through the free list on release
+        std::uint8_t size_class{kOversize};  ///< free list it returns to
         Slab* next_free{nullptr};
         std::uint64_t trace_id{0};  ///< shared causal id, see trace_id()
         // payload bytes trail the header
@@ -147,6 +171,8 @@ private:
     /// Slab header + payload live in one block; the payload starts at a
     /// fixed 32-byte offset so it stays max_align_t-aligned.
     static constexpr std::size_t kHeaderSize = 32;
+    /// Slab::size_class of a slab that is freed, not pooled.
+    static constexpr std::uint8_t kOversize = 0xff;
 
     static std::byte* payload(Slab* slab) noexcept {
         return reinterpret_cast<std::byte*>(slab) + kHeaderSize;

@@ -53,20 +53,20 @@ void TcpConnection::close() {
 }
 
 void TcpConnection::pump_send_queue() {
-    while (!send_buffer_.empty()) {
+    // No congestion window: every queued byte goes out now, MSS at a time.
+    for (std::size_t off = 0; off < send_buffer_.size();) {
         const std::size_t len =
-            std::min<std::size_t>(send_buffer_.size(), params_.mss);
-        std::vector<std::byte> seg(send_buffer_.begin(),
-                                   send_buffer_.begin() + static_cast<std::ptrdiff_t>(len));
-        send_buffer_.erase(send_buffer_.begin(),
-                           send_buffer_.begin() + static_cast<std::ptrdiff_t>(len));
+            std::min<std::size_t>(send_buffer_.size() - off, params_.mss);
+        const std::span<const std::byte> seg{send_buffer_.data() + off, len};
+        off += len;
         std::uint8_t flags = TcpHeader::kFlagAck;
-        if (send_buffer_.empty()) flags |= TcpHeader::kFlagPsh;
+        if (off == send_buffer_.size()) flags |= TcpHeader::kFlagPsh;
+        unacked_.insert(unacked_.end(), seg.begin(), seg.end());
         send_segment(flags, seg);
         snd_nxt_ += static_cast<std::uint32_t>(len);
-        unacked_.insert(unacked_.end(), seg.begin(), seg.end());
         stats_.payload_bytes_sent += len;
     }
+    send_buffer_.clear();
     maybe_send_fin();
     if (snd_una_ != snd_nxt_) arm_timer();
 }
@@ -140,9 +140,12 @@ void TcpConnection::on_segment(const TcpHeader& tcp, std::span<const std::byte> 
         if (fin_sent_ && tcp.ack == snd_nxt_ && acked > 0) {
             acked -= 1;  // our FIN
         }
-        const std::size_t drop = std::min<std::size_t>(acked, unacked_.size());
-        unacked_.erase(unacked_.begin(),
-                       unacked_.begin() + static_cast<std::ptrdiff_t>(drop));
+        unacked_head_ += std::min<std::size_t>(acked, unacked().size());
+        if (unacked_head_ * 2 >= unacked_.size()) {
+            unacked_.erase(unacked_.begin(),
+                           unacked_.begin() + static_cast<std::ptrdiff_t>(unacked_head_));
+            unacked_head_ = 0;
+        }
         snd_una_ = tcp.ack;
         retries_ = 0;
         if (snd_una_ != snd_nxt_ || (fin_sent_ && snd_una_ != snd_nxt_)) {
@@ -218,13 +221,14 @@ void TcpConnection::on_timer() {
     } else if (state_ == State::kSynReceived) {
         send_segment(static_cast<std::uint8_t>(TcpHeader::kFlagSyn | TcpHeader::kFlagAck),
                      {}, /*retransmission=*/true);
-    } else if (!unacked_.empty()) {
+    } else if (!unacked().empty()) {
         // Go-back-N: resend everything unacknowledged, MSS at a time.
+        const std::span<const std::byte> pending = unacked();
         std::uint32_t seq = snd_una_;
         std::size_t off = 0;
-        while (off < unacked_.size()) {
+        while (off < pending.size()) {
             const std::size_t len =
-                std::min<std::size_t>(unacked_.size() - off, params_.mss);
+                std::min<std::size_t>(pending.size() - off, params_.mss);
             TcpHeader tcp;
             tcp.src_port = local_port_;
             tcp.dst_port = peer_port_;
@@ -233,7 +237,7 @@ void TcpConnection::on_timer() {
             tcp.flags = TcpHeader::kFlagAck;
             auto frame = build_tcp_frame(
                 host_->addr(), peer_, tcp,
-                std::span{unacked_}.subspan(off, len));
+                pending.subspan(off, len));
             ++host_->counters_.tcp_frames_tx;
             ++stats_.segments_sent;
             ++stats_.segments_retransmitted;

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <span>
 #include <vector>
@@ -97,6 +96,9 @@ private:
     void maybe_send_fin();
     void arm_timer();
     void on_timer();
+    std::span<const std::byte> unacked() const noexcept {
+        return std::span{unacked_}.subspan(unacked_head_);
+    }
 
     Host* host_;
     HostAddr peer_;
@@ -109,8 +111,12 @@ private:
     // Send side.
     std::uint32_t snd_nxt_{0};  ///< next seq to send
     std::uint32_t snd_una_{0};  ///< oldest unacknowledged seq
-    std::deque<std::byte> send_buffer_;  ///< bytes not yet transmitted
-    std::vector<std::byte> unacked_;     ///< transmitted, not yet ACKed
+    std::vector<std::byte> send_buffer_;  ///< bytes not yet transmitted
+    /// Transmitted bytes; those past unacked_head_ are not yet ACKed.
+    /// The acknowledged prefix is compacted away once it is half the
+    /// vector, so an ACK costs no memmove of the whole window.
+    std::vector<std::byte> unacked_;
+    std::size_t unacked_head_{0};
     bool fin_pending_{false};
     bool fin_sent_{false};
     std::uint8_t retries_{0};

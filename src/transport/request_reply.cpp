@@ -288,8 +288,7 @@ void ReplyCache::record(sim::HostAddr client, std::uint32_t seq,
         pc.max_seq = seq;
         if (pc.max_seq > window_) {
             const std::uint32_t floor = pc.max_seq - window_;
-            std::erase_if(pc.replies,
-                          [floor](const auto& e) { return e.first <= floor; });
+            pc.replies.erase(pc.replies.begin(), pc.replies.upper_bound(floor));
         }
     }
 }

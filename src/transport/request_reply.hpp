@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -186,7 +187,8 @@ private:
 /// Server half: at-most-once execution with reply replay. Entries are
 /// pruned once a client's seq counter has advanced `window` past them
 /// (seqs are per-client monotonic, so anything that old can only be a
-/// long-abandoned retransmission).
+/// long-abandoned retransmission). Replies are kept in seq order, so a
+/// prune erases only the expired prefix instead of scanning the window.
 class ReplyCache {
 public:
     explicit ReplyCache(std::uint32_t window = 4096);
@@ -207,7 +209,7 @@ public:
 
 private:
     struct PerClient {
-        std::unordered_map<std::uint32_t, std::vector<std::byte>> replies;
+        std::map<std::uint32_t, std::vector<std::byte>> replies;
         std::uint32_t max_seq{0};
     };
 

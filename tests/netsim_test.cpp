@@ -2,6 +2,11 @@
 // links (timing, queueing, loss), wire formats, hosts/UDP, L2
 // switching, route installation and ECMP.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <fstream>
+#include <vector>
 
 #include "netsim/headers.hpp"
 #include "netsim/network.hpp"
@@ -478,22 +483,64 @@ TEST(Host, CancelledTimerReclaimsItsTombstoneEarly) {
 TEST(FrameBuf, PoolReusesSlabsAndCopiesOnWrite) {
     FrameBuf::trim_pool();
     const auto s0 = FrameBuf::pool_stats();
-    { const FrameBuf a = FrameBuf::allocate(100); }
+    const std::byte* parked = nullptr;
+    {
+        const FrameBuf a = FrameBuf::allocate(100);  // 128 B class
+        parked = a.data();
+    }
     const auto s1 = FrameBuf::pool_stats();
     EXPECT_EQ(s1.slab_allocs, s0.slab_allocs + 1);
     EXPECT_EQ(s1.free_slabs, s0.free_slabs + 1);
 
-    FrameBuf b = FrameBuf::copy_of(as_bytes("hello"));
+    // A frame of another class never takes the parked slab...
+    FrameBuf hello = FrameBuf::copy_of(as_bytes("hello"));  // 64 B class
     const auto s2 = FrameBuf::pool_stats();
-    EXPECT_EQ(s2.reuses, s1.reuses + 1);
+    EXPECT_NE(hello.data(), parked);
+    EXPECT_EQ(hello.capacity(), 64U);
+    EXPECT_EQ(s2.reuses, s1.reuses);
+    EXPECT_EQ(s2.slab_allocs, s1.slab_allocs + 1);
 
-    FrameBuf c = b;  // refcount bump, not a copy
-    EXPECT_FALSE(b.unique());
-    c.mutable_bytes()[0] = std::byte{'H'};  // copy-on-write
-    EXPECT_TRUE(c.unique());
-    EXPECT_EQ(static_cast<char>(b.bytes()[0]), 'h');
-    EXPECT_EQ(static_cast<char>(c.bytes()[0]), 'H');
-    EXPECT_EQ(FrameBuf::pool_stats().cow_copies, s2.cow_copies + 1);
+    // ...and a frame of its own class does.
+    {
+        const FrameBuf b = FrameBuf::allocate(128);
+        EXPECT_EQ(b.data(), parked);
+        EXPECT_EQ(FrameBuf::pool_stats().reuses, s2.reuses + 1);
+    }
+
+    // The copy-on-write clone of a 5-byte frame lands in the 64 B
+    // class, not in the parked 128 B slab.
+    FrameBuf shared = hello;  // refcount bump, not a copy
+    EXPECT_FALSE(hello.unique());
+    shared.mutable_bytes()[0] = std::byte{'H'};  // copy-on-write
+    EXPECT_TRUE(shared.unique());
+    EXPECT_NE(shared.data(), parked);
+    EXPECT_EQ(shared.capacity(), 64U);
+    EXPECT_EQ(static_cast<char>(hello.bytes()[0]), 'h');
+    EXPECT_EQ(static_cast<char>(shared.bytes()[0]), 'H');
+    const auto s3 = FrameBuf::pool_stats();
+    EXPECT_EQ(s3.cow_copies, s2.cow_copies + 1);
+    EXPECT_EQ(s3.free_slabs, s2.free_slabs);  // the 128 B slab is still parked
+}
+
+TEST(FrameBuf, SizeClassBoundaries) {
+    // {request size, class capacity}: each size lands in the smallest
+    // class that holds it, and a slab it frees is reused by a frame at
+    // the other end of the same class.
+    const std::pair<std::size_t, std::size_t> cases[] = {
+        {1, 64},       {64, 64},      {65, 128},     {250, 256},
+        {1078, 1088},  {1089, 1536},  {1514, 1536},  {2048, 2048}};
+    for (const auto& [size, capacity] : cases) {
+        FrameBuf::trim_pool();
+        const std::byte* freed = nullptr;
+        {
+            const FrameBuf f = FrameBuf::allocate(size);
+            EXPECT_EQ(f.size(), size);
+            EXPECT_EQ(f.capacity(), capacity) << "size " << size;
+            freed = f.data();
+        }
+        const FrameBuf g = FrameBuf::allocate(capacity);
+        EXPECT_EQ(g.data(), freed) << "size " << size;
+    }
 }
 
 TEST(FrameBuf, OversizeAllocationsBypassThePool) {
@@ -501,10 +548,54 @@ TEST(FrameBuf, OversizeAllocationsBypassThePool) {
     {
         const FrameBuf big = FrameBuf::allocate(FrameBuf::kSlabCapacity + 1);
         EXPECT_EQ(big.size(), FrameBuf::kSlabCapacity + 1);
+        EXPECT_EQ(big.capacity(), FrameBuf::kSlabCapacity + 1);
+        EXPECT_EQ(FrameBuf::pool_stats().live_bytes, s0.live_bytes);
     }
     const auto s1 = FrameBuf::pool_stats();
     EXPECT_EQ(s1.oversize_allocs, s0.oversize_allocs + 1);
     EXPECT_EQ(s1.free_slabs, s0.free_slabs);  // freed, never pooled
+}
+
+/// Resident set of this process, from /proc/self/statm.
+std::size_t resident_bytes() {
+    std::ifstream statm{"/proc/self/statm"};
+    std::size_t size_pages = 0;
+    std::size_t resident_pages = 0;
+    statm >> size_pages >> resident_pages;
+    return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(FrameBuf, SmallFramesTakeSmallSlabs) {
+    // 100K live 60-byte frames: ~11 MB in 64 B slabs, ~200 MB if every
+    // frame took a full kSlabCapacity slab. ThreadSanitizer (GCC) adds
+    // ~4 bytes of shadow per heap byte, so its bound is scaled.
+#if defined(__SANITIZE_THREAD__)
+    constexpr std::size_t kRssBound = 128U << 20;
+#else
+    constexpr std::size_t kRssBound = 32U << 20;
+#endif
+    constexpr std::size_t kFrames = 100000;
+    FrameBuf::trim_pool();
+    std::vector<FrameBuf> live;
+    live.reserve(kFrames);
+    const auto s0 = FrameBuf::pool_stats();
+    const std::size_t before = resident_bytes();
+    for (std::size_t i = 0; i < kFrames; ++i) {
+        FrameBuf f = FrameBuf::allocate(60);
+        std::ranges::fill(f.mutable_bytes(), static_cast<std::byte>(i));
+        live.push_back(std::move(f));
+    }
+    const std::size_t after = resident_bytes();
+    EXPECT_LT(after - std::min(before, after), kRssBound);
+
+    const auto s1 = FrameBuf::pool_stats();
+    EXPECT_EQ(s1.live_bytes - s0.live_bytes, static_cast<std::int64_t>(kFrames * 64));
+    EXPECT_GE(s1.peak_live_bytes, s1.live_bytes);
+    live.clear();
+    const auto s2 = FrameBuf::pool_stats();
+    EXPECT_EQ(s2.live_bytes, s0.live_bytes);
+    EXPECT_EQ(s2.peak_live_bytes, s1.peak_live_bytes);  // a high-water mark
+    FrameBuf::trim_pool();
 }
 
 // --------------------------------------------------------- determinism

@@ -311,6 +311,32 @@ TEST(ReplyCache, AtMostOnceClassificationAndPruning) {
     EXPECT_EQ(cache.classify(client + 1, 12), transport::Sighting::kNew);
 }
 
+TEST(ReplyCache, LongLivedClientKeepsOnlyTheWindow) {
+    constexpr std::uint32_t kWindow = 4096;
+    constexpr std::uint32_t kLast = 50000;
+    transport::ReplyCache cache{kWindow};
+    const sim::HostAddr client = 7;
+    for (std::uint32_t seq = 1; seq <= kLast; ++seq) {
+        cache.record(client, seq, seq_payload(seq));
+        ASSERT_LE(cache.entries(), kWindow) << "seq " << seq;
+    }
+    EXPECT_EQ(cache.entries(), kWindow);
+    EXPECT_EQ(cache.classify(client, 1), transport::Sighting::kForgotten);
+    EXPECT_EQ(cache.classify(client, kLast - kWindow), transport::Sighting::kForgotten);
+    EXPECT_EQ(cache.find(client, kLast - kWindow), nullptr);
+    EXPECT_EQ(cache.classify(client, kLast - kWindow + 1), transport::Sighting::kDuplicate);
+    EXPECT_EQ(cache.classify(client, kLast), transport::Sighting::kDuplicate);
+    ASSERT_NE(cache.find(client, kLast - kWindow + 1), nullptr);
+    EXPECT_EQ(*cache.find(client, kLast - kWindow + 1), seq_payload(kLast - kWindow + 1));
+
+    // A seq jump past the whole window prunes every older entry.
+    cache.record(client, kLast + 3 * kWindow, seq_payload(1));
+    EXPECT_EQ(cache.entries(), 1U);
+    EXPECT_EQ(cache.classify(client, kLast), transport::Sighting::kForgotten);
+    cache.record(client, kLast + 3 * kWindow - 1, seq_payload(2));  // late, in window
+    EXPECT_EQ(cache.entries(), 2U);
+}
+
 // -------------------------------------------------------- mux dispatch
 
 rt::ClusterOptions star_options(std::size_t hosts) {

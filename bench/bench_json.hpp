@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/framebuf.hpp"
 #include "netsim/simulator.hpp"
 #include "trace/metrics.hpp"
@@ -174,7 +175,8 @@ class SimSpeedMeter {
 public:
     SimSpeedMeter()
         : start_{std::chrono::steady_clock::now()},
-          start_events_{sim::Simulator::process_events_executed()} {}
+          start_events_{sim::Simulator::process_events_executed()},
+          threads_{thread_cap().value_or(1)} {}
 
     /// `external_events` covers simulated events a bench ran in child
     /// processes (the throughput macro-bench measures each trial in a
@@ -187,14 +189,6 @@ public:
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start_)
                 .count();
-        // Worker-thread cap the bench ran under (DAIET_THREADS; 1 =
-        // sequential), so speed trajectories are comparable only within
-        // one parallelism level.
-        long threads = 1;
-        if (const char* env = std::getenv("DAIET_THREADS")) {
-            const long parsed = std::strtol(env, nullptr, 10);
-            if (parsed > 0) threads = parsed;
-        }
         // Peak resident set of this process or of any child it waited
         // for (the throughput macro-bench's trials run as children).
         // ru_maxrss is in KiB on Linux.
@@ -208,7 +202,7 @@ public:
             .number("wall_clock_seconds", seconds)
             .number("events_per_sec",
                     seconds > 0 ? static_cast<double>(events) / seconds : 0.0)
-            .integer("threads", static_cast<std::uint64_t>(threads))
+            .integer("threads", threads_)
             .number("peak_rss_mb", static_cast<double>(peak_kib) / 1024.0)
             // High-water mark of pooled frame-slab bytes on this thread
             // (the sequential simulator's), the frame share of the RSS.
@@ -236,6 +230,11 @@ public:
 private:
     std::chrono::steady_clock::time_point start_;
     std::uint64_t start_events_;
+    /// Worker-thread cap the bench ran under (DAIET_THREADS; 1 =
+    /// sequential), so speed trajectories are comparable only within one
+    /// parallelism level. Read at construction, so a malformed value
+    /// fails before the bench runs rather than after.
+    std::uint64_t threads_;
 };
 
 }  // namespace daiet::bench

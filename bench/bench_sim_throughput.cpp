@@ -1,23 +1,20 @@
-// Netsim fast-path macro-bench: pooled frames + flat event queue.
+// Netsim macro-bench: pooled frames + timing-wheel event queue.
 //
 // One binary, one multi-tenant workload — a fat-tree fabric (k=16 at
 // scale 1: 1024 hosts, 320 switches) concurrently carrying a
 // closed-loop kv service (switch cache + controller live), a two-round
 // DAIET aggregation job, and a cross-pod echo sweep — measured as
-// interleaved fresh-process trials (compat, fast, compat, fast; the
-// binary re-execs itself per trial):
+// fresh-process trials (the binary re-execs itself per trial):
 //
-//   * compat — set_fastpath_compat(true): the pre-fast-path cost model
-//     (std::function event queue, deep frame copies, no pooling),
-//     measured in-binary as the baseline. One workload run per child.
-//   * fast — the fast path; each child runs the workload twice (cold
-//     pool, then warm pool) so the steady-state allocation gates see a
-//     warmed free list.
-//   * traced — the fast path with the trace/ ring flight recorder live
-//     (one child at the end): tracks what recording every hop costs.
-//     The fast trials run with tracing disabled, so the disabled-hook
-//     cost is priced into the speedup gate itself.
-//   * parN — the fast path under the parallel sharded simulator
+//   * fast — the sequential simulator; two children, each running the
+//     workload twice (cold pool, then warm pool) so the steady-state
+//     allocation gates see a warmed free list. The first fast trial is
+//     the determinism oracle.
+//   * traced — the fast trial with the trace/ ring flight recorder live
+//     (one child): tracks what recording every hop costs. The fast
+//     trials run with tracing disabled, so fast_events_per_sec already
+//     prices the disabled hooks.
+//   * parN — the same workload under the parallel sharded simulator
 //     (netsim/parallel.hpp): the fat-tree partitioned one pod per
 //     shard, driven by N worker threads through conservative time
 //     windows. One child per thread count in {1, 2, 4} (capped by
@@ -26,7 +23,7 @@
 //     must not — and must reproduce the sequential oracle's workload
 //     outcomes (kv completions, aggregation results, echo sweep); at
 //     full scale on >= 4 hardware threads par4 must also clear 1.8x
-//     the sequential fast path.
+//     the best fast trial.
 //   * profN — the parN run with the sim self-profiler and the fabric
 //     time-series sampler both live (N = the largest parN that ran):
 //     per-shard exec/barrier/drain attribution plus counter tracks
@@ -37,22 +34,20 @@
 //     throughput.
 //
 // Fresh processes keep one mode's heap churn from contaminating the
-// other's measurement, and the speedup gate compares each mode's best
-// trial, so a burst of machine noise cannot flip the verdict.
+// other's measurement, and each reported rate is a mode's best trial,
+// so a burst of machine noise cannot flip a ratio gate.
 //
 // Gates (any failure exits nonzero — the bench doubles as a CI gate):
-//   * speedup: fast events/sec >= 2.0x compat at scale >= 1 (1.3x at
-//     reduced scale, where fixed setup costs dominate short runs);
-//   * determinism: all three runs execute the same number of events,
-//     reach the same final sim time and produce bit-identical value
-//     histories (kv client logs + reducer outputs) — the compat shim
-//     doubles as a semantic oracle for the fast path;
-//   * zero steady-state allocation on run C: no frame slab leaves the
-//     heap (pool-stats delta == 0 — every delivered frame rides a
-//     recycled slab) and no per-frame event closure is heap-boxed
-//     (boxed actions stay within the O(sending hosts) per-round setup
-//     closures, which carry a vector of send work and are the only
-//     legitimate oversize captures).
+//   * determinism: every sequential run (fast, warm and traced) executes
+//     the same number of events, reaches the same final sim time and
+//     produces bit-identical value histories (kv client logs + reducer
+//     outputs) as the first fast trial;
+//   * zero steady-state allocation on the warm fast run: no frame slab
+//     leaves the heap (pool-stats delta == 0 — every delivered frame
+//     rides a recycled slab) and no per-frame event closure is
+//     heap-boxed (boxed actions stay within the O(sending hosts)
+//     per-round setup closures, which carry a vector of send work and
+//     are the only legitimate oversize captures).
 //
 // Writes BENCH_sim_throughput.json. DAIET_SCALE scales the fabric
 // arity and the per-client request count.
@@ -533,11 +528,15 @@ int main() {
     const double scale = bench::scale_factor();
     const Shape s = shape_for(scale);
 
-    // Profiling hook: DAIET_BENCH_PROFILE=fast|compat runs the workload
-    // once in that mode and exits, so a profiler sees a single clean
-    // run instead of the three-run gate harness.
+    // Profiling hook: DAIET_BENCH_PROFILE=fast runs the workload once
+    // and exits, so a profiler sees a single clean run instead of the
+    // multi-trial gate harness. Any other value is refused.
     if (const char* mode = std::getenv("DAIET_BENCH_PROFILE")) {
-        set_fastpath_compat(std::string_view{mode} == "compat");
+        if (std::string_view{mode} != "fast") {
+            std::fprintf(stderr, "DAIET_BENCH_PROFILE=\"%s\": the only mode is \"fast\"\n",
+                         mode);
+            return 2;
+        }
         const RunResult r = run_workload(s);
         std::printf("%s: %llu events in %.3fs (%.0f events/sec)\n", mode,
                     static_cast<unsigned long long>(r.events), r.exec_seconds,
@@ -545,9 +544,8 @@ int main() {
         return 0;
     }
 
-    // Child mode: one fresh-process measurement trial. A compat child
-    // runs the workload once under the pre-fast-path cost model; a fast
-    // child runs it twice — cold pool, then warm pool — so the
+    // Child mode: one fresh-process measurement trial. A fast or traced
+    // child runs the workload twice — cold pool, then warm pool — so the
     // steady-state allocation gates see a warmed free list.
     if (const char* mode = std::getenv("DAIET_BENCH_CHILD")) {
         const std::string_view m{mode};
@@ -559,7 +557,6 @@ int main() {
         if (m.rfind("prof", 0) == 0) {
             const std::size_t threads = std::max<std::size_t>(
                 static_cast<std::size_t>(std::atoi(mode + 4)), 1);
-            set_fastpath_compat(false);
             trace::profiler().enable();
             const RunResult r = run_workload(s, threads, /*profiled=*/true);
             print_result(mode, r);
@@ -589,33 +586,27 @@ int main() {
             std::fflush(stdout);
             return 0;
         }
-        // A parN child runs the fast path once under the parallel
+        // A parN child runs the workload once under the parallel
         // sharded simulator with N worker threads.
         if (m.rfind("par", 0) == 0) {
             const std::size_t threads =
                 static_cast<std::size_t>(std::atoi(mode + 3));
-            set_fastpath_compat(false);
             const RunResult r = run_workload(s, std::max<std::size_t>(threads, 1));
             print_result(mode, r);
             return 0;
         }
-        const bool compat = m == "compat";
         const bool traced = m == "traced";
-        set_fastpath_compat(compat);
-        // A traced child measures the fast path with the ring flight
+        // A traced child measures the workload with the ring flight
         // recorder live: every hop records a span into a fixed buffer.
         // The plain fast children run with tracing disabled — they are
         // the "hooks must be invisible when off" measurement.
         if (traced) trace::tracer().enable_ring(std::size_t{1} << 16);
         const RunResult r1 = run_workload(s);
-        print_result(compat ? "compat" : (traced ? "traced" : "fast"), r1);
-        if (!compat) {
-            const RunResult r2 = run_workload(s);
-            print_result(traced ? "traced-warm" : "fast-warm", r2);
-        }
+        print_result(traced ? "traced" : "fast", r1);
+        const RunResult r2 = run_workload(s);
+        print_result(traced ? "traced-warm" : "fast-warm", r2);
         return 0;
     }
-    const double threshold = scale >= 1.0 ? 2.0 : 1.3;
 
     std::printf(
         "sim throughput macro-bench: fat-tree k=%zu (%zu hosts), %zu kv "
@@ -642,19 +633,15 @@ int main() {
         .integer("pairs_per_mapper", s.pairs_per_mapper)
         .integer("agg_rounds", s.rounds)
         .integer("echo_legs_per_pair", s.echo_legs)
-        .number("speedup_threshold", threshold)
         .number("scale", scale);
 
-    // Interleaved fresh-process trials: two children of each mode,
-    // alternating. Each trial gets a pristine heap (in-process
+    // Fresh-process trials: each gets a pristine heap (in-process
     // back-to-back runs contaminate each other's allocator state), and
-    // the speedup gate compares each mode's best trial so a burst of
-    // machine noise landing on one trial cannot flip the verdict.
+    // fast_events_per_sec is the best fast trial, so a burst of machine
+    // noise landing on one trial does not set the reported rate.
     std::vector<Trial> trials;
     bool healthy = true;
-    healthy &= run_child("compat", "", trials);
     healthy &= run_child("fast", "", trials);
-    healthy &= run_child("compat", "#2", trials);
     healthy &= run_child("fast", "#2", trials);
     // One traced trial: the fast path with the ring flight recorder
     // live, so the cost of tracing when it is ON is a tracked number
@@ -664,11 +651,7 @@ int main() {
     // the set (the CI smoke runs with DAIET_THREADS=2 to keep it
     // cheap); the partition — and so the parN event graph — is the
     // same for every N, which is exactly what the parity gate checks.
-    std::size_t max_threads = 4;
-    if (const char* env = std::getenv("DAIET_THREADS")) {
-        const int parsed = std::atoi(env);
-        if (parsed > 0) max_threads = static_cast<std::size_t>(parsed);
-    }
+    const std::size_t max_threads = bench::thread_cap().value_or(4);
     std::size_t prof_threads = 0;
     for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
         if (n > max_threads) break;
@@ -679,8 +662,7 @@ int main() {
     // Profiled trials at the widest parN that ran: the parN schedule
     // with the self-profiler and the fabric sampler both live, so the
     // observer cost and the utilization split are tracked numbers. Two
-    // trials of each side, interleaved like the compat/fast pairs — the
-    // overhead gate compares best against best, so one noisy trial on a
+    // trials of each side, interleaved — the overhead gate compares best against best, so one noisy trial on a
     // shared box cannot fake (or mask) a regression. The attribution
     // folded into the JSON comes from the first profiled child only.
     std::vector<std::string> prof_lines;
@@ -722,7 +704,7 @@ int main() {
             .integer("echo_messages", r.echo_messages);
     }
 
-    double compat_eps = 0, fast_eps = 0, traced_eps = 0;
+    double fast_eps = 0, traced_eps = 0;
     double par1_eps = 0, par4_eps = 0;
     double prof_eps = 0, prof_base_eps = 0;
     const RunResult* warm = nullptr;
@@ -732,9 +714,7 @@ int main() {
         if (t.label.rfind(prof_base_label, 0) == 0) {
             prof_base_eps = std::max(prof_base_eps, t.r.events_per_sec);
         }
-        if (t.label.rfind("compat", 0) == 0) {
-            compat_eps = std::max(compat_eps, t.r.events_per_sec);
-        } else if (t.label.rfind("traced", 0) == 0) {
+        if (t.label.rfind("traced", 0) == 0) {
             traced_eps = std::max(traced_eps, t.r.events_per_sec);
         } else if (t.label.rfind("prof", 0) == 0) {
             // Same schedule as the parN group — parity-checked with it.
@@ -753,25 +733,18 @@ int main() {
         }
         if (t.label.rfind("fast-warm", 0) == 0) warm = &t.r;
     }
-    const double speedup = compat_eps > 0 ? fast_eps / compat_eps : 0.0;
-    std::printf("\nspeedup: %.2fx (gate: >= %.1fx)\n", speedup, threshold);
-    if (speedup < threshold) {
-        std::puts("FAIL: fast path did not clear the speedup gate");
-        healthy = false;
-    }
-
     // Tracing cost, both sides. Hooks-off: the fast trials run with
-    // tracing disabled, so the hook branches are priced into the
-    // speedup gate above — a hook regression shows up as a speedup
-    // regression. Recorder-on: the ring-traced trial must keep most of
-    // the fast path's headroom (every hop records a 40-byte span).
+    // tracing disabled, so the hook branches are priced into
+    // fast_events_per_sec — a hook regression shows up on its
+    // trajectory. Recorder-on: the ring-traced trial must keep at least
+    // half the untraced throughput (every hop records a 40-byte span).
     const double traced_overhead =
         fast_eps > 0 ? 1.0 - traced_eps / fast_eps : 1.0;
-    std::printf("ring-traced fast path: %.1f%% overhead vs untraced "
+    std::printf("\nring-traced run: %.1f%% overhead vs untraced "
                 "(gate: <= 50%%)\n",
                 100.0 * traced_overhead);
     if (traced_eps < 0.5 * fast_eps) {
-        std::puts("FAIL: ring tracing cost the fast path more than half "
+        std::puts("FAIL: ring tracing cost the simulator more than half "
                   "its throughput");
         healthy = false;
     }
@@ -873,8 +846,8 @@ int main() {
         healthy = false;
     }
 
-    // Determinism: compat vs fast is the semantic oracle; repeated
-    // trials of the same mode are the repeatability oracle. The parN
+    // Determinism: the first fast trial is the oracle; every other
+    // sequential run (warm, repeated, traced) must reproduce it. The parN
     // trials form their own parity group — each shard-boundary delivery
     // adds one bookkeeping event, and same-tick arrivals at a switch
     // drain in (shard, FIFO) order rather than global schedule order,
@@ -892,7 +865,7 @@ int main() {
         if (t.label.rfind("prof", 0) == 0) continue;
         if (t.r.signature != oracle.signature || t.r.events != oracle.events ||
             t.r.final_time != oracle.final_time) {
-            std::printf("FAIL: %s diverged from the compat oracle "
+            std::printf("FAIL: %s diverged from the first fast trial "
                         "(signature/events/final time)\n",
                         t.label.c_str());
             deterministic = false;
@@ -973,8 +946,6 @@ int main() {
     }
 
     json.root()
-        .number("speedup", speedup)
-        .number("compat_events_per_sec", compat_eps)
         .number("fast_events_per_sec", fast_eps)
         .number("traced_events_per_sec", traced_eps)
         .number("par1_events_per_sec", par1_eps)

@@ -6,13 +6,7 @@
 
 namespace daiet {
 
-namespace detail {
-bool g_fastpath_compat = false;
-}  // namespace detail
-
 namespace {
-
-bool& g_fastpath_compat = detail::g_fastpath_compat;
 
 static_assert(std::ranges::is_sorted(FrameBuf::kSlabClasses) &&
                   FrameBuf::kSlabClasses.back() == FrameBuf::kSlabCapacity,
@@ -40,13 +34,10 @@ FramePool::~FramePool() { FrameBuf::trim_pool(); }
 
 }  // namespace
 
-void set_fastpath_compat(bool on) noexcept { detail::g_fastpath_compat = on; }
-
 FrameBuf FrameBuf::allocate(std::size_t size) {
     static_assert(sizeof(Slab) <= kHeaderSize);
-    const bool pooled = !g_fastpath_compat && size <= kSlabCapacity;
-    const std::uint8_t cls =
-        pooled ? class_of(size) : kOversize;
+    const bool pooled = size <= kSlabCapacity;
+    const std::uint8_t cls = pooled ? class_of(size) : kOversize;
     Slab* slab = pooled ? static_cast<Slab*>(g_pool.free_head[cls]) : nullptr;
     if (slab != nullptr) {
         g_pool.free_head[cls] = slab->next_free;
@@ -87,13 +78,6 @@ FrameBuf FrameBuf::copy_of(std::span<const std::byte> bytes) {
 FrameBuf::FrameBuf(const std::vector<std::byte>& bytes)
     : FrameBuf{copy_of(std::span<const std::byte>{bytes})} {}
 
-void FrameBuf::init_deep_copy(const FrameBuf& other) noexcept {
-    // Pre-fast-path cost model: copies were deep.
-    slab_ = nullptr;
-    *this = copy_of(other.bytes());
-    if (slab_ != nullptr) slab_->trace_id = other.trace_id();
-}
-
 FrameBuf& FrameBuf::operator=(const FrameBuf& other) noexcept {
     if (this == &other) return *this;
     FrameBuf copy{other};
@@ -119,12 +103,10 @@ std::span<std::byte> FrameBuf::mutable_bytes() {
 void FrameBuf::release_slab(Slab* slab) noexcept {
     if (slab->size_class != kOversize) {
         g_pool.stats.live_bytes -= slab->capacity;
-        if (!g_fastpath_compat) {
-            slab->next_free = static_cast<Slab*>(g_pool.free_head[slab->size_class]);
-            g_pool.free_head[slab->size_class] = slab;
-            ++g_pool.stats.free_slabs;
-            return;
-        }
+        slab->next_free = static_cast<Slab*>(g_pool.free_head[slab->size_class]);
+        g_pool.free_head[slab->size_class] = slab;
+        ++g_pool.stats.free_slabs;
+        return;
     }
     slab->~Slab();
     ::operator delete(slab);

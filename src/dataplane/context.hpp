@@ -17,10 +17,8 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
-#include "common/framebuf.hpp"  // fastpath_compat()
 #include "common/hash.hpp"
 #include "dataplane/packet.hpp"
 #include "netsim/headers.hpp"
@@ -65,8 +63,8 @@ public:
     PacketContext(Packet& packet, std::uint32_t ops_per_pass_budget)
         : packet_{&packet}, budget_{ops_per_pass_budget} {}
 
-    /// Unbound context for reuse across packets (fast path: one context
-    /// per pipeline, rebind() per packet instead of a fresh construct).
+    /// Unbound context for reuse across packets (one context per
+    /// pipeline, rebind() per packet instead of a fresh construct).
     explicit PacketContext(std::uint32_t ops_per_pass_budget)
         : packet_{nullptr}, budget_{ops_per_pass_budget} {}
 
@@ -90,14 +88,6 @@ public:
     void count_op(OpKind kind) {
         ++pass_ops_.by_kind[static_cast<std::size_t>(kind)];
         ++total_ops_.by_kind[static_cast<std::size_t>(kind)];
-        if (compat_) {
-            // Pre-fast-path cost model: re-total every kind on each op.
-            if (budget_ != 0 && pass_ops_.total() > budget_) {
-                throw PipelineError{"per-pass operation budget (" +
-                                    std::to_string(budget_) + ") exceeded"};
-            }
-            return;
-        }
         ++pass_total_;
         if (budget_ != 0 && pass_total_ > budget_) {
             throw PipelineError{"per-pass operation budget (" +
@@ -116,15 +106,6 @@ public:
     /// the pass (table names are stable members of their tables).
     void note_table_application(std::string_view table_name) {
         count_op(OpKind::kTableApply);
-        if (compat_) {
-            // Pre-fast-path cost model: a heap string into a hash set
-            // per application.
-            if (!applied_tables_compat_.insert(std::string{table_name}).second) {
-                throw PipelineError{"table '" + std::string{table_name} +
-                                    "' applied more than once in a single pass"};
-            }
-            return;
-        }
         // A pass applies a handful of tables; a linear scan over an
         // inline array beats hashing heap strings and allocates nothing.
         for (std::size_t i = 0; i < applied_count_; ++i) {
@@ -157,7 +138,7 @@ public:
     void mark_drop() noexcept { packet_->meta().drop = true; }
     void set_egress(PortId port) noexcept { packet_->meta().egress_port = port; }
 
-    // --- parsed-header reuse (fast path) ----------------------------------
+    // --- parsed-header reuse ----------------------------------------------
     // The packet's headers are parsed once per pipeline entry and reused
     // across tenants and recirculation passes (the op *charge* for the
     // parse stages still lands on every pass — the RMT cost model is
@@ -182,10 +163,6 @@ public:
         pass_total_ = 0;
         applied_count_ = 0;
         applied_overflow_.clear();
-        // The compat set is only ever populated on the compat path;
-        // clearing it per pass on the fast path is a wasted hashtable
-        // call in the single hottest per-packet hook.
-        if (compat_) applied_tables_compat_.clear();
         recirculate_requested_ = false;
     }
     bool recirculate_requested() const noexcept { return recirculate_requested_; }
@@ -197,21 +174,18 @@ public:
 private:
     Packet* packet_;
     std::uint32_t budget_;
-    const bool compat_{fastpath_compat()};
     OpCounters pass_ops_{};
     /// Running pass total, so the budget check is O(1) per op instead
     /// of a scan over every op kind.
     std::uint64_t pass_total_{0};
     OpCounters total_ops_{};
-    /// Fast path: applied-table names, inline up to 16 then spilling.
+    /// Applied-table names, inline up to 16 then spilling.
     std::array<std::string_view, 16> applied_inline_{};
     std::size_t applied_count_{0};
     std::vector<std::string_view> applied_overflow_;
-    /// Compat path only.
-    std::unordered_set<std::string> applied_tables_compat_;
     std::vector<Packet> emitted_;
     bool recirculate_requested_{false};
-    /// Parsed-header cache (fast path; see cached_parsed_frame()).
+    /// Parsed-header cache (see cached_parsed_frame()).
     std::optional<sim::ParsedFrame> parsed_frame_;
     bool parsed_frame_valid_{false};
 };

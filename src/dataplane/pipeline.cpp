@@ -8,7 +8,9 @@
 namespace daiet::dp {
 
 Pipeline::Pipeline(PipelineConfig config, std::shared_ptr<PipelineProgram> program)
-    : config_{config}, program_{std::move(program)} {
+    : config_{config},
+      program_{std::move(program)},
+      ctx_{std::make_unique<PacketContext>(config_.ops_per_pass)} {
     DAIET_EXPECTS(program_ != nullptr);
 }
 
@@ -20,20 +22,8 @@ std::vector<Packet> Pipeline::process(Packet packet) {
 
 void Pipeline::process_into(Packet packet, std::vector<Packet>& out) {
     ++stats_.packets_in;
-    if (fastpath_compat()) {
-        PacketContext ctx{packet, config_.ops_per_pass};
-        run_passes(ctx, packet, out);
-        return;
-    }
-    if (!scratch_ctx_) {
-        scratch_ctx_ = std::make_unique<PacketContext>(config_.ops_per_pass);
-    }
-    scratch_ctx_->rebind(packet);
-    run_passes(*scratch_ctx_, packet, out);
-}
-
-void Pipeline::run_passes(PacketContext& ctx, Packet& packet,
-                          std::vector<Packet>& out) {
+    PacketContext& ctx = *ctx_;
+    ctx.rebind(packet);
     for (;;) {
         ctx.begin_pass();
         if (trace::enabled()) {

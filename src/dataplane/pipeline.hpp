@@ -68,17 +68,15 @@ public:
     PipelineProgram& program() noexcept { return *program_; }
 
 private:
-    void run_passes(PacketContext& ctx, Packet& packet, std::vector<Packet>& out);
-
     PipelineConfig config_;
     std::shared_ptr<PipelineProgram> program_;
     PipelineStats stats_{};
     /// Lazily interned trace label for the program (its name() builds a
     /// string per call); 0 = not yet interned.
     std::uint32_t trace_prog_id_{0};
-    /// Reusable per-pipeline context (fast path only; the compat path
-    /// constructs one per packet, matching the pre-fast-path cost).
-    std::unique_ptr<PacketContext> scratch_ctx_;
+    /// One context per pipeline, rebound to each packet instead of a
+    /// fresh construct per packet.
+    std::unique_ptr<PacketContext> ctx_;
 };
 
 }  // namespace daiet::dp

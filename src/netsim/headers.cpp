@@ -176,29 +176,14 @@ inline MacAddr load_mac(const std::byte* p) noexcept {
     return mac;
 }
 
-std::optional<ParsedFrame> parse_frame_compat(std::span<const std::byte> frame) {
-    ByteReader r{frame};
-    ParsedFrame out;
-    out.eth = EthernetHeader::parse(r);
-    if (out.eth.ethertype != kEtherTypeIpv4) return std::nullopt;
-    out.ip = Ipv4Header::parse(r);
-    if (out.ip.protocol == kIpProtoUdp) {
-        out.udp = UdpHeader::parse(r);
-    } else if (out.ip.protocol == kIpProtoTcp) {
-        out.tcp = TcpHeader::parse(r);
-    }
-    out.payload_offset = r.position();
-    return out;
-}
-
 }  // namespace
 
 std::optional<ParsedFrame> parse_frame(std::span<const std::byte> frame) {
-    if (fastpath_compat()) return parse_frame_compat(frame);
-    // Fast path: this runs once per frame per hop, so it replaces the
-    // per-field bounds-checked ByteReader with one size check per layer
-    // and direct big-endian loads. Outcomes (headers, payload offset,
-    // nullopt and BufferError cases) are identical to the compat path.
+    // This runs once per frame per hop, so instead of the per-field
+    // bounds-checked ByteReader it does one size check per layer and
+    // direct big-endian loads. Outcomes (headers, payload offset, nullopt
+    // and BufferError cases) match composing the per-header parse()
+    // functions; netsim_test fuzzes the two against each other.
     const std::byte* p = frame.data();
     const std::size_t n = frame.size();
     if (n < EthernetHeader::kSize) throw BufferError{"ByteReader: out of bounds"};

@@ -150,9 +150,6 @@ public:
     }
 
     sim::SimTime run() { return net_->run(); }
-    sim::SimTime run_until(sim::SimTime deadline) {
-        return simulator().run_until(deadline);
-    }
     sim::SimTime now() const noexcept { return net_->now(); }
 
     // --- fabric-wide observability -----------------------------------------

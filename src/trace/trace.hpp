@@ -11,10 +11,10 @@
 // forensics (forensics.hpp).
 //
 // Cost model: tracing is OFF by default and every hook is guarded by
-// `trace::enabled()` — a single predictable branch on a plain global,
-// the same idiom as fastpath_compat(). No hook allocates, formats or
-// locks when tracing is disabled; bench_sim_throughput's fast-path gate
-// runs with tracing off and must be unaffected.
+// `trace::enabled()` — a single predictable branch on a plain global.
+// No hook allocates, formats or locks when tracing is disabled;
+// bench_sim_throughput's untraced trials run with tracing off and must
+// be unaffected.
 //
 // Recording modes:
 //   - Full: unbounded append (examples, tests, forensics on small runs).

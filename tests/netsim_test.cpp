@@ -6,8 +6,13 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
+#include <optional>
+#include <queue>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "netsim/headers.hpp"
 #include "netsim/network.hpp"
 #include "netsim/simulator.hpp"
@@ -150,6 +155,84 @@ TEST(Headers, TruncatedFrameThrows) {
     const auto frame = build_udp_frame(1, 2, 1, 2, as_bytes("abc"));
     std::vector<std::byte> cut{frame.begin(), frame.begin() + 20};
     EXPECT_THROW(parse_frame(cut), BufferError);
+}
+
+// Test-only reference parser: the per-header parse() functions composed
+// through one bounds-checked ByteReader. parse_frame() does the same
+// work with one size check per layer and direct loads, and must agree
+// with this on every input.
+std::optional<ParsedFrame> reference_parse_frame(std::span<const std::byte> frame) {
+    ByteReader r{frame};
+    ParsedFrame out;
+    out.eth = EthernetHeader::parse(r);
+    if (out.eth.ethertype != kEtherTypeIpv4) return std::nullopt;
+    out.ip = Ipv4Header::parse(r);
+    if (out.ip.protocol == kIpProtoUdp) {
+        out.udp = UdpHeader::parse(r);
+    } else if (out.ip.protocol == kIpProtoTcp) {
+        out.tcp = TcpHeader::parse(r);
+    }
+    out.payload_offset = r.position();
+    return out;
+}
+
+/// A parser's verdict flattened for ==: {0} BufferError, {1} not IPv4,
+/// or {2, every parsed header field..., payload offset}.
+template <typename Parser>
+std::vector<std::uint64_t> outcome_of(Parser parse, std::span<const std::byte> frame) {
+    std::optional<ParsedFrame> p;
+    try {
+        p = parse(frame);
+    } catch (const BufferError&) {
+        return {0};
+    }
+    if (!p) return {1};
+    std::vector<std::uint64_t> out{2,         p->eth.dst, p->eth.src,  p->eth.ethertype,
+                                   p->ip.ecn, p->ip.ttl,  p->ip.total_length,
+                                   p->ip.protocol, p->ip.src, p->ip.dst, p->payload_offset};
+    if (p->udp) out.insert(out.end(), {p->udp->src_port, p->udp->dst_port, p->udp->length});
+    if (p->tcp) {
+        out.insert(out.end(), {p->tcp->src_port, p->tcp->dst_port, p->tcp->seq,
+                               p->tcp->ack, p->tcp->flags, p->tcp->window});
+    }
+    return out;
+}
+
+// Seeded mutation fuzz of parse_frame() against the reference parser:
+// every truncation of a golden UDP and TCP frame, then 20K random
+// byte-flip (biased to the header bytes) and truncate mutations of
+// each. Headers, payload offset, nullopt and BufferError must agree.
+TEST(Headers, ParseFrameMatchesReferenceParserOnMutatedFrames) {
+    const FrameBuf golden[] = {
+        build_udp_frame(7, 9, 5000, 6000, as_bytes("udp payload bytes")),
+        build_tcp_frame(3, 4,
+                        TcpHeader{.src_port = 4321, .dst_port = 80, .seq = 0x01020304,
+                                  .ack = 0x0a0b0c0d, .flags = TcpHeader::kFlagAck},
+                        as_bytes("tcp payload")),
+    };
+    const auto parse_fast = [](std::span<const std::byte> f) { return parse_frame(f); };
+    std::size_t seen[3] = {};  // per verdict: the mutations reach all three
+    Rng rng{2017};
+    for (const FrameBuf& frame : golden) {
+        const std::vector<std::byte> bytes{frame.begin(), frame.end()};
+        for (std::size_t len = 0; len <= bytes.size(); ++len) {
+            const std::span<const std::byte> cut{bytes.data(), len};
+            ASSERT_EQ(outcome_of(parse_fast, cut), outcome_of(reference_parse_frame, cut))
+                << "truncated to " << len;
+        }
+        for (int i = 0; i < 20000; ++i) {
+            std::vector<std::byte> m = bytes;
+            for (std::uint64_t k = 1 + rng.next_below(4); k > 0; --k) {
+                m[rng.next_below(std::min<std::size_t>(m.size(), 64))] ^=
+                    static_cast<std::byte>(1 + rng.next_below(255));
+            }
+            if (rng.next_below(2) == 0) m.resize(rng.next_below(m.size() + 1));
+            const auto want = outcome_of(reference_parse_frame, m);
+            ASSERT_EQ(outcome_of(parse_fast, m), want) << "mutation " << i;
+            ++seen[want[0]];
+        }
+    }
+    for (const std::size_t n : seen) EXPECT_GT(n, 0U);
 }
 
 // ------------------------------------------------------- links & hosts
@@ -458,6 +541,141 @@ TEST(Simulator, SmallActionsStayInlineLargeOnesAreBoxed) {
     EXPECT_EQ(fired, 2);
 }
 
+// Test-only reference for the Simulator's ordering contract: a textbook
+// std::priority_queue over (at, seq) driven with the Simulator's run /
+// run_until / run_window semantics. The timing wheel and its overflow
+// heap must reproduce its pop order and clock exactly.
+class ReferenceQueue {
+public:
+    using Log = std::vector<std::pair<std::uint64_t, SimTime>>;  // (id, fired at)
+
+    /// Same-instant, sub-tick (< one 64 ns wheel bucket), in-window
+    /// (< 16 us, the wheel span) and far-future (overflow heap) delays.
+    static SimTime random_delay(Rng& rng) {
+        switch (rng.next_below(4)) {
+            case 0: return 0;
+            case 1: return 1 + rng.next_below(63);
+            case 2: return 64 + rng.next_below(16 * kMicrosecond - 64);
+            default: return 16 * kMicrosecond + 1 + rng.next_below(2 * kMillisecond);
+        }
+    }
+
+    /// The (delay, id) children an event schedules when it fires: a pure
+    /// function of its id (low 3 bits = tree depth), so both queues grow
+    /// identical trees.
+    static std::vector<std::pair<SimTime, std::uint64_t>> children_of(std::uint64_t id) {
+        if ((id & 7) >= 4) return {};
+        Rng rng{id};
+        std::vector<std::pair<SimTime, std::uint64_t>> out(rng.next_below(3));
+        for (auto& [delay, child] : out) {
+            delay = random_delay(rng);
+            child = (rng.next_u64() << 3) | ((id & 7) + 1);
+        }
+        return out;
+    }
+
+    void schedule_at(SimTime at, std::uint64_t id) { q_.push({at, seq_++, id}); }
+    void run() { run_window(Simulator::kNever); }
+    void run_until(SimTime deadline) {
+        while (!q_.empty() && q_.top().at <= deadline) fire();
+        now_ = std::max(now_, deadline);
+    }
+    void run_window(SimTime end) {
+        while (!q_.empty() && q_.top().at < end) fire();
+    }
+
+    SimTime now() const noexcept { return now_; }
+    bool idle() const noexcept { return q_.empty(); }
+    SimTime next_event_at() const { return idle() ? Simulator::kNever : q_.top().at; }
+    const Log& fired() const noexcept { return fired_; }
+
+private:
+    struct Entry {
+        SimTime at;
+        std::uint64_t seq;
+        std::uint64_t id;
+        bool operator>(const Entry& o) const noexcept {
+            return at != o.at ? at > o.at : seq > o.seq;
+        }
+    };
+
+    void fire() {
+        const Entry e = q_.top();
+        q_.pop();
+        now_ = e.at;
+        fired_.emplace_back(e.id, now_);
+        for (const auto& [delay, child] : children_of(e.id)) schedule_at(now_ + delay, child);
+    }
+
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> q_;
+    std::uint64_t seq_{0};
+    SimTime now_{0};
+    Log fired_;
+};
+
+/// The Simulator side of the replay: each event logs itself and
+/// schedules its children from inside the running action.
+struct ScriptedSimulator {
+    Simulator sim;
+    ReferenceQueue::Log fired;
+
+    void schedule_at(SimTime at, std::uint64_t id) {
+        sim.schedule_at(at, [this, id] {
+            fired.emplace_back(id, sim.now());
+            for (const auto& [delay, child] : ReferenceQueue::children_of(id)) {
+                schedule_at(sim.now() + delay, child);
+            }
+        });
+    }
+};
+
+// Randomized scripts mix outside schedule_at bursts with run_until,
+// run_window and run calls; events nest further schedules from inside
+// running actions. After every step the pop log, now(), idle() and (on
+// a random half of the steps, so both a polled and an unpolled queue
+// are exercised) next_event_at() must equal the reference's.
+TEST(Simulator, MatchesReferenceQueueOnRandomSchedules) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        ScriptedSimulator s;
+        ReferenceQueue ref;
+        Rng rng{seed};
+        for (int step = 0; step < 80; ++step) {
+            const std::uint64_t op = rng.next_below(20);
+            const SimTime at = s.sim.now() + ReferenceQueue::random_delay(rng);
+            if (op < 10) {
+                for (std::uint64_t n = 1 + rng.next_below(8); n > 0; --n) {
+                    const SimTime t = s.sim.now() + ReferenceQueue::random_delay(rng);
+                    const std::uint64_t id = rng.next_u64() << 3;  // depth 0
+                    s.schedule_at(t, id);
+                    ref.schedule_at(t, id);
+                }
+            } else if (op < 15) {
+                s.sim.run_until(at);
+                ref.run_until(at);
+            } else if (op < 19) {
+                s.sim.run_window(at);
+                ref.run_window(at);
+            } else {
+                s.sim.run();
+                ref.run();
+            }
+            SCOPED_TRACE("seed " + std::to_string(seed) + " step " + std::to_string(step));
+            ASSERT_EQ(s.fired, ref.fired());
+            ASSERT_EQ(s.sim.now(), ref.now());
+            ASSERT_EQ(s.sim.idle(), ref.idle());
+            if (rng.next_below(2) == 0) {
+                ASSERT_EQ(s.sim.next_event_at(), ref.next_event_at());
+            }
+        }
+        s.sim.run();
+        ref.run();
+        ASSERT_EQ(s.fired, ref.fired()) << "seed " << seed;
+        EXPECT_EQ(s.sim.now(), ref.now());
+        EXPECT_EQ(s.sim.events_executed(), ref.fired().size());
+        EXPECT_GT(ref.fired().size(), 100U);
+    }
+}
+
 // ------------------------------------------------------- timers & pool
 
 TEST(Host, CancelledTimerReclaimsItsTombstoneEarly) {
@@ -665,19 +883,6 @@ TEST(Determinism, IdenticalSeedsReproduceBitExactly) {
     const LossyRunOutcome second = run_lossy_leaf_spine();
     EXPECT_GT(first.events, 100u);  // the workload actually ran
     EXPECT_EQ(first, second);
-}
-
-// The compat shim restores the pre-fast-path queue and allocation
-// patterns; it must be a pure cost model — same seed, same schedule,
-// same bytes. This is the oracle bench_sim_throughput leans on.
-TEST(Determinism, CompatAndFastSchedulesMatch) {
-    struct FlagGuard {
-        ~FlagGuard() { set_fastpath_compat(false); }
-    } guard;
-    const LossyRunOutcome fast = run_lossy_leaf_spine();
-    set_fastpath_compat(true);
-    const LossyRunOutcome compat = run_lossy_leaf_spine();
-    EXPECT_EQ(fast, compat);
 }
 
 // ------------------------------------------------- parallel simulation

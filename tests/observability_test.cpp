@@ -264,6 +264,18 @@ TEST(EnvParsing, ScaleGrammar) {
     EXPECT_FALSE(bench::parse_scale(nullptr).has_value());
 }
 
+TEST(EnvParsing, ThreadsGrammar) {
+    EXPECT_EQ(bench::parse_threads("1"), 1U);
+    EXPECT_EQ(bench::parse_threads("2"), 2U);
+    EXPECT_EQ(bench::parse_threads("64"), 64U);
+    // Garbage, trailing junk, fractions and non-positive values are
+    // refused, never read as the default thread count.
+    for (const char* junk : {"", "abc", "2x", "1.5", " ", "0", "-1", "99999999999999999999"}) {
+        EXPECT_FALSE(bench::parse_threads(junk).has_value()) << '"' << junk << '"';
+    }
+    EXPECT_FALSE(bench::parse_threads(nullptr).has_value());
+}
+
 // -------------------------------------------------------- profiler
 
 TEST(Profiler, DisabledByDefaultAndScopedExecIsFree) {

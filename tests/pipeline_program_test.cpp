@@ -183,48 +183,33 @@ TEST(DaietProgram, LargeFlushRecirculates) {
     EXPECT_EQ(total, 95U);
 }
 
-// The fast path parses each packet's headers once per pipeline entry
+// The pipeline parses each packet's headers once per pipeline entry
 // and reuses the result across tenants and recirculation passes; the
-// kParse op charges must stay identical to the compat path's
-// parse-every-pass — the cache removes host-simulation work, never
-// modeled RMT work. A recirculating flush is the heaviest multi-pass
-// consumer, so it pins the charge accounting.
+// kParse op charges must still land on every pass — the cache removes
+// host-simulation work, never modeled RMT work. A recirculating flush is
+// the heaviest multi-pass consumer, so it pins the charge accounting:
+// the counts below are what the parse-every-pass pipeline charged for
+// this script. kParse is not simply 3 per pass, because the DAIET
+// program also charges kParse for the pairs it extracts from a payload.
 TEST(DaietProgram, ParsedHeaderReuseChargesIdenticalOpsAcrossPasses) {
-    struct FlagGuard {
-        ~FlagGuard() { set_fastpath_compat(false); }
-    } guard;
-    const auto run = [](bool compat) {
-        set_fastpath_compat(compat);
-        Harness h{tiny_config(512)};
-        std::vector<KvPair> pairs;
-        for (int i = 0; i < 95; ++i) {
-            pairs.push_back(kv("key" + std::to_string(i), i));
-        }
-        for (std::size_t off = 0; off < pairs.size(); off += 10) {
-            const auto n = std::min<std::size_t>(10, pairs.size() - off);
-            h.data(std::span{pairs}.subspan(off, n));
-        }
-        const auto out = h.end();
-        std::vector<std::vector<std::byte>> payloads;
-        for (const auto& p : out) {
-            payloads.emplace_back(p.payload().begin(), p.payload().end());
-        }
-        return std::tuple{h.chip.stats().ops, h.chip.stats().recirculations,
-                          std::move(payloads)};
-    };
-    const auto [fast_ops, fast_recircs, fast_out] = run(false);
-    const auto [compat_ops, compat_recircs, compat_out] = run(true);
-    EXPECT_GT(fast_recircs, 0U);
-    EXPECT_EQ(fast_recircs, compat_recircs);
-    EXPECT_EQ(fast_out, compat_out);
-    for (std::size_t k = 0; k < static_cast<std::size_t>(dp::OpKind::kCount_);
-         ++k) {
-        EXPECT_EQ(fast_ops.by_kind[k], compat_ops.by_kind[k])
-            << "op kind " << k << " diverged between fast and compat";
+    Harness h{tiny_config(512)};
+    std::vector<KvPair> pairs;
+    for (int i = 0; i < 95; ++i) {
+        pairs.push_back(kv("key" + std::to_string(i), i));
     }
-    // The cache must actually have fired: multi-pass traffic parses
-    // once per entry on the fast path.
-    EXPECT_GT(fast_ops.of(dp::OpKind::kParse), 0U);
+    for (std::size_t off = 0; off < pairs.size(); off += 10) {
+        const auto n = std::min<std::size_t>(10, pairs.size() - off);
+        h.data(std::span{pairs}.subspan(off, n));
+    }
+    EXPECT_EQ(h.end().size(), 11U);
+    const dp::OpCounters& ops = h.chip.stats().ops;
+    EXPECT_EQ(h.chip.stats().recirculations, 9U);
+    EXPECT_EQ(ops.of(dp::OpKind::kParse), 175U);
+    EXPECT_EQ(ops.of(dp::OpKind::kHash), 95U);
+    EXPECT_EQ(ops.of(dp::OpKind::kRegisterRead), 532U);
+    EXPECT_EQ(ops.of(dp::OpKind::kRegisterWrite), 567U);
+    EXPECT_EQ(ops.of(dp::OpKind::kAlu), 336U);
+    EXPECT_EQ(ops.of(dp::OpKind::kTableApply), 20U);
 }
 
 TEST(DaietProgram, OperationBudgetRespectedAtFullPacketSize) {

@@ -37,7 +37,7 @@ TEST(TraceIds, DisabledFramesCarryNoId) {
     EXPECT_EQ(frame.trace_id(), 0U);
 }
 
-TEST(TraceIds, SurviveSharingCowAndCompatDeepCopy) {
+TEST(TraceIds, SurviveSharingAndCow) {
     TraceGuard guard;
     trace::tracer().enable_full();
 
@@ -56,12 +56,6 @@ TEST(TraceIds, SurviveSharingCowAndCompatDeepCopy) {
                  shared.data() == frame.data());
     EXPECT_EQ(shared.trace_id(), id);
     EXPECT_EQ(frame.trace_id(), id);
-
-    // Compat deep copy preserves it too (trace parity between modes).
-    set_fastpath_compat(true);
-    const FrameBuf deep = frame;
-    set_fastpath_compat(false);
-    EXPECT_EQ(deep.trace_id(), id);
 }
 
 TEST(TraceIds, SlabReuseDoesNotLeakIds) {

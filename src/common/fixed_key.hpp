@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstddef>
 #include <cstdint>
@@ -67,10 +68,7 @@ public:
         return v;
     }
 
-    bool empty() const noexcept {
-        return std::all_of(bytes_.begin(), bytes_.end(),
-                           [](std::byte b) { return b == std::byte{0}; });
-    }
+    bool empty() const noexcept { return *this == FixedKey{}; }
 
     /// The string this cell encodes (trailing NULs stripped).
     std::string to_string() const {
@@ -83,18 +81,40 @@ public:
     std::span<const std::byte> bytes() const noexcept { return bytes_; }
 
     // Lexicographic byte order (identical to std::array's defaulted
-    // comparison) via memcmp, which compilers vectorize; key compares
-    // dominate reducer-side sorting, so this matters.
+    // comparison). Key compares dominate reducer-side sorting, so each
+    // full 8-byte word is compared as one big-endian unsigned integer,
+    // whose order is the byte order; a Width % 8 tail goes to memcmp.
     friend bool operator==(const FixedKey& a, const FixedKey& b) noexcept {
         return std::memcmp(a.bytes_.data(), b.bytes_.data(), Width) == 0;
     }
     friend std::strong_ordering operator<=>(const FixedKey& a,
                                             const FixedKey& b) noexcept {
-        const int c = std::memcmp(a.bytes_.data(), b.bytes_.data(), Width);
-        return c <=> 0;
+        constexpr std::size_t words = Width / 8;
+        for (std::size_t i = 0; i < words; ++i) {
+            const std::uint64_t x = a.big_endian_word(i);
+            const std::uint64_t y = b.big_endian_word(i);
+            if (x != y) return x <=> y;
+        }
+        constexpr std::size_t tail = Width % 8;
+        if constexpr (tail == 0) {
+            return std::strong_ordering::equal;
+        } else {
+            return std::memcmp(a.bytes_.data() + 8 * words,
+                               b.bytes_.data() + 8 * words, tail) <=> 0;
+        }
     }
 
 private:
+    /// Bytes [8i, 8i + 8) read as a big-endian integer.
+    std::uint64_t big_endian_word(std::size_t i) const noexcept {
+        std::uint64_t w = 0;
+        std::memcpy(&w, bytes_.data() + 8 * i, sizeof w);
+        if constexpr (std::endian::native == std::endian::little) {
+            w = __builtin_bswap64(w);
+        }
+        return w;
+    }
+
     std::array<std::byte, Width> bytes_{};
 };
 

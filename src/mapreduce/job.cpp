@@ -78,11 +78,11 @@ Cluster build_cluster(const Corpus& corpus, const JobOptions& o) {
 /// Reference reduce output for one partition, computed locally.
 std::vector<KvPair> partition_reference(const std::vector<MapOutput>& maps,
                                         std::size_t partition) {
+    std::size_t total = 0;
+    for (const auto& mo : maps) total += mo.partitions[partition].record_count();
     std::vector<KvPair> all;
-    for (const auto& mo : maps) {
-        const auto recs = mo.partitions[partition].all_records();
-        all.insert(all.end(), recs.begin(), recs.end());
-    }
+    all.reserve(total);
+    for (const auto& mo : maps) decode_pairs(mo.partitions[partition].bytes(), all);
     return reduce_pairs(all, AggFnId::kSumI32);
 }
 
@@ -164,12 +164,12 @@ void run_tcp_shuffle(JobResult& result, Cluster& c,
     // re-serialization, done before the network phase starts.
     std::vector<std::vector<IntermediateFile>> sorted_files(m);
     for (std::size_t mi = 0; mi < m; ++mi) {
-        sorted_files[mi].resize(r);
+        sorted_files[mi].reserve(r);
         for (std::size_t ri = 0; ri < r; ++ri) {
             auto records = maps[mi].partitions[ri].all_records();
             std::sort(records.begin(), records.end(),
                       [](const KvPair& a, const KvPair& b) { return a.key < b.key; });
-            for (const KvPair& p : records) sorted_files[mi][ri].append(p);
+            sorted_files[mi].emplace_back(records);
         }
     }
 

@@ -13,6 +13,7 @@
 // deserializing — exactly the paper's packetization path.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -23,20 +24,52 @@
 
 namespace daiet::mr {
 
+/// Encode one pair as a 20-byte record at `out`: the 16 B key, then the
+/// value big-endian, matching the wire format.
+inline void encode_pair(const KvPair& pair, std::byte* out) noexcept {
+    std::copy(pair.key.bytes().begin(), pair.key.bytes().end(), out);
+    for (std::size_t i = 0; i < sizeof(WireValue); ++i) {
+        out[Key16::width + i] = static_cast<std::byte>(pair.value >> (24 - 8 * i));
+    }
+}
+
+/// Decode one 20-byte record (the inverse of encode_pair).
+inline KvPair decode_pair(std::span<const std::byte, kPairWireSize> raw) noexcept {
+    KvPair p;
+    p.key = Key16{raw.first<Key16::width>()};
+    for (std::size_t i = 0; i < sizeof(WireValue); ++i) {
+        p.value = p.value << 8 | static_cast<WireValue>(raw[Key16::width + i]);
+    }
+    return p;
+}
+
+/// Decode a whole number of 20-byte records onto the end of `out`.
+/// Callers that know the total pair count reserve `out` once up front.
+inline void decode_pairs(std::span<const std::byte> records, std::vector<KvPair>& out) {
+    DAIET_EXPECTS(records.size() % kPairWireSize == 0);
+    for (std::size_t off = 0; off < records.size(); off += kPairWireSize) {
+        out.push_back(decode_pair(records.subspan(off).first<kPairWireSize>()));
+    }
+}
+
 class IntermediateFile {
 public:
     static constexpr std::size_t kRecordSize = kPairWireSize;  // 20 bytes
 
+    IntermediateFile() = default;
+
+    /// A file holding `pairs` in order, written into one buffer.
+    explicit IntermediateFile(std::span<const KvPair> pairs)
+        : bytes_(pairs.size() * kRecordSize) {
+        for (std::size_t i = 0; i < pairs.size(); ++i) {
+            encode_pair(pairs[i], bytes_.data() + i * kRecordSize);
+        }
+    }
+
     void append(const KvPair& pair) {
         const std::size_t off = bytes_.size();
         bytes_.resize(off + kRecordSize);
-        std::copy(pair.key.bytes().begin(), pair.key.bytes().end(),
-                  bytes_.begin() + static_cast<std::ptrdiff_t>(off));
-        // Big-endian value, matching the wire format.
-        for (int i = 0; i < 4; ++i) {
-            bytes_[off + Key16::width + static_cast<std::size_t>(i)] =
-                static_cast<std::byte>(pair.value >> (24 - 8 * i));
-        }
+        encode_pair(pair, bytes_.data() + off);
     }
 
     std::size_t record_count() const noexcept { return bytes_.size() / kRecordSize; }
@@ -50,24 +83,15 @@ public:
         return std::span{bytes_}.subspan(first * kRecordSize, n * kRecordSize);
     }
 
-    /// Deserialize record `i` (used by the reducer and by tests).
+    /// Deserialize record `i` (used by tests).
     KvPair record(std::size_t i) const {
-        DAIET_EXPECTS(i < record_count());
-        const auto raw = slice(i, 1);
-        KvPair p;
-        p.key = Key16{raw.subspan(0, Key16::width)};
-        WireValue v = 0;
-        for (int b = 0; b < 4; ++b) {
-            v = v << 8 | static_cast<WireValue>(raw[Key16::width + static_cast<std::size_t>(b)]);
-        }
-        p.value = v;
-        return p;
+        return decode_pair(slice(i, 1).first<kRecordSize>());
     }
 
     std::vector<KvPair> all_records() const {
         std::vector<KvPair> out;
         out.reserve(record_count());
-        for (std::size_t i = 0; i < record_count(); ++i) out.push_back(record(i));
+        decode_pairs(bytes_, out);
         return out;
     }
 

@@ -2,15 +2,38 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <queue>
 #include <unordered_map>
 
 #include "common/contracts.hpp"
+#include "common/hash.hpp"
+#include "mapreduce/record.hpp"
 
 namespace daiet::mr {
 
+namespace {
+
+/// Hashes a key's two 64-bit words. Only reduce_pairs uses it: its
+/// output is sorted, so no iteration order escapes. std::hash<Key16>
+/// stays the map-side combiner's hash, which decides packet contents.
+struct KeyWordsHash {
+    std::size_t operator()(const Key16& k) const noexcept {
+        std::uint64_t w[2] = {};
+        static_assert(sizeof w == Key16::width);
+        std::memcpy(w, k.bytes().data(), sizeof w);
+        return static_cast<std::size_t>(mix64(w[0] ^ mix64(w[1])));
+    }
+};
+
+constexpr auto key_less = [](const KvPair& a, const KvPair& b) noexcept {
+    return a.key < b.key;
+};
+
+}  // namespace
+
 std::vector<KvPair> reduce_pairs(const std::vector<KvPair>& pairs, AggFnId fn) {
-    std::unordered_map<Key16, WireValue> table;
+    std::unordered_map<Key16, WireValue, KeyWordsHash> table;
     table.reserve(pairs.size());
     for (const KvPair& p : pairs) {
         const auto [it, inserted] = table.try_emplace(p.key, first_value(fn, p.value));
@@ -19,8 +42,7 @@ std::vector<KvPair> reduce_pairs(const std::vector<KvPair>& pairs, AggFnId fn) {
     std::vector<KvPair> out;
     out.reserve(table.size());
     for (const auto& [key, value] : table) out.push_back(KvPair{key, value});
-    std::sort(out.begin(), out.end(),
-              [](const KvPair& a, const KvPair& b) { return a.key < b.key; });
+    std::sort(out.begin(), out.end(), key_less);
     return out;
 }
 
@@ -36,10 +58,7 @@ std::vector<KvPair> merge_sorted_runs(const std::vector<std::vector<KvPair>>& ru
     std::priority_queue<Cursor, std::vector<Cursor>, decltype(greater)> heap{greater};
     std::size_t total = 0;
     for (const auto& run : runs) {
-        DAIET_EXPECTS(std::is_sorted(run.begin(), run.end(),
-                                     [](const KvPair& a, const KvPair& b) {
-                                         return a.key < b.key;
-                                     }));
+        DAIET_EXPECTS(std::is_sorted(run.begin(), run.end(), key_less));
         total += run.size();
         if (!run.empty()) heap.push(Cursor{&run, 0});
     }
@@ -61,8 +80,7 @@ std::vector<KvPair> merge_sorted_runs(const std::vector<std::vector<KvPair>>& ru
 }
 
 std::vector<KvPair> sort_scan_combine(std::vector<KvPair> all, AggFnId fn) {
-    std::sort(all.begin(), all.end(),
-              [](const KvPair& a, const KvPair& b) { return a.key < b.key; });
+    std::sort(all.begin(), all.end(), key_less);
     std::vector<KvPair> out;
     out.reserve(all.size() / 4 + 16);
     for (const KvPair& p : all) {
@@ -77,53 +95,37 @@ std::vector<KvPair> sort_scan_combine(std::vector<KvPair> all, AggFnId fn) {
 
 std::vector<KvPair> reduce_daiet_payloads(
     const std::vector<std::vector<std::byte>>& payloads, AggFnId fn) {
-    std::vector<KvPair> all;
+    // Fixed-size pairs make offsets pure arithmetic (the same Section-4
+    // property the packetizer relies on): count them, then decode once.
+    std::size_t total = 0;
     for (const auto& payload : payloads) {
-        // In-place deserialization (fixed-size pairs make offsets pure
-        // arithmetic; same Section-4 property the packetizer relies on).
         DAIET_EXPECTS(payload.size() >= kPreambleSize);
         const auto n = static_cast<std::size_t>(static_cast<std::uint8_t>(payload[5]));
         DAIET_EXPECTS(payload.size() == data_packet_size(n));
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t off = kPreambleSize + i * kPairWireSize;
-            KvPair p;
-            p.key = Key16{std::span{payload}.subspan(off, Key16::width)};
-            WireValue v = 0;
-            for (std::size_t b = 0; b < 4; ++b) {
-                v = v << 8 | static_cast<WireValue>(payload[off + Key16::width + b]);
-            }
-            p.value = v;
-            all.push_back(p);
-        }
+        total += n;
+    }
+    std::vector<KvPair> all;
+    all.reserve(total);
+    for (const auto& payload : payloads) {
+        decode_pairs(std::span{payload}.subspan(kPreambleSize), all);
     }
     return sort_scan_combine(std::move(all), fn);
 }
 
 std::vector<KvPair> parse_record_stream(std::span<const std::byte> stream) {
-    DAIET_EXPECTS(stream.size() % kPairWireSize == 0);
     std::vector<KvPair> run;
     run.reserve(stream.size() / kPairWireSize);
-    for (std::size_t off = 0; off + kPairWireSize <= stream.size();
-         off += kPairWireSize) {
-        KvPair p;
-        p.key = Key16{stream.subspan(off, Key16::width)};
-        WireValue v = 0;
-        for (std::size_t b = 0; b < 4; ++b) {
-            v = v << 8 | static_cast<WireValue>(stream[off + Key16::width + b]);
-        }
-        p.value = v;
-        run.push_back(p);
-    }
+    decode_pairs(stream, run);
     return run;
 }
 
 std::vector<KvPair> reduce_streams(const std::vector<std::vector<std::byte>>& streams,
                                    AggFnId fn) {
+    std::size_t total = 0;
+    for (const auto& stream : streams) total += stream.size() / kPairWireSize;
     std::vector<KvPair> all;
-    for (const auto& stream : streams) {
-        auto run = parse_record_stream(stream);
-        all.insert(all.end(), run.begin(), run.end());
-    }
+    all.reserve(total);
+    for (const auto& stream : streams) decode_pairs(stream, all);
     return sort_scan_combine(std::move(all), fn);
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <set>
@@ -279,8 +280,8 @@ TEST(FixedKey, HashConsistentWithEquality) {
 }
 
 TEST(FixedKey, MemcmpOrderingMatchesArrayOrdering) {
-    // Property: the memcmp-based <=> agrees with byte-array lexicographic
-    // comparison on random keys.
+    // Property: <=> agrees with byte-array lexicographic comparison on
+    // random keys.
     Rng rng{5};
     for (int i = 0; i < 2000; ++i) {
         const auto a = Key16::from_u64(rng.next_u64());
@@ -288,6 +289,78 @@ TEST(FixedKey, MemcmpOrderingMatchesArrayOrdering) {
         const bool lt = std::lexicographical_compare(
             a.bytes().begin(), a.bytes().end(), b.bytes().begin(), b.bytes().end());
         EXPECT_EQ(a < b, lt);
+    }
+}
+
+/// 16 random bytes, drawn from `alphabet` when it is non-empty.
+Key16 random_key16(Rng& rng, std::span<const std::uint8_t> alphabet = {}) {
+    std::array<std::byte, 16> raw{};
+    for (auto& b : raw) {
+        b = static_cast<std::byte>(alphabet.empty()
+                                       ? rng.next_below(256)
+                                       : alphabet[rng.next_below(alphabet.size())]);
+    }
+    return Key16{std::span<const std::byte>{raw}};
+}
+
+/// `k` with bytes [from, 16) redrawn at random.
+Key16 redraw_suffix(Rng& rng, const Key16& k, std::size_t from) {
+    std::array<std::byte, 16> raw{};
+    std::copy(k.bytes().begin(), k.bytes().end(), raw.begin());
+    for (std::size_t i = from; i < raw.size(); ++i) {
+        raw[i] = static_cast<std::byte>(rng.next_below(256));
+    }
+    return Key16{std::span<const std::byte>{raw}};
+}
+
+TEST(FixedKey, WordOrderingMatchesByteOrderOnFullWidthKeys) {
+    // Property: <=> is byte-lexicographic order over all 16 bytes. The
+    // pairs cover arbitrary bytes (>= 0x80 included), keys equal in
+    // bytes 0-7 that differ only in bytes 8-15, first differences at
+    // the word boundary (bytes 7 and 8), and equal keys.
+    constexpr std::uint8_t kEdgeBytes[] = {0x00, 0x01, 0x7f, 0x80, 0xfe, 0xff};
+    Rng rng{15};
+    for (int i = 0; i < 10000; ++i) {
+        const Key16 a = i % 5 == 4 ? random_key16(rng, kEdgeBytes) : random_key16(rng);
+        Key16 b;
+        switch (i % 5) {
+            case 0: b = random_key16(rng); break;
+            case 1: b = redraw_suffix(rng, a, 8); break;  // same first word
+            case 2: b = redraw_suffix(rng, a, 7 + rng.next_below(2)); break;
+            case 3: b = a; break;
+            default: b = random_key16(rng, kEdgeBytes); break;
+        }
+        const bool lt = std::ranges::lexicographical_compare(a.bytes(), b.bytes());
+        const bool gt = std::ranges::lexicographical_compare(b.bytes(), a.bytes());
+        EXPECT_EQ(a < b, lt) << "pair " << i;
+        EXPECT_EQ(a > b, gt) << "pair " << i;
+        EXPECT_EQ(a == b, !lt && !gt) << "pair " << i;
+        EXPECT_EQ((a <=> b) == std::strong_ordering::equal, a == b) << "pair " << i;
+    }
+}
+
+TEST(FixedKey, SortGivesByteLexicographicOrder) {
+    constexpr std::uint8_t kEdgeBytes[] = {0x00, 0x7f, 0x80, 0xff};
+    Rng rng{16};
+    std::vector<Key16> keys;
+    for (int i = 0; i < 4000; ++i) {
+        keys.push_back(i % 2 == 0 ? random_key16(rng) : random_key16(rng, kEdgeBytes));
+        if (i % 3 == 0) keys.push_back(redraw_suffix(rng, keys.back(), 8));
+    }
+    std::sort(keys.begin(), keys.end());
+    for (std::size_t i = 1; i < keys.size(); ++i) {
+        ASSERT_FALSE(std::ranges::lexicographical_compare(keys[i].bytes(),
+                                                          keys[i - 1].bytes()))
+            << "keys " << i - 1 << " and " << i << " out of byte order";
+    }
+}
+
+TEST(FixedKey, EmptyIsAllZeroBytes) {
+    EXPECT_TRUE(Key16{std::string(16, '\0')}.empty());
+    for (std::size_t i = 0; i < Key16::width; ++i) {
+        std::array<std::byte, 16> raw{};
+        raw[i] = std::byte{0x80};
+        EXPECT_FALSE(Key16{std::span<const std::byte>{raw}}.empty()) << "byte " << i;
     }
 }
 

@@ -2,6 +2,8 @@
 // WordCount map task, reduce implementations and the full job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
 
 #include "common/hash.hpp"
@@ -269,6 +271,71 @@ TEST(Reduce, DaietPayloadVariantAgrees) {
     }
     EXPECT_EQ(reduce_daiet_payloads(payloads, AggFnId::kSumI32),
               sort_scan_combine(all, AggFnId::kSumI32));
+}
+
+TEST(Reduce, AllReducersAgreeOnFullWidthKeys) {
+    // Property: every reducer computes the same result when keys use all
+    // 16 bytes. The short ASCII keys above leave bytes 8-15 zero; here a
+    // third of the vocabulary shares its first 8 bytes with an earlier
+    // key, so the second word decides many compares.
+    Rng rng{15};
+    std::vector<Key16> vocab;
+    for (int i = 0; i < 150; ++i) {
+        std::array<std::byte, Key16::width> raw{};
+        for (auto& b : raw) b = static_cast<std::byte>(rng.next_below(256));
+        if (i % 3 == 0 && !vocab.empty()) {
+            const Key16& prefix = vocab[rng.next_below(vocab.size())];
+            std::copy_n(prefix.bytes().begin(), 8, raw.begin());
+        }
+        vocab.push_back(Key16{std::span<const std::byte>{raw}});
+    }
+    std::vector<KvPair> all;
+    std::vector<std::vector<KvPair>> runs(4);
+    for (int i = 0; i < 3000; ++i) {
+        const KvPair p{vocab[rng.next_below(vocab.size())],
+                       wire_from_i32(static_cast<std::int32_t>(rng.next_int(-5, 5)))};
+        all.push_back(p);
+        runs[rng.next_below(runs.size())].push_back(p);
+    }
+    std::vector<std::vector<std::byte>> streams;
+    for (auto& run : runs) {
+        std::sort(run.begin(), run.end(),
+                  [](const KvPair& a, const KvPair& b) { return a.key < b.key; });
+        const IntermediateFile file{run};
+        streams.emplace_back(file.bytes().begin(), file.bytes().end());
+    }
+    std::vector<std::vector<std::byte>> payloads;
+    for (std::size_t off = 0; off < all.size(); off += 10) {
+        payloads.push_back(serialize_data(
+            1, std::span{all}.subspan(off, std::min<std::size_t>(10, all.size() - off))));
+    }
+
+    const auto expected = reduce_pairs(all, AggFnId::kSumI32);
+    EXPECT_GT(expected.size(), 100U);
+    for (std::size_t i = 1; i < expected.size(); ++i) {
+        ASSERT_TRUE(std::ranges::lexicographical_compare(expected[i - 1].key.bytes(),
+                                                         expected[i].key.bytes()));
+    }
+    EXPECT_EQ(sort_scan_combine(all, AggFnId::kSumI32), expected);
+    EXPECT_EQ(merge_sorted_runs(runs, AggFnId::kSumI32), expected);
+    EXPECT_EQ(reduce_streams(streams, AggFnId::kSumI32), expected);
+    EXPECT_EQ(reduce_sorted_streams(streams, AggFnId::kSumI32), expected);
+    EXPECT_EQ(reduce_daiet_payloads(payloads, AggFnId::kSumI32), expected);
+}
+
+TEST(Reduce, AllReducersAgreeOnEmptyInput) {
+    const std::vector<KvPair> none;
+    EXPECT_TRUE(reduce_pairs(none, AggFnId::kSumI32).empty());
+    EXPECT_TRUE(sort_scan_combine(none, AggFnId::kSumI32).empty());
+    // No runs or streams at all, then one empty run or stream.
+    EXPECT_TRUE(merge_sorted_runs({}, AggFnId::kSumI32).empty());
+    EXPECT_TRUE(merge_sorted_runs({{}}, AggFnId::kSumI32).empty());
+    EXPECT_TRUE(reduce_streams({}, AggFnId::kSumI32).empty());
+    EXPECT_TRUE(reduce_streams({{}}, AggFnId::kSumI32).empty());
+    EXPECT_TRUE(reduce_sorted_streams({}, AggFnId::kSumI32).empty());
+    EXPECT_TRUE(reduce_sorted_streams({{}}, AggFnId::kSumI32).empty());
+    // An empty payload list.
+    EXPECT_TRUE(reduce_daiet_payloads({}, AggFnId::kSumI32).empty());
 }
 
 TEST(Reduce, TimeSecondsMeasuresWork) {

@@ -4,10 +4,10 @@
 //
 // The level defaults to warn and can be raised/lowered without a
 // rebuild via DAIET_LOG_LEVEL (error|warn|info|debug or 0-3), parsed
-// once on first use. When tracing is enabled (trace/trace.hpp), every
-// warning and error is additionally recorded into the trace flight
-// recorder as an instant event, so an exported trace carries the
-// diagnostics that fired during the run.
+// once on first use; any other value exits 2. When tracing is enabled
+// (trace/trace.hpp), every warning and error is additionally recorded
+// into the trace flight recorder as an instant event, so an exported
+// trace carries the diagnostics that fired during the run.
 #pragma once
 
 #include <cstdio>
@@ -32,7 +32,7 @@ enum class LogLevel : int { kError = 0, kWarn = 1, kInfo = 2, kDebug = 3 };
 
 namespace detail {
 /// Pure parser (unit-testable): `recognized` reports whether `value`
-/// named a level; unrecognized values fall back to warn.
+/// named a level; unrecognized values return warn.
 inline LogLevel parse_log_level(const char* value, bool& recognized) noexcept {
     recognized = true;
     if (value == nullptr || *value == '\0') return LogLevel::kWarn;
@@ -44,18 +44,18 @@ inline LogLevel parse_log_level(const char* value, bool& recognized) noexcept {
     return LogLevel::kWarn;
 }
 
-/// Set when DAIET_LOG_LEVEL held junk; the next log() call turns it
-/// into a one-time warning (deferred so the warning goes through the
-/// fully-initialized logger instead of firing mid-static-init).
-inline bool& log_env_warn_pending() noexcept {
-    static bool pending = false;
-    return pending;
-}
-
+/// The DAIET_LOG_LEVEL level, parsed once on first use; a junk value
+/// exits 2 with a message instead of silently logging at warn.
 inline LogLevel log_level_from_env() noexcept {
     bool recognized = true;
-    const LogLevel level = parse_log_level(std::getenv("DAIET_LOG_LEVEL"), recognized);
-    if (!recognized) log_env_warn_pending() = true;
+    const char* env = std::getenv("DAIET_LOG_LEVEL");
+    const LogLevel level = parse_log_level(env, recognized);
+    if (!recognized) {
+        std::fprintf(stderr,
+                     "DAIET_LOG_LEVEL=\"%s\" not recognized (want error|warn|info|debug or 0-3)\n",
+                     env);
+        std::exit(2);
+    }
     return level;
 }
 
@@ -71,13 +71,6 @@ inline LogLevel log_level() noexcept { return detail::log_level_ref(); }
 template <typename... Args>
 void log(LogLevel level, const char* fmt, Args&&... args) {
     const LogLevel threshold = log_level();  // forces env parse on first use
-    if (detail::log_env_warn_pending()) {
-        detail::log_env_warn_pending() = false;  // clear first: the warn recurses into log()
-        const char* env = std::getenv("DAIET_LOG_LEVEL");
-        log(LogLevel::kWarn,
-            "DAIET_LOG_LEVEL=\"%s\" not recognized (want error|warn|info|debug or 0-3); using warn",
-            env != nullptr ? env : "");
-    }
     const bool print = static_cast<int>(level) <= static_cast<int>(threshold);
     const bool record = trace::detail::g_trace_enabled &&
                         static_cast<int>(level) <= static_cast<int>(LogLevel::kWarn);

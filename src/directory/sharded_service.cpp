@@ -7,100 +7,84 @@
 #include <utility>
 
 #include "common/contracts.hpp"
-#include "common/stats.hpp"
 #include "runtime/sampler.hpp"
 #include "trace/metrics.hpp"
 
 namespace daiet::dir {
+namespace {
 
-ShardedKvService::ShardedKvService(rt::ClusterRuntime& rt,
-                                   ShardedKvOptions options)
-    : rt_{&rt}, options_{std::move(options)} {
-    DAIET_EXPECTS(!options_.server_hosts.empty());
+void refuse_parallel(rt::ClusterRuntime& rt) {
+    if (rt.network().parallel() != nullptr) {
+        throw std::runtime_error{
+            "ShardedKvService: refuses the parallel driver — it and its "
+            "DirectoryController schedule through rt.simulator() (shard 0), "
+            "and those events mutate directory and edge tenants on other shards"};
+    }
+}
+
+/// The fabric checks that must pass before the core builds any rack.
+rt::ClusterRuntime& supported_fabric(rt::ClusterRuntime& rt) {
+    refuse_parallel(rt);
     if (!rt.daiet_enabled()) {
         throw std::runtime_error{
             "ShardedKvService: the directory tenant needs programmable "
             "switches (build the cluster with daiet=true)"};
     }
-    options_.edge.num_ranges = options_.directory.num_ranges;
+    return rt;
+}
+
+}  // namespace
+
+ShardedKvService::ShardedKvService(rt::ClusterRuntime& rt, ShardedKvOptions options)
+    : rt_{&rt},
+      core_{supported_fabric(rt),
+            "shardedkv",
+            options.config,
+            options.server_hosts,
+            options.rack_caches,
+            options.client_hosts,
+            service_vaddr(options.directory.service_id),
+            [this](const Key16& key) {
+                const int shard =
+                    controller_->shard_of(range_of_key(key, directory_->num_ranges()));
+                DAIET_EXPECTS(shard >= 0);  // never preload mid-migration
+                return static_cast<std::size_t>(shard);
+            }} {
+    options.edge.num_ranges = options.directory.num_ranges;
     sim::Network& net = rt.network();
-
-    // --- storage racks ------------------------------------------------------
-    std::unordered_set<std::size_t> server_set;
-    for (const std::size_t s : options_.server_hosts) {
-        DAIET_EXPECTS(s < rt.hosts().size());
-        DAIET_EXPECTS(server_set.insert(s).second);
-        sim::Host& host = rt.host(s);
-        servers_.push_back(
-            std::make_unique<kv::KvStoreServer>(host, options_.config));
-        Rack rack;
-        if (options_.rack_caches) {
-            sim::Node* edge = net.edge_switch_of(host);
-            auto* sw = dynamic_cast<sim::PipelineSwitchNode*>(edge);
-            if (sw == nullptr) {
-                throw std::runtime_error{
-                    "ShardedKvService: a storage rack's ToR is not programmable"};
-            }
-            rack.cache = std::make_shared<kv::KvCacheSwitchProgram>(
-                options_.config, host.addr(), rt.chip_at(sw->id()),
-                rt.router_at(sw->id()));
-            rt.add_tenant(sw->id(), rack.cache);
-            rack.controller = std::make_unique<kv::KvCacheController>(
-                *rack.cache, *servers_.back());
-        }
-        racks_.push_back(std::move(rack));
-    }
-
-    // --- clients ------------------------------------------------------------
-    if (options_.client_hosts.empty()) {
-        for (std::size_t i = 0; i < rt.hosts().size(); ++i) {
-            if (!server_set.contains(i)) options_.client_hosts.push_back(i);
-        }
-    }
-    DAIET_EXPECTS(!options_.client_hosts.empty());
-    const sim::HostAddr service = service_vaddr(options_.directory.service_id);
-    for (const std::size_t i : options_.client_hosts) {
-        DAIET_EXPECTS(i < rt.hosts().size() && !server_set.contains(i));
-        clients_.push_back(
-            std::make_unique<kv::KvClient>(rt.host(i), options_.config, service));
-    }
+    const sim::HostAddr service = service_vaddr(options.directory.service_id);
 
     // --- the directory switch -----------------------------------------------
-    directory_node_ = options_.directory_switch;
-    if (directory_node_ == ShardedKvOptions::kAutoSwitch) {
-        std::unordered_set<sim::NodeId> edge_nodes;
-        for (sim::Host* host : rt.hosts()) {
-            if (sim::Node* e = net.edge_switch_of(*host)) edge_nodes.insert(e->id());
-        }
-        const auto& switches = rt.daiet_switches();
-        const auto it = std::find_if(
-            switches.begin(), switches.end(),
-            [&](const auto* sw) { return !edge_nodes.contains(sw->id()); });
-        if (it == switches.end()) {
-            throw std::runtime_error{
-                "ShardedKvService: no programmable switch above the edges — "
-                "the directory needs a multi-tier fabric (leaf-spine or "
-                "fat-tree)"};
-        }
-        directory_node_ = (*it)->id();
+    // The first programmable switch that is no host's edge (a spine): the
+    // directory must sit above the edges, both so edge misses can still
+    // reach it (a mux tenant that declines ends the claim pass) and so
+    // rewritten requests can still cross the rack ToR cache.
+    std::unordered_set<sim::NodeId> edge_nodes;
+    for (sim::Host* host : rt.hosts()) {
+        if (sim::Node* e = net.edge_switch_of(*host)) edge_nodes.insert(e->id());
     }
+    const auto& switches = rt.daiet_switches();
+    const auto it = std::find_if(
+        switches.begin(), switches.end(),
+        [&](const auto* sw) { return !edge_nodes.contains(sw->id()); });
+    if (it == switches.end()) {
+        throw std::runtime_error{
+            "ShardedKvService: no programmable switch above the edges — "
+            "the directory needs a multi-tier fabric (leaf-spine or "
+            "fat-tree)"};
+    }
+    directory_node_ = (*it)->id();
     directory_ = std::make_shared<DirectorySwitchProgram>(
-        options_.directory, rt.chip_at(directory_node_),
+        options.directory, rt.chip_at(directory_node_),
         rt.router_at(directory_node_));
     rt.add_tenant(directory_node_, directory_);
-
-    const sim::PipelineSwitchNode* dir_node = nullptr;
-    for (const auto* sw : rt.daiet_switches()) {
-        if (sw->id() == directory_node_) dir_node = sw;
-    }
-    DAIET_ASSERT(dir_node != nullptr);
-    net.install_switch_address(*dir_node, service);
+    net.install_switch_address(**it, service);
 
     // --- edge reply caches --------------------------------------------------
     std::vector<std::pair<const sim::Node*, sim::HostAddr>> edge_vaddrs;
-    if (options_.edge_caches) {
+    if (options.edge_caches) {
         std::unordered_map<sim::NodeId, EdgeCacheSwitchProgram*> by_node;
-        for (const std::size_t i : options_.client_hosts) {
+        for (const std::size_t i : core_.client_hosts_) {
             sim::Host& host = rt.host(i);
             sim::Node* edge = net.edge_switch_of(host);
             auto* sw = dynamic_cast<sim::PipelineSwitchNode*>(edge);
@@ -110,17 +94,17 @@ ShardedKvService::ShardedKvService(rt::ClusterRuntime& rt,
                 // the pass before steering).
                 continue;
             }
-            auto it = by_node.find(sw->id());
-            if (it == by_node.end()) {
+            auto at = by_node.find(sw->id());
+            if (at == by_node.end()) {
                 auto program = std::make_shared<EdgeCacheSwitchProgram>(
-                    options_.edge, service, options_.config.server_udp_port,
+                    options.edge, service, options.config.server_udp_port,
                     *sw, rt.chip_at(sw->id()), rt.router_at(sw->id()));
                 rt.add_tenant(sw->id(), program);
-                it = by_node.emplace(sw->id(), program.get()).first;
+                at = by_node.emplace(sw->id(), program.get()).first;
                 edges_.push_back(std::move(program));
                 edge_vaddrs.emplace_back(sw, edge_vaddr(sw->id()));
             }
-            it->second->add_client(host.addr());
+            at->second->add_client(host.addr());
         }
     }
     if (!edge_vaddrs.empty()) {
@@ -138,8 +122,8 @@ ShardedKvService::ShardedKvService(rt::ClusterRuntime& rt,
 
     // --- the control plane --------------------------------------------------
     std::vector<DirectoryController::Shard> shards;
-    for (std::size_t s = 0; s < servers_.size(); ++s) {
-        shards.push_back({servers_[s]->addr(), servers_[s].get()});
+    for (std::size_t s = 0; s < core_.num_racks(); ++s) {
+        shards.push_back({core_.server(s).addr(), &core_.server(s)});
     }
     std::vector<EdgeCacheSwitchProgram*> edge_ptrs;
     for (const auto& e : edges_) edge_ptrs.push_back(e.get());
@@ -148,73 +132,20 @@ ShardedKvService::ShardedKvService(rt::ClusterRuntime& rt,
     controller_->assign_all();
 }
 
-kv::KvStoreServer& ShardedKvService::server(std::size_t shard) {
-    DAIET_EXPECTS(shard < servers_.size());
-    return *servers_[shard];
-}
-
-kv::KvClient& ShardedKvService::client(std::size_t i) {
-    DAIET_EXPECTS(i < clients_.size());
-    return *clients_[i];
-}
-
-kv::KvCacheSwitchProgram* ShardedKvService::rack_cache(std::size_t shard) {
-    DAIET_EXPECTS(shard < racks_.size());
-    return racks_[shard].cache.get();
-}
-
 EdgeCacheSwitchProgram& ShardedKvService::edge(std::size_t i) {
     DAIET_EXPECTS(i < edges_.size());
     return *edges_[i];
 }
 
-void ShardedKvService::preload(std::size_t num_keys) {
-    for (std::size_t i = 0; i < num_keys; ++i) {
-        const Key16 key = kv::KvService::key_of(i);
-        const std::size_t range = range_of_key(key, directory_->num_ranges());
-        const int shard = controller_->shard_of(range);
-        DAIET_EXPECTS(shard >= 0);  // never preload mid-migration
-        kv::KvStoreServer& server = *servers_[static_cast<std::size_t>(shard)];
-        if (!server.store().contains(key)) {
-            server.preload(key, kv::KvService::preload_value_of(i));
-        }
-    }
-}
-
 void ShardedKvService::schedule(const kv::KvWorkload& workload) {
-    DAIET_EXPECTS(workload.num_keys > 0);
-    DAIET_EXPECTS(workload.requests_per_client > 0);
-    DAIET_EXPECTS(workload.get_fraction >= 0.0 && workload.get_fraction <= 1.0);
-    DAIET_EXPECTS(!workload.partition_keys ||
-                  workload.num_keys >= clients_.size());
-    preload(workload.num_keys);
-
-    sim::Simulator& sim = rt_->simulator();
-    const std::size_t n_clients = clients_.size();
-    for (std::size_t ci = 0; ci < n_clients; ++ci) {
-        kv::schedule_client_ops(sim, *clients_[ci], workload, ci, n_clients);
-    }
-
-    if (options_.rack_caches && workload.rebalance_interval > 0) {
-        const sim::SimTime horizon =
-            workload.start + n_clients * workload.client_stagger +
-            workload.requests_per_client * workload.request_interval;
-        for (sim::SimTime at = workload.start + workload.rebalance_interval;
-             at <= horizon; at += workload.rebalance_interval) {
-            sim.schedule_at(at, [this] { rebalance_racks(); });
-        }
-    }
-}
-
-void ShardedKvService::rebalance_racks() {
-    for (Rack& rack : racks_) {
-        if (rack.controller) rack.controller->rebalance();
-    }
+    refuse_parallel(*rt_);
+    core_.schedule(workload);
 }
 
 void ShardedKvService::schedule_rebalances(
     sim::SimTime interval, sim::SimTime horizon,
     DirectoryController::HotKeySource source) {
+    refuse_parallel(*rt_);
     DAIET_EXPECTS(interval > 0);
     sim::Simulator& sim = rt_->simulator();
     for (sim::SimTime at = interval; at <= horizon; at += interval) {
@@ -224,33 +155,7 @@ void ShardedKvService::schedule_rebalances(
 
 ShardedKvRunStats ShardedKvService::collect() const {
     ShardedKvRunStats out;
-    LogHistogram gets;
-    for (const auto& client : clients_) {
-        const kv::KvClient::Stats s = client->stats();
-        out.gets_sent += s.gets_sent;
-        out.puts_sent += s.puts_sent;
-        out.get_replies += s.get_replies;
-        out.put_acks += s.put_acks;
-        out.switch_hits += s.switch_hits;
-        out.edge_hits += s.edge_hits;
-        out.nacks += s.nacks;
-        out.nack_retries += s.nack_retries;
-        out.retransmits += s.retransmits;
-        out.abandoned += s.abandoned;
-        gets.merge(client->get_latency());
-        for (const auto& rec : client->log()) {
-            out.last_completion = std::max(out.last_completion, rec.completed);
-        }
-    }
-    for (const auto& server : servers_) {
-        out.server_gets += server->stats().gets;
-        out.server_puts += server->stats().puts;
-    }
-    if (!gets.empty()) {
-        out.mean_get_ns = gets.mean();
-        out.p50_get_ns = gets.percentile(50.0);
-        out.p99_get_ns = gets.percentile(99.0);
-    }
+    static_cast<kv::KvRunStats&>(out) = core_.collect();
     out.directory = directory_->stats();
     for (const auto& edge : edges_) {
         const EdgeCacheStats& e = edge->stats();
@@ -267,56 +172,19 @@ ShardedKvRunStats ShardedKvService::collect() const {
     }
     out.control = controller_->stats();
 
-    // Publish into the process-wide metrics registry (picked up by
-    // BenchJson::write and any trace/metrics dump).
     auto& reg = trace::metrics();
-    reg.counter("shardedkv.gets_sent", "shardedkv").set(out.gets_sent);
-    reg.counter("shardedkv.get_replies", "shardedkv").set(out.get_replies);
-    reg.counter("shardedkv.switch_hits", "shardedkv").set(out.switch_hits);
-    reg.counter("shardedkv.edge_hits", "shardedkv").set(out.edge_hits);
-    reg.counter("shardedkv.nacks", "shardedkv").set(out.nacks);
-    reg.counter("shardedkv.retransmits", "shardedkv").set(out.retransmits);
-    reg.counter("shardedkv.abandoned", "shardedkv").set(out.abandoned);
     reg.counter("shardedkv.gets_steered", "shardedkv", "directory")
         .set(out.directory.gets_steered);
     reg.counter("shardedkv.puts_steered", "shardedkv", "directory")
         .set(out.directory.puts_steered);
     reg.counter("shardedkv.invalidations_sent", "shardedkv", "directory")
         .set(out.directory.invalidations_sent);
-    for (std::size_t s = 0; s < servers_.size(); ++s) {
-        reg.counter("shardedkv.server_gets", "shardedkv",
-                    "shard" + std::to_string(s))
-            .set(servers_[s]->stats().gets);
-    }
-    reg.histogram("shardedkv.get_latency_ns", "shardedkv").assign(gets);
-
-    if (slo_set_) {
-        slo_ = std::make_unique<trace::SloMonitor>(slo_spec_);
-        const std::uint64_t now = static_cast<std::uint64_t>(rt_->now());
-        for (const auto& client : clients_) {
-            for (const kv::KvClient::OpRecord& rec : client->log()) {
-                slo_->record_success(static_cast<std::uint64_t>(rec.completed),
-                                     static_cast<std::uint64_t>(rec.latency));
-            }
-            for (std::uint64_t i = 0; i < client->stats().abandoned; ++i) {
-                slo_->record_failure(now);
-            }
-        }
-        slo_->publish();
-    }
     return out;
 }
 
-void ShardedKvService::set_slo(trace::SloSpec spec) {
-    if (spec.service.empty()) spec.service = "shardedkv";
-    slo_spec_ = std::move(spec);
-    slo_set_ = true;
-    slo_.reset();
-}
-
 void ShardedKvService::install_probes(rt::FabricSampler& sampler) const {
-    for (std::size_t s = 0; s < racks_.size(); ++s) {
-        const kv::KvCacheSwitchProgram* cache = racks_[s].cache.get();
+    for (std::size_t s = 0; s < core_.num_racks(); ++s) {
+        const kv::KvCacheSwitchProgram* cache = core_.cache(s);
         if (cache == nullptr) continue;
         sampler.add_probe("shardedkv.rack_hits", "shard" + std::to_string(s),
                           [cache] { return static_cast<double>(cache->stats().hits); });
@@ -327,12 +195,7 @@ void ShardedKvService::install_probes(rt::FabricSampler& sampler) const {
         for (const auto& e : *edges) n += e->stats().hits;
         return static_cast<double>(n);
     });
-    const auto* clients = &clients_;
-    sampler.add_probe("shardedkv.retransmits", "kv-clients", [clients] {
-        std::uint64_t n = 0;
-        for (const auto& c : *clients) n += c->stats().retransmits;
-        return static_cast<double>(n);
-    });
+    core_.add_client_probe(sampler, "retransmits", &kv::KvClient::Stats::retransmits);
 }
 
 ShardedKvRunStats ShardedKvService::run(const kv::KvWorkload& workload) {

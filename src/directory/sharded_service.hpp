@@ -1,12 +1,12 @@
 // ShardedKvService: the kv service scaled out across N storage racks,
 // deployed on a ClusterRuntime fabric.
 //
-// Where KvService wires one server + one ToR cache, this layer wires
-// the full fourth-family stack:
+// It owns one kv deployment core (kvcache/service.hpp) built with one
+// rack per server host — each a KvStoreServer fronted by its own
+// KvCacheSwitchProgram at the rack ToR — plus the clients, stats, SLO,
+// probes and scheduling that come with it. This layer adds only the
+// fourth-family pieces:
 //
-//   * one KvStoreServer per storage rack, each fronted by its own
-//     KvCacheSwitchProgram tenant at the rack ToR (the same rack cache
-//     as the unsharded service — sharding multiplies it);
 //   * one DirectorySwitchProgram tenant on a spine chip that every
 //     client->storage path crosses, owning the key-range -> rack map;
 //     clients address the *service* vaddr and never learn server
@@ -20,21 +20,23 @@
 // The workload generator replays exactly the per-client op streams of
 // the unsharded KvService (kv::client_op_stream), which is what makes
 // "sharded == unsharded reference" a meaningful value-parity check.
+//
+// The service refuses the parallel driver: it and its DirectoryController
+// schedule through rt.simulator() (shard 0 under that driver), and those
+// events mutate directory and edge tenants that live on other shards.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "directory/config.hpp"
 #include "directory/controller.hpp"
 #include "directory/edge_cache.hpp"
 #include "directory/switch_program.hpp"
-#include "kvcache/controller.hpp"
 #include "kvcache/service.hpp"
 #include "kvcache/store.hpp"
-#include "kvcache/switch_program.hpp"
 #include "runtime/cluster.hpp"
 
 namespace daiet::dir {
@@ -48,50 +50,18 @@ struct ShardedKvOptions {
     std::vector<std::size_t> server_hosts{0};
     /// Client host indices; empty = every host that is not a server.
     std::vector<std::size_t> client_hosts;
-    /// Switch hosting the directory tenant; kAutoSwitch picks the
-    /// first programmable switch that is no host's edge (a spine) —
-    /// the directory must sit above the edges, both so edge misses can
-    /// still reach it (a mux tenant that declines ends the claim pass)
-    /// and so rewritten requests can still cross the rack ToR cache.
-    static constexpr sim::NodeId kAutoSwitch =
-        std::numeric_limits<sim::NodeId>::max();
-    sim::NodeId directory_switch{kAutoSwitch};
     /// false: no per-rack ToR caches (the sharding-only ablation).
     bool rack_caches{true};
     /// false: no client-side edge caches (the lease ablation).
     bool edge_caches{true};
 };
 
-/// Fabric-wide results of one sharded workload run.
-struct ShardedKvRunStats {
-    std::uint64_t gets_sent{0};
-    std::uint64_t puts_sent{0};
-    std::uint64_t get_replies{0};
-    std::uint64_t put_acks{0};
-    std::uint64_t switch_hits{0};  ///< rack + edge hits
-    std::uint64_t edge_hits{0};    ///< subset served at client ToRs
-    std::uint64_t nacks{0};
-    std::uint64_t nack_retries{0};
-    std::uint64_t retransmits{0};
-    std::uint64_t abandoned{0};
-    std::uint64_t server_gets{0};  ///< summed over racks
-    std::uint64_t server_puts{0};
-    double mean_get_ns{0};
-    double p50_get_ns{0};
-    double p99_get_ns{0};
-    /// Arrival time of the last completed request (throughput's
-    /// denominator: completed / (last_completion - workload start)).
-    sim::SimTime last_completion{0};
+/// Fabric-wide results of one sharded workload run: everything the
+/// unsharded service reports (summed over racks), plus the directory's.
+struct ShardedKvRunStats : kv::KvRunStats {
     DirectoryStats directory;
     EdgeCacheStats edges;  ///< summed over edge caches
     DirectoryController::Stats control;
-
-    std::uint64_t completed() const noexcept { return get_replies + put_acks; }
-    double hit_rate() const noexcept {
-        return get_replies == 0 ? 0.0
-                                : static_cast<double>(switch_hits) /
-                                      static_cast<double>(get_replies);
-    }
 };
 
 class ShardedKvService {
@@ -101,25 +71,25 @@ public:
     ShardedKvService(const ShardedKvService&) = delete;
     ShardedKvService& operator=(const ShardedKvService&) = delete;
 
-    std::size_t num_shards() const noexcept { return servers_.size(); }
-    kv::KvStoreServer& server(std::size_t shard);
-    std::size_t num_clients() const noexcept { return clients_.size(); }
-    kv::KvClient& client(std::size_t i);
+    /// The kv deployment core: racks, clients, their stats.
+    kv::KvService& core() noexcept { return core_; }
+    std::size_t num_shards() const noexcept { return core_.num_racks(); }
+    kv::KvStoreServer& server(std::size_t shard) { return core_.server(shard); }
+    std::size_t num_clients() const noexcept { return core_.num_clients(); }
+    kv::KvClient& client(std::size_t i) { return core_.client(i); }
     DirectorySwitchProgram& directory() noexcept { return *directory_; }
     DirectoryController& controller() noexcept { return *controller_; }
     sim::NodeId directory_node() const noexcept { return directory_node_; }
-    /// The rack cache tenant of `shard`; nullptr when disabled.
-    kv::KvCacheSwitchProgram* rack_cache(std::size_t shard);
     std::size_t num_edges() const noexcept { return edges_.size(); }
     EdgeCacheSwitchProgram& edge(std::size_t i);
 
     /// Control-plane preload of keys 0..n-1 into their owning racks
     /// (same key/value universe as KvService — the parity reference).
-    void preload(std::size_t num_keys);
+    void preload(std::size_t num_keys) { core_.preload(num_keys); }
 
     /// Schedule the workload's request streams plus per-rack cache
-    /// rebalances (reusing kv::KvWorkload and the shared op-stream
-    /// generator, so the streams are identical to an unsharded run).
+    /// promotion passes (the core's schedule(), so the streams are
+    /// identical to an unsharded run).
     void schedule(const kv::KvWorkload& workload);
 
     /// Schedule periodic directory skew-rebalances off `source` (e.g.
@@ -127,44 +97,28 @@ public:
     void schedule_rebalances(sim::SimTime interval, sim::SimTime horizon,
                              DirectoryController::HotKeySource source);
 
-    /// One promotion pass over every rack's cache controller — what
-    /// schedule() runs periodically; exposed for custom (closed-loop)
-    /// workload drivers.
-    void rebalance_racks();
+    /// One promotion pass over every rack's cache controller.
+    void rebalance_racks() { core_.rebalance_racks(); }
 
     ShardedKvRunStats collect() const;
     ShardedKvRunStats run(const kv::KvWorkload& workload);
 
-    /// Declare objectives; collect() rebuilds the SLO monitor from the
-    /// clients' request logs and publishes the SLIs. Empty spec.service
+    /// Declare objectives (see KvService::set_slo); empty spec.service
     /// defaults to "shardedkv".
-    void set_slo(trace::SloSpec spec);
-    /// The monitor built by the last collect(); nullptr before then or
-    /// when no spec was set.
-    const trace::SloMonitor* slo() const noexcept { return slo_.get(); }
+    void set_slo(trace::SloSpec spec) { core_.set_slo(std::move(spec)); }
+    const trace::SloMonitor* slo() const noexcept { return core_.slo(); }
 
     /// Register continuous service signals (per-shard rack-cache hits,
     /// edge-cache hits, summed retransmits) on a FabricSampler.
     void install_probes(rt::FabricSampler& sampler) const;
 
 private:
-    struct Rack {
-        std::shared_ptr<kv::KvCacheSwitchProgram> cache;
-        std::unique_ptr<kv::KvCacheController> controller;
-    };
-
     rt::ClusterRuntime* rt_;
-    ShardedKvOptions options_;
-    std::vector<std::unique_ptr<kv::KvStoreServer>> servers_;
-    std::vector<Rack> racks_;
-    std::vector<std::unique_ptr<kv::KvClient>> clients_;
+    kv::KvService core_;
     std::vector<std::shared_ptr<EdgeCacheSwitchProgram>> edges_;
     std::shared_ptr<DirectorySwitchProgram> directory_;
     std::unique_ptr<DirectoryController> controller_;
     sim::NodeId directory_node_{0};
-    bool slo_set_{false};
-    trace::SloSpec slo_spec_;
-    mutable std::unique_ptr<trace::SloMonitor> slo_;  ///< rebuilt by collect()
 };
 
 }  // namespace daiet::dir

@@ -15,9 +15,10 @@ Graph generate_rmat(const RmatConfig& config) {
     const std::uint64_t m = n * config.edge_factor;
     Rng rng{config.seed};
 
+    // Shuffle vertex ids so generation order carries no information.
     std::vector<VertexId> permutation(n);
     std::iota(permutation.begin(), permutation.end(), 0U);
-    if (config.permute) rng.shuffle(permutation);
+    rng.shuffle(permutation);
 
     std::vector<std::pair<VertexId, VertexId>> edges;
     edges.reserve(m);

@@ -23,8 +23,6 @@ struct RmatConfig {
     double b{0.19};
     double c{0.19};
     std::uint64_t seed{2024};
-    /// Shuffle vertex ids so generation order carries no information.
-    bool permute{true};
     /// Edge weights drawn from [1, max_weight] (1 = unweighted).
     std::uint32_t max_weight{1};
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -54,39 +55,52 @@ std::vector<KvOpSpec> client_op_stream(const KvWorkload& workload, std::size_t c
     return ops;
 }
 
-void schedule_client_ops(sim::Simulator& sim, KvClient& client,
-                         const KvWorkload& workload, std::size_t ci,
-                         std::size_t n_clients) {
-    for (const KvOpSpec& op : client_op_stream(workload, ci, n_clients)) {
-        sim.schedule_at(op.at, [&client, op] {
-            if (op.is_get) {
-                client.get(op.key);
-            } else {
-                client.put(op.key, op.value);
-            }
-        });
-    }
+namespace {
+
+void add_cache_stats(KvCacheStats& into, const KvCacheStats& s) {
+    into.gets_seen += s.gets_seen;
+    into.hits += s.hits;
+    into.misses += s.misses;
+    into.puts_seen += s.puts_seen;
+    into.invalidations += s.invalidations;
+    into.refreshes += s.refreshes;
+    into.replies_seen += s.replies_seen;
+    into.duplicate_puts += s.duplicate_puts;
+    into.duplicate_acks += s.duplicate_acks;
 }
 
+}  // namespace
+
 KvService::KvService(rt::ClusterRuntime& rt, KvServiceOptions options)
-    : rt_{&rt}, options_{std::move(options)} {
-    DAIET_EXPECTS(options_.server_host < rt.hosts().size());
-    sim::Host& server_host = rt.host(options_.server_host);
-    server_ = std::make_unique<KvStoreServer>(server_host, options_.config);
+    : KvService{rt,
+                "kv",
+                options.config,
+                {options.server_host},
+                options.cache_enabled,
+                std::move(options.client_hosts),
+                rt.host(options.server_host).addr(),
+                [](const Key16&) { return std::size_t{0}; }} {}
 
-    if (options_.client_hosts.empty()) {
-        for (std::size_t i = 0; i < rt.hosts().size(); ++i) {
-            if (i != options_.server_host) options_.client_hosts.push_back(i);
-        }
-    }
-    DAIET_EXPECTS(!options_.client_hosts.empty());
-    for (const std::size_t i : options_.client_hosts) {
-        DAIET_EXPECTS(i < rt.hosts().size() && i != options_.server_host);
-        clients_.push_back(std::make_unique<KvClient>(
-            rt.host(i), options_.config, server_host.addr()));
-    }
-
-    if (options_.cache_enabled) {
+KvService::KvService(rt::ClusterRuntime& rt, std::string name, const KvConfig& config,
+                     const std::vector<std::size_t>& server_hosts, bool rack_caches,
+                     std::vector<std::size_t> client_hosts, sim::HostAddr client_target,
+                     RackOf rack_of)
+    : rt_{&rt},
+      name_{std::move(name)},
+      rack_of_{std::move(rack_of)},
+      client_hosts_{std::move(client_hosts)} {
+    DAIET_EXPECTS(!server_hosts.empty());
+    const auto is_server = [&](std::size_t i) {
+        return std::ranges::find(server_hosts, i) != server_hosts.end();
+    };
+    for (const std::size_t s : server_hosts) {
+        DAIET_EXPECTS(s < rt.hosts().size());
+        DAIET_EXPECTS(std::ranges::count(server_hosts, s) == 1);  // one rack per host
+        sim::Host& host = rt.host(s);
+        Rack& rack = racks_.emplace_back();
+        rack.host = s;
+        rack.server = std::make_unique<KvStoreServer>(host, config);
+        if (!rack_caches) continue;
         // Lossy fabrics are fine: the retry transport retransmits at
         // the clients, the server deduplicates via its reply cache, and
         // the switch drains its coherence counters on distinct ACKs
@@ -95,20 +109,34 @@ KvService::KvService(rt::ClusterRuntime& rt, KvServiceOptions options)
         // place), and the rare residue a dedup-filter collision or an
         // abandoned write can still leave is healed by the controller's
         // stuck-window flight reset.
-        sim::Node* edge = rt.network().edge_switch_of(server_host);
-        auto* sw = dynamic_cast<sim::PipelineSwitchNode*>(edge);
+        auto* sw = dynamic_cast<sim::PipelineSwitchNode*>(rt.network().edge_switch_of(host));
         if (sw == nullptr) {
             throw std::runtime_error{
-                "KvService: the server's edge switch is not programmable "
+                "KvService: a storage rack's edge switch is not programmable "
                 "(build the cluster with daiet=true or disable the cache)"};
         }
-        cache_node_ = sw->id();
-        cache_ = std::make_shared<KvCacheSwitchProgram>(
-            options_.config, server_host.addr(), rt.chip_at(cache_node_),
-            rt.router_at(cache_node_));
-        rt.add_tenant(cache_node_, cache_);
-        controller_ = std::make_unique<KvCacheController>(*cache_, *server_);
+        rack.tor = sw;
+        rack.cache = std::make_shared<KvCacheSwitchProgram>(
+            config, host.addr(), rt.chip_at(sw->id()), rt.router_at(sw->id()));
+        rt.add_tenant(sw->id(), rack.cache);
+        rack.controller = std::make_unique<KvCacheController>(*rack.cache, *rack.server);
     }
+
+    if (client_hosts_.empty()) {
+        for (std::size_t i = 0; i < rt.hosts().size(); ++i) {
+            if (!is_server(i)) client_hosts_.push_back(i);
+        }
+    }
+    DAIET_EXPECTS(!client_hosts_.empty());
+    for (const std::size_t i : client_hosts_) {
+        DAIET_EXPECTS(i < rt.hosts().size() && !is_server(i));
+        clients_.push_back(std::make_unique<KvClient>(rt.host(i), config, client_target));
+    }
+}
+
+const KvService::Rack& KvService::at(std::size_t rack) const {
+    DAIET_EXPECTS(rack < racks_.size());
+    return racks_[rack];
 }
 
 KvClient& KvService::client(std::size_t i) {
@@ -122,9 +150,10 @@ void KvService::preload(std::size_t num_keys) {
     // to its preload default — a later promotion would re-serve it.
     for (std::size_t i = 0; i < num_keys; ++i) {
         const Key16 key = key_of(i);
-        if (!server_->store().contains(key)) {
-            server_->preload(key, preload_value_of(i));
-        }
+        const std::size_t rack = rack_of_(key);
+        DAIET_ASSERT(rack < racks_.size());
+        KvStoreServer& server = *racks_[rack].server;
+        if (!server.store().contains(key)) server.preload(key, preload_value_of(i));
     }
 }
 
@@ -141,26 +170,52 @@ void KvService::schedule(const KvWorkload& workload) {
     // parallel simulation); the op timestamps are absolute either way.
     const std::size_t n_clients = clients_.size();
     for (std::size_t ci = 0; ci < n_clients; ++ci) {
-        schedule_client_ops(rt_->host(options_.client_hosts[ci]).simulator(),
-                            *clients_[ci], workload, ci, n_clients);
+        sim::Simulator& sim = rt_->host(client_hosts_[ci]).simulator();
+        KvClient& client = *clients_[ci];
+        for (const KvOpSpec& op : client_op_stream(workload, ci, n_clients)) {
+            sim.schedule_at(op.at, [&client, op] {
+                if (op.is_get) {
+                    client.get(op.key);
+                } else {
+                    client.put(op.key, op.value);
+                }
+            });
+        }
     }
 
-    if (controller_ != nullptr && workload.rebalance_interval > 0) {
+    // Every rack is built alike: either all have a cache controller or
+    // none does.
+    if (racks_.front().controller != nullptr && workload.rebalance_interval > 0) {
         const sim::SimTime horizon =
             workload.start + n_clients * workload.client_stagger +
             workload.requests_per_client * workload.request_interval;
-        // The rebalancer reads the server's store and pokes the cache
-        // program on the server's edge switch — both live on the server
-        // host's shard (a rack and its ToR always share one).
-        sim::Simulator& server_sim = rt_->host(options_.server_host).simulator();
+        // A promotion pass reads each rack's store and pokes the cache
+        // program on that rack's ToR. One rack and its ToR always share
+        // a shard, so the pass goes on the first rack server's host
+        // simulator; a multi-rack core runs sequentially only (the
+        // sharded deployment refuses the parallel driver).
+        sim::Simulator& server_sim = rt_->host(racks_.front().host).simulator();
         for (sim::SimTime at = workload.start + workload.rebalance_interval;
              at <= horizon; at += workload.rebalance_interval) {
-            server_sim.schedule_at(at, [this] { controller_->rebalance(); });
+            server_sim.schedule_at(at, [this] { rebalance_racks(); });
         }
     }
 }
 
+void KvService::rebalance_racks() {
+    for (Rack& rack : racks_) {
+        if (rack.controller != nullptr) rack.controller->rebalance();
+    }
+}
+
 KvRunStats KvService::collect() const {
+    // Rebuild the SLO monitor from scratch each collect(): the client
+    // logs are the source of truth, so repeated collect() calls stay
+    // idempotent.
+    slo_.reset();
+    if (slo_spec_) slo_ = std::make_unique<trace::SloMonitor>(*slo_spec_);
+    const auto now = static_cast<std::uint64_t>(rt_->now());
+
     KvRunStats out;
     LogHistogram gets;
     LogHistogram puts;
@@ -171,6 +226,9 @@ KvRunStats KvService::collect() const {
         out.get_replies += s.get_replies;
         out.put_acks += s.put_acks;
         out.switch_hits += s.switch_hits;
+        out.edge_hits += s.edge_hits;
+        out.nacks += s.nacks;
+        out.nack_retries += s.nack_retries;
         out.retransmits += s.retransmits;
         out.duplicate_replies += s.duplicate_replies;
         out.abandoned += s.abandoned;
@@ -178,89 +236,89 @@ KvRunStats KvService::collect() const {
         out.ecn_backoffs += s.ecn_backoffs;
         gets.merge(client->get_latency());
         puts.merge(client->put_latency());
+        for (const KvClient::OpRecord& rec : client->log()) {
+            out.last_completion = std::max(out.last_completion, rec.completed);
+            if (slo_) {
+                slo_->record_success(static_cast<std::uint64_t>(rec.completed),
+                                     static_cast<std::uint64_t>(rec.latency));
+            }
+        }
+        if (slo_) {
+            // Abandoned requests carry no completion stamp; charge them
+            // at the end of the run (they failed by then by definition).
+            for (std::uint64_t i = 0; i < s.abandoned; ++i) slo_->record_failure(now);
+        }
     }
-    out.server_gets = server_->stats().gets;
-    out.server_puts = server_->stats().puts;
-    out.server_duplicates = server_->stats().duplicates;
+    for (const Rack& rack : racks_) {
+        const KvStoreServer::Stats& s = rack.server->stats();
+        out.server_gets += s.gets;
+        out.server_puts += s.puts;
+        out.server_duplicates += s.duplicates;
+        if (rack.cache != nullptr) add_cache_stats(out.cache, rack.cache->stats());
+        if (rack.controller != nullptr) {
+            out.promotions += rack.controller->stats().promotions;
+            out.evictions += rack.controller->stats().evictions;
+            out.rebalances += rack.controller->stats().rebalances;
+        }
+    }
     if (!gets.empty()) {
         out.mean_get_ns = gets.mean();
         out.p50_get_ns = gets.percentile(50.0);
         out.p99_get_ns = gets.percentile(99.0);
     }
     if (!puts.empty()) out.mean_put_ns = puts.mean();
-    if (cache_ != nullptr) out.cache = cache_->stats();
-    if (controller_ != nullptr) {
-        out.promotions = controller_->stats().promotions;
-        out.evictions = controller_->stats().evictions;
-        out.rebalances = controller_->stats().rebalances;
-    }
 
     // Publish into the process-wide metrics registry: every BENCH_*.json
-    // written after this collect() carries the run's numbers.
+    // written after this collect() carries the run's numbers. Server
+    // GETs go out summed ("server") and per rack ("shard<i>").
     auto& reg = trace::metrics();
-    reg.counter("kv.gets_sent", "kv").set(out.gets_sent);
-    reg.counter("kv.get_replies", "kv").set(out.get_replies);
-    reg.counter("kv.switch_hits", "kv").set(out.switch_hits);
-    reg.counter("kv.retransmits", "kv").set(out.retransmits);
-    reg.counter("kv.abandoned", "kv").set(out.abandoned);
-    reg.counter("kv.server_gets", "kv", "server").set(out.server_gets);
-    reg.histogram("kv.get_latency_ns", "kv").assign(gets);
-    reg.histogram("kv.put_latency_ns", "kv").assign(puts);
-
-    if (slo_set_) {
-        // Rebuild from scratch each collect(): the client logs are the
-        // source of truth, so repeated collect() calls stay idempotent.
-        slo_ = std::make_unique<trace::SloMonitor>(slo_spec_);
-        const std::uint64_t now =
-            static_cast<std::uint64_t>(rt_->now());
-        for (const auto& client : clients_) {
-            for (const KvClient::OpRecord& rec : client->log()) {
-                slo_->record_success(static_cast<std::uint64_t>(rec.completed),
-                                     static_cast<std::uint64_t>(rec.latency));
-            }
-            // Abandoned requests carry no completion stamp; charge them
-            // at the end of the run (they failed by then by definition).
-            for (std::uint64_t i = 0; i < client->stats().abandoned; ++i) {
-                slo_->record_failure(now);
-            }
-        }
-        slo_->publish();
+    const auto publish = [&](const char* stat, std::uint64_t value,
+                             std::string_view node = {}) {
+        reg.counter(name_ + "." + stat, name_, node).set(value);
+    };
+    publish("gets_sent", out.gets_sent);
+    publish("get_replies", out.get_replies);
+    publish("switch_hits", out.switch_hits);
+    publish("edge_hits", out.edge_hits);
+    publish("nacks", out.nacks);
+    publish("retransmits", out.retransmits);
+    publish("abandoned", out.abandoned);
+    publish("server_gets", out.server_gets, "server");
+    for (std::size_t r = 0; r < racks_.size(); ++r) {
+        publish("server_gets", racks_[r].server->stats().gets, "shard" + std::to_string(r));
     }
+    reg.histogram(name_ + ".get_latency_ns", name_).assign(gets);
+    reg.histogram(name_ + ".put_latency_ns", name_).assign(puts);
+    if (slo_) slo_->publish();
     return out;
 }
 
 void KvService::set_slo(trace::SloSpec spec) {
-    if (spec.service.empty()) spec.service = "kv";
+    if (spec.service.empty()) spec.service = name_;
     slo_spec_ = std::move(spec);
-    slo_set_ = true;
     slo_.reset();
 }
 
 void KvService::install_probes(rt::FabricSampler& sampler) const {
-    if (cache_ != nullptr) {
-        const KvCacheSwitchProgram* cache = cache_.get();
-        std::string node = "cache-switch";
-        for (const auto& n : rt_->network().nodes()) {
-            if (n->id() == cache_node_) {
-                node = n->name();
-                break;
-            }
-        }
-        sampler.add_probe("kv.cache_hits", node,
+    for (const Rack& rack : racks_) {
+        const KvCacheSwitchProgram* cache = rack.cache.get();
+        if (cache == nullptr) continue;
+        sampler.add_probe(name_ + ".cache_hits", rack.tor->name(),
                           [cache] { return static_cast<double>(cache->stats().hits); });
-        sampler.add_probe("kv.cache_misses", node, [cache] {
+        sampler.add_probe(name_ + ".cache_misses", rack.tor->name(), [cache] {
             return static_cast<double>(cache->stats().misses);
         });
     }
+    add_client_probe(sampler, "retransmits", &KvClient::Stats::retransmits);
+    add_client_probe(sampler, "abandoned", &KvClient::Stats::abandoned);
+}
+
+void KvService::add_client_probe(rt::FabricSampler& sampler, const char* stat,
+                                 std::uint64_t KvClient::Stats::*field) const {
     const auto* clients = &clients_;
-    sampler.add_probe("kv.retransmits", "kv-clients", [clients] {
+    sampler.add_probe(name_ + "." + stat, "kv-clients", [clients, field] {
         std::uint64_t n = 0;
-        for (const auto& c : *clients) n += c->stats().retransmits;
-        return static_cast<double>(n);
-    });
-    sampler.add_probe("kv.abandoned", "kv-clients", [clients] {
-        std::uint64_t n = 0;
-        for (const auto& c : *clients) n += c->stats().abandoned;
+        for (const auto& c : *clients) n += c->stats().*field;
         return static_cast<double>(n);
     });
 }

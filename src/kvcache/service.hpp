@@ -1,25 +1,33 @@
-// KvService: one kv workload deployed on a ClusterRuntime fabric.
+// KvService: the kv deployment core on a ClusterRuntime fabric.
 //
 // Wires the pieces together the way JobDriver does for aggregation
-// jobs: one KvStoreServer host, a KvClient on every other (chosen)
-// host, and — when caching is enabled — a KvCacheSwitchProgram
-// attached through the runtime's switch-program registry to the
-// server's edge switch (the one switch every request crosses, which is
-// what makes invalidate-on-PUT coherent; NetCache places its cache at
-// the storage rack's ToR for the same reason). The cache tenant shares
-// the chip's SramBook and FabricRouter with the resident DAIET
-// program, so a kv workload and an aggregation job are co-tenants of
-// one fabric.
+// jobs: N >= 1 storage racks, each a KvStoreServer host, a KvClient on
+// every other (chosen) host, and — when caching is enabled — a
+// KvCacheSwitchProgram per rack, attached through the runtime's
+// switch-program registry to the server's edge switch (the one switch
+// every request to that rack crosses, which is what makes
+// invalidate-on-PUT coherent; NetCache places its cache at the storage
+// rack's ToR for the same reason). The cache tenant shares the chip's
+// SramBook and FabricRouter with the resident DAIET program, so a kv
+// workload and an aggregation job are co-tenants of one fabric.
+//
+// The public constructor builds one rack. The sharded deployment
+// (directory/sharded_service.hpp) builds N racks through the private
+// one and adds only its directory, edge caches and range controller;
+// clients, stats, metrics, SLO, probes and scheduling live here once.
 //
 // The built-in workload generator issues an open-loop stream of GETs
 // and PUTs per client with Zipf-distributed key popularity, and
-// schedules periodic controller rebalances — enough to reproduce the
-// cache's hit-rate and latency story and to drive the coexistence
+// schedules periodic rack-cache promotion passes — enough to reproduce
+// the cache's hit-rate and latency story and to drive the coexistence
 // tests and benches.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "kvcache/controller.hpp"
@@ -31,6 +39,10 @@
 namespace daiet::rt {
 class FabricSampler;
 }  // namespace daiet::rt
+
+namespace daiet::dir {
+class ShardedKvService;
+}  // namespace daiet::dir
 
 namespace daiet::kv {
 
@@ -82,27 +94,27 @@ struct KvOpSpec {
 };
 
 /// The deterministic request stream client `ci` (of `n_clients`) issues
-/// under `workload` — the single source of truth shared by KvService
-/// and the sharded deployment (directory/sharded_service.hpp), which is
-/// what makes "sharded run == unsharded reference" a meaningful parity
-/// check: both runs replay byte-identical per-client op sequences.
+/// under `workload` — the single source of truth for every deployment
+/// and for custom (closed-loop) drivers, which is what makes "sharded
+/// run == unsharded reference" a meaningful parity check: both runs
+/// replay byte-identical per-client op sequences.
 std::vector<KvOpSpec> client_op_stream(const KvWorkload& workload, std::size_t ci,
                                        std::size_t n_clients);
 
-/// Schedule client `ci`'s whole op stream on `sim` — the one dispatch
-/// loop both deployments share (any drift between them would quietly
-/// invalidate the parity check).
-void schedule_client_ops(sim::Simulator& sim, KvClient& client,
-                         const KvWorkload& workload, std::size_t ci,
-                         std::size_t n_clients);
-
-/// Fabric-wide results of one workload run.
+/// Fabric-wide results of one workload run, summed over clients and
+/// racks.
 struct KvRunStats {
     std::uint64_t gets_sent{0};
     std::uint64_t puts_sent{0};
     std::uint64_t get_replies{0};
     std::uint64_t put_acks{0};
-    std::uint64_t switch_hits{0};
+    std::uint64_t switch_hits{0};  ///< rack + edge hits
+    /// Subset of switch_hits served at client-side edge caches, and the
+    /// directory NACKs (plus their immediate retries) of requests that
+    /// raced a range migration; zero without a directory.
+    std::uint64_t edge_hits{0};
+    std::uint64_t nacks{0};
+    std::uint64_t nack_retries{0};
     std::uint64_t server_gets{0};
     std::uint64_t server_puts{0};
     /// Loss-recovery traffic (transport/request_reply.hpp): wire-level
@@ -120,11 +132,15 @@ struct KvRunStats {
     double p50_get_ns{0};
     double p99_get_ns{0};
     double mean_put_ns{0};
-    KvCacheStats cache;  ///< zeroes when the cache is disabled
+    /// Arrival time of the last completed request (throughput's
+    /// denominator: completed / (last_completion - workload start)).
+    sim::SimTime last_completion{0};
+    KvCacheStats cache;  ///< summed over rack caches; zeroes without any
     std::uint64_t promotions{0};
     std::uint64_t evictions{0};
     std::uint64_t rebalances{0};
 
+    std::uint64_t completed() const noexcept { return get_replies + put_acks; }
     double hit_rate() const noexcept {
         return get_replies == 0 ? 0.0
                                 : static_cast<double>(switch_hits) /
@@ -134,19 +150,27 @@ struct KvRunStats {
 
 class KvService {
 public:
+    /// One storage rack on options.server_host.
     KvService(rt::ClusterRuntime& rt, KvServiceOptions options = {});
 
     KvService(const KvService&) = delete;
     KvService& operator=(const KvService&) = delete;
 
-    KvStoreServer& server() noexcept { return *server_; }
+    std::size_t num_racks() const noexcept { return racks_.size(); }
+    KvStoreServer& server(std::size_t rack = 0) { return *at(rack).server; }
     std::size_t num_clients() const noexcept { return clients_.size(); }
     KvClient& client(std::size_t i);
-    /// nullptr when the cache is disabled.
-    KvCacheSwitchProgram* cache() noexcept { return cache_.get(); }
-    KvCacheController* controller() noexcept { return controller_.get(); }
-    /// The switch hosting the cache tenant (the server's edge switch).
-    sim::NodeId cache_node() const noexcept { return cache_node_; }
+    /// The rack's cache tenant and its controller; nullptr when the
+    /// cache is disabled.
+    KvCacheSwitchProgram* cache(std::size_t rack = 0) const { return at(rack).cache.get(); }
+    KvCacheController* controller(std::size_t rack = 0) const {
+        return at(rack).controller.get();
+    }
+    /// The switch hosting the rack's cache tenant (its server's edge
+    /// switch); 0 when the cache is disabled.
+    sim::NodeId cache_node(std::size_t rack = 0) const {
+        return at(rack).tor != nullptr ? at(rack).tor->id() : 0;
+    }
 
     /// The deterministic key/value universe the workload draws from.
     static Key16 key_of(std::size_t i) { return Key16::from_u64(i + 1); }
@@ -154,15 +178,24 @@ public:
         return static_cast<WireValue>(0x9000u + i);
     }
 
-    /// Control-plane preload of keys 0..n-1 (no traffic).
+    /// Control-plane preload of keys 0..n-1 into their owning racks
+    /// (no traffic).
     void preload(std::size_t num_keys);
 
-    /// Schedule the workload's request streams and rebalances on the
-    /// cluster's simulator (run with rt.run(), possibly interleaved
-    /// with other jobs' traffic).
+    /// Schedule the workload's request streams and promotion passes
+    /// (run with rt.run(), possibly interleaved with other jobs'
+    /// traffic). The one scheduling rule: each client's ops go on its
+    /// own host's simulator, the promotion passes on the first rack
+    /// server's host's simulator.
     void schedule(const KvWorkload& workload);
 
-    /// Aggregate client/server/switch stats after a run.
+    /// One promotion pass over every rack's cache controller — what
+    /// schedule() runs periodically; exposed for custom (closed-loop)
+    /// workload drivers.
+    void rebalance_racks();
+
+    /// Aggregate client/server/switch stats after a run and publish
+    /// them into the metrics registry as "<service>.*".
     KvRunStats collect() const;
 
     /// schedule + run + collect, for the simple single-job case.
@@ -171,26 +204,54 @@ public:
     /// Declare objectives; collect() then rebuilds the SLO monitor from
     /// the clients' request logs (each completed reply is a success at
     /// its completion time, each abandoned request a failure) and
-    /// publishes the SLIs. Empty spec.service defaults to "kv".
+    /// publishes the SLIs. Empty spec.service defaults to the service
+    /// name ("kv").
     void set_slo(trace::SloSpec spec);
     /// The monitor built by the last collect(); nullptr before then or
     /// when no spec was set.
     const trace::SloMonitor* slo() const noexcept { return slo_.get(); }
 
-    /// Register continuous service signals (cache hits/misses, summed
-    /// client retransmits) on a FabricSampler.
+    /// Register continuous service signals (cache hits/misses per rack,
+    /// summed client retransmits and abandons) on a FabricSampler.
     void install_probes(rt::FabricSampler& sampler) const;
 
 private:
+    friend class dir::ShardedKvService;
+
+    /// Which rack stores a key.
+    using RackOf = std::function<std::size_t(const Key16&)>;
+
+    /// The N-rack core: one KvStoreServer per `server_hosts` entry, each
+    /// fronted by a ToR cache when `rack_caches`, then one client per
+    /// `client_hosts` entry (empty = every host that is not a server)
+    /// sending to `client_target`. `name` prefixes the published
+    /// metrics and probes and is the default SLO service.
+    KvService(rt::ClusterRuntime& rt, std::string name, const KvConfig& config,
+              const std::vector<std::size_t>& server_hosts, bool rack_caches,
+              std::vector<std::size_t> client_hosts, sim::HostAddr client_target,
+              RackOf rack_of);
+
+    /// A "<service>.<stat>" track at node "kv-clients": the named client
+    /// counter summed over every client.
+    void add_client_probe(rt::FabricSampler& sampler, const char* stat,
+                          std::uint64_t KvClient::Stats::*field) const;
+
+    struct Rack {
+        std::size_t host{0};  ///< index into ClusterRuntime::hosts()
+        std::unique_ptr<KvStoreServer> server;
+        std::shared_ptr<KvCacheSwitchProgram> cache;
+        std::unique_ptr<KvCacheController> controller;
+        const sim::PipelineSwitchNode* tor{nullptr};  ///< the cache's switch
+    };
+    const Rack& at(std::size_t rack) const;
+
     rt::ClusterRuntime* rt_;
-    KvServiceOptions options_;
-    std::unique_ptr<KvStoreServer> server_;
+    std::string name_;
+    RackOf rack_of_;
+    std::vector<Rack> racks_;
+    std::vector<std::size_t> client_hosts_;
     std::vector<std::unique_ptr<KvClient>> clients_;
-    std::shared_ptr<KvCacheSwitchProgram> cache_;
-    std::unique_ptr<KvCacheController> controller_;
-    sim::NodeId cache_node_{0};
-    bool slo_set_{false};
-    trace::SloSpec slo_spec_;
+    std::optional<trace::SloSpec> slo_spec_;
     mutable std::unique_ptr<trace::SloMonitor> slo_;  ///< rebuilt by collect()
 };
 

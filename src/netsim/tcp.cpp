@@ -148,7 +148,7 @@ void TcpConnection::on_segment(const TcpHeader& tcp, std::span<const std::byte> 
         }
         snd_una_ = tcp.ack;
         retries_ = 0;
-        if (snd_una_ != snd_nxt_ || (fin_sent_ && snd_una_ != snd_nxt_)) {
+        if (snd_una_ != snd_nxt_) {
             arm_timer();
         }
         pump_send_queue();
@@ -174,13 +174,16 @@ void TcpConnection::on_segment(const TcpHeader& tcp, std::span<const std::byte> 
 
     // --- FIN ---------------------------------------------------------------
     if (tcp.fin()) {
-        if (tcp.seq == rcv_nxt_ || (payload.empty() && tcp.seq == rcv_nxt_)) {
+        if (tcp.seq == rcv_nxt_) {
             rcv_nxt_ += 1;
             peer_fin_received_ = true;
             send_ack();
             if (state_ == State::kEstablished) {
                 state_ = State::kCloseWait;
-                if (params_.auto_close_on_peer_fin) fin_pending_ = true;
+                // Passive close: answer with our own FIN once the send
+                // queue drains (a read-only server's natural behaviour;
+                // the shuffle reducers never write back).
+                fin_pending_ = true;
                 maybe_send_fin();
             }
         } else {

@@ -33,10 +33,6 @@ struct TcpParams {
     std::uint32_t ack_every{2};
     /// Upper bound on how long an ACK may be delayed.
     SimTime delayed_ack_timeout{500 * kMicrosecond};
-    /// Passive close: reply with our own FIN as soon as the peer's FIN
-    /// arrives and the send queue is drained (a read-only server's
-    /// natural behaviour; our shuffle reducers never write back).
-    bool auto_close_on_peer_fin{true};
 };
 
 struct TcpStats {

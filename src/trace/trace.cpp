@@ -1,6 +1,8 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -85,8 +87,9 @@ TraceEnvConfig parse_trace_env(const char* value) {
         }
         if (value[4] == ':') {
             char* end = nullptr;
+            errno = 0;
             const long parsed = std::strtol(value + 5, &end, 10);
-            if (parsed > 0 && end != value + 5 && *end == '\0') {
+            if (parsed > 0 && errno != ERANGE && end != value + 5 && *end == '\0') {
                 cfg.mode = TraceEnvConfig::Mode::kRing;
                 cfg.ring_capacity = static_cast<std::size_t>(parsed);
                 return cfg;
@@ -97,25 +100,37 @@ TraceEnvConfig parse_trace_env(const char* value) {
     return cfg;
 }
 
+TraceEnvConfig trace_env() {
+    const char* env = std::getenv("DAIET_TRACE");
+    const TraceEnvConfig cfg = parse_trace_env(env);
+    if (!cfg.recognized) {
+        std::fprintf(stderr,
+                     "DAIET_TRACE=\"%s\" not recognized (want full | 1 | ring[:N] | 0 | off | none)\n",
+                     env);
+        std::exit(2);
+    }
+    return cfg;
+}
+
+namespace {
+// Check both operator switches at startup, so a junk value exits before
+// any work rather than at the first trace or log call, which some
+// binaries never make. Every binary that links a trace hook runs this.
+[[maybe_unused]] const bool g_env_checked =
+    (trace_env(), daiet::detail::log_level_from_env(), true);
+}  // namespace
+
 Tracer::Tracer() {
     lanes_.push_back(std::make_unique<Lane>());
     lanes_.back()->index = 0;
     intern_names_.emplace_back("?");  // id 0 = unknown
     // Operator switch: DAIET_TRACE=full | ring[:N] | 1 enables tracing
     // for any binary without code changes (1 == full).
-    if (const char* env = std::getenv("DAIET_TRACE")) {
-        const TraceEnvConfig cfg = parse_trace_env(env);
-        if (!cfg.recognized) {
-            // Warn while tracing is still disabled: log() only touches
-            // the tracer when g_trace_enabled is set, so this cannot
-            // recurse into instance() mid-construction.
-            log_warn("DAIET_TRACE=\"%s\" not recognized (want full | ring[:N] | off); tracing stays disabled",
-                     env);
-        } else if (cfg.mode == TraceEnvConfig::Mode::kFull) {
-            enable_full();
-        } else if (cfg.mode == TraceEnvConfig::Mode::kRing) {
-            enable_ring(cfg.ring_capacity);
-        }
+    const TraceEnvConfig cfg = trace_env();
+    if (cfg.mode == TraceEnvConfig::Mode::kFull) {
+        enable_full();
+    } else if (cfg.mode == TraceEnvConfig::Mode::kRing) {
+        enable_ring(cfg.ring_capacity);
     }
 }
 

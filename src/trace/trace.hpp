@@ -110,8 +110,8 @@ inline bool enabled() noexcept { return detail::g_trace_enabled; }
 /// Parsed DAIET_TRACE value. Split out of the Tracer constructor so the
 /// accepted grammar (full | 1 | ring[:N] | 0 | off | none) is
 /// unit-testable without mutating the process singleton; `recognized`
-/// is false for junk values, which leave tracing disabled and earn a
-/// one-time warning.
+/// is false for junk values (including a ring size strtol cannot
+/// represent).
 struct TraceEnvConfig {
     enum class Mode { kDisabled, kFull, kRing };
     Mode mode{Mode::kDisabled};
@@ -119,6 +119,9 @@ struct TraceEnvConfig {
     bool recognized{true};
 };
 TraceEnvConfig parse_trace_env(const char* value);
+/// parse_trace_env(getenv("DAIET_TRACE")), read once by the Tracer; a
+/// junk value exits 2 with a message instead of running untraced.
+TraceEnvConfig trace_env();
 
 class Tracer {
 public:

@@ -2,17 +2,25 @@
 // protocol, request steering to the owning rack, NACK-driven retry
 // across unowned ranges, edge reply caches (lease grant/expiry,
 // invalidate-on-PUT, stale-reply refusal), live range migration, and
-// value parity between a sharded run and the unsharded reference.
+// value parity between a sharded run and the unsharded reference, and
+// the metrics and counter tracks both kv deployments publish.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <stdexcept>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "directory/sharded_service.hpp"
 #include "kvcache/service.hpp"
+#include "runtime/sampler.hpp"
 #include "telemetry/service.hpp"
+#include "trace/metrics.hpp"
+#include "trace/timeseries.hpp"
 
 namespace daiet::dir {
 namespace {
@@ -404,6 +412,26 @@ TEST(ShardedParity, ShardedRunMatchesUnshardedReference) {
     EXPECT_EQ(sharded, reference);
 }
 
+TEST(ShardedParity, ReportsRackPromotionsSummedOverRacks) {
+    rt::ClusterRuntime rt{fabric(4, 8)};
+    ShardedKvService svc{rt, two_rack_options()};
+    kv::KvWorkload wl;
+    wl.num_keys = 256;
+    wl.zipf_s = 0.99;
+    wl.requests_per_client = 200;
+    wl.request_interval = 15 * sim::kMicrosecond;
+    wl.rebalance_interval = 50 * sim::kMicrosecond;
+    const ShardedKvRunStats stats = svc.run(wl);
+
+    std::uint64_t promotions = 0;
+    for (std::size_t s = 0; s < svc.num_shards(); ++s) {
+        ASSERT_NE(svc.core().controller(s), nullptr);
+        promotions += svc.core().controller(s)->stats().promotions;
+    }
+    EXPECT_EQ(stats.promotions, promotions);
+    EXPECT_GT(stats.promotions, 0u);
+}
+
 // ----------------------------------------------------- telemetry-driven
 
 TEST(Rebalance, TelemetryRankingMovesHotRangesOffTheHotRack) {
@@ -449,6 +477,115 @@ TEST(Rebalance, TelemetryRankingMovesHotRangesOffTheHotRack) {
     // Every read still completed, with the preload values.
     const kv::KvClient::Stats c0 = svc.client(0).stats();
     EXPECT_EQ(c0.abandoned, 0u);
+}
+
+
+// ------------------------------------------------------ parallel driver
+
+TEST(Directory, RefusesTheParallelDriver) {
+    {
+        rt::ClusterRuntime rt{fabric(4, 8)};
+        rt.enable_parallel(2);
+        ASSERT_NE(rt.network().parallel(), nullptr);
+        EXPECT_THROW((ShardedKvService{rt, two_rack_options()}), std::runtime_error);
+    }
+    // Partitioned after construction: scheduling refuses as well.
+    rt::ClusterRuntime rt{fabric(4, 8)};
+    ShardedKvService svc{rt, two_rack_options()};
+    rt.enable_parallel(2);
+    ASSERT_NE(rt.network().parallel(), nullptr);
+    EXPECT_THROW(svc.schedule(kv::KvWorkload{}), std::runtime_error);
+    EXPECT_THROW(svc.schedule_rebalances(100 * sim::kMicrosecond, sim::kMillisecond, {}),
+                 std::runtime_error);
+}
+
+// -------------------------------------------------- observable contract
+
+// Both kv deployments keep publishing every metric and counter track
+// that BENCH_*.json, tools/bench_baseline.json and the SLO monitor read.
+TEST(KvDeployments, PublishTheirMetricsAndCounterTracks) {
+    trace::metrics().clear();
+    trace::timeseries().clear();
+    kv::KvWorkload wl;
+    wl.num_keys = 128;
+    wl.requests_per_client = 60;
+    wl.get_fraction = 0.8;
+    wl.request_interval = 15 * sim::kMicrosecond;
+    wl.rebalance_interval = 50 * sim::kMicrosecond;
+    const sim::SimTime horizon = sim::kMillisecond;
+    {
+        rt::ClusterRuntime rt{fabric(4, 8)};
+        kv::KvServiceOptions opts;
+        opts.server_host = 0;
+        opts.client_hosts = {4, 5, 6, 7};
+        kv::KvService svc{rt, opts};
+        rt::FabricSampler sampler{rt, 50 * sim::kMicrosecond};
+        svc.install_probes(sampler);
+        sampler.start(horizon);
+        svc.set_slo({});
+        svc.run(wl);
+    }
+    {
+        rt::ClusterRuntime rt{fabric(4, 8)};
+        ShardedKvService svc{rt, two_rack_options()};
+        rt::FabricSampler sampler{rt, 50 * sim::kMicrosecond};
+        svc.install_probes(sampler);
+        sampler.start(horizon);
+        svc.set_slo({});
+        svc.run(wl);
+    }
+
+    std::set<std::tuple<std::string, std::string, std::string>> metrics;
+    for (const auto& e : trace::metrics().entries()) {
+        metrics.emplace(e.name, e.tenant, e.node);
+    }
+    const std::tuple<std::string, std::string, std::string> expected_metrics[] = {
+        {"kv.gets_sent", "kv", ""},
+        {"kv.get_replies", "kv", ""},
+        {"kv.switch_hits", "kv", ""},
+        {"kv.retransmits", "kv", ""},
+        {"kv.abandoned", "kv", ""},
+        {"kv.server_gets", "kv", "server"},
+        {"kv.get_latency_ns", "kv", ""},
+        {"kv.put_latency_ns", "kv", ""},
+        {"slo.met", "kv", ""},
+        {"shardedkv.gets_sent", "shardedkv", ""},
+        {"shardedkv.get_replies", "shardedkv", ""},
+        {"shardedkv.switch_hits", "shardedkv", ""},
+        {"shardedkv.edge_hits", "shardedkv", ""},
+        {"shardedkv.nacks", "shardedkv", ""},
+        {"shardedkv.retransmits", "shardedkv", ""},
+        {"shardedkv.abandoned", "shardedkv", ""},
+        {"shardedkv.gets_steered", "shardedkv", "directory"},
+        {"shardedkv.puts_steered", "shardedkv", "directory"},
+        {"shardedkv.invalidations_sent", "shardedkv", "directory"},
+        {"shardedkv.server_gets", "shardedkv", "shard0"},
+        {"shardedkv.server_gets", "shardedkv", "shard1"},
+        {"shardedkv.get_latency_ns", "shardedkv", ""},
+        {"slo.met", "shardedkv", ""},
+    };
+    for (const auto& m : expected_metrics) {
+        EXPECT_TRUE(metrics.contains(m)) << std::get<0>(m) << "/" << std::get<1>(m)
+                                         << "/" << std::get<2>(m);
+    }
+
+    std::set<std::pair<std::string, std::string>> tracks;
+    for (const auto& ts : trace::timeseries().series()) tracks.emplace(ts.name(), ts.node());
+    const std::pair<std::string, std::string> expected_tracks[] = {
+        {"kv.cache_hits", "leaf0"},
+        {"kv.cache_misses", "leaf0"},
+        {"kv.retransmits", "kv-clients"},
+        {"kv.abandoned", "kv-clients"},
+        {"shardedkv.rack_hits", "shard0"},
+        {"shardedkv.rack_hits", "shard1"},
+        {"shardedkv.edge_hits", "edges"},
+        {"shardedkv.retransmits", "kv-clients"},
+    };
+    for (const auto& t : expected_tracks) {
+        EXPECT_TRUE(tracks.contains(t)) << t.first << "@" << t.second;
+    }
+    trace::metrics().clear();
+    trace::timeseries().clear();
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -228,7 +229,8 @@ TEST(EnvParsing, TraceEnvGrammar) {
     EXPECT_EQ(cfg.mode, Mode::kDisabled);
 
     // Junk: unrecognized AND disabled (never a silent fallback mode).
-    for (const char* junk : {"yes", "ring:", "ring:-5", "ring:abc", "ring:12x", "FULL"}) {
+    for (const char* junk : {"yes", "ring:", "ring:-5", "ring:abc", "ring:12x", "FULL",
+                             "ring:99999999999999999999"}) {
         cfg = trace::parse_trace_env(junk);
         EXPECT_FALSE(cfg.recognized) << junk;
         EXPECT_EQ(cfg.mode, Mode::kDisabled) << junk;
@@ -250,6 +252,30 @@ TEST(EnvParsing, LogLevelGrammar) {
     EXPECT_FALSE(ok);
     EXPECT_EQ(detail::parse_log_level("WARN", ok), LogLevel::kWarn);
     EXPECT_FALSE(ok);
+}
+
+// A junk DAIET_TRACE or DAIET_LOG_LEVEL exits 2 with a message naming
+// the variable, like DAIET_SCALE and DAIET_THREADS, instead of running
+// untraced or at the default level.
+TEST(EnvParsingDeathTest, JunkTraceEnvExits2) {
+    for (const char* junk : {"yes", "ring:99999999999999999999"}) {
+        EXPECT_EXIT(
+            {
+                setenv("DAIET_TRACE", junk, 1);
+                trace::trace_env();
+            },
+            ::testing::ExitedWithCode(2), "DAIET_TRACE")
+            << junk;
+    }
+}
+
+TEST(EnvParsingDeathTest, JunkLogLevelExits2) {
+    EXPECT_EXIT(
+        {
+            setenv("DAIET_LOG_LEVEL", "loud", 1);
+            detail::log_level_from_env();
+        },
+        ::testing::ExitedWithCode(2), "DAIET_LOG_LEVEL");
 }
 
 TEST(EnvParsing, ScaleGrammar) {

@@ -38,8 +38,7 @@ rt::ClusterOptions fabric_options() {
 Cell run_cell(double zipf_s, std::size_t cache_slots, std::size_t requests) {
     rt::ClusterRuntime rt{fabric_options()};
     kv::KvServiceOptions svc_opts;
-    svc_opts.cache_enabled = cache_slots > 0;
-    if (cache_slots > 0) svc_opts.config.cache_slots = cache_slots;
+    svc_opts.config.cache_slots = cache_slots;
     kv::KvService svc{rt, svc_opts};
 
     kv::KvWorkload workload;

@@ -276,7 +276,7 @@ int main() {
         .integer("closed_loop_window", kWindow)
         .integer("parity_request_interval_us", 15)
         .integer("cache_slots", 64)
-        .integer("num_ranges", 64)
+        .integer("num_ranges", dir::kNumRanges)
         .integer("clients", 4)
         .number("scale", bench::scale_factor());
     bool healthy = true;
@@ -340,7 +340,7 @@ int main() {
         kv::KvServiceOptions opts;
         opts.server_host = 0;
         opts.client_hosts = {8, 9, 10, 11};
-        opts.cache_enabled = false;
+        opts.config.cache_slots = 0;
         kv::KvService svc{rt, opts};
         svc.run(wl);
         reference = signatures(svc);

@@ -1,6 +1,7 @@
 // Helpers shared by the figure-reproduction harnesses.
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -64,8 +65,12 @@ inline std::optional<std::size_t> thread_cap() {
     std::exit(2);
 }
 
+/// `base` scaled by scale_factor(), never below 1: a count a bench
+/// scales is a size it needs, so a tiny DAIET_SCALE shrinks it to one
+/// instead of to nothing.
 inline std::size_t scaled(std::size_t base) {
-    return static_cast<std::size_t>(static_cast<double>(base) * scale_factor());
+    return std::max<std::size_t>(
+        1, static_cast<std::size_t>(static_cast<double>(base) * scale_factor()));
 }
 
 }  // namespace daiet::bench

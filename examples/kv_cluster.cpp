@@ -80,8 +80,7 @@ kv::KvServiceOptions kv_options(bool cached) {
     kv::KvServiceOptions opts;
     opts.server_host = 0;
     opts.client_hosts = {1, 2, 3, 4};
-    opts.cache_enabled = cached;
-    opts.config.cache_slots = 128;
+    opts.config.cache_slots = cached ? 128 : 0;
     return opts;
 }
 

@@ -1,60 +1,25 @@
-// Deployment configuration for the directory tenant and the edge reply
-// caches of the sharded kv service.
+// Deployment configuration for the edge reply caches of the sharded kv
+// service.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "netsim/time.hpp"
 
 namespace daiet::dir {
 
-struct DirectoryConfig {
-    /// Identity of the service (folded into its virtual address): one
-    /// fabric can host several sharded kv services, each with its own
-    /// directory tenant and address.
-    std::uint32_t service_id{1};
-
-    /// UDP port the kv service listens on — requests to the service
-    /// vaddr carry it as their destination port, exactly like requests
-    /// to an unsharded server (the directory is invisible to clients
-    /// the way the NetCache switch is). Must match KvConfig.
-    std::uint16_t server_udp_port{5100};
-
-    /// Partition buckets of the keyspace. Each range is owned by
-    /// exactly one storage rack; migration moves one range at a time.
-    /// The SRAM-charged owner table has one cell per range.
-    std::size_t num_ranges{64};
-
-    /// How long phase 1 of a range migration (NACK new requests) lasts
-    /// before phase 2 (copy keys, flip the owner): the window in which
-    /// requests already steered *past* the directory drain out of the
-    /// fabric. Bounded by the directory->server path delay plus
-    /// queueing, not by the RTO — a retransmission re-crosses the
-    /// directory and is NACKed, never steered stale.
-    sim::SimTime migration_drain{120 * sim::kMicrosecond};
-};
-
 struct EdgeCacheConfig {
     /// Direct-mapped reply-cache slots per edge switch (key, value,
     /// lease expiry, epoch and forwarded-GET bookkeeping registers are
-    /// all sized by this).
+    /// all sized by this). 0 means no edge caches: no edge tenant is
+    /// built (the lease ablation).
     std::size_t slots{256};
-
-    /// Cells in the (client, seq) tag filter that recognizes replayed
-    /// lease invalidations (a retransmitted PUT re-crossing the
-    /// directory re-broadcasts its invalidation).
-    std::size_t inval_dedup_cells{1024};
 
     /// Lease duration granted to a cached reply. A hit must clear both
     /// the lease clock and the invalidation protocol; expiry bounds
     /// how long a *partitioned* edge (one no invalidation can reach)
     /// may serve a value, the classic lease argument.
     sim::SimTime lease_ttl{400 * sim::kMicrosecond};
-
-    /// Must match the directory's num_ranges (lease grants/revokes are
-    /// per range).
-    std::size_t num_ranges{64};
 };
 
 }  // namespace daiet::dir

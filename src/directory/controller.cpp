@@ -66,7 +66,7 @@ bool DirectoryController::migrate(std::size_t range, std::size_t to_shard) {
     // assumption, not a fence.
     kv::KvStoreServer* from = shards_[static_cast<std::size_t>(from_shard)].server;
     sim_->schedule_after(
-        directory_->config().migration_drain, [this, range, to_shard, from] {
+        kMigrationDrain, [this, range, to_shard, from] {
             kv::KvStoreServer* to = shards_[to_shard].server;
             std::vector<std::pair<Key16, WireValue>> moved;
             for (const auto& [key, value] : from->store()) {
@@ -89,8 +89,7 @@ bool DirectoryController::migrate(std::size_t range, std::size_t to_shard) {
             // violated assumption visible) — then retire the old
             // copies for good.
             sim_->schedule_after(
-                directory_->config().migration_drain,
-                [this, to, from, moved = std::move(moved)] {
+                kMigrationDrain, [this, to, from, moved = std::move(moved)] {
                     for (const auto& [key, value] : moved) {
                         const auto it = from->store().find(key);
                         if (it == from->store().end()) continue;

@@ -83,8 +83,16 @@ public:
     /// Which shard (index) owns `range` right now; -1 mid-migration.
     int shard_of(std::size_t range) const;
 
+    /// How long phase 1 of a range migration (NACK new requests) lasts
+    /// before phase 2 (copy keys, flip the owner): the window in which
+    /// requests already steered *past* the directory drain out of the
+    /// fabric. Bounded by the directory->server path delay plus
+    /// queueing, not by the RTO — a retransmission re-crosses the
+    /// directory and is NACKed, never steered stale.
+    static constexpr sim::SimTime kMigrationDrain = 120 * sim::kMicrosecond;
+
     /// Start migrating `range` to `to_shard` (two-phase, completes
-    /// `migration_drain` later on the simulator). Returns false — and
+    /// kMigrationDrain later on the simulator). Returns false — and
     /// does nothing — when a migration is already in flight, the range
     /// is already there, or the range is unowned.
     bool migrate(std::size_t range, std::size_t to_shard);

@@ -25,15 +25,11 @@ std::size_t tag_cell(dp::PacketContext& ctx, std::uint64_t tag,
 }  // namespace
 
 EdgeCacheSwitchProgram::EdgeCacheSwitchProgram(EdgeCacheConfig config,
-                                               sim::HostAddr service,
-                                               std::uint16_t server_udp_port,
                                                sim::Node& node,
                                                dp::PipelineSwitch& chip,
                                                std::shared_ptr<FabricRouter> router)
     : TenantProgram{std::move(router)},
       config_{config},
-      service_{service},
-      server_udp_port_{server_udp_port},
       node_{&node},
       keys_{"edge.keys", std::max<std::size_t>(config.slots, 1), chip.sram()},
       values_{"edge.values", std::max<std::size_t>(config.slots, 1), chip.sram()},
@@ -44,12 +40,9 @@ EdgeCacheSwitchProgram::EdgeCacheSwitchProgram(EdgeCacheConfig config,
       fwd_epoch_{"edge.fwd_epoch", std::max<std::size_t>(config.slots, 1),
                  chip.sram()},
       fwd_gen_{"edge.fwd_gen", std::max<std::size_t>(config.slots, 1), chip.sram()},
-      granted_{"edge.granted", std::max<std::size_t>(config.num_ranges, 1),
-               chip.sram()},
-      inval_seen_{"edge.inval_seen",
-                  std::max<std::size_t>(config.inval_dedup_cells, 1), chip.sram()} {
+      granted_{"edge.granted", kNumRanges, chip.sram()},
+      inval_seen_{"edge.inval_seen", kInvalDedupCells, chip.sram()} {
     DAIET_EXPECTS(config.slots > 0);
-    DAIET_EXPECTS(config.num_ranges > 0);
     keys_.fill(Key16{});
     values_.fill(0);
     valid_.fill(0);
@@ -80,13 +73,13 @@ bool EdgeCacheSwitchProgram::claims(const sim::ParsedFrame& frame,
         return looks_like_directory(payload);
     }
     // Requests from our clients toward the service vaddr.
-    if (frame.ip.dst == service_ && frame.udp->dst_port == server_udp_port_ &&
+    if (frame.ip.dst == kServiceVaddr && frame.udp->dst_port == kv::kServerUdpPort &&
         clients_.contains(frame.ip.src)) {
         return kv::looks_like_kv(payload);
     }
     // Replies from the service (any rack server, or the service vaddr
     // itself when a rack ToR cache impersonated it) toward our clients.
-    if (frame.udp->src_port == server_udp_port_ &&
+    if (frame.udp->src_port == kv::kServerUdpPort &&
         clients_.contains(frame.ip.dst)) {
         return kv::looks_like_kv(payload);
     }
@@ -119,7 +112,7 @@ bool EdgeCacheSwitchProgram::on_claimed(dp::PacketContext& ctx,
 
     ctx.count_op(dp::OpKind::kParse);  // kv header
     const kv::KvMessage msg = kv::parse_kv(payload);
-    const bool toward_service = frame.ip.dst == service_;
+    const bool toward_service = frame.ip.dst == kServiceVaddr;
 
     // --- GET from one of our clients ----------------------------------------
     if (toward_service && msg.op == kv::KvOp::kGet) {
@@ -240,7 +233,7 @@ void EdgeCacheSwitchProgram::serve_hit(dp::PacketContext& ctx,
 
     const auto payload = kv::serialize_kv(reply);
     auto out_frame = sim::build_udp_frame(frame.ip.dst, frame.ip.src,
-                                          server_udp_port_,
+                                          kv::kServerUdpPort,
                                           frame.udp->src_port, payload);
     if (trace::enabled()) {
         auto& t = trace::tracer();

@@ -83,12 +83,15 @@ public:
     /// dp::ResourceError when the chip is full). `node` is the switch
     /// this chip sits in: the tenant consumes invalidations addressed
     /// to edge_vaddr(node.id()) and reads the chip's clock for lease
-    /// expiry. `service` is the service vaddr whose traffic this edge
-    /// fronts.
-    EdgeCacheSwitchProgram(EdgeCacheConfig config, sim::HostAddr service,
-                           std::uint16_t server_udp_port, sim::Node& node,
+    /// expiry. It fronts the traffic to kServiceVaddr.
+    EdgeCacheSwitchProgram(EdgeCacheConfig config, sim::Node& node,
                            dp::PipelineSwitch& chip,
                            std::shared_ptr<FabricRouter> router);
+
+    /// Cells in the (client, seq) tag filter that recognizes replayed
+    /// lease invalidations (a retransmitted PUT re-crossing the
+    /// directory re-broadcasts its invalidation).
+    static constexpr std::size_t kInvalDedupCells = 1024;
 
     // --- data plane ---------------------------------------------------------
     bool claims(const sim::ParsedFrame& frame,
@@ -96,9 +99,9 @@ public:
     bool on_claimed(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
                     std::span<const std::byte> payload) override;
     /// Invalidations arrive on the directory port, client requests on
-    /// the service's server port.
+    /// the kv server port.
     std::vector<std::uint16_t> claim_ports() const override {
-        return {kDirectoryUdpPort, server_udp_port_};
+        return {kDirectoryUdpPort, kv::kServerUdpPort};
     }
     std::string name() const override {
         return "edgecache@" + std::to_string(node_->id());
@@ -140,8 +143,6 @@ private:
     sim::SimTime now() const noexcept;
 
     EdgeCacheConfig config_;
-    sim::HostAddr service_;
-    std::uint16_t server_udp_port_;
     sim::Node* node_;
     std::unordered_set<sim::HostAddr> clients_;
 

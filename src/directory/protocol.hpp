@@ -28,6 +28,7 @@
 //     has since refreshed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -46,14 +47,16 @@ inline constexpr std::uint16_t kDirectoryMagic = 0xD17C;
 /// NACK for a server reply.
 inline constexpr std::uint16_t kDirectoryUdpPort = 5140;
 
-/// Virtual address of a sharded kv *service* (what clients address).
+/// Virtual address of the sharded kv *service* (what clients address).
 /// Routed toward the directory switch; disjoint from host addresses
 /// and from the telemetry (0xF...) and edge (0xE...) vaddr spaces.
-inline constexpr sim::HostAddr kServiceAddrBase = 0xD0000000u;
+inline constexpr sim::HostAddr kServiceVaddr = 0xD0000001u;
 
-constexpr sim::HostAddr service_vaddr(std::uint32_t service_id) noexcept {
-    return kServiceAddrBase | service_id;
-}
+/// Partition buckets of the keyspace. Each range is owned by exactly
+/// one storage rack; migration moves one range at a time. The
+/// directory's SRAM-charged owner table and every edge cache's lease
+/// table have one cell per range.
+inline constexpr std::size_t kNumRanges = 64;
 
 /// Virtual address of an edge switch's reply cache (where the
 /// directory sends lease invalidations).

@@ -41,18 +41,15 @@ ShardedKvService::ShardedKvService(rt::ClusterRuntime& rt, ShardedKvOptions opti
             "shardedkv",
             options.config,
             options.server_hosts,
-            options.rack_caches,
             options.client_hosts,
-            service_vaddr(options.directory.service_id),
+            kServiceVaddr,
             [this](const Key16& key) {
                 const int shard =
                     controller_->shard_of(range_of_key(key, directory_->num_ranges()));
                 DAIET_EXPECTS(shard >= 0);  // never preload mid-migration
                 return static_cast<std::size_t>(shard);
             }} {
-    options.edge.num_ranges = options.directory.num_ranges;
     sim::Network& net = rt.network();
-    const sim::HostAddr service = service_vaddr(options.directory.service_id);
 
     // --- the directory switch -----------------------------------------------
     // The first programmable switch that is no host's edge (a spine): the
@@ -74,15 +71,14 @@ ShardedKvService::ShardedKvService(rt::ClusterRuntime& rt, ShardedKvOptions opti
             "fat-tree)"};
     }
     directory_node_ = (*it)->id();
-    directory_ = std::make_shared<DirectorySwitchProgram>(
-        options.directory, rt.chip_at(directory_node_),
-        rt.router_at(directory_node_));
+    directory_ = std::make_shared<DirectorySwitchProgram>(rt.chip_at(directory_node_),
+                                                          rt.router_at(directory_node_));
     rt.add_tenant(directory_node_, directory_);
-    net.install_switch_address(**it, service);
+    net.install_switch_address(**it, kServiceVaddr);
 
     // --- edge reply caches --------------------------------------------------
     std::vector<std::pair<const sim::Node*, sim::HostAddr>> edge_vaddrs;
-    if (options.edge_caches) {
+    if (options.edge.slots > 0) {
         std::unordered_map<sim::NodeId, EdgeCacheSwitchProgram*> by_node;
         for (const std::size_t i : core_.client_hosts_) {
             sim::Host& host = rt.host(i);
@@ -97,8 +93,7 @@ ShardedKvService::ShardedKvService(rt::ClusterRuntime& rt, ShardedKvOptions opti
             auto at = by_node.find(sw->id());
             if (at == by_node.end()) {
                 auto program = std::make_shared<EdgeCacheSwitchProgram>(
-                    options.edge, service, options.config.server_udp_port,
-                    *sw, rt.chip_at(sw->id()), rt.router_at(sw->id()));
+                    options.edge, *sw, rt.chip_at(sw->id()), rt.router_at(sw->id()));
                 rt.add_tenant(sw->id(), program);
                 at = by_node.emplace(sw->id(), program.get()).first;
                 edges_.push_back(std::move(program));

@@ -42,18 +42,16 @@
 namespace daiet::dir {
 
 struct ShardedKvOptions {
+    /// config.cache_slots == 0: no per-rack ToR caches (the
+    /// sharding-only ablation).
     kv::KvConfig config{};
-    DirectoryConfig directory{};
+    /// edge.slots == 0: no client-side edge caches (the lease ablation).
     EdgeCacheConfig edge{};
     /// Indices (into ClusterRuntime::hosts()) of the storage servers,
     /// one per rack. Place them on distinct leaves for real sharding.
     std::vector<std::size_t> server_hosts{0};
     /// Client host indices; empty = every host that is not a server.
     std::vector<std::size_t> client_hosts;
-    /// false: no per-rack ToR caches (the sharding-only ablation).
-    bool rack_caches{true};
-    /// false: no client-side edge caches (the lease ablation).
-    bool edge_caches{true};
 };
 
 /// Fabric-wide results of one sharded workload run: everything the

@@ -10,16 +10,11 @@
 
 namespace daiet::dir {
 
-DirectorySwitchProgram::DirectorySwitchProgram(DirectoryConfig config,
-                                               dp::PipelineSwitch& chip,
+DirectorySwitchProgram::DirectorySwitchProgram(dp::PipelineSwitch& chip,
                                                std::shared_ptr<FabricRouter> router)
     : TenantProgram{std::move(router)},
-      config_{config},
-      owners_{"dir.owners", std::max<std::size_t>(config.num_ranges, 1),
-              chip.sram()},
-      range_hits_{"dir.range_hits", std::max<std::size_t>(config.num_ranges, 1),
-                  chip.sram()} {
-    DAIET_EXPECTS(config.num_ranges > 0);
+      owners_{"dir.owners", kNumRanges, chip.sram()},
+      range_hits_{"dir.range_hits", kNumRanges, chip.sram()} {
     owners_.fill(0);
     range_hits_.fill(0);
 }
@@ -31,7 +26,7 @@ bool DirectorySwitchProgram::claims(const sim::ParsedFrame& frame,
     // come back through here; the directory's own NACK/INVALIDATE
     // frames carry the directory port, not the service port.
     return frame.udp.has_value() &&
-           frame.udp->dst_port == config_.server_udp_port &&
+           frame.udp->dst_port == kv::kServerUdpPort &&
            frame.ip.dst == service_addr() && kv::looks_like_kv(payload);
 }
 

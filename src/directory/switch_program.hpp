@@ -47,7 +47,6 @@
 #include "core/tenancy.hpp"
 #include "dataplane/pipeline_switch.hpp"
 #include "dataplane/register_array.hpp"
-#include "directory/config.hpp"
 #include "directory/protocol.hpp"
 #include "kvcache/protocol.hpp"
 
@@ -67,7 +66,7 @@ public:
     /// chip's SRAM book (throws dp::ResourceError when the chip is
     /// full). All ranges start unowned (owner 0 = NACK) until the
     /// DirectoryController installs a mapping.
-    DirectorySwitchProgram(DirectoryConfig config, dp::PipelineSwitch& chip,
+    DirectorySwitchProgram(dp::PipelineSwitch& chip,
                            std::shared_ptr<FabricRouter> router);
 
     // --- data plane ---------------------------------------------------------
@@ -76,19 +75,15 @@ public:
     bool on_claimed(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
                     std::span<const std::byte> payload) override;
     std::vector<std::uint16_t> claim_ports() const override {
-        return {config_.server_udp_port};
+        return {kv::kServerUdpPort};
     }
-    std::string name() const override {
-        return "directory@svc" + std::to_string(config_.service_id);
-    }
+    std::string name() const override { return "directory@svc1"; }
     std::size_t sram_bytes() const override {
         return owners_.footprint_bytes() + range_hits_.footprint_bytes();
     }
 
     // --- control plane (the DirectoryController's API) ----------------------
-    sim::HostAddr service_addr() const noexcept {
-        return service_vaddr(config_.service_id);
-    }
+    sim::HostAddr service_addr() const noexcept { return kServiceVaddr; }
 
     /// Point `range` at the storage server `owner` (0 = unowned: the
     /// dataplane NACKs until a new owner is installed — the migration
@@ -109,7 +104,6 @@ public:
     void reset_range_load() { range_hits_.fill(0); }
 
     const DirectoryStats& stats() const noexcept { return stats_; }
-    const DirectoryConfig& config() const noexcept { return config_; }
 
 private:
     void send_nack(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
@@ -117,7 +111,6 @@ private:
     void broadcast_invalidate(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
                               const kv::KvMessage& msg);
 
-    DirectoryConfig config_;
     dp::RegisterArray<sim::HostAddr> owners_;     ///< range -> server (0=none)
     dp::RegisterArray<std::uint32_t> range_hits_; ///< steered per range
     std::vector<std::pair<sim::HostAddr, dp::PortId>> edges_;

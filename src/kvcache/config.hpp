@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "netsim/time.hpp"
 #include "transport/request_reply.hpp"
@@ -10,41 +9,15 @@
 namespace daiet::kv {
 
 struct KvConfig {
-    /// UDP port the storage server listens on; GET/PUT requests carry
-    /// it as their destination port, which is how switch caches
-    /// classify kv traffic (the NetCache trick: the cache is invisible
-    /// to clients, it impersonates the server).
-    std::uint16_t server_udp_port{5100};
-
-    /// UDP port clients bind for replies (one kv client per host).
-    std::uint16_t client_udp_port{5101};
-
-    /// Cache entries per switch (key -> value register slots). 0
-    /// disables in-network caching entirely (the baseline).
+    /// Cache entries per switch (key -> value register slots). 0 means
+    /// no cache: no ToR tenant and no controller are built, and every
+    /// request is served by the server (the baseline).
     std::size_t cache_slots{512};
-
-    /// Cells in the hashed in-flight-write register (outstanding PUTs
-    /// between this switch and their returning ACKs, the coherence
-    /// guard for promotion).
-    std::size_t write_flight_cells{4096};
-
-    /// Cells in each of the two (client, seq) tag filters the cache
-    /// switch uses to tell retransmitted PUTs and replayed PUT_ACKs
-    /// from distinct ones — the registers that keep the coherence
-    /// counters idempotent on lossy fabrics.
-    std::size_t dedup_cells{4096};
 
     /// Client-side retry transport (RTO, attempt budget). The kv
     /// service runs on lossy fabrics by retransmitting at the edge and
     /// deduplicating everywhere else.
     transport::RetryOptions retry{};
-
-    /// How long a client waits after a directory NACK (the request hit
-    /// a key range that is mid-migration) before nudging its retry
-    /// channel into an immediate retransmission. Long enough that a
-    /// handful of retries spans a range migration's drain window,
-    /// short enough to beat the RTO by an order of magnitude.
-    sim::SimTime nack_retry_delay{25 * sim::kMicrosecond};
 
     /// Per-request service time of the storage server's (single)
     /// worker: the userspace stack + storage lookup a switch cache

@@ -37,6 +37,16 @@ namespace daiet::kv {
 
 inline constexpr std::uint16_t kKvMagic = 0xCAC4;
 
+/// UDP port the storage server listens on. GET/PUT requests carry it as
+/// their destination port, which is how every switch tenant classifies
+/// kv traffic: the rack cache (the NetCache trick: invisible to
+/// clients, it impersonates the server), the directory, the edge
+/// caches and the telemetry sketch.
+inline constexpr std::uint16_t kServerUdpPort = 5100;
+
+/// UDP port clients bind for replies (one kv client per host).
+inline constexpr std::uint16_t kClientUdpPort = 5101;
+
 enum class KvOp : std::uint8_t {
     kGet = 1,
     kGetReply = 2,

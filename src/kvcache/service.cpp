@@ -48,7 +48,7 @@ std::vector<KvOpSpec> client_op_stream(const KvWorkload& workload, std::size_t c
         op.key = KvService::key_of(lo + rank);
         op.value = static_cast<WireValue>((ci + 1) * 1000003u +
                                           static_cast<std::uint32_t>(r));
-        op.at = workload.start + ci * workload.client_stagger +
+        op.at = workload.start + ci * kClientStagger +
                 r * workload.request_interval;
         ops.push_back(op);
     }
@@ -76,13 +76,12 @@ KvService::KvService(rt::ClusterRuntime& rt, KvServiceOptions options)
                 "kv",
                 options.config,
                 {options.server_host},
-                options.cache_enabled,
                 std::move(options.client_hosts),
                 rt.host(options.server_host).addr(),
                 [](const Key16&) { return std::size_t{0}; }} {}
 
 KvService::KvService(rt::ClusterRuntime& rt, std::string name, const KvConfig& config,
-                     const std::vector<std::size_t>& server_hosts, bool rack_caches,
+                     const std::vector<std::size_t>& server_hosts,
                      std::vector<std::size_t> client_hosts, sim::HostAddr client_target,
                      RackOf rack_of)
     : rt_{&rt},
@@ -100,7 +99,7 @@ KvService::KvService(rt::ClusterRuntime& rt, std::string name, const KvConfig& c
         Rack& rack = racks_.emplace_back();
         rack.host = s;
         rack.server = std::make_unique<KvStoreServer>(host, config);
-        if (!rack_caches) continue;
+        if (config.cache_slots == 0) continue;  // no cache: no tenant, no controller
         // Lossy fabrics are fine: the retry transport retransmits at
         // the clients, the server deduplicates via its reply cache, and
         // the switch drains its coherence counters on distinct ACKs
@@ -113,7 +112,7 @@ KvService::KvService(rt::ClusterRuntime& rt, std::string name, const KvConfig& c
         if (sw == nullptr) {
             throw std::runtime_error{
                 "KvService: a storage rack's edge switch is not programmable "
-                "(build the cluster with daiet=true or disable the cache)"};
+                "(build the cluster with daiet=true or set config.cache_slots to 0)"};
         }
         rack.tor = sw;
         rack.cache = std::make_shared<KvCacheSwitchProgram>(
@@ -187,7 +186,7 @@ void KvService::schedule(const KvWorkload& workload) {
     // none does.
     if (racks_.front().controller != nullptr && workload.rebalance_interval > 0) {
         const sim::SimTime horizon =
-            workload.start + n_clients * workload.client_stagger +
+            workload.start + n_clients * kClientStagger +
             workload.requests_per_client * workload.request_interval;
         // A promotion pass reads each rack's store and pokes the cache
         // program on that rack's ToR. One rack and its ToR always share

@@ -2,7 +2,7 @@
 //
 // Wires the pieces together the way JobDriver does for aggregation
 // jobs: N >= 1 storage racks, each a KvStoreServer host, a KvClient on
-// every other (chosen) host, and — when caching is enabled — a
+// every other (chosen) host, and — unless config.cache_slots is 0 — a
 // KvCacheSwitchProgram per rack, attached through the runtime's
 // switch-program registry to the server's edge switch (the one switch
 // every request to that rack crosses, which is what makes
@@ -52,10 +52,10 @@ struct KvServiceOptions {
     std::size_t server_host{0};
     /// Client host indices; empty = every host except the server.
     std::vector<std::size_t> client_hosts;
-    /// false: no switch program, no controller — the baseline where
-    /// every request is served by the server.
-    bool cache_enabled{true};
 };
+
+/// Distinct clients start their request streams this far apart.
+inline constexpr sim::SimTime kClientStagger = 500 * sim::kNanosecond;
 
 struct KvWorkload {
     std::size_t num_keys{1024};
@@ -70,8 +70,6 @@ struct KvWorkload {
     bool partition_keys{false};
     sim::SimTime start{0};
     sim::SimTime request_interval{2 * sim::kMicrosecond};
-    /// Distinct clients start this far apart.
-    sim::SimTime client_stagger{500 * sim::kNanosecond};
     /// Controller rebalance cadence; 0 = never rebalance.
     sim::SimTime rebalance_interval{100 * sim::kMicrosecond};
     /// Hot-set drift: every `hotset_rotate_every` requests (per client)
@@ -160,14 +158,14 @@ public:
     KvStoreServer& server(std::size_t rack = 0) { return *at(rack).server; }
     std::size_t num_clients() const noexcept { return clients_.size(); }
     KvClient& client(std::size_t i);
-    /// The rack's cache tenant and its controller; nullptr when the
-    /// cache is disabled.
+    /// The rack's cache tenant and its controller; nullptr when
+    /// config.cache_slots is 0.
     KvCacheSwitchProgram* cache(std::size_t rack = 0) const { return at(rack).cache.get(); }
     KvCacheController* controller(std::size_t rack = 0) const {
         return at(rack).controller.get();
     }
     /// The switch hosting the rack's cache tenant (its server's edge
-    /// switch); 0 when the cache is disabled.
+    /// switch); 0 when config.cache_slots is 0.
     sim::NodeId cache_node(std::size_t rack = 0) const {
         return at(rack).tor != nullptr ? at(rack).tor->id() : 0;
     }
@@ -222,12 +220,12 @@ private:
     using RackOf = std::function<std::size_t(const Key16&)>;
 
     /// The N-rack core: one KvStoreServer per `server_hosts` entry, each
-    /// fronted by a ToR cache when `rack_caches`, then one client per
-    /// `client_hosts` entry (empty = every host that is not a server)
-    /// sending to `client_target`. `name` prefixes the published
+    /// fronted by a ToR cache unless config.cache_slots is 0, then one
+    /// client per `client_hosts` entry (empty = every host that is not
+    /// a server) sending to `client_target`. `name` prefixes the published
     /// metrics and probes and is the default SLO service.
     KvService(rt::ClusterRuntime& rt, std::string name, const KvConfig& config,
-              const std::vector<std::size_t>& server_hosts, bool rack_caches,
+              const std::vector<std::size_t>& server_hosts,
               std::vector<std::size_t> client_hosts, sim::HostAddr client_target,
               RackOf rack_of);
 

@@ -13,14 +13,14 @@ namespace daiet::kv {
 
 KvStoreServer::KvStoreServer(sim::Host& host, KvConfig config)
     : host_{&host}, config_{config} {
-    host_->udp_bind(config_.server_udp_port,
+    host_->udp_bind(kServerUdpPort,
                     [this](sim::HostAddr src, std::uint16_t src_port,
                            std::span<const std::byte> payload) {
                         on_datagram(src, src_port, payload);
                     });
 }
 
-KvStoreServer::~KvStoreServer() { host_->udp_unbind(config_.server_udp_port); }
+KvStoreServer::~KvStoreServer() { host_->udp_unbind(kServerUdpPort); }
 
 sim::HostAddr KvStoreServer::addr() const noexcept { return host_->addr(); }
 
@@ -55,7 +55,7 @@ void KvStoreServer::on_datagram(sim::HostAddr src, std::uint16_t src_port,
             if (trace::enabled()) {
                 trace::tracer().annotate_next_tx(transport::request_tag(src, msg.seq));
             }
-            host_->udp_send(src, config_.server_udp_port, src_port,
+            host_->udp_send(src, kServerUdpPort, src_port,
                             serialize_kv(replay));
             return;
         }
@@ -109,7 +109,7 @@ void KvStoreServer::on_datagram(sim::HostAddr src, std::uint16_t src_port,
         if (trace::enabled()) {
             trace::tracer().annotate_next_tx(transport::request_tag(src, seq));
         }
-        host_->udp_send(src, config_.server_udp_port, src_port, wire);
+        host_->udp_send(src, kServerUdpPort, src_port, wire);
     });
 }
 
@@ -117,11 +117,9 @@ void KvStoreServer::on_datagram(sim::HostAddr src, std::uint16_t src_port,
 
 KvClient::KvClient(sim::Host& host, KvConfig config, sim::HostAddr server)
     : host_{&host},
-      config_{config},
       server_{server},
-      channel_{host, server, config.client_udp_port, config.server_udp_port,
-               config.retry} {
-    host_->udp_bind(config_.client_udp_port,
+      channel_{host, server, kClientUdpPort, kServerUdpPort, config.retry} {
+    host_->udp_bind(kClientUdpPort,
                     [this](sim::HostAddr src, std::uint16_t src_port,
                            std::span<const std::byte> payload) {
                         on_datagram(src, src_port, payload);
@@ -137,13 +135,13 @@ KvClient::KvClient(sim::Host& host, KvConfig config, sim::HostAddr server)
     };
 }
 
-KvClient::~KvClient() { host_->udp_unbind(config_.client_udp_port); }
+KvClient::~KvClient() { host_->udp_unbind(kClientUdpPort); }
 
 void KvClient::on_nack(std::uint32_t seq) {
     ++stats_.nacks;
     if (!req_of_seq_.contains(seq)) return;     // already completed/abandoned
     if (nack_timers_.contains(seq)) return;     // a retry is already pending
-    nack_timers_[seq] = host_->timer_after(config_.nack_retry_delay, [this, seq] {
+    nack_timers_[seq] = host_->timer_after(kNackRetryDelay, [this, seq] {
         nack_timers_.erase(seq);
         if (channel_.nudge(seq)) ++stats_.nack_retries;
     });

@@ -135,9 +135,17 @@ public:
 
     /// Binds the client UDP port on `host` (one kv client per host).
     KvClient(sim::Host& host, KvConfig config, sim::HostAddr server);
+
     ~KvClient();
     KvClient(const KvClient&) = delete;
     KvClient& operator=(const KvClient&) = delete;
+
+    /// How long a client waits after a directory NACK (the request hit
+    /// a key range that is mid-migration) before nudging its retry
+    /// channel into an immediate retransmission. Long enough that a
+    /// handful of retries spans a range migration's drain window,
+    /// short enough to beat the RTO by an order of magnitude.
+    static constexpr sim::SimTime kNackRetryDelay = 25 * sim::kMicrosecond;
 
     /// Issue a request; returns its request id.
     std::uint32_t get(const Key16& key);
@@ -181,7 +189,6 @@ private:
     std::uint32_t send(KvOp op, const Key16& key, WireValue value);
 
     sim::Host* host_;
-    KvConfig config_;
     sim::HostAddr server_;
     transport::RetryChannel channel_;
     std::uint32_t next_req_{1};

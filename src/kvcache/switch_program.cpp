@@ -26,7 +26,6 @@ KvCacheSwitchProgram::KvCacheSwitchProgram(KvConfig config, sim::HostAddr server
                                            dp::PipelineSwitch& chip,
                                            std::shared_ptr<FabricRouter> router)
     : TenantProgram{std::move(router)},
-      config_{config},
       server_{server},
       slots_{config.cache_slots},
       index_{"kv_cache", std::max<std::size_t>(config.cache_slots, 1), chip.sram()},
@@ -35,12 +34,9 @@ KvCacheSwitchProgram::KvCacheSwitchProgram(KvConfig config, sim::HostAddr server
       hits_{"kv.hits", std::max<std::size_t>(config.cache_slots, 1), chip.sram()},
       pending_{"kv.pending", std::max<std::size_t>(config.cache_slots, 1),
                chip.sram()},
-      write_flight_{"kv.write_flight",
-                    std::max<std::size_t>(config.write_flight_cells, 1), chip.sram()},
-      put_seen_{"kv.put_seen", std::max<std::size_t>(config.dedup_cells, 1),
-                chip.sram()},
-      ack_seen_{"kv.ack_seen", std::max<std::size_t>(config.dedup_cells, 1),
-                chip.sram()},
+      write_flight_{"kv.write_flight", kWriteFlightCells, chip.sram()},
+      put_seen_{"kv.put_seen", kDedupCells, chip.sram()},
+      ack_seen_{"kv.ack_seen", kDedupCells, chip.sram()},
       slot_key_(config.cache_slots) {
     DAIET_EXPECTS(config.cache_slots > 0);
     DAIET_EXPECTS(config.cache_slots <= 0xffff);
@@ -63,9 +59,9 @@ bool KvCacheSwitchProgram::claims(const sim::ParsedFrame& frame,
     // check keeps caches of different services (one per storage rack)
     // from answering for each other's keys on a shared fabric.
     if (!frame.udp) return false;
-    const bool to_server = frame.udp->dst_port == config_.server_udp_port &&
+    const bool to_server = frame.udp->dst_port == kServerUdpPort &&
                            frame.ip.dst == server_;
-    const bool from_server = frame.udp->src_port == config_.server_udp_port &&
+    const bool from_server = frame.udp->src_port == kServerUdpPort &&
                              frame.ip.src == server_;
     return (to_server || from_server) && looks_like_kv(payload);
 }
@@ -75,7 +71,7 @@ bool KvCacheSwitchProgram::on_claimed(dp::PacketContext& ctx,
                                       std::span<const std::byte> payload) {
     ctx.count_op(dp::OpKind::kParse);  // kv header
     const KvMessage msg = parse_kv(payload);
-    const bool toward_server = frame.udp->dst_port == config_.server_udp_port;
+    const bool toward_server = frame.udp->dst_port == kServerUdpPort;
 
     if (toward_server && msg.op == KvOp::kGet) {
         ++stats_.gets_seen;
@@ -240,7 +236,7 @@ void KvCacheSwitchProgram::serve_hit(dp::PacketContext& ctx,
 
     const auto payload = serialize_kv(reply);
     auto out_frame = sim::build_udp_frame(frame.ip.dst, frame.ip.src,
-                                          config_.server_udp_port,
+                                          kServerUdpPort,
                                           frame.udp->src_port, payload);
     // The in-network reply continues the request's causal trace.
     if (trace::enabled()) out_frame.set_trace_id(ctx.packet().frame().trace_id());

@@ -94,13 +94,23 @@ public:
     /// Reserves the cache index table and the value/valid/hit/pending
     /// register slots from the chip's SRAM book (throws
     /// dp::ResourceError when the chip is full). cache_slots must be
-    /// > 0 — a disabled cache is simply not attached. `server` scopes
+    /// > 0 — a zero-slot cache is simply not attached. `server` scopes
     /// the tenant: it only ever claims traffic to or from that
     /// address, so several kv services (one cache per storage rack)
     /// can share one fabric without answering for each other.
     KvCacheSwitchProgram(KvConfig config, sim::HostAddr server,
                          dp::PipelineSwitch& chip,
                          std::shared_ptr<FabricRouter> router);
+
+    /// Cells in the hashed in-flight-write register (outstanding PUTs
+    /// between this switch and their returning ACKs, the coherence
+    /// guard for promotion).
+    static constexpr std::size_t kWriteFlightCells = 4096;
+    /// Cells in each of the two (client, seq) tag filters that tell
+    /// retransmitted PUTs and replayed PUT_ACKs from distinct ones —
+    /// the registers that keep the coherence counters idempotent on
+    /// lossy fabrics.
+    static constexpr std::size_t kDedupCells = 4096;
 
     // --- data plane ---------------------------------------------------------
     bool claims(const sim::ParsedFrame& frame,
@@ -110,7 +120,7 @@ public:
     /// Claims in either direction carry the server port (dst on
     /// requests, src on replies).
     std::vector<std::uint16_t> claim_ports() const override {
-        return {config_.server_udp_port};
+        return {kServerUdpPort};
     }
     /// Instance-scoped ("kvcache@<server>"): one fabric can host one
     /// cache tenant per storage server, even behind a shared ToR.
@@ -154,7 +164,6 @@ public:
     void reset_flight_state();
 
     const KvCacheStats& stats() const noexcept { return stats_; }
-    const KvConfig& config() const noexcept { return config_; }
 
 private:
     /// Build and emit the switch-side reply out of the GET's ingress
@@ -162,7 +171,6 @@ private:
     void serve_hit(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
                    const KvMessage& msg, std::uint16_t slot);
 
-    KvConfig config_;
     sim::HostAddr server_;
     std::size_t slots_;
     dp::ExactMatchTable<Key16, std::uint16_t> index_;  ///< key -> slot

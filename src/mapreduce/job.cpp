@@ -18,6 +18,10 @@ namespace {
 
 constexpr std::uint16_t kTcpShufflePort = 6000;
 
+/// Application write granularity for the TCP baseline (spill-buffer
+/// chunk size; Nagle disabled, so this sets the segment size).
+constexpr std::size_t kTcpAppChunkBytes = 1024;
+
 /// Cluster + role assignment. All fabric wiring (switch programs,
 /// controller, tree layout) lives in the runtime; this struct only maps
 /// host slots onto mapper/reducer roles.
@@ -204,12 +208,12 @@ void run_tcp_shuffle(JobResult& result, Cluster& c,
                 for (std::size_t ri = 0; ri < r; ++ri) {
                     auto& conn =
                         c.mappers[mi]->tcp_connect(c.reducers[ri]->addr(), kTcpShufflePort);
-                    conn.on_established = [&conn, &file = sorted_files[mi][ri], &o] {
+                    conn.on_established = [&conn, &file = sorted_files[mi][ri]] {
                         const auto bytes = file.bytes();
                         for (std::size_t off = 0; off < bytes.size();
-                             off += o.tcp_app_chunk_bytes) {
+                             off += kTcpAppChunkBytes) {
                             const std::size_t n =
-                                std::min(o.tcp_app_chunk_bytes, bytes.size() - off);
+                                std::min(kTcpAppChunkBytes, bytes.size() - off);
                             conn.send(bytes.subspan(off, n));
                         }
                         conn.close();

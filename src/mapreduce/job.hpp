@@ -45,9 +45,6 @@ struct JobOptions {
     Config daiet{};
     /// Worker-level combiner in map tasks (ablation A7).
     bool worker_combiner{false};
-    /// Application write granularity for the TCP baseline (spill-buffer
-    /// chunk size; Nagle disabled, so this sets the segment size).
-    std::size_t tcp_app_chunk_bytes{1024};
     /// Ablation A8: let the TCP-baseline reducer exploit mapper-side
     /// sorting with a k-way merge instead of the default sort-based
     /// grouping that all reducers share.

@@ -58,14 +58,9 @@ void TreePool::release(TreeId id) {
 // ------------------------------------------------------- ClusterRuntime
 
 dp::SwitchConfig ClusterRuntime::switch_config_for(const Config& config,
-                                                   std::size_t ports,
-                                                   std::size_t sram_override) {
+                                                   std::size_t ports) {
     dp::SwitchConfig cfg;
     cfg.num_ports = static_cast<std::uint16_t>(ports + 2);
-    if (sram_override != 0) {
-        cfg.sram_bytes = sram_override;
-        return cfg;
-    }
     // SRAM sized like the paper's estimate: ~10 MB of register state is
     // "a reasonable amount of memory for a hardware P4 switch" (§5);
     // give the chip 2 MiB of headroom for the flow tables.
@@ -79,9 +74,7 @@ dp::SwitchConfig ClusterRuntime::switch_config_for(const Config& config,
 
 sim::Node* ClusterRuntime::add_switch(const std::string& name, std::size_t ports) {
     if (options_.daiet) {
-        auto& sw = net_->add_pipeline_switch(
-            name,
-            switch_config_for(options_.config, ports, options_.switch_sram_bytes));
+        auto& sw = net_->add_pipeline_switch(name, switch_config_for(options_.config, ports));
         daiet_switches_.push_back(&sw);
         return &sw;
     }
@@ -152,7 +145,7 @@ void ClusterRuntime::build_fat_tree() {
     if (options_.daiet) {
         topo = sim::make_fat_tree_pipeline(
             *net_, k,
-            switch_config_for(options_.config, k, options_.switch_sram_bytes),
+            switch_config_for(options_.config, k),
             options_.num_hosts, options_.link);
         for (const auto* tier : {&topo.cores, &topo.aggs, &topo.edges}) {
             for (sim::Node* node : *tier) {

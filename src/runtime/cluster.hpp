@@ -77,10 +77,6 @@ struct ClusterOptions {
     Config config{};
     sim::LinkParams link{};
     std::uint64_t seed{1};
-    /// Per-switch SRAM. 0 derives a budget from `config` (all trees'
-    /// register state plus 2 MiB of table headroom, the paper's ~10 MB
-    /// estimate at default configuration).
-    std::size_t switch_sram_bytes{0};
 };
 
 class ClusterRuntime {
@@ -158,9 +154,10 @@ public:
 
     /// The chip configuration the runtime gives each programmable
     /// switch: `ports` data ports plus headroom, SRAM sized for
-    /// `config`'s full tree complement (`sram_override` wins if != 0).
-    static dp::SwitchConfig switch_config_for(const Config& config, std::size_t ports,
-                                              std::size_t sram_override = 0);
+    /// `config`'s full tree complement (all trees' register state plus
+    /// 2 MiB of table headroom, the paper's ~10 MB estimate at default
+    /// configuration).
+    static dp::SwitchConfig switch_config_for(const Config& config, std::size_t ports);
 
 private:
     /// Everything the runtime holds per programmable switch: the chip's

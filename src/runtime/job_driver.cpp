@@ -114,7 +114,7 @@ void JobDriver::schedule_sends(const ProduceFn& produce) {
     const sim::SimTime base = rt_->now();
     for (std::size_t hi = 0; hi < work.size(); ++hi) {
         work[hi].host->simulator().schedule_at(
-            base + static_cast<sim::SimTime>(hi) * options_.sender_stagger,
+            base + static_cast<sim::SimTime>(hi) * kSenderStagger,
             [this, produce, hi, item = work[hi]] {
                 for (const auto& [g, mi] : item.sends) {
                     MapperSender tx{*item.host, rt_->options().config, trees_[g],

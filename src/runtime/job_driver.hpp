@@ -67,12 +67,13 @@ struct RoundStats {
 class JobDriver {
 public:
     struct Options {
-        /// Distinct sending hosts start this far apart (the §5 runs
-        /// stagger mappers by 1 us).
-        sim::SimTime sender_stagger{sim::kMicrosecond};
         /// Recovery budget per round; 0 = fail on the first dirty round.
         std::size_t max_restarts{0};
     };
+
+    /// Distinct sending hosts start this far apart (the §5 runs stagger
+    /// mappers by 1 us).
+    static constexpr sim::SimTime kSenderStagger = sim::kMicrosecond;
 
     /// Emit this round's pairs for (group, mapper-index) through `tx`.
     /// The driver flushes and ENDs the sender afterwards, so producing
@@ -112,7 +113,7 @@ public:
     /// distinct (one DAIET UDP port per host).
     Receivers bind_receivers();
     /// Schedule every (group, mapper) send; distinct hosts start
-    /// Options::sender_stagger apart in scheduling order.
+    /// kSenderStagger apart in scheduling order.
     void schedule_sends(const ProduceFn& produce);
     sim::SimTime run_to_quiescence() { return rt_->run(); }
     /// True when every receiver is complete and clean.

@@ -8,18 +8,15 @@
 
 namespace daiet::telemetry {
 
-TelemetryCollector::TelemetryCollector(sim::Host& host, TelemetryConfig config)
-    : host_{&host}, config_{config} {
-    host_->udp_bind(config_.collector_udp_port,
+TelemetryCollector::TelemetryCollector(sim::Host& host) : host_{&host} {
+    host_->udp_bind(kCollectorUdpPort,
                     [this](sim::HostAddr src, std::uint16_t src_port,
                            std::span<const std::byte> payload) {
                         on_datagram(src, src_port, payload);
                     });
 }
 
-TelemetryCollector::~TelemetryCollector() {
-    host_->udp_unbind(config_.collector_udp_port);
-}
+TelemetryCollector::~TelemetryCollector() { host_->udp_unbind(kCollectorUdpPort); }
 
 void TelemetryCollector::add_target(sim::NodeId node) {
     targets_.push_back(node);
@@ -29,8 +26,7 @@ void TelemetryCollector::poll_once() {
     ++stats_.polls;
     const std::uint32_t window = next_window_++;
     for (const sim::NodeId node : targets_) {
-        host_->udp_send(switch_vaddr(node), config_.collector_udp_port,
-                        config_.telemetry_udp_port,
+        host_->udp_send(switch_vaddr(node), kCollectorUdpPort, kTelemetryUdpPort,
                         serialize_probe(node, window));
         ++stats_.probes_sent;
     }
@@ -75,7 +71,7 @@ void TelemetryCollector::on_datagram(sim::HostAddr /*src*/,
         auto& scores = hot_scores_[msg.switch_node];
         for (std::uint32_t w = view.window; w < msg.window; ++w) {
             for (auto it = scores.begin(); it != scores.end();) {
-                it->second *= config_.hot_score_decay;
+                it->second *= kHotScoreDecay;
                 it = it->second < 0.25 ? scores.erase(it) : std::next(it);
             }
         }
@@ -97,7 +93,7 @@ void TelemetryCollector::on_datagram(sim::HostAddr /*src*/,
             // (chunks carry disjoint keys, so += is once per window).
             auto& scores = hot_scores_[msg.switch_node];
             for (const HotKeyRecord& rec : msg.hot_keys) {
-                scores[rec.key] += (1.0 - config_.hot_score_decay) *
+                scores[rec.key] += (1.0 - kHotScoreDecay) *
                                    static_cast<double>(rec.estimate);
             }
             view.hot_keys.insert(view.hot_keys.end(), msg.hot_keys.begin(),

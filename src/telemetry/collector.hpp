@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "netsim/host.hpp"
-#include "telemetry/config.hpp"
 #include "telemetry/protocol.hpp"
 
 namespace daiet::telemetry {
@@ -62,7 +61,7 @@ struct CollectorStats {
 class TelemetryCollector {
 public:
     /// Binds the collector UDP port on `host`.
-    TelemetryCollector(sim::Host& host, TelemetryConfig config);
+    explicit TelemetryCollector(sim::Host& host);
     ~TelemetryCollector();
     TelemetryCollector(const TelemetryCollector&) = delete;
     TelemetryCollector& operator=(const TelemetryCollector&) = delete;
@@ -90,6 +89,13 @@ public:
     std::function<std::vector<std::pair<Key16, std::uint32_t>>()>
     hot_key_source_for(sim::NodeId node) const;
 
+    /// Smoothing of per-window sketch estimates into per-key hotness
+    /// rates (rate = decay * rate + (1-decay) * window estimate). One
+    /// poll window is a thin sample — tens of requests — so consumers
+    /// rank on the smoothed rate; 0 would rank on the raw last window
+    /// alone.
+    static constexpr double kHotScoreDecay = 0.7;
+
     /// The smoothed hotness rates behind hot_key_source_for (tests).
     std::vector<std::pair<Key16, double>> hot_rates(sim::NodeId node) const;
 
@@ -105,7 +111,6 @@ private:
     void tick();
 
     sim::Host* host_;
-    TelemetryConfig config_;
     std::vector<sim::NodeId> targets_;
     std::unordered_map<sim::NodeId, SwitchView> views_;
     /// Smoothed per-key GET rates per switch: decayed at each window

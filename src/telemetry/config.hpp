@@ -1,49 +1,18 @@
 // Deployment configuration for the in-network telemetry tenant.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-
-#include "netsim/time.hpp"
 
 namespace daiet::telemetry {
 
 struct TelemetryConfig {
-    /// UDP port telemetry probes are addressed to (on a switch's
-    /// virtual address) and reports are sourced from.
-    std::uint16_t telemetry_udp_port{5200};
-
-    /// UDP port the collector binds for reports.
-    std::uint16_t collector_udp_port{5201};
-
-    /// Count-min sketch shape: `sketch_depth` rows of `sketch_width`
-    /// 32-bit counters, one independent hash per row. Error bound:
-    /// overestimation <= stream length * e / width with probability
-    /// 1 - e^-depth (Cormode & Muthukrishnan).
-    std::size_t sketch_width{1024};
-    std::size_t sketch_depth{3};
-
     /// Heavy-hitter key log: keys whose sketch estimate reaches
     /// `hot_threshold` within a window are appended (at most once,
-    /// modulo dedup-cell collisions) up to `hot_log_capacity` entries.
-    std::size_t hot_log_capacity{64};
-    std::size_t hot_dedup_cells{512};
+    /// modulo dedup-cell collisions) up to kHotLogCapacity entries.
     /// Low on purpose: poll windows are short (tens of microseconds of
     /// traffic), so a key seen even twice in one window is a promotion
     /// candidate; the collector's estimate ranking does the rest.
     std::uint32_t hot_threshold{2};
-
-    /// UDP destination port whose traffic feeds the key sketch — the kv
-    /// service's server port, so the sketch sees every GET/PUT at the
-    /// ToR, including the ones a co-resident cache tenant will absorb.
-    std::uint16_t watch_udp_port{5100};
-
-    /// Collector-side smoothing of per-window sketch estimates into
-    /// per-key hotness rates (rate = decay * rate + (1-decay) * window
-    /// estimate). One poll window is a thin sample — tens of requests —
-    /// so consumers rank on the smoothed rate; 0 would rank on the raw
-    /// last window alone.
-    double hot_score_decay{0.7};
 };
 
 }  // namespace daiet::telemetry

@@ -34,6 +34,13 @@ namespace daiet::telemetry {
 
 inline constexpr std::uint16_t kTelemetryMagic = 0x7E1E;
 
+/// UDP port probes are addressed to (on a switch's virtual address) and
+/// reports are sourced from.
+inline constexpr std::uint16_t kTelemetryUdpPort = 5200;
+
+/// UDP port the collector binds for reports.
+inline constexpr std::uint16_t kCollectorUdpPort = 5201;
+
 /// Virtual ("in-band management") address of a switch chip. Well above
 /// any host address — hosts are numbered from 1 — so the two spaces
 /// can share the fabric's routing tables.

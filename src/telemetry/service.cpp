@@ -1,50 +1,26 @@
 #include "telemetry/service.hpp"
 
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "common/contracts.hpp"
 
 namespace daiet::telemetry {
 
-namespace {
+TelemetryService::TelemetryService(rt::ClusterRuntime& rt, TelemetryOptions options) {
+    DAIET_EXPECTS(options.collector_host < rt.hosts().size());
+    DAIET_EXPECTS(!rt.daiet_switches().empty());
 
-sim::PipelineSwitchNode& switch_node_of(rt::ClusterRuntime& rt,
-                                        sim::NodeId node) {
-    for (auto* sw : rt.daiet_switches()) {
-        if (sw->id() == node) return *sw;
-    }
-    throw std::runtime_error{"TelemetryService: node " + std::to_string(node) +
-                             " is not a programmable switch"};
-}
-
-}  // namespace
-
-TelemetryService::TelemetryService(rt::ClusterRuntime& rt,
-                                   TelemetryOptions options)
-    : rt_{&rt}, options_{std::move(options)} {
-    DAIET_EXPECTS(options_.collector_host < rt.hosts().size());
-
-    if (options_.switches.empty()) {
-        for (const auto* sw : rt.daiet_switches()) {
-            options_.switches.push_back(sw->id());
-        }
-    }
-    DAIET_EXPECTS(!options_.switches.empty());
-
-    collector_ = std::make_unique<TelemetryCollector>(
-        rt.host(options_.collector_host), options_.config);
+    collector_ = std::make_unique<TelemetryCollector>(rt.host(options.collector_host));
 
     std::vector<std::pair<const sim::Node*, sim::HostAddr>> vaddrs;
-    vaddrs.reserve(options_.switches.size());
-    for (const sim::NodeId node : options_.switches) {
-        sim::PipelineSwitchNode& sw = switch_node_of(rt, node);
+    vaddrs.reserve(rt.daiet_switches().size());
+    for (sim::PipelineSwitchNode* sw : rt.daiet_switches()) {
+        const sim::NodeId node = sw->id();
         auto program = std::make_shared<TelemetrySwitchProgram>(
-            options_.config, sw, rt.chip_at(node), rt.router_at(node));
+            options.config, *sw, rt.chip_at(node), rt.router_at(node));
         programs_.push_back(program);
         rt.add_tenant(node, program);
-        vaddrs.emplace_back(&sw, switch_vaddr(node));
+        vaddrs.emplace_back(sw, switch_vaddr(node));
         collector_->add_target(node);
     }
     // Make every instrumented chip addressable: probes route to its

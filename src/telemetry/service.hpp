@@ -1,8 +1,8 @@
 // TelemetryService: the telemetry tenant deployed on a ClusterRuntime
 // fabric, the way KvService deploys the kv workload.
 //
-// Attaches a TelemetrySwitchProgram to every programmable switch (or a
-// chosen subset) through the runtime's switch-program registry — each
+// Attaches a TelemetrySwitchProgram to every programmable switch
+// through the runtime's switch-program registry — each
 // charged to its chip's SramBook alongside the resident DAIET and kv
 // tenants, which is the three-family arbiter stress the ROADMAP asked
 // for — makes each chip addressable by installing its virtual address
@@ -24,8 +24,6 @@ struct TelemetryOptions {
     TelemetryConfig config{};
     /// Index (into ClusterRuntime::hosts()) of the collector host.
     std::size_t collector_host{0};
-    /// Switches to instrument; empty = every programmable switch.
-    std::vector<sim::NodeId> switches;
 };
 
 class TelemetryService {
@@ -39,7 +37,7 @@ public:
     const TelemetryCollector& collector() const noexcept { return *collector_; }
 
     /// The telemetry tenant on switch `node`; nullptr when the switch
-    /// is not instrumented.
+    /// is not programmable.
     TelemetrySwitchProgram* program_at(sim::NodeId node) const;
     std::size_t num_programs() const noexcept { return programs_.size(); }
 
@@ -51,8 +49,6 @@ public:
     }
 
 private:
-    rt::ClusterRuntime* rt_;
-    TelemetryOptions options_;
     std::vector<std::shared_ptr<TelemetrySwitchProgram>> programs_;
     std::unique_ptr<TelemetryCollector> collector_;
 };

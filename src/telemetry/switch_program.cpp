@@ -16,9 +16,8 @@ TelemetrySwitchProgram::TelemetrySwitchProgram(TelemetryConfig config,
     : TenantProgram{std::move(router)},
       config_{config},
       node_{&node},
-      sketch_{"tm.sketch", config.sketch_width, config.sketch_depth, chip.sram()},
-      hot_log_{"tm.hot", config.hot_log_capacity, config.hot_dedup_cells,
-               chip.sram()},
+      sketch_{"tm.sketch", kSketchWidth, kSketchDepth, chip.sram()},
+      hot_log_{"tm.hot", kHotLogCapacity, kHotDedupCells, chip.sram()},
       port_frames_{"tm.port_frames", chip.config().num_ports, chip.sram()},
       port_bytes_{"tm.port_bytes", chip.config().num_ports, chip.sram()},
       prev_queue_drops_(chip.config().num_ports, 0),
@@ -44,10 +43,12 @@ void TelemetrySwitchProgram::observe(dp::PacketContext& ctx,
     stats_.bytes_observed += ctx.packet().size_bytes();
     window_.bytes_observed += ctx.packet().size_bytes();
 
-    // Stage 2: the kv key sketch — requests on the watched port only
+    // Stage 2: the kv key sketch — requests on the kv server port only
     // (GETs and PUTs toward the storage server), whichever tenant ends
-    // up terminating them.
-    if (!frame.udp || frame.udp->dst_port != config_.watch_udp_port) return;
+    // up terminating them. The port is the kv service's, so the sketch
+    // sees every GET/PUT at the ToR, including the ones a co-resident
+    // cache tenant will absorb.
+    if (!frame.udp || frame.udp->dst_port != kv::kServerUdpPort) return;
     if (!kv::looks_like_kv(payload)) return;
     ctx.count_op(dp::OpKind::kParse);  // kv header
     kv::KvMessage msg;
@@ -81,7 +82,7 @@ void TelemetrySwitchProgram::observe(dp::PacketContext& ctx,
 bool TelemetrySwitchProgram::claims(const sim::ParsedFrame& frame,
                                     std::span<const std::byte> payload) const {
     return frame.udp.has_value() &&
-           frame.udp->dst_port == config_.telemetry_udp_port &&
+           frame.udp->dst_port == kTelemetryUdpPort &&
            frame.ip.dst == vaddr() && looks_like_telemetry(payload);
 }
 
@@ -102,7 +103,7 @@ bool TelemetrySwitchProgram::on_claimed(dp::PacketContext& ctx,
     // leaving the routing table free for the forwarding slice.
     const auto emit = [&](std::vector<std::byte> report) {
         auto out_frame = sim::build_udp_frame(
-            vaddr(), frame.ip.src, config_.telemetry_udp_port,
+            vaddr(), frame.ip.src, kTelemetryUdpPort,
             frame.udp->src_port, report);
         dp::Packet out{std::move(out_frame)};
         out.meta().egress_port = ctx.packet().meta().ingress_port;

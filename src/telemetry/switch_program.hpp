@@ -8,7 +8,7 @@
 // keeps three kinds of state in switch SRAM:
 //
 //   (a) a count-min sketch + heavy-hitter key log over the kv GET/PUT
-//       stream (config.watch_udp_port), the line-rate hotness view the
+//       stream (kv::kServerUdpPort), the line-rate hotness view the
 //       cache controller's sketch-driven promotion mode consumes;
 //   (b) per-ingress-port frame/byte counters;
 //   (c) egress drop-tail queue watermarks, sampled from the netsim
@@ -60,6 +60,17 @@ public:
                            dp::PipelineSwitch& chip,
                            std::shared_ptr<FabricRouter> router);
 
+    /// Count-min sketch shape: kSketchDepth rows of kSketchWidth 32-bit
+    /// counters, one independent hash per row. Error bound:
+    /// overestimation <= stream length * e / width with probability
+    /// 1 - e^-depth (Cormode & Muthukrishnan).
+    static constexpr std::size_t kSketchWidth = 1024;
+    static constexpr std::size_t kSketchDepth = 3;
+    /// Heavy-hitter log entries per window, and the cells of the
+    /// filter that keeps a key from being logged twice.
+    static constexpr std::size_t kHotLogCapacity = 64;
+    static constexpr std::size_t kHotDedupCells = 512;
+
     // --- data plane ---------------------------------------------------------
     void observe(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
                  std::span<const std::byte> payload) override;
@@ -70,7 +81,7 @@ public:
     /// The sketch tap in observe() must run on every frame.
     bool passive_observer() const noexcept override { return true; }
     std::vector<std::uint16_t> claim_ports() const override {
-        return {config_.telemetry_udp_port};
+        return {kTelemetryUdpPort};
     }
     std::string name() const override {
         return "telemetry@" + std::to_string(node_->id());

@@ -21,7 +21,6 @@ RetryChannel::RetryChannel(sim::Host& host, sim::HostAddr dst,
       dst_port_{dst_port},
       options_{options} {
     DAIET_EXPECTS(options_.initial_rto > 0);
-    DAIET_EXPECTS(options_.min_rto > 0);
     DAIET_EXPECTS(options_.max_attempts >= 1);
 }
 
@@ -100,7 +99,7 @@ void RetryChannel::note_congestion() {
     // queue to drain a round, short enough that a genuinely lost
     // request's (single) deferral costs a fraction of its RTO.
     const auto hold = have_rtt_
-                          ? std::max(options_.min_rto,
+                          ? std::max(kMinRto,
                                      static_cast<sim::SimTime>(srtt_))
                           : options_.initial_rto;
     congested_until_ =
@@ -249,8 +248,8 @@ void RetryChannel::observe_rtt(sim::SimTime sample) {
 
 sim::SimTime RetryChannel::current_rto() const noexcept {
     if (!have_rtt_) return options_.initial_rto;
-    const double rto = options_.srtt_mult * srtt_ + 4.0 * rttvar_;
-    return std::max(options_.min_rto, static_cast<sim::SimTime>(rto));
+    const double rto = kSrttMult * srtt_ + 4.0 * rttvar_;
+    return std::max(kMinRto, static_cast<sim::SimTime>(rto));
 }
 
 // ----------------------------------------------------------- ReplyCache

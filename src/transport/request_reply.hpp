@@ -49,16 +49,17 @@ enum class Sighting : std::uint8_t {
     kForgotten,  ///< pruned from the cache: drop (the client moved on)
 };
 
+/// Floor for the adaptive RTO.
+inline constexpr sim::SimTime kMinRto = 50 * sim::kMicrosecond;
+/// RTO = max(kMinRto, kSrttMult * srtt + 4 * rttvar), then doubled per
+/// retransmission. The generous multiplier keeps a saturating server
+/// (whose queueing delay grows through a run) from driving spurious
+/// retransmission storms.
+inline constexpr double kSrttMult = 2.0;
+
 struct RetryOptions {
     /// RTO before the first RTT sample; also the backoff base then.
     sim::SimTime initial_rto{200 * sim::kMicrosecond};
-    /// Floor for the adaptive RTO.
-    sim::SimTime min_rto{50 * sim::kMicrosecond};
-    /// RTO = max(min_rto, srtt_mult * srtt + 4 * rttvar), then doubled
-    /// per retransmission. The generous multiplier keeps a saturating
-    /// server (whose queueing delay grows through a run) from driving
-    /// spurious retransmission storms.
-    double srtt_mult{2.0};
     /// Transmissions per request before giving up.
     std::size_t max_attempts{16};
     /// Honour ECN-ish congestion marks (note_congestion()): an RTO

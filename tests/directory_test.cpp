@@ -106,8 +106,8 @@ OpSignature signature_of(const kv::KvClient& client) {
 TEST(Directory, SteersRequestsToTheOwningRack) {
     rt::ClusterRuntime rt{fabric(4, 8)};
     ShardedKvOptions opts = two_rack_options();
-    opts.rack_caches = false;  // every request must reach its server
-    opts.edge_caches = false;
+    opts.config.cache_slots = 0;  // every request must reach its server
+    opts.edge.slots = 0;
     ShardedKvService svc{rt, opts};
 
     kv::KvWorkload wl;
@@ -172,7 +172,7 @@ TEST(Directory, SramReportListsTheDirectoryTenant) {
 TEST(Directory, NackedRequestsSelfCorrectAfterTheOwnerReturns) {
     rt::ClusterRuntime rt{fabric(4, 8)};
     ShardedKvOptions opts = two_rack_options();
-    opts.edge_caches = false;
+    opts.edge.slots = 0;
     ShardedKvService svc{rt, opts};
     svc.preload(16);
 
@@ -401,7 +401,7 @@ TEST(ShardedParity, ShardedRunMatchesUnshardedReference) {
         kv::KvServiceOptions opts;
         opts.server_host = 0;
         opts.client_hosts = {4, 5, 6, 7};
-        opts.cache_enabled = false;
+        opts.config.cache_slots = 0;
         kv::KvService svc{rt, opts};
         svc.run(wl);
         for (std::size_t c = 0; c < svc.num_clients(); ++c) {
@@ -430,6 +430,55 @@ TEST(ShardedParity, ReportsRackPromotionsSummedOverRacks) {
     }
     EXPECT_EQ(stats.promotions, promotions);
     EXPECT_GT(stats.promotions, 0u);
+}
+
+TEST(ShardedParity, ZeroSlotCachesAreNoCaches) {
+    kv::KvWorkload wl;
+    wl.num_keys = 256;
+    wl.zipf_s = 0.9;
+    wl.requests_per_client = 150;
+    wl.get_fraction = 0.8;
+    wl.partition_keys = true;  // single writer+reader per key
+    wl.request_interval = 15 * sim::kMicrosecond;
+    wl.rebalance_interval = 50 * sim::kMicrosecond;
+
+    const auto run = [&](std::size_t rack_slots, std::size_t edge_slots) {
+        rt::ClusterRuntime rt{fabric(4, 8)};
+        ShardedKvOptions opts = two_rack_options();
+        opts.config.cache_slots = rack_slots;
+        opts.edge.slots = edge_slots;
+        ShardedKvService svc{rt, opts};
+        const ShardedKvRunStats stats = svc.run(wl);
+
+        for (std::size_t s = 0; s < svc.num_shards(); ++s) {
+            const std::string tenant =
+                "kvcache@" + std::to_string(svc.server(s).addr());
+            const sim::Node* tor =
+                rt.network().edge_switch_of(rt.host(opts.server_hosts[s]));
+            EXPECT_EQ(rt.tenant_at(tor->id(), tenant) != nullptr, rack_slots > 0);
+            EXPECT_EQ(svc.core().cache(s) != nullptr, rack_slots > 0);
+            EXPECT_EQ(svc.core().controller(s) != nullptr, rack_slots > 0);
+        }
+        for (const std::size_t h : opts.client_hosts) {
+            const sim::Node* tor = rt.network().edge_switch_of(rt.host(h));
+            const std::string tenant = "edgecache@" + std::to_string(tor->id());
+            EXPECT_EQ(rt.tenant_at(tor->id(), tenant) != nullptr, edge_slots > 0);
+        }
+        EXPECT_EQ(svc.num_edges() > 0, edge_slots > 0);
+        EXPECT_EQ(stats.switch_hits > 0, rack_slots > 0 || edge_slots > 0);
+        EXPECT_EQ(stats.promotions > 0, rack_slots > 0);
+        EXPECT_EQ(stats.edge_hits > 0, edge_slots > 0);
+
+        std::vector<OpSignature> out;
+        for (std::size_t c = 0; c < svc.num_clients(); ++c) {
+            out.push_back(signature_of(svc.client(c)));
+        }
+        return out;
+    };
+    const std::vector<OpSignature> both = run(128, 256);
+    EXPECT_EQ(run(0, 256), both);
+    EXPECT_EQ(run(128, 0), both);
+    EXPECT_EQ(run(0, 0), both);
 }
 
 // ----------------------------------------------------- telemetry-driven

@@ -66,8 +66,7 @@ rt::ClusterOptions star_options(std::size_t hosts) {
 
 KvServiceOptions cache_options(std::size_t slots) {
     KvServiceOptions opts;
-    opts.cache_enabled = slots > 0;
-    if (slots > 0) opts.config.cache_slots = slots;
+    opts.config.cache_slots = slots;
     return opts;
 }
 
@@ -251,6 +250,43 @@ TEST(KvCache, DisabledBaselineReturnsIdenticalValues) {
     for (std::size_t c = 0; c < cached.num_clients(); ++c) {
         // Same ops, same keys, byte-identical reply values — caching
         // changes *where* a reply comes from, never *what* it says.
+        EXPECT_EQ(signature_of(cached.client(c)), signature_of(plain.client(c)));
+    }
+}
+
+TEST(KvCache, ZeroSlotCacheIsNoCache) {
+    KvWorkload workload;
+    workload.num_keys = 256;
+    workload.zipf_s = 0.99;
+    workload.requests_per_client = 200;
+    workload.get_fraction = 0.8;
+    workload.partition_keys = true;  // single writer per key
+    workload.rebalance_interval = 40 * sim::kMicrosecond;
+
+    rt::ClusterRuntime cached_rt{leaf_spine_options(5)};
+    KvService cached{cached_rt, cache_options(128)};
+    cached.run(workload);
+
+    rt::ClusterRuntime plain_rt{leaf_spine_options(5)};
+    KvService plain{plain_rt, cache_options(0)};
+    const KvRunStats plain_stats = plain.run(workload);
+
+    // Zero slots builds no ToR tenant and no controller: nothing that
+    // could answer, promote or be scheduled.
+    EXPECT_EQ(plain.cache(), nullptr);
+    EXPECT_EQ(plain.controller(), nullptr);
+    EXPECT_EQ(plain.cache_node(), 0U);
+    const std::string tenant = "kvcache@" + std::to_string(plain.server().addr());
+    const sim::Node* tor = plain_rt.network().edge_switch_of(plain_rt.host(0));
+    ASSERT_NE(tor, nullptr);
+    EXPECT_EQ(plain_rt.tenant_at(tor->id(), tenant), nullptr);
+    EXPECT_NE(cached_rt.tenant_at(cached.cache_node(), tenant), nullptr);
+    EXPECT_EQ(plain_stats.switch_hits, 0U);
+    EXPECT_EQ(plain_stats.promotions, 0U);
+    EXPECT_GT(cached.collect().switch_hits, 0U);
+
+    ASSERT_EQ(cached.num_clients(), plain.num_clients());
+    for (std::size_t c = 0; c < cached.num_clients(); ++c) {
         EXPECT_EQ(signature_of(cached.client(c)), signature_of(plain.client(c)));
     }
 }

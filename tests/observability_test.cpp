@@ -290,6 +290,24 @@ TEST(EnvParsing, ScaleGrammar) {
     EXPECT_FALSE(bench::parse_scale(nullptr).has_value());
 }
 
+TEST(EnvParsing, ScaledCountsNeverRoundToZero) {
+    // A bench sizes its workload with scaled(); a count that rounded to
+    // 0 at a tiny DAIET_SCALE would trip the workload's own argument
+    // checks instead of running a one-request smoke.
+    const char* saved = std::getenv("DAIET_SCALE");
+    const std::string restore = saved != nullptr ? saved : "";
+    setenv("DAIET_SCALE", "0.0001", 1);
+    EXPECT_EQ(bench::scaled(600), 1U);
+    EXPECT_EQ(bench::scaled(9000), 1U);
+    setenv("DAIET_SCALE", "0.5", 1);
+    EXPECT_EQ(bench::scaled(600), 300U);
+    if (saved != nullptr) {
+        setenv("DAIET_SCALE", restore.c_str(), 1);
+    } else {
+        unsetenv("DAIET_SCALE");
+    }
+}
+
 TEST(EnvParsing, ThreadsGrammar) {
     EXPECT_EQ(bench::parse_threads("1"), 1U);
     EXPECT_EQ(bench::parse_threads("2"), 2U);
@@ -390,7 +408,7 @@ TEST(Profiler, ParallelRunProducesPerShardBreakdown) {
 
     kv::KvServiceOptions kopts;
     kopts.server_host = 0;
-    kopts.cache_enabled = false;
+    kopts.config.cache_slots = 0;
     kv::KvService svc{rt, kopts};
     svc.preload(64);
     kv::KvWorkload wl;
@@ -596,7 +614,7 @@ TEST(Slo, KvServiceGatesCleanRunAndPublishes) {
     rt::ClusterRuntime rt{leaf_spine_opts()};
     kv::KvServiceOptions kopts;
     kopts.server_host = 0;
-    kopts.cache_enabled = false;
+    kopts.config.cache_slots = 0;
     kv::KvService svc{rt, kopts};
     trace::SloSpec spec;
     spec.availability_objective = 0.999;
@@ -634,7 +652,7 @@ TEST(FabricSampler, EventPumpSamplesLinkQueuesOnCadence) {
     rt::ClusterRuntime rt{leaf_spine_opts()};
     kv::KvServiceOptions kopts;
     kopts.server_host = 0;
-    kopts.cache_enabled = false;
+    kopts.config.cache_slots = 0;
     kv::KvService svc{rt, kopts};
     svc.preload(32);
 

@@ -1,9 +1,19 @@
-// Tests for the DAIET wire protocol and aggregation functions.
+// Tests for the DAIET wire protocol and aggregation functions, and a
+// mutation fuzz of every tenant's wire parser.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <exception>
+#include <span>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/aggregation.hpp"
 #include "core/protocol.hpp"
+#include "directory/protocol.hpp"
+#include "kvcache/protocol.hpp"
+#include "telemetry/protocol.hpp"
 
 namespace daiet {
 namespace {
@@ -105,6 +115,116 @@ TEST(Protocol, RandomRoundTripProperty) {
         EXPECT_EQ(data->tree_id, tree);
         EXPECT_EQ(data->pairs, pairs);
     }
+}
+
+// ------------------------------------------------------- parser fuzzing
+
+/// Seeded mutation fuzz of one wire parser: every truncation of each
+/// golden message, then 5K random byte-flip (half of them biased to the
+/// header bytes) and truncate mutations of each. A mutant must either
+/// parse or throw BufferError, never any other exception; UB is left to
+/// the sanitizer build. `on_parsed(msg, mutant)` checks every successful
+/// parse. Returns how many mutants were {rejected, parsed}.
+template <typename Parse, typename OnParsed>
+std::array<std::size_t, 2> fuzz_parser(const std::vector<std::vector<std::byte>>& golden,
+                                       Parse parse, OnParsed on_parsed) {
+    std::array<std::size_t, 2> verdicts{};
+    const auto verdict = [&](std::span<const std::byte> m) {
+        try {
+            on_parsed(parse(m), m);
+            ++verdicts[1];
+        } catch (const BufferError&) {
+            ++verdicts[0];
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "non-BufferError exception: " << e.what();
+        }
+    };
+    Rng rng{2017};
+    for (const std::vector<std::byte>& bytes : golden) {
+        for (std::size_t len = 0; len <= bytes.size(); ++len) verdict({bytes.data(), len});
+        for (int i = 0; i < 5000; ++i) {
+            std::vector<std::byte> m = bytes;
+            const std::size_t reach =
+                rng.next_below(2) == 0 ? std::min<std::size_t>(m.size(), 16) : m.size();
+            for (std::uint64_t k = 1 + rng.next_below(4); k > 0; --k) {
+                m[rng.next_below(reach)] ^= static_cast<std::byte>(1 + rng.next_below(255));
+            }
+            if (rng.next_below(2) == 0) m.resize(rng.next_below(m.size() + 1));
+            verdict(m);
+        }
+    }
+    return verdicts;
+}
+
+std::vector<std::byte> bytes_of(std::span<const std::byte> s) { return {s.begin(), s.end()}; }
+
+TEST(Parsers, KvParserSurvivesMutationAndRoundTrips) {
+    std::vector<std::vector<std::byte>> golden;
+    for (const kv::KvOp op :
+         {kv::KvOp::kGet, kv::KvOp::kGetReply, kv::KvOp::kPut, kv::KvOp::kPutAck}) {
+        kv::KvMessage msg;
+        msg.op = op;
+        msg.flags = kv::kKvFlagFound | kv::kKvFlagFromSwitch;
+        msg.req_id = 0x01020304;
+        msg.seq = 0x0a0b0c0d;
+        msg.key = Key16{"user:fuzz"};
+        msg.value = 0xdeadbeef;
+        golden.push_back(kv::serialize_kv(msg));
+        // A valid message re-serializes byte-identically.
+        EXPECT_EQ(kv::serialize_kv(kv::parse_kv(golden.back())), golden.back());
+    }
+    // Every field is stored raw, so any mutant that parses does too.
+    const auto v = fuzz_parser(golden, kv::parse_kv, [](const kv::KvMessage& msg, auto m) {
+        EXPECT_EQ(kv::serialize_kv(msg), bytes_of(m));
+    });
+    EXPECT_GT(v[0], 0U);
+    EXPECT_GT(v[1], 0U);
+}
+
+TEST(Parsers, DirectoryParserSurvivesMutation) {
+    std::vector<std::vector<std::byte>> golden;
+    for (const dir::DirectoryOp op : {dir::DirectoryOp::kNack, dir::DirectoryOp::kInvalidate}) {
+        dir::DirectoryMessage msg;
+        msg.op = op;
+        msg.seq = 0xfeedf00d;
+        msg.tag = 0x0102030405060708ULL;
+        msg.key = Key16{"user:fuzz"};
+        golden.push_back(dir::serialize_directory(msg));
+    }
+    const auto v = fuzz_parser(golden, dir::parse_directory,
+                               [](const dir::DirectoryMessage&, auto) {});
+    EXPECT_GT(v[0], 0U);
+    EXPECT_GT(v[1], 0U);
+}
+
+TEST(Parsers, TelemetryParserSurvivesMutation) {
+    using namespace telemetry;
+    SummaryRecord summary;
+    summary.frames_observed = 1234;
+    summary.kv_gets = 56;
+    const std::vector<PortStatRecord> ports{{.port = 1, .frames = 9, .bytes = 900},
+                                            {.port = 2, .queue_drops = 3, .ecn_marks = 4}};
+    const std::vector<HotKeyRecord> keys{{Key16{"hot:a"}, 40}, {Key16{"hot:b"}, 7},
+                                         {Key16{"hot:c"}, 2}};
+    const std::vector<std::vector<std::byte>> golden{
+        serialize_probe(3, 17), serialize_summary(3, 17, summary),
+        serialize_port_stats(3, 17, ports), serialize_hot_keys(3, 17, keys)};
+    const auto v = fuzz_parser(golden, parse_telemetry, [](const TelemetryMessage&, auto) {});
+    EXPECT_GT(v[0], 0U);
+    EXPECT_GT(v[1], 0U);
+}
+
+TEST(Parsers, DaietParserSurvivesMutation) {
+    std::vector<KvPair> pairs;
+    for (int i = 0; i < 10; ++i) {
+        pairs.push_back(KvPair{Key16{"key" + std::to_string(i)}, wire_from_i32(i)});
+    }
+    const std::vector<std::vector<std::byte>> golden{
+        serialize_data(42, std::span{pairs}.first(3)), serialize_data(7, pairs),
+        serialize_end(42, 30, true)};
+    const auto v = fuzz_parser(golden, parse_packet, [](const DaietPacket&, auto) {});
+    EXPECT_GT(v[0], 0U);
+    EXPECT_GT(v[1], 0U);
 }
 
 // -------------------------------------------------------- aggregation

@@ -262,7 +262,7 @@ TEST(TelemetryCollector, PollsEverySwitchAndMergesViews) {
     rt::ClusterRuntime rt{leaf_spine_options(6)};
     TelemetryService tel{rt, {}};
     kv::KvServiceOptions kv_opts;
-    kv_opts.cache_enabled = false;  // raw stream: the sketch sees it all
+    kv_opts.config.cache_slots = 0;  // raw stream: the sketch sees it all
     kv::KvService svc{rt, kv_opts};
 
     const kv::KvWorkload workload = small_workload();

@@ -239,7 +239,6 @@ TEST(TraceEndToEnd, LossyKvRunYieldsCausallyOrderedForensics) {
     opts.seed = 21;
     rt::ClusterRuntime rt{opts};
     kv::KvServiceOptions svc_opts;
-    svc_opts.cache_enabled = true;
     svc_opts.config.cache_slots = 16;
     kv::KvService svc{rt, svc_opts};
     const kv::KvRunStats stats = svc.run(lossy_workload());

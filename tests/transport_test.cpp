@@ -349,8 +349,7 @@ rt::ClusterOptions star_options(std::size_t hosts) {
 
 kv::KvServiceOptions cache_options(std::size_t slots) {
     kv::KvServiceOptions opts;
-    opts.cache_enabled = slots > 0;
-    if (slots > 0) opts.config.cache_slots = slots;
+    opts.config.cache_slots = slots;
     return opts;
 }
 
@@ -472,12 +471,12 @@ struct ChipHarness {
     std::vector<dp::Packet> inject(const kv::KvMessage& msg, bool toward_server) {
         auto frame = toward_server
                          ? sim::build_udp_frame(kClient, kServer,
-                                                cfg.client_udp_port,
-                                                cfg.server_udp_port,
+                                                kv::kClientUdpPort,
+                                                kv::kServerUdpPort,
                                                 kv::serialize_kv(msg))
                          : sim::build_udp_frame(kServer, kClient,
-                                                cfg.server_udp_port,
-                                                cfg.client_udp_port,
+                                                kv::kServerUdpPort,
+                                                kv::kClientUdpPort,
                                                 kv::serialize_kv(msg));
         return chip.receive(dp::Packet{std::move(frame)},
                             toward_server ? 2 : 1);

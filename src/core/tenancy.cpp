@@ -18,14 +18,34 @@ FabricRouter::FabricRouter(dp::SramBook& book, std::size_t capacity)
 void FabricRouter::install(sim::HostAddr dst, std::vector<dp::PortId> ports) {
     DAIET_EXPECTS(!ports.empty());
     RoutePorts rp;
-    rp.count = static_cast<std::uint8_t>(
-        std::min<std::size_t>(ports.size(), rp.ports.size()));
-    for (std::size_t i = 0; i < rp.count; ++i) rp.ports[i] = ports[i];
-    table_.install(dst, rp);
-    if (dst < kDenseLimit) {
-        if (dense_.size() <= dst) dense_.resize(dst + 1);
-        dense_[dst] = rp;
+    if (ports.size() > rp.ports.size()) {
+        throw dp::ResourceError{"FabricRouter: an ECMP set of " +
+                                std::to_string(ports.size()) +
+                                " ports exceeds the 8-port next-hop group"};
     }
+    rp.count = static_cast<std::uint8_t>(ports.size());
+    std::copy(ports.begin(), ports.end(), rp.ports.begin());
+    const std::uint16_t group = dst < kDenseLimit ? group_of(rp) : kNoGroup;
+    table_.install(dst, rp);
+    if (group != kNoGroup) {
+        if (dense_.size() <= dst) dense_.resize(dst + 1, kNoGroup);
+        dense_[dst] = group;
+    }
+}
+
+std::uint16_t FabricRouter::group_of(const RoutePorts& rp) {
+    // Routes are installed destination by destination, and neighbouring
+    // hosts share a group, so a scan from the newest group nearly
+    // always stops at once.
+    for (std::size_t i = groups_.size(); i-- > 0;) {
+        if (groups_[i] == rp) return static_cast<std::uint16_t>(i);
+    }
+    if (groups_.size() >= kNoGroup) {
+        throw dp::ResourceError{"FabricRouter: more than 65535 distinct "
+                                "ECMP next-hop groups"};
+    }
+    groups_.push_back(rp);
+    return static_cast<std::uint16_t>(groups_.size() - 1);
 }
 
 void FabricRouter::forward(dp::PacketContext& ctx,
@@ -68,30 +88,26 @@ void FabricRouter::forward(dp::PacketContext& ctx,
 
 // ------------------------------------------------------- shared parser
 
-std::optional<sim::ParsedFrame> parse_frame_with_ops(dp::PacketContext& ctx) {
+const sim::ParsedFrame* parse_frame_with_ops(dp::PacketContext& ctx) {
     ctx.count_op(dp::OpKind::kParse);  // Ethernet
     // The context caches the parse across tenants and recirculation
     // passes of one packet, so only the first entry pays the byte
-    // extraction. The kParse op charges are the same on every pass — the
-    // RMT machine still runs its parse stages; the cache removes
-    // host-simulation work, not modeled switch work.
-    if (const sim::ParsedFrame* cached = ctx.cached_parsed_frame()) {
-        ctx.count_op(dp::OpKind::kParse);  // IPv4
-        if (cached->udp) {
-            ctx.count_op(dp::OpKind::kParse);  // UDP
+    // extraction, written straight into the cache. The kParse op
+    // charges are the same on every pass — the RMT machine still runs
+    // its parse stages; the cache removes host-simulation work, not
+    // modeled switch work.
+    const sim::ParsedFrame* frame = ctx.cached_parsed_frame();
+    if (frame == nullptr) {
+        frame = ctx.parse_into_cache();
+        if (frame == nullptr) {
+            ctx.mark_drop();
+            return nullptr;
         }
-        return *cached;
-    }
-    auto frame = sim::parse_frame(ctx.packet().payload());
-    if (!frame) {
-        ctx.mark_drop();
-        return std::nullopt;
     }
     ctx.count_op(dp::OpKind::kParse);  // IPv4
     if (frame->udp) {
         ctx.count_op(dp::OpKind::kParse);  // UDP
     }
-    ctx.cache_parsed_frame(*frame);
     return frame;
 }
 
@@ -105,8 +121,8 @@ void dispatch(dp::PacketContext& ctx, const FabricRouter& router,
               std::span<TenantProgram* const> observers,
               std::span<TenantProgram* const> tenants,
               const ClaimPortFilter* claim_filter) {
-    const auto frame = parse_frame_with_ops(ctx);
-    if (!frame) return;
+    const sim::ParsedFrame* frame = parse_frame_with_ops(ctx);
+    if (frame == nullptr) return;
     const auto payload = frame->payload_of(ctx.packet().payload());
     // Stat-keeping stages run first, on every ingress frame (not on
     // recirculated passes — those re-enter mid-pipeline, after the
@@ -174,8 +190,10 @@ void SwitchProgramMux::add_tenant(std::shared_ptr<TenantProgram> tenant) {
     const std::vector<std::uint16_t> ports = tenant->claim_ports();
     if (ports.empty()) {
         claim_filter_valid_ = false;  // unconstrained tenant: filter off
-    } else {
-        for (const std::uint16_t p : ports) claim_filter_.add(p);
+    }
+    for (const std::uint16_t p : ports) {
+        // A union larger than the inline list also turns the filter off.
+        if (!claim_filter_.add(p)) claim_filter_valid_ = false;
     }
     if (tenant->passive_observer()) observers_raw_.push_back(tenant.get());
     tenants_raw_.push_back(tenant.get());

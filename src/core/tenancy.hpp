@@ -22,10 +22,10 @@
 //     on one fabric, arbitrated by a shared SramBook.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -38,27 +38,40 @@
 
 namespace daiet {
 
-/// ECMP next-hop set, sized for trivially-copyable table storage.
+/// ECMP next-hop group, sized for trivially-copyable table storage.
+/// Unused slots stay zero, so equal sets compare equal.
 struct RoutePorts {
     std::array<dp::PortId, 8> ports{};
     std::uint8_t count{0};
+
+    bool operator==(const RoutePorts&) const = default;
 };
 
-/// Parser-stage claim pre-filter: a bitmap over the UDP ports any
-/// resident tenant might claim traffic on (source or destination). The
-/// mux consults it before running the per-tenant claim loop, so frames
-/// that no tenant could possibly own — the bulk of plain fabric traffic
-/// — skip every tenant's claims() check. This is the classification a
-/// P4 compiler folds into parser states; it narrows nothing, because a
-/// hit still runs the full claim loop.
+/// Parser-stage claim pre-filter: the UDP ports any resident tenant
+/// might claim traffic on (source or destination), as an inline list.
+/// The mux consults it before running the per-tenant claim loop, so
+/// frames that no tenant could possibly own — the bulk of plain fabric
+/// traffic — skip every tenant's claims() check. This is the
+/// classification a P4 compiler folds into a handful of parser select
+/// cases; it narrows nothing, because a hit still runs the full claim
+/// loop.
 struct ClaimPortFilter {
-    std::array<std::uint64_t, 1024> bits{};
+    static constexpr std::size_t kMaxPorts = 8;
 
-    void add(std::uint16_t port) noexcept {
-        bits[port >> 6] |= std::uint64_t{1} << (port & 63);
+    std::array<std::uint16_t, kMaxPorts> ports{};
+    std::uint8_t count{0};
+
+    /// False when the list is already full: the mux then turns the
+    /// filter off, as for an unconstrained tenant.
+    bool add(std::uint16_t port) noexcept {
+        if (hit(port)) return true;
+        if (count == kMaxPorts) return false;
+        ports[count++] = port;
+        return true;
     }
     bool hit(std::uint16_t port) const noexcept {
-        return ((bits[port >> 6] >> (port & 63)) & 1) != 0;
+        const auto end = ports.begin() + count;
+        return std::find(ports.begin(), end, port) != end;
     }
 };
 
@@ -70,6 +83,8 @@ public:
     explicit FabricRouter(dp::SramBook& book, std::size_t capacity = 4096);
 
     // --- control plane ------------------------------------------------------
+    /// Throws dp::ResourceError when `ports` exceeds a next-hop group or
+    /// the chip would need more distinct groups than it can index.
     void install(sim::HostAddr dst, std::vector<dp::PortId> ports);
 
     // --- data plane ---------------------------------------------------------
@@ -83,11 +98,11 @@ public:
     const RoutePorts* apply(dp::PacketContext& ctx, sim::HostAddr dst) const {
         if (dst < kDenseLimit) {
             // Dense mirror of the table for low host addresses: same op
-            // accounting and single-apply rule, array index instead of a
-            // hash lookup on the per-hop path.
+            // accounting and single-apply rule, two array indexes instead
+            // of a hash lookup on the per-hop path.
             ctx.note_table_application(table_.name());
-            if (dst < dense_.size() && dense_[dst].count != 0) {
-                return &dense_[dst];
+            if (dst < dense_.size() && dense_[dst] != kNoGroup) {
+                return &groups_[dense_[dst]];
             }
             return nullptr;
         }
@@ -107,9 +122,16 @@ private:
     /// time (fabric hosts are numbered densely from zero, so in practice
     /// every destination qualifies).
     static constexpr sim::HostAddr kDenseLimit = 1u << 16;
+    static constexpr std::uint16_t kNoGroup = 0xffff;  ///< dense_: no route
+
+    /// The groups_ index of `rp`, appending it if it is new.
+    std::uint16_t group_of(const RoutePorts& rp);
 
     dp::ExactMatchTable<sim::HostAddr, RoutePorts> table_;
-    std::vector<RoutePorts> dense_;
+    /// The mirror, stored as real switches store ECMP: each distinct
+    /// next-hop group once, and per destination a 2-byte group index.
+    std::vector<RoutePorts> groups_;
+    std::vector<std::uint16_t> dense_;
 };
 
 /// A co-resident dataplane program: claims its slice of the traffic and
@@ -222,8 +244,9 @@ private:
 };
 
 /// Shared parser front end: Ethernet -> IPv4 -> UDP/TCP with the same
-/// per-header op charges a P4 parser would incur. Returns nullopt (and
-/// marks a drop) for frames the fabric cannot carry.
-std::optional<sim::ParsedFrame> parse_frame_with_ops(dp::PacketContext& ctx);
+/// per-header op charges a P4 parser would incur. Returns the context's
+/// parse cache, valid for the rest of the pass, or nullptr (and marks a
+/// drop) for frames the fabric cannot carry.
+const sim::ParsedFrame* parse_frame_with_ops(dp::PacketContext& ctx);
 
 }  // namespace daiet

@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -63,15 +62,16 @@ public:
     PacketContext(Packet& packet, std::uint32_t ops_per_pass_budget)
         : packet_{&packet}, budget_{ops_per_pass_budget} {}
 
-    /// Unbound context for reuse across packets (one context per
-    /// pipeline, rebind() per packet instead of a fresh construct).
-    explicit PacketContext(std::uint32_t ops_per_pass_budget)
-        : packet_{nullptr}, budget_{ops_per_pass_budget} {}
+    /// Unbound context for reuse across packets: one per thread, shared
+    /// by every pipeline on it and rebind()-ed per packet.
+    PacketContext() = default;
 
-    /// Point at a new packet and clear all cross-pass state; begin_pass()
-    /// still clears the per-pass state before the first pass runs.
-    void rebind(Packet& packet) noexcept {
+    /// Point at a new packet under its pipeline's per-pass budget and
+    /// clear all cross-pass state; begin_pass() still clears the
+    /// per-pass state before the first pass runs.
+    void rebind(Packet& packet, std::uint32_t ops_per_pass_budget) noexcept {
         packet_ = &packet;
+        budget_ = ops_per_pass_budget;
         total_ops_ = OpCounters{};
         emitted_.clear();
         parsed_frame_valid_ = false;
@@ -147,11 +147,14 @@ public:
 
     /// The cached parse of the current packet's headers, or nullptr.
     const sim::ParsedFrame* cached_parsed_frame() const noexcept {
-        return parsed_frame_valid_ ? &*parsed_frame_ : nullptr;
+        return parsed_frame_valid_ ? &parsed_frame_ : nullptr;
     }
-    void cache_parsed_frame(const sim::ParsedFrame& frame) {
-        parsed_frame_ = frame;
-        parsed_frame_valid_ = true;
+    /// Parse the current packet's headers straight into the cache and
+    /// return it; nullptr (cache left invalid) for a non-IPv4 frame.
+    /// Throws BufferError on a truncated frame, like sim::parse_frame.
+    const sim::ParsedFrame* parse_into_cache() {
+        parsed_frame_valid_ = sim::parse_frame_into(packet_->payload(), parsed_frame_);
+        return cached_parsed_frame();
     }
     /// Call after any in-place header rewrite (e.g. the directory
     /// tenant's IPv4 destination rewrite).
@@ -169,11 +172,10 @@ public:
     std::vector<Packet>& emitted() noexcept { return emitted_; }
     const OpCounters& pass_ops() const noexcept { return pass_ops_; }
     const OpCounters& total_ops() const noexcept { return total_ops_; }
-    std::uint32_t budget() const noexcept { return budget_; }
 
 private:
-    Packet* packet_;
-    std::uint32_t budget_;
+    Packet* packet_{nullptr};
+    std::uint32_t budget_{0};
     OpCounters pass_ops_{};
     /// Running pass total, so the budget check is O(1) per op instead
     /// of a scan over every op kind.
@@ -186,7 +188,7 @@ private:
     std::vector<Packet> emitted_;
     bool recirculate_requested_{false};
     /// Parsed-header cache (see cached_parsed_frame()).
-    std::optional<sim::ParsedFrame> parsed_frame_;
+    sim::ParsedFrame parsed_frame_{};
     bool parsed_frame_valid_{false};
 };
 

@@ -8,9 +8,7 @@
 namespace daiet::dp {
 
 Pipeline::Pipeline(PipelineConfig config, std::shared_ptr<PipelineProgram> program)
-    : config_{config},
-      program_{std::move(program)},
-      ctx_{std::make_unique<PacketContext>(config_.ops_per_pass)} {
+    : config_{config}, program_{std::move(program)} {
     DAIET_EXPECTS(program_ != nullptr);
 }
 
@@ -22,8 +20,17 @@ std::vector<Packet> Pipeline::process(Packet packet) {
 
 void Pipeline::process_into(Packet packet, std::vector<Packet>& out) {
     ++stats_.packets_in;
-    PacketContext& ctx = *ctx_;
-    ctx.rebind(packet);
+    // One context per thread, shared by every pipeline on it: a packet's
+    // passes finish before the next packet enters any pipeline, so one
+    // warm context serves every switch instead of one each.
+    thread_local PacketContext ctx;
+    ctx.rebind(packet, config_.ops_per_pass);
+    // Even when a pass throws, nothing the packet emitted may stay parked
+    // in the context: it could outlive the thread's frame pool.
+    struct EmittedRelease {
+        PacketContext& ctx;
+        ~EmittedRelease() { ctx.emitted().clear(); }
+    } release{ctx};
     for (;;) {
         ctx.begin_pass();
         if (trace::enabled()) {

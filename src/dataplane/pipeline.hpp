@@ -74,9 +74,6 @@ private:
     /// Lazily interned trace label for the program (its name() builds a
     /// string per call); 0 = not yet interned.
     std::uint32_t trace_prog_id_{0};
-    /// One context per pipeline, rebound to each packet instead of a
-    /// fresh construct per packet.
-    std::unique_ptr<PacketContext> ctx_;
 };
 
 }  // namespace daiet::dp

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,10 +30,10 @@ public:
 
     /// Bind the dataplane program. Must happen before the first packet.
     void load_program(std::shared_ptr<PipelineProgram> program) {
-        pipeline_ = std::make_unique<Pipeline>(config_.pipeline, std::move(program));
+        pipeline_.emplace(config_.pipeline, std::move(program));
     }
 
-    bool has_program() const noexcept { return pipeline_ != nullptr; }
+    bool has_program() const noexcept { return pipeline_.has_value(); }
 
     /// Process a packet arriving on `in_port`; returns all packets to
     /// transmit, each with meta().egress_port set by the program.
@@ -45,7 +46,7 @@ public:
     /// Allocation-free variant of receive(): appends to `out` so the
     /// per-hop result vector can be a reused scratch buffer.
     void receive_into(Packet packet, PortId in_port, std::vector<Packet>& out) {
-        DAIET_EXPECTS(pipeline_ != nullptr);
+        DAIET_EXPECTS(pipeline_.has_value());
         DAIET_EXPECTS(in_port < config_.num_ports);
         packet.meta().ingress_port = in_port;
         pipeline_->process_into(std::move(packet), out);
@@ -54,13 +55,13 @@ public:
     SramBook& sram() noexcept { return sram_; }
     const SramBook& sram() const noexcept { return sram_; }
     const PipelineStats& stats() const {
-        DAIET_EXPECTS(pipeline_ != nullptr);
+        DAIET_EXPECTS(pipeline_.has_value());
         return pipeline_->stats();
     }
     const std::string& name() const noexcept { return name_; }
     const SwitchConfig& config() const noexcept { return config_; }
     PipelineProgram& program() noexcept {
-        DAIET_EXPECTS(pipeline_ != nullptr);
+        DAIET_EXPECTS(pipeline_.has_value());
         return pipeline_->program();
     }
 
@@ -68,7 +69,9 @@ private:
     std::string name_;
     SwitchConfig config_;
     SramBook sram_;
-    std::unique_ptr<Pipeline> pipeline_;
+    /// Held inline, so a hop reads the switch's pipeline without a
+    /// pointer chase to a separate allocation.
+    std::optional<Pipeline> pipeline_;
 };
 
 }  // namespace daiet::dp

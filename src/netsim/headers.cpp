@@ -13,28 +13,12 @@ void put_mac(ByteWriter& w, MacAddr mac) {
     }
 }
 
-MacAddr get_mac(ByteReader& r) {
-    MacAddr mac = 0;
-    for (int i = 0; i < 6; ++i) {
-        mac = mac << 8 | r.get_u8();
-    }
-    return mac;
-}
-
 }  // namespace
 
 void EthernetHeader::serialize(ByteWriter& w) const {
     put_mac(w, dst);
     put_mac(w, src);
     w.put_u16(ethertype);
-}
-
-EthernetHeader EthernetHeader::parse(ByteReader& r) {
-    EthernetHeader h;
-    h.dst = get_mac(r);
-    h.src = get_mac(r);
-    h.ethertype = r.get_u16();
-    return h;
 }
 
 void Ipv4Header::serialize(ByteWriter& w) const {
@@ -50,37 +34,11 @@ void Ipv4Header::serialize(ByteWriter& w) const {
     w.put_u32(dst);
 }
 
-Ipv4Header Ipv4Header::parse(ByteReader& r) {
-    Ipv4Header h;
-    const std::uint8_t ver_ihl = r.get_u8();
-    if (ver_ihl != 0x45) {
-        throw BufferError{"Ipv4Header: unsupported version/IHL"};
-    }
-    h.ecn = r.get_u8() & 0x03;  // DSCP ignored, ECN kept
-    h.total_length = r.get_u16();
-    r.skip(4);  // id + flags/frag
-    h.ttl = r.get_u8();
-    h.protocol = r.get_u8();
-    r.skip(2);  // checksum
-    h.src = r.get_u32();
-    h.dst = r.get_u32();
-    return h;
-}
-
 void UdpHeader::serialize(ByteWriter& w) const {
     w.put_u16(src_port);
     w.put_u16(dst_port);
     w.put_u16(length);
     w.put_u16(0);  // checksum (not modelled)
-}
-
-UdpHeader UdpHeader::parse(ByteReader& r) {
-    UdpHeader h;
-    h.src_port = r.get_u16();
-    h.dst_port = r.get_u16();
-    h.length = r.get_u16();
-    r.skip(2);
-    return h;
 }
 
 void TcpHeader::serialize(ByteWriter& w) const {
@@ -93,22 +51,6 @@ void TcpHeader::serialize(ByteWriter& w) const {
     w.put_u16(window);
     w.put_u16(0);  // checksum
     w.put_u16(0);  // urgent pointer
-}
-
-TcpHeader TcpHeader::parse(ByteReader& r) {
-    TcpHeader h;
-    h.src_port = r.get_u16();
-    h.dst_port = r.get_u16();
-    h.seq = r.get_u32();
-    h.ack = r.get_u32();
-    const std::uint8_t offset = r.get_u8();
-    if (offset != 0x50) {
-        throw BufferError{"TcpHeader: options not supported"};
-    }
-    h.flags = r.get_u8();
-    h.window = r.get_u16();
-    r.skip(4);  // checksum + urgent
-    return h;
 }
 
 FrameBuf build_udp_frame(HostAddr src, HostAddr dst,
@@ -178,20 +120,22 @@ inline MacAddr load_mac(const std::byte* p) noexcept {
 
 }  // namespace
 
-std::optional<ParsedFrame> parse_frame(std::span<const std::byte> frame) {
-    // This runs once per frame per hop, so instead of the per-field
+bool parse_frame_into(std::span<const std::byte> frame, ParsedFrame& out) {
+    // This runs once per frame per hop, so instead of a per-field
     // bounds-checked ByteReader it does one size check per layer and
-    // direct big-endian loads. Outcomes (headers, payload offset, nullopt
-    // and BufferError cases) match composing the per-header parse()
-    // functions; netsim_test fuzzes the two against each other.
+    // direct big-endian loads, written straight into the caller's
+    // storage. netsim_test fuzzes it against such a field-by-field
+    // reference decoder: headers, payload offset, non-IPv4 and
+    // BufferError outcomes must all agree.
     const std::byte* p = frame.data();
     const std::size_t n = frame.size();
+    out.udp.reset();
+    out.tcp.reset();
     if (n < EthernetHeader::kSize) throw BufferError{"ByteReader: out of bounds"};
-    ParsedFrame out;
     out.eth.dst = load_mac(p);
     out.eth.src = load_mac(p + 6);
     out.eth.ethertype = load_be16(p + 12);
-    if (out.eth.ethertype != kEtherTypeIpv4) return std::nullopt;
+    if (out.eth.ethertype != kEtherTypeIpv4) return false;
     constexpr std::size_t kIpEnd = EthernetHeader::kSize + Ipv4Header::kSize;
     if (n < kIpEnd) throw BufferError{"ByteReader: out of bounds"};
     if (p[14] != std::byte{0x45}) {
@@ -208,29 +152,33 @@ std::optional<ParsedFrame> parse_frame(std::span<const std::byte> frame) {
         if (n < kIpEnd + UdpHeader::kSize) {
             throw BufferError{"ByteReader: out of bounds"};
         }
-        UdpHeader udp;
+        UdpHeader& udp = out.udp.emplace();
         udp.src_port = load_be16(p + kIpEnd);
         udp.dst_port = load_be16(p + kIpEnd + 2);
         udp.length = load_be16(p + kIpEnd + 4);
-        out.udp = udp;
         out.payload_offset = kIpEnd + UdpHeader::kSize;
     } else if (out.ip.protocol == kIpProtoTcp) {
         if (n < kIpEnd + TcpHeader::kSize) {
             throw BufferError{"ByteReader: out of bounds"};
         }
-        TcpHeader tcp;
+        if (p[kIpEnd + 12] != std::byte{0x50}) {
+            throw BufferError{"TcpHeader: options not supported"};
+        }
+        TcpHeader& tcp = out.tcp.emplace();
         tcp.src_port = load_be16(p + kIpEnd);
         tcp.dst_port = load_be16(p + kIpEnd + 2);
         tcp.seq = load_be32(p + kIpEnd + 4);
         tcp.ack = load_be32(p + kIpEnd + 8);
-        if (p[kIpEnd + 12] != std::byte{0x50}) {
-            throw BufferError{"TcpHeader: options not supported"};
-        }
         tcp.flags = std::to_integer<std::uint8_t>(p[kIpEnd + 13]);
         tcp.window = load_be16(p + kIpEnd + 14);
-        out.tcp = tcp;
         out.payload_offset = kIpEnd + TcpHeader::kSize;
     }
+    return true;
+}
+
+std::optional<ParsedFrame> parse_frame(std::span<const std::byte> frame) {
+    ParsedFrame out;
+    if (!parse_frame_into(frame, out)) return std::nullopt;
     return out;
 }
 

@@ -34,7 +34,6 @@ struct EthernetHeader {
     std::uint16_t ethertype{kEtherTypeIpv4};
 
     void serialize(ByteWriter& w) const;
-    static EthernetHeader parse(ByteReader& r);
 };
 
 /// The ECN codepoint in the low two bits of the IPv4 TOS byte.
@@ -59,7 +58,6 @@ struct Ipv4Header {
     }
 
     void serialize(ByteWriter& w) const;
-    static Ipv4Header parse(ByteReader& r);
 };
 
 struct UdpHeader {
@@ -70,7 +68,6 @@ struct UdpHeader {
     std::uint16_t length{0};  ///< UDP header + payload
 
     void serialize(ByteWriter& w) const;
-    static UdpHeader parse(ByteReader& r);
 };
 
 struct TcpHeader {
@@ -93,7 +90,6 @@ struct TcpHeader {
     bool ack_flag() const noexcept { return (flags & kFlagAck) != 0; }
 
     void serialize(ByteWriter& w) const;
-    static TcpHeader parse(ByteReader& r);
 };
 
 /// Fixed per-frame overheads (header bytes in front of the L4 payload).
@@ -126,8 +122,14 @@ struct ParsedFrame {
     }
 };
 
-/// Parse Ethernet+IPv4(+UDP/TCP). Throws BufferError on truncation;
-/// returns std::nullopt for non-IPv4 ethertypes.
+/// Parse Ethernet+IPv4(+UDP/TCP) straight into `out`, which may be
+/// reused across frames: `udp` and `tcp` are reset on every call.
+/// Throws BufferError on truncation; returns false for non-IPv4
+/// ethertypes.
+bool parse_frame_into(std::span<const std::byte> frame, ParsedFrame& out);
+
+/// parse_frame_into() into a fresh ParsedFrame; std::nullopt for
+/// non-IPv4 ethertypes.
 std::optional<ParsedFrame> parse_frame(std::span<const std::byte> frame);
 
 /// Stamp Congestion Experienced into an already-serialized IPv4 frame

@@ -92,35 +92,35 @@ void Host::handle_frame(FrameBuf frame, PortId /*in_port*/) {
                   trace::EventKind::kHostRx});
     }
 
-    const auto parsed = parse_frame(frame);
-    if (!parsed || parsed->ip.dst != addr_) {
+    ParsedFrame parsed;
+    if (!parse_frame_into(frame, parsed) || parsed.ip.dst != addr_) {
         ++counters_.frames_rx_unclaimed;
         return;
     }
 
-    if (parsed->udp) {
+    if (parsed.udp) {
         ++counters_.udp_frames_rx;
-        const auto payload = parsed->payload_of(frame);
+        const auto payload = parsed.payload_of(frame);
         counters_.udp_payload_bytes_rx += payload.size();
-        const auto it = udp_sockets_.find(parsed->udp->dst_port);
+        const auto it = udp_sockets_.find(parsed.udp->dst_port);
         if (it == udp_sockets_.end()) {
             ++counters_.frames_rx_unclaimed;
             return;
         }
-        rx_ecn_ce_ = parsed->ip.congestion_experienced();
+        rx_ecn_ce_ = parsed.ip.congestion_experienced();
         if (rx_ecn_ce_) ++counters_.udp_frames_rx_ce;
-        it->second(parsed->ip.src, parsed->udp->src_port, payload);
+        it->second(parsed.ip.src, parsed.udp->src_port, payload);
         rx_ecn_ce_ = false;
         return;
     }
 
-    if (parsed->tcp) {
+    if (parsed.tcp) {
         ++counters_.tcp_frames_rx;
-        const auto payload = parsed->payload_of(frame);
+        const auto payload = parsed.payload_of(frame);
         counters_.tcp_payload_bytes_rx += payload.size();
-        const TcpHeader& tcp = *parsed->tcp;
+        const TcpHeader& tcp = *parsed.tcp;
 
-        TcpKey key{parsed->ip.src, tcp.src_port, tcp.dst_port};
+        TcpKey key{parsed.ip.src, tcp.src_port, tcp.dst_port};
         auto it = tcp_connections_.find(key);
         if (it == tcp_connections_.end()) {
             // New inbound connection? Only a SYN addressed to a listener.
@@ -128,7 +128,7 @@ void Host::handle_frame(FrameBuf frame, PortId /*in_port*/) {
                 const auto lit = tcp_listeners_.find(tcp.dst_port);
                 if (lit != tcp_listeners_.end()) {
                     auto conn = std::unique_ptr<TcpConnection>{new TcpConnection{
-                        *this, parsed->ip.src, tcp.src_port, tcp.dst_port, TcpParams{}}};
+                        *this, parsed.ip.src, tcp.src_port, tcp.dst_port, TcpParams{}}};
                     auto& ref = *conn;
                     tcp_connections_[key] = std::move(conn);
                     lit->second->on_accept_(ref);

@@ -10,23 +10,25 @@
 namespace daiet::sim {
 
 Link::Link(Simulator& sim, Node& a, Node& b, LinkParams params, std::uint64_t loss_seed)
-    : a_{&a}, b_{&b}, params_{params} {
+    : params_{params} {
     DAIET_EXPECTS(params.gbps > 0.0);
-    sim_[0] = &sim;
-    sim_[1] = &sim;
+    dir_[0].sim = &sim;
+    dir_[1].sim = &sim;
     // Side 0 keeps the caller's seed verbatim (unidirectional loss
     // experiments reproduce their historical drop sequences); side 1
     // gets an independently derived stream.
     dir_[0].loss_rng = Rng{loss_seed};
     dir_[1].loss_rng = Rng{SplitMix64{~loss_seed}.next()};
-    port_a_ = a.attach_link(this, 0);
-    port_b_ = b.attach_link(this, 1);
+    dir_[1].dst = &a;
+    dir_[1].dst_port = a.attach_link(this, 0);
+    dir_[0].dst = &b;
+    dir_[0].dst_port = b.attach_link(this, 1);
 }
 
 void Link::transmit(int from_side, FrameBuf frame) {
     DAIET_EXPECTS(from_side == 0 || from_side == 1);
     Direction& dir = dir_[from_side];
-    Simulator& sim = *sim_[from_side];
+    Simulator& sim = *dir.sim;
     const std::size_t size = frame.size();
 
     if (params_.queue_bytes != 0 && dir.backlog_bytes + size > params_.queue_bytes) {
@@ -79,8 +81,6 @@ void Link::transmit(int from_side, FrameBuf frame) {
     ++dir.stats.frames_sent;
     dir.stats.bytes_sent += size;
 
-    Node& dst = peer_of(from_side);
-    const PortId dst_port = peer_port(from_side);
     const SimTime arrival = done + params_.propagation_delay;
 
     if (trace::enabled()) {
@@ -109,7 +109,7 @@ void Link::transmit(int from_side, FrameBuf frame) {
             shipped = FrameBuf::copy_of(frame.bytes());
             shipped.set_trace_id(tid);
         }
-        mailbox_[from_side]->push_back({arrival, &dst, dst_port, std::move(shipped)});
+        mailbox_[from_side]->push_back({arrival, dir.dst, dir.dst_port, std::move(shipped)});
         // The backlog drains sender-side at the same instant the frame
         // lands: drop-tail and ECN read this direction's backlog here.
         sim.schedule_at(arrival, [d = &dir, size] {
@@ -132,10 +132,8 @@ void Link::transmit(int from_side, FrameBuf frame) {
 
 void Link::drain(int from_side) {
     Direction& dir = dir_[from_side];
-    Simulator& sim = *sim_[from_side];
+    Simulator& sim = *dir.sim;
     const SimTime now = sim.now();
-    Node& dst = peer_of(from_side);
-    const PortId dst_port = peer_port(from_side);
     // handle_frame may transmit on this very direction; same-instant
     // arrivals it appends are picked up by this loop (indices, not
     // iterators — the vector may reallocate underneath us).
@@ -145,7 +143,7 @@ void Link::drain(int from_side) {
         ++dir.pending_head;
         dir.backlog_bytes -= f.size();
         ++dir.stats.frames_delivered;
-        dst.handle_frame(std::move(f), dst_port);
+        dir.dst->handle_frame(std::move(f), dir.dst_port);
     }
     if (dir.pending_head == dir.pending.size()) {
         dir.pending.clear();
@@ -168,9 +166,8 @@ void Link::drain(int from_side) {
 std::uint32_t Link::trace_label(int from_side) {
     std::uint32_t& id = trace_dir_id_[from_side];
     if (id == 0) {
-        const Node& from = from_side == 0 ? *a_ : *b_;
-        const Node& to = from_side == 0 ? *b_ : *a_;
-        id = trace::tracer().intern(from.name() + "->" + to.name());
+        id = trace::tracer().intern(end_of(from_side).name() + "->" +
+                                    peer_of(from_side).name());
     }
     return id;
 }

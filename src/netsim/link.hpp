@@ -90,12 +90,10 @@ public:
         dir_[from_side].peak_backlog_bytes = dir_[from_side].backlog_bytes;
     }
 
-    Node& peer_of(int side) noexcept { return side == 0 ? *b_ : *a_; }
-    PortId peer_port(int side) const noexcept {
-        return side == 0 ? port_b_ : port_a_;
-    }
+    Node& peer_of(int side) noexcept { return *dir_[side].dst; }
+    PortId peer_port(int side) const noexcept { return dir_[side].dst_port; }
     /// The node *at* `side` (peer_of gives the node across the wire).
-    Node& end_of(int side) noexcept { return side == 0 ? *a_ : *b_; }
+    Node& end_of(int side) noexcept { return *dir_[1 - side].dst; }
 
     /// Re-home the two directions onto their sending nodes' shard
     /// simulators and, for a boundary link, attach the cross-shard
@@ -104,8 +102,8 @@ public:
     void bind_parallel(Simulator& sim_a, Simulator& sim_b,
                        std::vector<CrossFrame>* a_to_b,
                        std::vector<CrossFrame>* b_to_a) noexcept {
-        sim_[0] = &sim_a;
-        sim_[1] = &sim_b;
+        dir_[0].sim = &sim_a;
+        dir_[1].sim = &sim_b;
         mailbox_[0] = a_to_b;
         mailbox_[1] = b_to_a;
     }
@@ -119,9 +117,23 @@ private:
         FrameBuf frame;
     };
 
-    struct Direction {
+    /// One direction of the wire. Everything a transmit or a delivery
+    /// reads and writes on every frame sits in the first cache line;
+    /// counters, the loss RNG and the serialization memo follow.
+    struct alignas(64) Direction {
+        /// Scheduling clock of the sending node: the Network's simulator
+        /// until bind_parallel re-homes it onto the sender's shard.
+        Simulator* sim{nullptr};
+        Node* dst{nullptr};
         SimTime busy_until{0};
         std::size_t backlog_bytes{0};
+        /// Same-tick delivery batcher: frames in flight, drained by one
+        /// chained dispatch per distinct arrival instant.
+        std::vector<PendingDelivery> pending;
+        std::uint32_t pending_head{0};
+        PortId dst_port{0};
+        bool drainer_armed{false};
+
         std::size_t peak_backlog_bytes{0};
         LinkDirectionStats stats;
         /// Per-direction loss stream: both directions can execute
@@ -132,30 +144,17 @@ private:
         /// the same reason as the RNG.
         std::size_t ser_memo_bytes{~std::size_t{0}};
         SimTime ser_memo_ns{0};
-        /// Same-tick delivery batcher: frames in flight, drained by one
-        /// chained dispatch per distinct arrival instant.
-        std::vector<PendingDelivery> pending;
-        std::size_t pending_head{0};
-        bool drainer_armed{false};
     };
 
     void drain(int from_side);
 
-    Node* a_;
-    Node* b_;
-    PortId port_a_;
-    PortId port_b_;
     LinkParams params_;
-    Direction dir_[2];
-    /// Per-side scheduling clock: sim_[s] is the shard simulator of the
-    /// side-s node (both point at the Network's simulator until
-    /// bind_parallel re-homes them).
-    Simulator* sim_[2];
     /// Boundary mailboxes; null for an intra-shard direction.
     std::vector<CrossFrame>* mailbox_[2]{nullptr, nullptr};
     /// Lazily interned per-direction trace labels ("a->b"); 0 = not yet
     /// interned. Only touched while tracing is enabled.
     std::uint32_t trace_dir_id_[2]{0, 0};
+    Direction dir_[2];
 
     std::uint32_t trace_label(int from_side);
 };

@@ -25,22 +25,22 @@ std::size_t ecmp_index(const ParsedFrame& frame, std::size_t n_choices) {
 }
 
 void L2Switch::handle_frame(FrameBuf frame, PortId in_port) {
-    const auto parsed = parse_frame(frame);
-    if (!parsed) {
+    ParsedFrame parsed;
+    if (!parse_frame_into(frame, parsed)) {
         ++stats_.frames_dropped_no_route;
         return;
     }
-    const auto it = routes_.find(parsed->ip.dst);
+    const auto it = routes_.find(parsed.ip.dst);
     if (it == routes_.end()) {
         ++stats_.frames_dropped_no_route;
         return;
     }
     const auto& ports = it->second;
-    PortId out = ports[ecmp_index(*parsed, ports.size())];
+    PortId out = ports[ecmp_index(parsed, ports.size())];
     if (out == in_port && ports.size() > 1) {
         // Never bounce a frame back where it came from if there is an
         // alternative equal-cost port.
-        out = ports[(ecmp_index(*parsed, ports.size()) + 1) % ports.size()];
+        out = ports[(ecmp_index(parsed, ports.size()) + 1) % ports.size()];
     }
     ++stats_.frames_forwarded;
     transmit(out, std::move(frame));
@@ -60,9 +60,14 @@ void PipelineSwitchNode::handle_frame(FrameBuf frame, PortId in_port) {
         trace::tracer().set_now(simulator().now());
     }
     dp::Packet packet{std::move(frame)};
-    rx_scratch_.clear();
-    chip_.receive_into(std::move(packet), in_port, rx_scratch_);
-    for (auto& out : rx_scratch_) {
+    // One result vector per thread, reused across frames and switches so
+    // steady-state forwarding allocates none and touches one warm
+    // buffer. Safe because frame delivery is a future simulator event,
+    // never a synchronous re-entry of handle_frame.
+    thread_local std::vector<dp::Packet> rx_scratch;
+    rx_scratch.clear();
+    chip_.receive_into(std::move(packet), in_port, rx_scratch);
+    for (auto& out : rx_scratch) {
         const dp::PortId egress = out.meta().egress_port;
         if (egress == dp::kPortInvalid || egress >= port_count()) {
             ++stats_.frames_dropped_no_route;
@@ -71,6 +76,9 @@ void PipelineSwitchNode::handle_frame(FrameBuf frame, PortId in_port) {
         ++stats_.frames_forwarded;
         transmit(egress, std::move(out.mutable_payload()));
     }
+    // A dropped packet's frame must not stay parked here: it could
+    // outlive the thread's frame pool.
+    rx_scratch.clear();
 }
 
 }  // namespace daiet::sim

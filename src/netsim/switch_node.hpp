@@ -71,10 +71,6 @@ public:
 private:
     dp::PipelineSwitch chip_;
     SwitchStats stats_;
-    /// Reused across frames so steady-state forwarding allocates no
-    /// per-hop result vector. Safe because frame delivery is a future
-    /// simulator event, never a synchronous re-entry of handle_frame.
-    std::vector<dp::Packet> rx_scratch_;
 };
 
 /// Flow-hash based ECMP selection shared by both switch types.

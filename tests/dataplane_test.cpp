@@ -9,6 +9,7 @@
 #include "dataplane/pipeline_switch.hpp"
 #include "dataplane/register_array.hpp"
 #include "dataplane/resources.hpp"
+#include "netsim/headers.hpp"
 
 namespace daiet::dp {
 namespace {
@@ -222,6 +223,56 @@ TEST(Pipeline, EmittedPacketsAreReturned) {
     const auto out = p.process(Packet{});
     ASSERT_EQ(out.size(), 1U);
     EXPECT_EQ(out[0].meta().egress_port, 7);
+}
+
+/// Emits one packet, fills the parse cache, then spends `ops` ALU ops;
+/// records whether each packet's first pass found the context clean.
+class CacheThenBurnProgram final : public PipelineProgram {
+public:
+    void on_packet(PacketContext& ctx) override {
+        entered_clean = ctx.emitted().empty() &&
+                        ctx.cached_parsed_frame() == nullptr &&
+                        ctx.total_ops().total() == 0;
+        ctx.emit(Packet{});
+        ASSERT_NE(ctx.parse_into_cache(), nullptr);
+        for (std::uint32_t i = 0; i < ops; ++i) ctx.count_op(OpKind::kAlu);
+        ctx.set_egress(1);
+    }
+    std::string name() const override { return "cache-then-burn"; }
+
+    std::uint32_t ops{0};
+    bool entered_clean{false};
+};
+
+TEST(Pipeline, SharedContextKeepsEachPipelinesBudget) {
+    // Every pipeline on a thread shares one context. Alternating packets
+    // between a 10-op and a 20-op pipeline must hold each to its own
+    // budget, and a packet that throws mid-pass must leave nothing (its
+    // emitted packet, its parse cache) to the next one.
+    PipelineConfig small_cfg;
+    small_cfg.ops_per_pass = 10;
+    PipelineConfig large_cfg;
+    large_cfg.ops_per_pass = 20;
+    const auto small_prog = std::make_shared<CacheThenBurnProgram>();
+    const auto large_prog = std::make_shared<CacheThenBurnProgram>();
+    Pipeline small{small_cfg, small_prog};
+    Pipeline large{large_cfg, large_prog};
+    const auto run = [](Pipeline& p, CacheThenBurnProgram& prog, std::uint32_t ops) {
+        prog.ops = ops;
+        prog.entered_clean = false;
+        return p.process(Packet{sim::build_udp_frame(1, 2, 3, 4, as_bytes("x"))});
+    };
+
+    EXPECT_EQ(run(small, *small_prog, 10).size(), 2U);
+    EXPECT_EQ(run(large, *large_prog, 20).size(), 2U);
+    EXPECT_THROW(run(small, *small_prog, 11), PipelineError);
+    // 15 ops: over the small budget, within the large one.
+    EXPECT_EQ(run(large, *large_prog, 15).size(), 2U);
+    EXPECT_TRUE(large_prog->entered_clean);
+    EXPECT_THROW(run(large, *large_prog, 21), PipelineError);
+    EXPECT_EQ(run(small, *small_prog, 10).size(), 2U);
+    EXPECT_TRUE(small_prog->entered_clean);
+    EXPECT_THROW(run(small, *small_prog, 15), PipelineError);
 }
 
 TEST(PipelineSwitch, RequiresProgramBeforeTraffic) {

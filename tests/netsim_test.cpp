@@ -78,13 +78,67 @@ TEST(Simulator, SchedulingInPastIsFatal) {
 
 // ------------------------------------------------------------- headers
 
+// Test-only reference decoders: one field at a time through a
+// bounds-checked ByteReader, mirroring each header's serialize().
+// parse_frame_into() does the same work with one size check per layer
+// and direct loads, and must agree with these on every input.
+MacAddr reference_mac(ByteReader& r) {
+    MacAddr mac = 0;
+    for (int i = 0; i < 6; ++i) mac = mac << 8 | r.get_u8();
+    return mac;
+}
+
+EthernetHeader reference_ethernet(ByteReader& r) {
+    EthernetHeader h;
+    h.dst = reference_mac(r);
+    h.src = reference_mac(r);
+    h.ethertype = r.get_u16();
+    return h;
+}
+
+Ipv4Header reference_ipv4(ByteReader& r) {
+    Ipv4Header h;
+    if (r.get_u8() != 0x45) throw BufferError{"Ipv4Header: unsupported version/IHL"};
+    h.ecn = r.get_u8() & 0x03;  // DSCP ignored, ECN kept
+    h.total_length = r.get_u16();
+    r.skip(4);  // id + flags/frag
+    h.ttl = r.get_u8();
+    h.protocol = r.get_u8();
+    r.skip(2);  // checksum
+    h.src = r.get_u32();
+    h.dst = r.get_u32();
+    return h;
+}
+
+UdpHeader reference_udp(ByteReader& r) {
+    UdpHeader h;
+    h.src_port = r.get_u16();
+    h.dst_port = r.get_u16();
+    h.length = r.get_u16();
+    r.skip(2);  // checksum
+    return h;
+}
+
+TcpHeader reference_tcp(ByteReader& r) {
+    TcpHeader h;
+    h.src_port = r.get_u16();
+    h.dst_port = r.get_u16();
+    h.seq = r.get_u32();
+    h.ack = r.get_u32();
+    if (r.get_u8() != 0x50) throw BufferError{"TcpHeader: options not supported"};
+    h.flags = r.get_u8();
+    h.window = r.get_u16();
+    r.skip(4);  // checksum + urgent
+    return h;
+}
+
 TEST(Headers, EthernetRoundTrip) {
     ByteWriter w;
     EthernetHeader h{.dst = 0xAABBCCDDEEFF, .src = 0x112233445566, .ethertype = 0x0800};
     h.serialize(w);
     EXPECT_EQ(w.size(), EthernetHeader::kSize);
     ByteReader r{w.bytes()};
-    const auto parsed = EthernetHeader::parse(r);
+    const auto parsed = reference_ethernet(r);
     EXPECT_EQ(parsed.dst, h.dst);
     EXPECT_EQ(parsed.src, h.src);
     EXPECT_EQ(parsed.ethertype, h.ethertype);
@@ -101,7 +155,7 @@ TEST(Headers, Ipv4RoundTrip) {
     h.serialize(w);
     EXPECT_EQ(w.size(), Ipv4Header::kSize);
     ByteReader r{w.bytes()};
-    const auto parsed = Ipv4Header::parse(r);
+    const auto parsed = reference_ipv4(r);
     EXPECT_EQ(parsed.total_length, 1500);
     EXPECT_EQ(parsed.ttl, 17);
     EXPECT_EQ(parsed.protocol, kIpProtoTcp);
@@ -157,20 +211,17 @@ TEST(Headers, TruncatedFrameThrows) {
     EXPECT_THROW(parse_frame(cut), BufferError);
 }
 
-// Test-only reference parser: the per-header parse() functions composed
-// through one bounds-checked ByteReader. parse_frame() does the same
-// work with one size check per layer and direct loads, and must agree
-// with this on every input.
+// The reference decoders composed through one ByteReader.
 std::optional<ParsedFrame> reference_parse_frame(std::span<const std::byte> frame) {
     ByteReader r{frame};
     ParsedFrame out;
-    out.eth = EthernetHeader::parse(r);
+    out.eth = reference_ethernet(r);
     if (out.eth.ethertype != kEtherTypeIpv4) return std::nullopt;
-    out.ip = Ipv4Header::parse(r);
+    out.ip = reference_ipv4(r);
     if (out.ip.protocol == kIpProtoUdp) {
-        out.udp = UdpHeader::parse(r);
+        out.udp = reference_udp(r);
     } else if (out.ip.protocol == kIpProtoTcp) {
-        out.tcp = TcpHeader::parse(r);
+        out.tcp = reference_tcp(r);
     }
     out.payload_offset = r.position();
     return out;
@@ -198,10 +249,14 @@ std::vector<std::uint64_t> outcome_of(Parser parse, std::span<const std::byte> f
     return out;
 }
 
-// Seeded mutation fuzz of parse_frame() against the reference parser:
-// every truncation of a golden UDP and TCP frame, then 20K random
-// byte-flip (biased to the header bytes) and truncate mutations of
-// each. Headers, payload offset, nullopt and BufferError must agree.
+// Seeded mutation fuzz of parse_frame_into() against the reference
+// parser: every truncation of a golden UDP and TCP frame, then 20K
+// random byte-flip (biased to the header bytes) and truncate mutations
+// of each. Headers, payload offset, non-IPv4 and BufferError must agree.
+// The fast parser writes into one ParsedFrame reused across all frames,
+// as the per-thread packet context does, prefilled before each parse
+// with the latest UDP and TCP headers seen and a bogus payload offset:
+// a field it failed to reset would leak into its verdict.
 TEST(Headers, ParseFrameMatchesReferenceParserOnMutatedFrames) {
     const FrameBuf golden[] = {
         build_udp_frame(7, 9, 5000, 6000, as_bytes("udp payload bytes")),
@@ -210,7 +265,19 @@ TEST(Headers, ParseFrameMatchesReferenceParserOnMutatedFrames) {
                                   .ack = 0x0a0b0c0d, .flags = TcpHeader::kFlagAck},
                         as_bytes("tcp payload")),
     };
-    const auto parse_fast = [](std::span<const std::byte> f) { return parse_frame(f); };
+    std::optional<UdpHeader> last_udp = parse_frame(golden[0])->udp;
+    std::optional<TcpHeader> last_tcp = parse_frame(golden[1])->tcp;
+    ParsedFrame reused;
+    const auto parse_fast =
+        [&](std::span<const std::byte> f) -> std::optional<ParsedFrame> {
+        reused.udp = last_udp;
+        reused.tcp = last_tcp;
+        reused.payload_offset = ~std::size_t{0};
+        if (!parse_frame_into(f, reused)) return std::nullopt;
+        if (reused.udp) last_udp = reused.udp;
+        if (reused.tcp) last_tcp = reused.tcp;
+        return reused;
+    };
     std::size_t seen[3] = {};  // per verdict: the mutations reach all three
     Rng rng{2017};
     for (const FrameBuf& frame : golden) {

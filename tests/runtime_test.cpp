@@ -265,6 +265,68 @@ TEST(ClusterRuntime, LeafSpineSpreadsHostsAcrossLeaves) {
         });
 }
 
+TEST(ClusterRuntime, RejectsAnEcmpSetLargerThanANextHopGroup) {
+    // Nine spines give every leaf a 9-port ECMP set toward remote
+    // racks; a next-hop group holds 8, and the fabric must say so
+    // instead of silently spreading traffic over 8 paths.
+    ClusterOptions opts;
+    opts.topology = TopologyKind::kLeafSpine;
+    opts.n_leaf = 2;
+    opts.n_spine = 9;
+    opts.num_hosts = 4;
+    opts.config.max_trees = 1;
+    try {
+        ClusterRuntime rt{opts};
+        FAIL() << "a 9-port ECMP set was accepted";
+    } catch (const dp::ResourceError& e) {
+        EXPECT_NE(std::string{e.what()}.find("ECMP set of 9 ports"), std::string::npos)
+            << e.what();
+    }
+}
+
+/// On every switch and for every host, the router's group mirror (the
+/// per-hop path) must resolve exactly what the charged table holds, at
+/// the cost of one table application.
+void expect_group_mirror_matches_table(const ClusterRuntime& rt) {
+    std::size_t routes = 0;
+    for (const sim::PipelineSwitchNode* sw : rt.daiet_switches()) {
+        const std::shared_ptr<FabricRouter> router = rt.router_at(sw->id());
+        for (const sim::Host* host : rt.hosts()) {
+            dp::Packet packet;
+            dp::PacketContext ctx{packet, 0};
+            const RoutePorts* got = router->apply(ctx, host->addr());
+            const RoutePorts* want = router->peek(host->addr());
+            EXPECT_EQ(ctx.total_ops().of(dp::OpKind::kTableApply), 1U);
+            EXPECT_EQ(ctx.total_ops().total(), 1U);
+            ASSERT_EQ(got == nullptr, want == nullptr)
+                << sw->name() << " -> host " << host->addr();
+            if (want == nullptr) continue;
+            ++routes;
+            EXPECT_EQ(*got, *want) << sw->name() << " -> host " << host->addr();
+        }
+    }
+    EXPECT_GT(routes, 0U);
+}
+
+TEST(FabricRouter, GroupMirrorMatchesTableOnFatTree) {
+    ClusterOptions opts;
+    opts.topology = TopologyKind::kFatTree;
+    opts.fat_tree_k = 8;
+    opts.num_hosts = 128;
+    opts.config.max_trees = 1;
+    expect_group_mirror_matches_table(ClusterRuntime{opts});
+}
+
+TEST(FabricRouter, GroupMirrorMatchesTableOnLeafSpine) {
+    ClusterOptions opts;
+    opts.topology = TopologyKind::kLeafSpine;
+    opts.n_leaf = 4;
+    opts.n_spine = 3;
+    opts.num_hosts = 12;
+    opts.config.max_trees = 1;
+    expect_group_mirror_matches_table(ClusterRuntime{opts});
+}
+
 // ------------------------------------------------------------ JobDriver
 
 ClusterOptions star_options(std::size_t hosts, std::size_t trees = 4) {

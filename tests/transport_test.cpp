@@ -438,6 +438,67 @@ TEST(SwitchProgramMux, DispatchOrderDoesNotChangeResults) {
     EXPECT_EQ(run_pair(true), run_pair(false));
 }
 
+/// A tenant that claims nothing and counts the UDP frames the mux
+/// offers it.
+class OfferCountingTenant final : public TenantProgram {
+public:
+    OfferCountingTenant(std::shared_ptr<FabricRouter> router, std::string name,
+                        std::vector<std::uint16_t> ports)
+        : TenantProgram{std::move(router)}, name_{std::move(name)},
+          ports_{std::move(ports)} {}
+
+    bool claims(const sim::ParsedFrame&, std::span<const std::byte>) const override {
+        ++offered;
+        return false;
+    }
+    bool on_claimed(dp::PacketContext&, const sim::ParsedFrame&,
+                    std::span<const std::byte>) override {
+        return false;
+    }
+    std::vector<std::uint16_t> claim_ports() const override { return ports_; }
+    std::size_t sram_bytes() const override { return 0; }
+    std::string name() const override { return name_; }
+
+    mutable std::size_t offered{0};
+
+private:
+    std::string name_;
+    std::vector<std::uint16_t> ports_;
+};
+
+TEST(SwitchProgramMux, ClaimPortUnionBeyondTheFilterOffersEveryFrame) {
+    // Returns how often each of two tenants was offered three UDP frames:
+    // one on a port neither advertises, one on each tenant's last port.
+    const auto offers = [](std::uint16_t ports_a, std::uint16_t ports_b) {
+        dp::SwitchConfig sc;
+        sc.num_ports = 4;
+        dp::PipelineSwitch chip{"mux", sc};
+        const auto router = std::make_shared<FabricRouter>(chip.sram(), 16);
+        const auto mux = std::make_shared<SwitchProgramMux>(router);
+        std::vector<std::uint16_t> a_ports, b_ports;
+        for (std::uint16_t i = 0; i < ports_a; ++i) a_ports.push_back(1000 + i);
+        for (std::uint16_t i = 0; i < ports_b; ++i) b_ports.push_back(2000 + i);
+        const auto a = std::make_shared<OfferCountingTenant>(router, "a", a_ports);
+        const auto b = std::make_shared<OfferCountingTenant>(router, "b", b_ports);
+        mux->add_tenant(a);
+        mux->add_tenant(b);
+        chip.load_program(mux);
+        router->install(2, {1});
+        for (const std::uint16_t port : {std::uint16_t{9999}, a_ports.back(), b_ports.back()}) {
+            const auto out = chip.receive(
+                dp::Packet{sim::build_udp_frame(1, 2, 9998, port, as_bytes("x"))}, 0);
+            EXPECT_EQ(out.size(), 1U);  // unclaimed: forwarded as plain traffic
+        }
+        return std::pair{a->offered, b->offered};
+    };
+    // A union of 8 ports fits the filter: each tenant is offered only
+    // the frames on a port some tenant advertises.
+    EXPECT_EQ(offers(5, 3), std::pair(std::size_t{2}, std::size_t{2}));
+    // A union of 9 does not: the filter is off and every tenant is
+    // offered every UDP frame.
+    EXPECT_EQ(offers(5, 4), std::pair(std::size_t{3}, std::size_t{3}));
+}
+
 // ---------------------------------------------- switch-side idempotence
 
 /// A bare cache chip (no network): packets injected straight into the

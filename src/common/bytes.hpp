@@ -32,9 +32,12 @@ class ByteWriter {
 public:
     ByteWriter() = default;
 
-    /// Construct with a hard capacity; exceeding it throws BufferError.
+    /// Construct with a hard capacity, reserved up front so an exactly
+    /// sized message allocates once; exceeding it throws BufferError.
     /// capacity == 0 means unbounded.
-    explicit ByteWriter(std::size_t capacity) : capacity_{capacity} {}
+    explicit ByteWriter(std::size_t capacity) : capacity_{capacity} {
+        buf_.reserve(capacity);
+    }
 
     /// Serialize directly into caller-owned storage (e.g. a FrameBuf
     /// slab) instead of a growable vector — the zero-allocation path for

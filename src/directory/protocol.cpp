@@ -1,20 +1,23 @@
 #include "directory/protocol.hpp"
 
 #include "common/bytes.hpp"
+#include "common/contracts.hpp"
 #include "common/hash.hpp"
 #include "core/aggregation.hpp"
 
 namespace daiet::dir {
 
-std::vector<std::byte> serialize_directory(const DirectoryMessage& msg) {
-    ByteWriter w;
+DirectoryWire serialize_directory(const DirectoryMessage& msg) {
+    DirectoryWire wire;
+    ByteWriter w{std::span<std::byte>{wire}};
     w.put_u16(kDirectoryMagic);
     w.put_u8(static_cast<std::uint8_t>(msg.op));
     w.put_u8(msg.flags);
     w.put_u32(msg.seq);
     w.put_u64(msg.tag);
     w.put_bytes(msg.key.bytes());
-    return w.take();
+    DAIET_ENSURES(w.size() == wire.size());
+    return wire;
 }
 
 DirectoryMessage parse_directory(std::span<const std::byte> payload) {

@@ -28,10 +28,10 @@
 //     has since refreshed.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/fixed_key.hpp"
 #include "netsim/headers.hpp"
@@ -84,7 +84,10 @@ struct DirectoryMessage {
 
 inline constexpr std::size_t kDirectoryMessageSize = 2 + 1 + 1 + 4 + 8 + Key16::width;
 
-std::vector<std::byte> serialize_directory(const DirectoryMessage& msg);
+/// One serialized directory message, held by value at its wire size.
+using DirectoryWire = std::array<std::byte, kDirectoryMessageSize>;
+
+DirectoryWire serialize_directory(const DirectoryMessage& msg);
 
 /// Throws BufferError on truncation or a bad magic/op.
 DirectoryMessage parse_directory(std::span<const std::byte> payload);

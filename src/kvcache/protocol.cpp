@@ -1,11 +1,13 @@
 #include "kvcache/protocol.hpp"
 
 #include "common/bytes.hpp"
+#include "common/contracts.hpp"
 
 namespace daiet::kv {
 
-std::vector<std::byte> serialize_kv(const KvMessage& msg) {
-    ByteWriter w;
+KvWire serialize_kv(const KvMessage& msg) {
+    KvWire wire;
+    ByteWriter w{std::span<std::byte>{wire}};
     w.put_u16(kKvMagic);
     w.put_u8(static_cast<std::uint8_t>(msg.op));
     w.put_u8(msg.flags);
@@ -13,7 +15,8 @@ std::vector<std::byte> serialize_kv(const KvMessage& msg) {
     w.put_u32(msg.seq);
     w.put_bytes(msg.key.bytes());
     w.put_u32(msg.value);
-    return w.take();
+    DAIET_ENSURES(w.size() == wire.size());
+    return wire;
 }
 
 KvMessage parse_kv(std::span<const std::byte> payload) {

@@ -26,9 +26,9 @@
 // message that bypassed the retry transport (control-plane probes).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/fixed_key.hpp"
 #include "core/aggregation.hpp"
@@ -93,7 +93,10 @@ struct KvMessage {
 /// Every kv message occupies exactly this many payload bytes.
 inline constexpr std::size_t kKvMessageSize = 2 + 1 + 1 + 4 + 4 + Key16::width + 4;
 
-std::vector<std::byte> serialize_kv(const KvMessage& msg);
+/// One serialized kv message, held by value at its wire size.
+using KvWire = std::array<std::byte, kKvMessageSize>;
+
+KvWire serialize_kv(const KvMessage& msg);
 
 /// Throws BufferError on truncation or a bad magic/op.
 KvMessage parse_kv(std::span<const std::byte> payload);

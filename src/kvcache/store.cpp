@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bytes.hpp"
 #include "common/contracts.hpp"
 #include "directory/protocol.hpp"
 #include "netsim/simulator.hpp"
@@ -43,7 +44,9 @@ void KvStoreServer::on_datagram(sim::HostAddr src, std::uint16_t src_port,
             // Mark the replay on the wire: a cache switch must be able
             // to tell it from the original acknowledgment (it may carry
             // a value later writes have superseded).
-            KvMessage replay = parse_kv(*replies_.find(src, msg.seq));
+            const auto recorded = replies_.find(src, msg.seq);
+            DAIET_ASSERT(recorded.has_value());
+            KvMessage replay = parse_kv(*recorded);
             replay.flags |= kKvFlagReplay;
             // The ECN echo describes the path *now*, not at recording
             // time: re-derive it from this retransmission's mark so a
@@ -96,21 +99,25 @@ void KvStoreServer::on_datagram(sim::HostAddr src, std::uint16_t src_port,
     // worker gets to — and finishes — this request. The reply bytes are
     // recorded first so a retransmission arriving mid-service replays
     // the same serialized outcome.
-    auto wire = serialize_kv(reply);
+    const KvWire wire = serialize_kv(reply);
     replies_.record(src, msg.seq, wire);
     sim::Simulator& sim = host_->simulator();
     const sim::SimTime start = std::max(sim.now(), worker_free_at_);
     worker_free_at_ = start + config_.server_service_time;
     stats_.busy_time += config_.server_service_time;
-    sim.schedule_at(worker_free_at_,
-                    [this, wire = std::move(wire), src, src_port, seq = msg.seq] {
+    // The wire travels by value; the seq is read back from it, which
+    // keeps the capture inside the simulator's inline action buffer.
+    auto send_reply = [this, wire, src, src_port] {
         // Tag the reply tx with the request it answers, so forensics can
         // follow the chain across the server hop.
         if (trace::enabled()) {
-            trace::tracer().annotate_next_tx(transport::request_tag(src, seq));
+            trace::tracer().annotate_next_tx(
+                transport::request_tag(src, parse_kv(wire).seq));
         }
         host_->udp_send(src, kServerUdpPort, src_port, wire);
-    });
+    };
+    static_assert(sizeof(send_reply) <= sim::Simulator::kInlineActionBytes);
+    sim.schedule_at(worker_free_at_, send_reply);
 }
 
 // ------------------------------------------------------------- KvClient
@@ -124,22 +131,13 @@ KvClient::KvClient(sim::Host& host, KvConfig config, sim::HostAddr server)
                            std::span<const std::byte> payload) {
                         on_datagram(src, src_port, payload);
                     });
-    // A request that exhausts its attempt budget completes nowhere:
-    // drop its bookkeeping so outstanding() drains and the workload
-    // can account for it.
-    channel_.on_abandon = [this](std::uint32_t seq) {
-        const auto sit = req_of_seq_.find(seq);
-        if (sit == req_of_seq_.end()) return;
-        pending_.erase(sit->second);
-        req_of_seq_.erase(sit);
-    };
 }
 
 KvClient::~KvClient() { host_->udp_unbind(kClientUdpPort); }
 
 void KvClient::on_nack(std::uint32_t seq) {
     ++stats_.nacks;
-    if (!req_of_seq_.contains(seq)) return;     // already completed/abandoned
+    if (!channel_.is_outstanding(seq)) return;  // already completed/abandoned
     if (nack_timers_.contains(seq)) return;     // a retry is already pending
     nack_timers_[seq] = host_->timer_after(kNackRetryDelay, [this, seq] {
         nack_timers_.erase(seq);
@@ -159,22 +157,22 @@ std::uint32_t KvClient::put(const Key16& key, WireValue value) {
 
 std::uint32_t KvClient::send(KvOp op, const Key16& key, WireValue value) {
     DAIET_EXPECTS(!key.empty());
-    const std::uint32_t req_id = next_req_++;
-    pending_[req_id] = Pending{op, key, host_->simulator().now()};
     KvMessage msg;
     msg.op = op;
-    msg.req_id = req_id;
     msg.key = key;
     msg.value = value;
     // The retry channel stamps the transport seq, sends (or queues
-    // behind the key's write barrier) and retransmits on timeout.
-    const std::uint32_t seq =
-        channel_.submit(key, op == KvOp::kPut, [&msg](std::uint32_t s) {
+    // behind the key's write barrier) and retransmits on timeout. The
+    // request id is the seq: both count from 1, once per send(), so
+    // the channel's request table is the only one.
+    const std::uint32_t seq = channel_.submit(
+        key, op == KvOp::kPut, [&msg](std::uint32_t s, ByteWriter& out) {
+            msg.req_id = s;
             msg.seq = s;
-            return serialize_kv(msg);
+            out.put_bytes(serialize_kv(msg));
         });
-    req_of_seq_[seq] = req_id;
-    return req_id;
+    DAIET_ENSURES(msg.req_id == seq);
+    return seq;
 }
 
 void KvClient::on_datagram(sim::HostAddr /*src*/, std::uint16_t /*src_port*/,
@@ -200,22 +198,19 @@ void KvClient::on_datagram(sim::HostAddr /*src*/, std::uint16_t /*src_port*/,
     if (host_->rx_ecn_ce() || msg.ece()) channel_.note_congestion();
     // The channel completes each request exactly once; replies to
     // retransmitted copies are duplicates and fall on the floor here.
-    if (!channel_.complete(msg.seq)) return;
-    req_of_seq_.erase(msg.seq);
-    const auto it = pending_.find(msg.req_id);
-    if (it == pending_.end()) return;  // completed seq without a pending twin
+    const auto done = channel_.complete(msg.seq);
+    if (!done) return;
 
     OpRecord record;
-    record.req_id = msg.req_id;
-    record.op = it->second.op;
-    record.key = it->second.key;
+    record.req_id = msg.seq;
+    record.op = done->is_write ? KvOp::kPut : KvOp::kGet;
+    record.key = done->key;
     record.value = msg.value;
     record.found = msg.found();
     record.from_switch = msg.from_switch();
     record.from_edge = msg.from_edge();
-    record.latency = host_->simulator().now() - it->second.issued;
+    record.latency = host_->simulator().now() - done->submitted;
     record.completed = host_->simulator().now();
-    pending_.erase(it);
 
     if (record.op == KvOp::kGet) {
         ++stats_.get_replies;

@@ -147,7 +147,7 @@ public:
     /// short enough to beat the RTO by an order of magnitude.
     static constexpr sim::SimTime kNackRetryDelay = 25 * sim::kMicrosecond;
 
-    /// Issue a request; returns its request id.
+    /// Issue a request; returns its request id (= its transport seq).
     std::uint32_t get(const Key16& key);
     std::uint32_t put(const Key16& key, WireValue value);
 
@@ -172,17 +172,11 @@ public:
     /// Every completed request in completion order (reply values are
     /// the correctness surface for parity/coherence tests).
     const std::vector<OpRecord>& log() const noexcept { return log_; }
-    std::size_t outstanding() const noexcept { return pending_.size(); }
+    std::size_t outstanding() const noexcept { return channel_.outstanding(); }
     /// The retry transport underneath (retransmit/barrier stats).
     const transport::RetryChannel& channel() const noexcept { return channel_; }
 
 private:
-    struct Pending {
-        KvOp op{KvOp::kGet};
-        Key16 key{};
-        sim::SimTime issued{0};
-    };
-
     void on_datagram(sim::HostAddr src, std::uint16_t src_port,
                      std::span<const std::byte> payload);
     void on_nack(std::uint32_t seq);
@@ -190,10 +184,8 @@ private:
 
     sim::Host* host_;
     sim::HostAddr server_;
+    /// Also the request table: a request id is its transport seq.
     transport::RetryChannel channel_;
-    std::uint32_t next_req_{1};
-    std::unordered_map<std::uint32_t, Pending> pending_;   ///< by req_id
-    std::unordered_map<std::uint32_t, std::uint32_t> req_of_seq_;
     /// Armed NACK-retry timers by seq (dropping a TimerRef disarms it,
     /// so the pending nudges must be held somewhere).
     std::unordered_map<std::uint32_t, sim::TimerRef> nack_timers_;

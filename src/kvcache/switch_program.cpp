@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/bytes.hpp"
 #include "common/contracts.hpp"
 #include "trace/trace.hpp"
 #include "transport/request_reply.hpp"
@@ -15,9 +14,8 @@ namespace {
 /// through the switch hash unit like every other hashed index.
 std::size_t tag_cell(dp::PacketContext& ctx, std::uint64_t tag,
                      std::size_t cells) {
-    ByteWriter w;
-    w.put_u64(tag);
-    return register_index_from_crc(ctx.hash(w.bytes()), cells);
+    return register_index_from_crc(ctx.hash(transport::request_tag_bytes(tag)),
+                                   cells);
 }
 
 }  // namespace

@@ -56,6 +56,10 @@ void TcpHeader::serialize(ByteWriter& w) const {
 FrameBuf build_udp_frame(HostAddr src, HostAddr dst,
                          std::uint16_t src_port, std::uint16_t dst_port,
                          std::span<const std::byte> payload) {
+    if (payload.size() > kMaxUdpPayload) {
+        throw BufferError{"UDP payload of " + std::to_string(payload.size()) +
+                          " B overflows the 16-bit IPv4 total length"};
+    }
     FrameBuf frame = FrameBuf::allocate(kUdpFrameOverhead + payload.size());
     ByteWriter w{frame.mutable_bytes()};
     EthernetHeader eth{.dst = dst, .src = src, .ethertype = kEtherTypeIpv4};
@@ -80,6 +84,10 @@ FrameBuf build_udp_frame(HostAddr src, HostAddr dst,
 
 FrameBuf build_tcp_frame(HostAddr src, HostAddr dst, TcpHeader tcp,
                          std::span<const std::byte> payload) {
+    if (payload.size() > kMaxTcpPayload) {
+        throw BufferError{"TCP payload of " + std::to_string(payload.size()) +
+                          " B overflows the 16-bit IPv4 total length"};
+    }
     FrameBuf frame = FrameBuf::allocate(kTcpFrameOverhead + payload.size());
     ByteWriter w{frame.mutable_bytes()};
     EthernetHeader eth{.dst = dst, .src = src, .ethertype = kEtherTypeIpv4};

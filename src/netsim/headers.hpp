@@ -98,14 +98,21 @@ inline constexpr std::size_t kUdpFrameOverhead =
 inline constexpr std::size_t kTcpFrameOverhead =
     EthernetHeader::kSize + Ipv4Header::kSize + TcpHeader::kSize;  // 54
 
+/// Largest L4 payloads whose IPv4 total length fits its 16-bit field.
+inline constexpr std::size_t kMaxUdpPayload =
+    0xffff - Ipv4Header::kSize - UdpHeader::kSize;  // 65,507
+inline constexpr std::size_t kMaxTcpPayload =
+    0xffff - Ipv4Header::kSize - TcpHeader::kSize;  // 65,495
+
 /// Build a complete UDP frame (Ethernet+IPv4+UDP+payload). The frame is
 /// serialized straight into a pooled FrameBuf slab — no intermediate
-/// vector.
+/// vector. A payload above kMaxUdpPayload throws BufferError.
 FrameBuf build_udp_frame(HostAddr src, HostAddr dst,
                          std::uint16_t src_port, std::uint16_t dst_port,
                          std::span<const std::byte> payload);
 
-/// Build a complete TCP frame (Ethernet+IPv4+TCP+payload).
+/// Build a complete TCP frame (Ethernet+IPv4+TCP+payload). A payload
+/// above kMaxTcpPayload throws BufferError.
 FrameBuf build_tcp_frame(HostAddr src, HostAddr dst, TcpHeader tcp,
                          std::span<const std::byte> payload);
 

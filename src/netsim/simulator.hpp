@@ -36,7 +36,9 @@ namespace daiet::sim {
 
 class Simulator {
 public:
-    Simulator() = default;
+    Simulator() {
+        for (auto& bucket : wheel_) bucket.reserve(kBucketReserve);
+    }
 
     Simulator(const Simulator&) = delete;
     Simulator& operator=(const Simulator&) = delete;
@@ -70,6 +72,10 @@ public:
     SimTime now() const noexcept { return now_; }
     bool idle() const noexcept { return wheel_count_ + heap_.size() == 0; }
     std::uint64_t events_executed() const noexcept { return executed_; }
+
+    /// Actions up to this size (nothrow-movable, max_align_t-aligned)
+    /// are stored inline in their slot; larger ones are boxed.
+    static constexpr std::size_t kInlineActionBytes = 48;
 
     /// "No pending event" sentinel for next_event_at().
     static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
@@ -141,7 +147,6 @@ public:
 private:
     // --- slot pool + flat heap ----------------------------------------------
 
-    static constexpr std::size_t kInlineBytes = 48;
     static constexpr std::uint32_t kNoSlot = 0xffffffff;
 
     /// run: invoke the action, then destroy it — even when the action
@@ -156,7 +161,7 @@ private:
     struct ActionSlot {
         const VTable* vt{nullptr};
         std::uint32_t next_free{kNoSlot};
-        alignas(std::max_align_t) std::byte buf[kInlineBytes];
+        alignas(std::max_align_t) std::byte buf[kInlineActionBytes];
     };
 
     /// 16 bytes, so the four children of a 4-ary heap node share one
@@ -225,7 +230,7 @@ private:
             idx = slot_count_++;
         }
         ActionSlot& slot = slot_at(idx);
-        if constexpr (sizeof(Fn) <= kInlineBytes &&
+        if constexpr (sizeof(Fn) <= kInlineActionBytes &&
                       alignof(Fn) <= alignof(std::max_align_t) &&
                       std::is_nothrow_move_constructible_v<Fn>) {
             ::new (static_cast<void*>(slot.buf)) Fn(std::forward<F>(action));
@@ -261,6 +266,11 @@ private:
     static constexpr unsigned kWheelShift = 6;  ///< 64 ns per bucket
     static constexpr std::size_t kWheelBuckets = 256;  ///< 16 us window
     static constexpr std::uint64_t kWheelMask = kWheelBuckets - 1;
+    /// Entries each bucket has room for from the start (32 KB in all).
+    /// Buckets grow one by one as each sees a new occupancy high; with
+    /// this floor a lightly loaded queue never has to, so its steady
+    /// state allocates nothing.
+    static constexpr std::size_t kBucketReserve = 8;
 
     static std::uint64_t tick_of(SimTime at) noexcept {
         return static_cast<std::uint64_t>(at) >> kWheelShift;

@@ -7,9 +7,10 @@ namespace daiet::telemetry {
 
 namespace {
 
+/// A writer holding the header, sized for exactly `body_bytes` more.
 ByteWriter header(TelemetryOp op, std::uint8_t count, sim::NodeId switch_node,
-                  std::uint32_t window) {
-    ByteWriter w;
+                  std::uint32_t window, std::size_t body_bytes) {
+    ByteWriter w{kTelemetryHeaderSize + body_bytes};
     w.put_u16(kTelemetryMagic);
     w.put_u8(static_cast<std::uint8_t>(op));
     w.put_u8(count);
@@ -22,13 +23,14 @@ ByteWriter header(TelemetryOp op, std::uint8_t count, sim::NodeId switch_node,
 
 std::vector<std::byte> serialize_probe(sim::NodeId switch_node,
                                        std::uint32_t window) {
-    return header(TelemetryOp::kProbe, 0, switch_node, window).take();
+    return header(TelemetryOp::kProbe, 0, switch_node, window, 0).take();
 }
 
 std::vector<std::byte> serialize_summary(sim::NodeId switch_node,
                                          std::uint32_t window,
                                          const SummaryRecord& summary) {
-    ByteWriter w = header(TelemetryOp::kSummary, 1, switch_node, window);
+    ByteWriter w =
+        header(TelemetryOp::kSummary, 1, switch_node, window, kSummaryRecordSize);
     w.put_u64(summary.frames_observed);
     w.put_u64(summary.bytes_observed);
     w.put_u32(summary.kv_gets);
@@ -44,7 +46,7 @@ std::vector<std::byte> serialize_port_stats(sim::NodeId switch_node,
     DAIET_EXPECTS(ports.size() <= kMaxPortStatsPerFrame);
     ByteWriter w = header(TelemetryOp::kPortStats,
                           static_cast<std::uint8_t>(ports.size()), switch_node,
-                          window);
+                          window, ports.size() * kPortStatRecordSize);
     for (const PortStatRecord& p : ports) {
         w.put_u16(p.port);
         w.put_u32(p.frames);
@@ -64,7 +66,7 @@ std::vector<std::byte> serialize_hot_keys(sim::NodeId switch_node,
     DAIET_EXPECTS(keys.size() <= kMaxHotKeysPerFrame);
     ByteWriter w = header(TelemetryOp::kHotKeys,
                           static_cast<std::uint8_t>(keys.size()), switch_node,
-                          window);
+                          window, keys.size() * kHotKeyRecordSize);
     for (const HotKeyRecord& k : keys) {
         w.put_bytes(k.key.bytes());
         w.put_u32(k.estimate);

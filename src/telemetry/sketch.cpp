@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/bytes.hpp"
 #include "common/contracts.hpp"
 #include "common/hash.hpp"
 
@@ -64,9 +63,7 @@ HotKeyLog::HotKeyLog(std::string name, std::size_t capacity,
 
 HotKeyLog::Outcome HotKeyLog::offer(dp::PacketContext& ctx, const Key16& key) {
     Outcome out;
-    ByteWriter w;
-    w.put_bytes(key.bytes());
-    const std::size_t cell = ctx.hash(w.bytes()) % dedup_.size();
+    const std::size_t cell = ctx.hash(key.bytes()) % dedup_.size();
     ctx.count_op(dp::OpKind::kAlu);  // full-key compare
     if (dedup_.read(ctx, cell) == key) return out;  // already logged
     const std::uint32_t at = count_.read(ctx, 0);

@@ -10,6 +10,14 @@
 
 namespace daiet::transport {
 
+namespace {
+
+/// Initial width of a request or reply ring (doubles on demand; a
+/// reply ring stops at its cache's window).
+constexpr std::size_t kInitialRingSlots = 64;
+
+}  // namespace
+
 // --------------------------------------------------------- RetryChannel
 
 RetryChannel::RetryChannel(sim::Host& host, sim::HostAddr dst,
@@ -19,14 +27,15 @@ RetryChannel::RetryChannel(sim::Host& host, sim::HostAddr dst,
       dst_{dst},
       src_port_{src_port},
       dst_port_{dst_port},
-      options_{options} {
+      options_{options},
+      requests_{kInitialRingSlots} {
     DAIET_EXPECTS(options_.initial_rto > 0);
     DAIET_EXPECTS(options_.max_attempts >= 1);
 }
 
 bool RetryChannel::barred(const KeyWindow& window, bool is_write) const noexcept {
     // FIFO through the queue: nothing may overtake a queued request.
-    if (!window.queued.empty()) return true;
+    if (window.queue_head != 0) return true;
     if (is_write) {
         // A write waits for every older request on its key...
         return window.write_in_flight || window.reads_in_flight > 0;
@@ -36,45 +45,65 @@ bool RetryChannel::barred(const KeyWindow& window, bool is_write) const noexcept
     return window.write_in_flight;
 }
 
+RetryChannel::KeyWindow& RetryChannel::window_for(const Key16& key) {
+    if (const auto it = windows_.find(key); it != windows_.end()) return it->second;
+    if (spare_windows_.empty()) return windows_[key];
+    WindowMap::node_type node = std::move(spare_windows_.back());
+    spare_windows_.pop_back();
+    node.key() = key;
+    node.mapped() = KeyWindow{};
+    return windows_.insert(std::move(node)).position->second;
+}
+
 std::uint32_t RetryChannel::submit(const Key16& key, bool is_write,
                                    const MakePayload& make) {
     DAIET_EXPECTS(make != nullptr);
-    const std::uint32_t seq = next_seq_++;
-    Request request;
+    const std::uint32_t seq = next_seq_;
+    std::array<std::byte, kMaxPayload> payload{};
+    ByteWriter out{std::span<std::byte>{payload}};
+    make(seq, out);  // throws BufferError past kMaxPayload bytes
+    ++next_seq_;
+    DAIET_EXPECTS(requests_.find(seq) == nullptr);
+    Request& request = requests_.insert(seq);
     request.key = key;
     request.is_write = is_write;
-    request.payload = make(seq);
-    const auto [it, inserted] = requests_.emplace(seq, std::move(request));
-    DAIET_EXPECTS(inserted);
+    request.submitted = host_->simulator().now();
+    request.payload = payload;
+    request.payload_size = static_cast<std::uint8_t>(out.size());
     ++stats_.requests;
-    KeyWindow& window = windows_[key];
+    KeyWindow& window = window_for(key);
     if (barred(window, is_write)) {
-        window.queued.push_back(seq);
+        if (window.queue_tail != 0) {
+            requests_.find(window.queue_tail)->next_queued = seq;
+        } else {
+            window.queue_head = seq;
+        }
+        window.queue_tail = seq;
         ++stats_.barrier_delays;
     } else {
-        launch(seq, it->second, window);
+        launch(request, window);
     }
     return seq;
 }
 
-void RetryChannel::launch(std::uint32_t seq, Request& request, KeyWindow& window) {
+void RetryChannel::launch(Request& request, KeyWindow& window) {
     request.in_flight = true;
     if (request.is_write) {
         window.write_in_flight = true;
     } else {
         ++window.reads_in_flight;
     }
-    transmit(seq, request);
+    transmit(request);
 }
 
-void RetryChannel::transmit(std::uint32_t seq, Request& request) {
+void RetryChannel::transmit(Request& request) {
     ++request.attempts;
     if (request.attempts > 1) ++stats_.retransmits;
     request.deferred = false;  // each transmission earns one deferral
     request.last_sent = host_->simulator().now();
     if (trace::enabled()) {
         auto& t = trace::tracer();
-        const std::uint64_t tag = request_tag(host_->addr(), seq);
+        const std::uint64_t tag = request_tag(host_->addr(), request.seq);
         t.record({host_->simulator().now(), 0, tag, request.attempts,
                   t.intern(host_->name()),
                   request.attempts > 1 ? trace::EventKind::kRetransmit
@@ -83,13 +112,20 @@ void RetryChannel::transmit(std::uint32_t seq, Request& request) {
         // kHostTx event a few calls down consumes the annotation.
         t.annotate_next_tx(tag);
     }
-    host_->udp_send(dst_, src_port_, dst_port_, request.payload);
+    host_->udp_send(dst_, src_port_, dst_port_, request.bytes());
     // Exponential backoff per retransmission (shift capped to keep the
     // arithmetic sane even with a pathological attempt budget).
-    const auto shift =
-        static_cast<unsigned>(std::min<std::size_t>(request.attempts - 1, 10));
-    request.timer = host_->timer_after(current_rto() << shift,
-                                       [this, seq] { on_timeout(seq); });
+    const auto shift = std::min<std::uint32_t>(request.attempts - 1, 10);
+    arm(request, current_rto() << shift);
+}
+
+void RetryChannel::arm(Request& request, sim::SimTime delay) {
+    const std::uint32_t gen = ++request.timer_gen;
+    host_->simulator().schedule_after(
+        delay, [alive = std::weak_ptr<const bool>{alive_}, this,
+                seq = request.seq, gen] {
+            if (!alive.expired()) on_timeout(seq, gen);
+        });
 }
 
 void RetryChannel::note_congestion() {
@@ -106,17 +142,17 @@ void RetryChannel::note_congestion() {
         std::max(congested_until_, host_->simulator().now() + hold);
 }
 
-void RetryChannel::on_timeout(std::uint32_t seq) {
-    const auto it = requests_.find(seq);
-    if (it == requests_.end() || !it->second.in_flight) return;
-    Request& request = it->second;
+void RetryChannel::on_timeout(std::uint32_t seq, std::uint32_t gen) {
+    Request* found = requests_.find(seq);
+    if (found == nullptr || !found->in_flight || found->timer_gen != gen) return;
+    Request& request = *found;
     const sim::SimTime now = host_->simulator().now();
     // Followers queued behind this request's key barrier inherit any
     // deferral wholesale — for them the hold is pure added latency, so
     // a request with followers always retransmits on schedule.
-    const auto wit = windows_.find(it->second.key);
+    const auto wit = windows_.find(request.key);
     const bool has_followers =
-        wit != windows_.end() && !wit->second.queued.empty();
+        wit != windows_.end() && wit->second.queue_head != 0;
     if (options_.ecn_backoff && now < congested_until_ && !request.deferred &&
         !has_followers) {
         // The fabric told us a queue is standing: this expiry is more
@@ -133,8 +169,7 @@ void RetryChannel::on_timeout(std::uint32_t seq) {
             t.record({now, 0, request_tag(host_->addr(), seq), congested_until_,
                       t.intern(host_->name()), trace::EventKind::kEcnBackoff});
         }
-        request.timer = host_->timer_after(congested_until_ - now,
-                                           [this, seq] { on_timeout(seq); });
+        arm(request, congested_until_ - now);
         return;
     }
     if (request.attempts >= options_.max_attempts) {
@@ -145,61 +180,56 @@ void RetryChannel::on_timeout(std::uint32_t seq) {
             t.record({now, 0, request_tag(host_->addr(), seq), request.attempts,
                       t.intern(host_->name()), trace::EventKind::kAbandon});
         }
-        requests_.erase(it);
+        requests_.erase(request);
         ++stats_.abandoned;
-        // Release the barrier before notifying: a given-up write must
-        // not wedge every later request on its key.
+        // A given-up write must not wedge every later request on its key.
         release(key, was_write);
-        if (on_abandon) on_abandon(seq);
         return;
     }
-    transmit(seq, request);
+    transmit(request);
 }
 
 bool RetryChannel::nudge(std::uint32_t seq) {
-    const auto it = requests_.find(seq);
-    if (it == requests_.end() || !it->second.in_flight) return false;
-    Request& request = it->second;
-    if (request.attempts >= options_.max_attempts) return false;
-    if (request.timer) request.timer->cancel();
+    Request* request = requests_.find(seq);
+    if (request == nullptr || !request->in_flight) return false;
+    if (request->attempts >= options_.max_attempts) return false;
     ++stats_.nudges;
     if (trace::enabled()) {
         auto& t = trace::tracer();
         t.record({host_->simulator().now(), 0, request_tag(host_->addr(), seq), 0,
                   t.intern(host_->name()), trace::EventKind::kNudge});
     }
-    transmit(seq, request);
+    transmit(*request);  // re-arming disarms the pending RTO
     return true;
 }
 
-bool RetryChannel::complete(std::uint32_t seq) {
-    const auto it = requests_.find(seq);
-    if (it == requests_.end() || !it->second.in_flight) {
+std::optional<RetryChannel::Completion> RetryChannel::complete(std::uint32_t seq) {
+    Request* found = requests_.find(seq);
+    if (found == nullptr || !found->in_flight) {
         // Unknown seq: a duplicate of an already-completed request (or
         // a reply outliving its abandoned request). Queued requests
         // have never been sent, so a "reply" for one is equally bogus.
         ++stats_.duplicate_replies;
-        return false;
+        return std::nullopt;
     }
-    Request& request = it->second;
+    Request& request = *found;
     if (request.attempts == 1) {
         // Karn's rule: an RTT spanning a retransmission is ambiguous
         // (the reply may answer either copy) — only clean samples feed
         // the estimator.
         observe_rtt(host_->simulator().now() - request.last_sent);
     }
-    if (request.timer) request.timer->cancel();
-    const Key16 key = request.key;
-    const bool was_write = request.is_write;
+    const Completion done{request.key, request.is_write, request.submitted};
     if (trace::enabled()) {
         auto& t = trace::tracer();
         t.record({host_->simulator().now(), 0, request_tag(host_->addr(), seq),
                   request.attempts, t.intern(host_->name()), trace::EventKind::kReplyRx});
     }
-    requests_.erase(it);
+    // Freeing the slot disarms the RTO: its event finds no request.
+    requests_.erase(request);
     ++stats_.replies;
-    release(key, was_write);
-    return true;
+    release(done.key, done.is_write);
+    return done;
 }
 
 void RetryChannel::release(const Key16& key, bool was_write) {
@@ -212,25 +242,22 @@ void RetryChannel::release(const Key16& key, bool was_write) {
         --window.reads_in_flight;
     }
     // Launch whatever the head of the queue now admits: consecutive
-    // reads drain together, a write drains alone.
-    while (!window.queued.empty()) {
-        const std::uint32_t head = window.queued.front();
-        const auto rit = requests_.find(head);
-        if (rit == requests_.end()) {  // abandoned while queued (defensive)
-            window.queued.pop_front();
-            continue;
-        }
-        Request& next = rit->second;
+    // reads drain together, a write drains alone. Queued requests have
+    // no RTO armed, so none can leave the ring while queued.
+    while (window.queue_head != 0) {
+        Request* next = requests_.find(window.queue_head);
+        DAIET_ASSERT(next != nullptr);
         const bool admit =
-            next.is_write ? !window.write_in_flight && window.reads_in_flight == 0
-                          : !window.write_in_flight;
+            next->is_write ? !window.write_in_flight && window.reads_in_flight == 0
+                           : !window.write_in_flight;
         if (!admit) break;
-        window.queued.pop_front();
-        launch(head, next, window);
+        window.queue_head = next->next_queued;
+        if (window.queue_head == 0) window.queue_tail = 0;
+        launch(*next, window);
     }
     if (!window.write_in_flight && window.reads_in_flight == 0 &&
-        window.queued.empty()) {
-        windows_.erase(wit);
+        window.queue_head == 0) {
+        spare_windows_.push_back(windows_.extract(wit));
     }
 }
 
@@ -255,7 +282,7 @@ sim::SimTime RetryChannel::current_rto() const noexcept {
 // ----------------------------------------------------------- ReplyCache
 
 ReplyCache::ReplyCache(std::uint32_t window) : window_{window} {
-    DAIET_EXPECTS(window_ > 0);
+    DAIET_EXPECTS(std::has_single_bit(window_));
 }
 
 Sighting ReplyCache::classify(sim::HostAddr client, std::uint32_t seq) const {
@@ -263,33 +290,47 @@ Sighting ReplyCache::classify(sim::HostAddr client, std::uint32_t seq) const {
     const auto it = clients_.find(client);
     if (it == clients_.end()) return Sighting::kNew;
     const PerClient& pc = it->second;
-    if (pc.replies.contains(seq)) return Sighting::kDuplicate;
-    if (pc.max_seq > window_ && seq <= pc.max_seq - window_) {
-        return Sighting::kForgotten;
-    }
+    if (pc.replies.find(seq) != nullptr) return Sighting::kDuplicate;
+    if (seq <= floor_of(pc)) return Sighting::kForgotten;
     return Sighting::kNew;
 }
 
-const std::vector<std::byte>* ReplyCache::find(sim::HostAddr client,
-                                               std::uint32_t seq) const {
+std::optional<std::span<const std::byte>> ReplyCache::find(sim::HostAddr client,
+                                                           std::uint32_t seq) const {
     const auto it = clients_.find(client);
-    if (it == clients_.end()) return nullptr;
-    const auto rit = it->second.replies.find(seq);
-    return rit == it->second.replies.end() ? nullptr : &rit->second;
+    if (it == clients_.end()) return std::nullopt;
+    const Reply* reply = it->second.replies.find(seq);
+    if (reply == nullptr) return std::nullopt;
+    return std::span<const std::byte>{reply->bytes.data(), reply->size};
 }
 
 void ReplyCache::record(sim::HostAddr client, std::uint32_t seq,
-                        std::vector<std::byte> reply) {
+                        std::span<const std::byte> reply) {
     if (seq == 0) return;
-    PerClient& pc = clients_[client];
-    pc.replies[seq] = std::move(reply);
+    if (reply.size() > kMaxPayload) {
+        throw BufferError{"ReplyCache: reply larger than kMaxPayload"};
+    }
+    PerClient& pc =
+        clients_.try_emplace(client, std::min<std::size_t>(kInitialRingSlots, window_))
+            .first->second;
+    DAIET_EXPECTS(seq > floor_of(pc));  // a kForgotten seq is never recorded
     if (seq > pc.max_seq) {
+        // Prune the replies the advancing window leaves behind. Live
+        // seqs lie in (old floor, old max], so the walk is bounded by
+        // the window and amortizes to the seqs the floor passes.
+        const std::uint32_t old_floor = floor_of(pc);
+        const std::uint32_t old_max = pc.max_seq;
         pc.max_seq = seq;
-        if (pc.max_seq > window_) {
-            const std::uint32_t floor = pc.max_seq - window_;
-            pc.replies.erase(pc.replies.begin(), pc.replies.upper_bound(floor));
+        const std::uint32_t prune_to = std::min(floor_of(pc), old_max);
+        for (std::uint32_t s = old_floor + 1; s <= prune_to && pc.replies.size() > 0;
+             ++s) {
+            if (Reply* stale = pc.replies.find(s)) pc.replies.erase(*stale);
         }
     }
+    Reply& slot = pc.replies.insert(seq);
+    std::copy(reply.begin(), reply.end(), slot.bytes.begin());
+    slot.size = static_cast<std::uint8_t>(reply.size());
+    DAIET_ENSURES(pc.replies.capacity() <= window_);
 }
 
 std::size_t ReplyCache::entries() const noexcept {

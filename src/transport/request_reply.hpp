@@ -7,9 +7,9 @@
 // (retransmissions carry the *same* seq, so (client address, seq)
 // names one logical request everywhere on the path):
 //
-//  * RetryChannel — the client half. Stamps seq, sends, arms a
-//    cancellable RTO timer per request (adaptive, TCP-flavoured:
-//    srtt/rttvar with exponential backoff; Karn's rule for samples),
+//  * RetryChannel — the client half. Stamps seq, sends, arms an RTO
+//    per transmission (adaptive, TCP-flavoured: srtt/rttvar with
+//    exponential backoff; Karn's rule for samples),
 //    retransmits the identical bytes until a reply matches or the
 //    attempt budget is spent, and suppresses duplicate replies. It
 //    also enforces per-key write barriers: a write waits for every
@@ -27,16 +27,28 @@
 //    PUT_ACK, recognizing duplicates by the same (client, seq)
 //    identity, so replayed packets cannot wedge the coherence
 //    counters.
+//
+// Both host halves are heap-free in steady state: request payloads and
+// recorded replies live inline (at most kMaxPayload bytes) in flat
+// seq-indexed rings, a key's barrier queue is threaded through its
+// requests, and an RTO is a plain simulator event stamped with a
+// generation number — bumping the request's generation disarms it.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/bytes.hpp"
+#include "common/contracts.hpp"
 #include "common/fixed_key.hpp"
 #include "netsim/host.hpp"
 
@@ -86,12 +98,89 @@ struct RetryStats {
     std::uint64_t ecn_backoffs{0};
 };
 
+/// Largest request or reply payload the transport holds: a kv message
+/// is 32 B. Payloads live inline in the per-request state, so a larger
+/// one throws BufferError when it is serialized.
+inline constexpr std::size_t kMaxPayload = 32;
+
+namespace detail {
+
+/// Per-request state indexed by transport seq: slot `seq & mask` of a
+/// power-of-two ring, which doubles whenever a new seq lands on a slot
+/// a live entry still holds. Seqs only grow, so a ring as wide as the
+/// live seq span never collides and steady state touches no heap. seq 0
+/// marks an empty slot, which is why seq 0 never names an entry.
+template <typename T>  // T: default-constructible, with a std::uint32_t `seq`
+class SeqRing {
+public:
+    explicit SeqRing(std::size_t capacity) : slots_(capacity) {
+        DAIET_EXPECTS(std::has_single_bit(capacity));
+    }
+
+    T* find(std::uint32_t seq) noexcept {
+        T& slot = slots_[seq & mask()];
+        return seq != 0 && slot.seq == seq ? &slot : nullptr;
+    }
+    const T* find(std::uint32_t seq) const noexcept {
+        const T& slot = slots_[seq & mask()];
+        return seq != 0 && slot.seq == seq ? &slot : nullptr;
+    }
+
+    /// A fresh entry for `seq`, replacing any live entry with that seq.
+    /// Growth moves entries: references from find() die here.
+    T& insert(std::uint32_t seq) {
+        DAIET_EXPECTS(seq != 0);
+        while (slots_[seq & mask()].seq != 0 && slots_[seq & mask()].seq != seq) {
+            grow();
+        }
+        T& slot = slots_[seq & mask()];
+        if (slot.seq == 0) ++size_;
+        slot = T{};
+        slot.seq = seq;
+        return slot;
+    }
+
+    void erase(T& entry) noexcept {
+        DAIET_EXPECTS(entry.seq != 0);
+        entry.seq = 0;
+        --size_;
+    }
+
+    std::size_t size() const noexcept { return size_; }
+    std::size_t capacity() const noexcept { return slots_.size(); }
+
+private:
+    std::size_t mask() const noexcept { return slots_.size() - 1; }
+
+    /// Live seqs are distinct modulo the capacity, hence modulo twice it.
+    void grow() {
+        std::vector<T> wider(slots_.size() * 2);
+        for (T& entry : slots_) {
+            if (entry.seq != 0) wider[entry.seq & (wider.size() - 1)] = std::move(entry);
+        }
+        slots_.swap(wider);
+    }
+
+    std::vector<T> slots_;
+    std::size_t size_{0};
+};
+
+}  // namespace detail
+
 /// Client half: reliable at-most-once request submission over UDP.
 class RetryChannel {
 public:
-    /// Serialize the request with transport seq `seq` stamped into it.
+    /// Serialize the request with transport seq `seq` stamped into it,
+    /// into a writer over the request's inline kMaxPayload bytes.
     /// Called once per request; retransmissions reuse the bytes.
-    using MakePayload = std::function<std::vector<std::byte>(std::uint32_t seq)>;
+    using MakePayload = std::function<void(std::uint32_t seq, ByteWriter& out)>;
+
+    /// What complete() hands back about the request it finished.
+    struct Completion {
+        Key16 key{};
+        bool is_write{false};
+        sim::SimTime submitted{0};  ///< when submit() admitted it
+    };
 
     RetryChannel(sim::Host& host, sim::HostAddr dst, std::uint16_t src_port,
                  std::uint16_t dst_port, RetryOptions options = {});
@@ -100,27 +189,24 @@ public:
     RetryChannel& operator=(const RetryChannel&) = delete;
 
     /// Admit a request on ordering key `key`. Sends immediately unless
-    /// the key's write barrier holds it back. Returns the seq.
+    /// the key's write barrier holds it back. Returns the seq: 1 for
+    /// the first request, then one more per call.
     std::uint32_t submit(const Key16& key, bool is_write, const MakePayload& make);
 
-    /// A reply carrying `seq` arrived. Returns true exactly once per
-    /// request (cancels the timer, releases the key's barrier); false
-    /// for duplicates and unknown seqs — the caller must drop those.
-    bool complete(std::uint32_t seq);
+    /// A reply carrying `seq` arrived. Returns the request exactly once
+    /// (disarms its RTO, releases the key's barrier); nullopt for
+    /// duplicates and unknown seqs — the caller must drop those.
+    std::optional<Completion> complete(std::uint32_t seq);
 
     /// Retransmit `seq` right now instead of waiting out its RTO — the
     /// reaction to an explicit negative signal from the fabric (a kv
     /// directory NACK for a range that is mid-migration: the request
     /// provably died at a known switch, so the RTO's loss inference is
-    /// redundant). Consumes an attempt and re-arms the backed-off timer
+    /// redundant). Consumes an attempt and re-arms the backed-off RTO
     /// like any retransmission. Returns false — and does nothing — for
     /// requests that are unknown, still queued behind a barrier, or out
-    /// of attempts (the armed timer then drives abandonment).
+    /// of attempts (the armed RTO then drives abandonment).
     bool nudge(std::uint32_t seq);
-
-    /// Invoked after a request exhausts its attempt budget (its barrier
-    /// is released first, so the key cannot wedge).
-    std::function<void(std::uint32_t seq)> on_abandon;
 
     /// The fabric reported congestion toward this destination (an
     /// ECN-marked datagram arrived, or the server echoed one). Opens —
@@ -135,36 +221,58 @@ public:
     sim::SimTime congested_until() const noexcept { return congested_until_; }
 
     const RetryStats& stats() const noexcept { return stats_; }
-    /// Requests in flight or queued behind a barrier.
+    /// Requests in flight or queued behind a barrier. A request leaves
+    /// on completion or when it exhausts its attempt budget.
     std::size_t outstanding() const noexcept { return requests_.size(); }
+    /// True while `seq` is in flight or queued behind a barrier.
+    bool is_outstanding(std::uint32_t seq) const noexcept {
+        return requests_.find(seq) != nullptr;
+    }
     /// The RTO a fresh request would be armed with right now.
     sim::SimTime current_rto() const noexcept;
 
 private:
     struct Request {
+        std::uint32_t seq{0};  ///< 0 = free ring slot
+        /// Generation of the armed RTO: bumping it disarms the event
+        /// already queued, which then fires as a no-op.
+        std::uint32_t timer_gen{0};
+        /// Next seq in this key's barrier queue (0 = last).
+        std::uint32_t next_queued{0};
+        std::uint32_t attempts{0};
         Key16 key{};
-        bool is_write{false};
-        std::vector<std::byte> payload;
-        std::size_t attempts{0};
+        sim::SimTime submitted{0};
         sim::SimTime last_sent{0};
-        sim::TimerRef timer;
+        bool is_write{false};
         bool in_flight{false};  ///< false while queued behind a barrier
         /// Already granted its one congestion deferral since the last
         /// (re)transmission (see on_timeout).
         bool deferred{false};
+        std::uint8_t payload_size{0};
+        std::array<std::byte, kMaxPayload> payload{};
+
+        std::span<const std::byte> bytes() const noexcept {
+            return {payload.data(), payload_size};
+        }
     };
 
-    /// Per-key ordering window (erased when idle).
+    /// Per-key ordering window (erased when idle). Its queue is threaded
+    /// through the requests' next_queued links.
     struct KeyWindow {
         std::uint32_t reads_in_flight{0};
         bool write_in_flight{false};
-        std::deque<std::uint32_t> queued;  ///< seqs awaiting the barrier
+        std::uint32_t queue_head{0};  ///< oldest seq awaiting the barrier
+        std::uint32_t queue_tail{0};  ///< youngest seq awaiting the barrier
     };
+    using WindowMap = std::unordered_map<Key16, KeyWindow>;
 
     bool barred(const KeyWindow& window, bool is_write) const noexcept;
-    void launch(std::uint32_t seq, Request& request, KeyWindow& window);
-    void transmit(std::uint32_t seq, Request& request);
-    void on_timeout(std::uint32_t seq);
+    KeyWindow& window_for(const Key16& key);
+    void launch(Request& request, KeyWindow& window);
+    void transmit(Request& request);
+    /// Schedule `request`'s RTO `delay` from now, disarming any other.
+    void arm(Request& request, sim::SimTime delay);
+    void on_timeout(std::uint32_t seq, std::uint32_t gen);
     /// Release `key`'s barrier slice held by a finished request and
     /// launch whatever the queue now admits.
     void release(const Key16& key, bool was_write);
@@ -176,43 +284,61 @@ private:
     std::uint16_t dst_port_;
     RetryOptions options_;
     std::uint32_t next_seq_{1};
-    std::unordered_map<std::uint32_t, Request> requests_;
-    std::unordered_map<Key16, KeyWindow> windows_;
+    detail::SeqRing<Request> requests_;
+    WindowMap windows_;
+    /// Nodes of erased windows, reused for the next new key.
+    std::vector<WindowMap::node_type> spare_windows_;
     bool have_rtt_{false};
     double srtt_{0};
     double rttvar_{0};
     sim::SimTime congested_until_{0};
     RetryStats stats_;
+    /// Queued RTO events hold a weak reference: once the channel is
+    /// gone they fire as no-ops.
+    std::shared_ptr<const bool> alive_{std::make_shared<const bool>(true)};
 };
 
 /// Server half: at-most-once execution with reply replay. Entries are
 /// pruned once a client's seq counter has advanced `window` past them
 /// (seqs are per-client monotonic, so anything that old can only be a
-/// long-abandoned retransmission). Replies are kept in seq order, so a
-/// prune erases only the expired prefix instead of scanning the window.
+/// long-abandoned retransmission). Each client's replies sit inline in
+/// a SeqRing of at most `window` slots, so a sighting is one slot probe.
 class ReplyCache {
 public:
+    /// `window` must be a power of two.
     explicit ReplyCache(std::uint32_t window = 4096);
 
     /// Classify a sighting of (client, seq). seq 0 marks a message that
     /// never went through a RetryChannel: always kNew, never recorded.
     Sighting classify(sim::HostAddr client, std::uint32_t seq) const;
 
-    /// The recorded reply for a kDuplicate sighting (nullptr otherwise).
-    const std::vector<std::byte>* find(sim::HostAddr client,
-                                       std::uint32_t seq) const;
+    /// The recorded reply for a kDuplicate sighting (nullopt otherwise).
+    std::optional<std::span<const std::byte>> find(sim::HostAddr client,
+                                                   std::uint32_t seq) const;
 
-    /// Record the reply bytes for a kNew sighting.
+    /// Record the reply bytes (at most kMaxPayload) for a kNew sighting.
     void record(sim::HostAddr client, std::uint32_t seq,
-                std::vector<std::byte> reply);
+                std::span<const std::byte> reply);
 
     std::size_t entries() const noexcept;
 
 private:
+    struct Reply {
+        std::uint32_t seq{0};  ///< 0 = free ring slot
+        std::uint8_t size{0};
+        std::array<std::byte, kMaxPayload> bytes{};
+    };
+
     struct PerClient {
-        std::map<std::uint32_t, std::vector<std::byte>> replies;
+        explicit PerClient(std::size_t slots) : replies{slots} {}
+        detail::SeqRing<Reply> replies;
         std::uint32_t max_seq{0};
     };
+
+    /// Replies older than this for `pc` are forgotten.
+    std::uint32_t floor_of(const PerClient& pc) const noexcept {
+        return pc.max_seq > window_ ? pc.max_seq - window_ : 0;
+    }
 
     std::uint32_t window_;
     std::unordered_map<sim::HostAddr, PerClient> clients_;
@@ -225,6 +351,15 @@ constexpr std::uint64_t request_tag(sim::HostAddr client,
                                     std::uint32_t seq) noexcept {
     return (static_cast<std::uint64_t>(client) << 32) |
            static_cast<std::uint64_t>(seq);
+}
+
+/// A request tag as the 8 big-endian bytes a switch hash unit reads.
+constexpr std::array<std::byte, 8> request_tag_bytes(std::uint64_t tag) noexcept {
+    std::array<std::byte, 8> out{};
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = static_cast<std::byte>(tag >> (56 - 8 * i));
+    }
+    return out;
 }
 
 }  // namespace daiet::transport

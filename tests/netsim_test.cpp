@@ -198,6 +198,25 @@ TEST(Headers, TcpFrameLayout) {
     EXPECT_FALSE(parsed->tcp->syn());
 }
 
+TEST(Headers, LengthFieldsRejectPayloadsTheyCannotHold) {
+    // At the limit the IPv4 total length is exactly 0xffff.
+    std::vector<std::byte> payload(kMaxUdpPayload);
+    const auto udp = parse_frame(build_udp_frame(1, 2, 3, 4, payload));
+    ASSERT_TRUE(udp.has_value());
+    ASSERT_TRUE(udp->udp.has_value());
+    EXPECT_EQ(udp->ip.total_length, 0xffff);
+    EXPECT_EQ(udp->udp->length, 0xffff - Ipv4Header::kSize);
+    payload.push_back(std::byte{0});
+    EXPECT_THROW(build_udp_frame(1, 2, 3, 4, payload), BufferError);
+
+    payload.resize(kMaxTcpPayload);
+    const auto tcp = parse_frame(build_tcp_frame(1, 2, TcpHeader{}, payload));
+    ASSERT_TRUE(tcp.has_value());
+    EXPECT_EQ(tcp->ip.total_length, 0xffff);
+    payload.push_back(std::byte{0});
+    EXPECT_THROW(build_tcp_frame(1, 2, TcpHeader{}, payload), BufferError);
+}
+
 TEST(Headers, NonIpv4ReturnsNullopt) {
     ByteWriter w;
     EthernetHeader{.dst = 1, .src = 2, .ethertype = 0x86DD}.serialize(w);

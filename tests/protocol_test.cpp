@@ -169,13 +169,13 @@ TEST(Parsers, KvParserSurvivesMutationAndRoundTrips) {
         msg.seq = 0x0a0b0c0d;
         msg.key = Key16{"user:fuzz"};
         msg.value = 0xdeadbeef;
-        golden.push_back(kv::serialize_kv(msg));
+        golden.push_back(bytes_of(kv::serialize_kv(msg)));
         // A valid message re-serializes byte-identically.
-        EXPECT_EQ(kv::serialize_kv(kv::parse_kv(golden.back())), golden.back());
+        EXPECT_EQ(bytes_of(kv::serialize_kv(kv::parse_kv(golden.back()))), golden.back());
     }
     // Every field is stored raw, so any mutant that parses does too.
     const auto v = fuzz_parser(golden, kv::parse_kv, [](const kv::KvMessage& msg, auto m) {
-        EXPECT_EQ(kv::serialize_kv(msg), bytes_of(m));
+        EXPECT_EQ(bytes_of(kv::serialize_kv(msg)), bytes_of(m));
     });
     EXPECT_GT(v[0], 0U);
     EXPECT_GT(v[1], 0U);
@@ -189,7 +189,7 @@ TEST(Parsers, DirectoryParserSurvivesMutation) {
         msg.seq = 0xfeedf00d;
         msg.tag = 0x0102030405060708ULL;
         msg.key = Key16{"user:fuzz"};
-        golden.push_back(dir::serialize_directory(msg));
+        golden.push_back(bytes_of(dir::serialize_directory(msg)));
     }
     const auto v = fuzz_parser(golden, dir::parse_directory,
                                [](const dir::DirectoryMessage&, auto) {});

@@ -215,8 +215,8 @@ TEST(RetryChannel, CongestionMarkPostponesRtoWhenEnabled) {
         // The server never answers: every transmission times out.
         transport::RetryChannel channel{client, topo.hosts[1]->addr(), 7000,
                                         7001, options};
-        channel.submit(Key16{"k"}, false, [](std::uint32_t) {
-            return std::vector<std::byte>(8);
+        channel.submit(Key16{"k"}, false, [](std::uint32_t, ByteWriter& out) {
+            out.put_zeros(8);
         });
         // A congestion mark lands just before the first RTO would fire.
         net.simulator().schedule_at(150 * sim::kMicrosecond,

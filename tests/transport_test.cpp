@@ -1,6 +1,8 @@
 // Tests for the loss-tolerant transport layer (src/transport/): the
 // stream-restart strategy (migrated from the old core/reliable tests),
-// the request/response retry strategy (RetryChannel / ReplyCache), the
+// the request/response retry strategy (RetryChannel / ReplyCache,
+// including a differential test of the reply rings against the old
+// std::map cache and a count of heap allocations in steady state), the
 // SwitchProgramMux dispatch edge cases, and the headline guarantees —
 // a cache-enabled kv service on a lossy fabric returns values identical
 // to a loss-free cache-disabled run, and aggregation + kv recovering
@@ -8,7 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstdlib>
 #include <map>
+#include <memory>
+#include <new>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -22,6 +29,39 @@
 #include "runtime/job_driver.hpp"
 #include "transport/request_reply.hpp"
 #include "transport/restart.hpp"
+
+// ------------------------------------------------- allocation counting
+
+// Sanitizers bring their own operator new; the allocation test skips
+// itself there instead of fighting them for the symbol.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DAIET_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DAIET_TEST_SANITIZED 1
+#endif
+#endif
+
+namespace {
+std::atomic<std::uint64_t> g_heap_allocations{0};
+}  // namespace
+
+#ifndef DAIET_TEST_SANITIZED
+// Replacements that only count: every global new of this test binary
+// bumps g_heap_allocations, then allocates as usual. GCC cannot see
+// that the deletes below pair with these news, hence the pragma.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+    g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+    throw std::bad_alloc{};
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#endif
 
 namespace daiet {
 namespace {
@@ -224,6 +264,13 @@ std::vector<std::byte> seq_payload(std::uint32_t seq) {
     return w.take();
 }
 
+/// MakePayload twin of seq_payload.
+void write_seq(std::uint32_t seq, ByteWriter& out) { out.put_u32(seq); }
+
+std::vector<std::byte> bytes_of(std::span<const std::byte> s) {
+    return {s.begin(), s.end()};
+}
+
 TEST(RetryChannel, RetransmitsUntilEveryRequestCompletes) {
     EchoPair wire{/*loss=*/0.2, /*seed=*/17, /*reply_delay=*/0};
     transport::RetryOptions options;
@@ -242,7 +289,7 @@ TEST(RetryChannel, RetransmitsUntilEveryRequestCompletes) {
 
     for (int i = 0; i < 50; ++i) {
         channel.submit(Key16{"k" + std::to_string(i)}, /*is_write=*/false,
-                       seq_payload);
+                       write_seq);
     }
     wire.net.run();
 
@@ -270,10 +317,10 @@ TEST(RetryChannel, PerKeyWriteBarrierOrdersSameKeyTraffic) {
 
     const Key16 hot{"hot"};
     const Key16 cold{"cold"};
-    const std::uint32_t read1 = channel.submit(hot, false, seq_payload);
-    const std::uint32_t write2 = channel.submit(hot, true, seq_payload);
-    const std::uint32_t read3 = channel.submit(hot, false, seq_payload);
-    const std::uint32_t other = channel.submit(cold, false, seq_payload);
+    const std::uint32_t read1 = channel.submit(hot, false, write_seq);
+    const std::uint32_t write2 = channel.submit(hot, true, write_seq);
+    const std::uint32_t read3 = channel.submit(hot, false, write_seq);
+    const std::uint32_t other = channel.submit(cold, false, write_seq);
     wire.net.run();
 
     // The write waited for the older read, the younger read waited for
@@ -291,8 +338,8 @@ TEST(ReplyCache, AtMostOnceClassificationAndPruning) {
     EXPECT_EQ(cache.classify(client, 1), transport::Sighting::kNew);
     cache.record(client, 1, seq_payload(1));
     EXPECT_EQ(cache.classify(client, 1), transport::Sighting::kDuplicate);
-    ASSERT_NE(cache.find(client, 1), nullptr);
-    EXPECT_EQ(*cache.find(client, 1), seq_payload(1));
+    ASSERT_TRUE(cache.find(client, 1).has_value());
+    EXPECT_EQ(bytes_of(*cache.find(client, 1)), seq_payload(1));
 
     // seq 0 marks untransported traffic: never cached, always new.
     EXPECT_EQ(cache.classify(client, 0), transport::Sighting::kNew);
@@ -305,7 +352,7 @@ TEST(ReplyCache, AtMostOnceClassificationAndPruning) {
         cache.record(client, seq, seq_payload(seq));
     }
     EXPECT_EQ(cache.classify(client, 1), transport::Sighting::kForgotten);
-    EXPECT_EQ(cache.find(client, 1), nullptr);
+    EXPECT_FALSE(cache.find(client, 1).has_value());
     EXPECT_EQ(cache.classify(client, 12), transport::Sighting::kDuplicate);
     // Other clients have independent seq spaces.
     EXPECT_EQ(cache.classify(client + 1, 12), transport::Sighting::kNew);
@@ -323,11 +370,12 @@ TEST(ReplyCache, LongLivedClientKeepsOnlyTheWindow) {
     EXPECT_EQ(cache.entries(), kWindow);
     EXPECT_EQ(cache.classify(client, 1), transport::Sighting::kForgotten);
     EXPECT_EQ(cache.classify(client, kLast - kWindow), transport::Sighting::kForgotten);
-    EXPECT_EQ(cache.find(client, kLast - kWindow), nullptr);
+    EXPECT_FALSE(cache.find(client, kLast - kWindow).has_value());
     EXPECT_EQ(cache.classify(client, kLast - kWindow + 1), transport::Sighting::kDuplicate);
     EXPECT_EQ(cache.classify(client, kLast), transport::Sighting::kDuplicate);
-    ASSERT_NE(cache.find(client, kLast - kWindow + 1), nullptr);
-    EXPECT_EQ(*cache.find(client, kLast - kWindow + 1), seq_payload(kLast - kWindow + 1));
+    ASSERT_TRUE(cache.find(client, kLast - kWindow + 1).has_value());
+    EXPECT_EQ(bytes_of(*cache.find(client, kLast - kWindow + 1)),
+              seq_payload(kLast - kWindow + 1));
 
     // A seq jump past the whole window prunes every older entry.
     cache.record(client, kLast + 3 * kWindow, seq_payload(1));
@@ -335,6 +383,386 @@ TEST(ReplyCache, LongLivedClientKeepsOnlyTheWindow) {
     EXPECT_EQ(cache.classify(client, kLast), transport::Sighting::kForgotten);
     cache.record(client, kLast + 3 * kWindow - 1, seq_payload(2));  // late, in window
     EXPECT_EQ(cache.entries(), 2U);
+}
+
+/// The std::map ReplyCache the per-client rings replaced, kept as the
+/// reference model for the differential test below.
+class MapReplyCache {
+public:
+    explicit MapReplyCache(std::uint32_t window) : window_{window} {}
+
+    transport::Sighting classify(sim::HostAddr client, std::uint32_t seq) const {
+        if (seq == 0) return transport::Sighting::kNew;
+        const auto it = clients_.find(client);
+        if (it == clients_.end()) return transport::Sighting::kNew;
+        const PerClient& pc = it->second;
+        if (pc.replies.contains(seq)) return transport::Sighting::kDuplicate;
+        if (pc.max_seq > window_ && seq <= pc.max_seq - window_) {
+            return transport::Sighting::kForgotten;
+        }
+        return transport::Sighting::kNew;
+    }
+
+    const std::vector<std::byte>* find(sim::HostAddr client, std::uint32_t seq) const {
+        const auto it = clients_.find(client);
+        if (it == clients_.end()) return nullptr;
+        const auto rit = it->second.replies.find(seq);
+        return rit == it->second.replies.end() ? nullptr : &rit->second;
+    }
+
+    void record(sim::HostAddr client, std::uint32_t seq, std::vector<std::byte> reply) {
+        if (seq == 0) return;
+        PerClient& pc = clients_[client];
+        pc.replies[seq] = std::move(reply);
+        if (seq > pc.max_seq) {
+            pc.max_seq = seq;
+            if (pc.max_seq > window_) {
+                const std::uint32_t floor = pc.max_seq - window_;
+                pc.replies.erase(pc.replies.begin(), pc.replies.upper_bound(floor));
+            }
+        }
+    }
+
+    std::size_t entries() const {
+        std::size_t n = 0;
+        for (const auto& [client, pc] : clients_) n += pc.replies.size();
+        return n;
+    }
+
+private:
+    struct PerClient {
+        std::map<std::uint32_t, std::vector<std::byte>> replies;
+        std::uint32_t max_seq{0};
+    };
+    std::uint32_t window_;
+    std::map<sim::HostAddr, PerClient> clients_;
+};
+
+TEST(ReplyCache, RingMatchesTheMapReferenceModel) {
+    for (const std::uint32_t window : {8U, 4096U}) {
+        transport::ReplyCache ring{window};
+        MapReplyCache model{window};
+        Rng rng{window};
+        std::array<std::uint32_t, 3> newest{};  // per client, for seq generation
+        std::array<std::size_t, 3> sightings{};  // by Sighting
+        for (int step = 0; step < 100000; ++step) {
+            const std::size_t c = rng.next_below(newest.size());
+            const sim::HostAddr client = 40 + static_cast<sim::HostAddr>(c);
+            const std::uint32_t top = newest[c];
+            std::uint32_t seq = 0;
+            switch (rng.next_below(16)) {
+                case 0:  // untransported
+                    break;
+                case 1:  // jump past the whole window
+                    seq = top + window + 1 +
+                          static_cast<std::uint32_t>(rng.next_below(2 * window));
+                    break;
+                case 2:
+                case 3:
+                case 4: {  // a recent retransmission: mostly duplicates
+                    const auto back = static_cast<std::uint32_t>(rng.next_below(8));
+                    seq = top - std::min(top, back);
+                    break;
+                }
+                case 5:
+                case 6: {  // anywhere back: late, duplicate or forgotten
+                    const auto back = static_cast<std::uint32_t>(
+                        rng.next_below(window + window / 2 + 1));
+                    seq = top - std::min(top, back);
+                    break;
+                }
+                default:  // in order, with small gaps
+                    seq = top + 1 + static_cast<std::uint32_t>(rng.next_below(3));
+                    break;
+            }
+            const transport::Sighting got = ring.classify(client, seq);
+            ASSERT_EQ(got, model.classify(client, seq)) << "step " << step << " seq " << seq;
+            ++sightings[static_cast<std::size_t>(got)];
+            const std::vector<std::byte>* want = model.find(client, seq);
+            const auto have = ring.find(client, seq);
+            ASSERT_EQ(have.has_value(), want != nullptr) << "step " << step;
+            if (want != nullptr) {
+                ASSERT_EQ(bytes_of(*have), *want) << "step " << step;
+            }
+            if (got == transport::Sighting::kNew) {
+                std::vector<std::byte> reply(rng.next_below(transport::kMaxPayload + 1));
+                for (std::byte& b : reply) b = static_cast<std::byte>(rng.next_below(256));
+                ring.record(client, seq, reply);
+                model.record(client, seq, reply);
+                newest[c] = std::max(newest[c], seq);
+            }
+            ASSERT_EQ(ring.entries(), model.entries()) << "step " << step;
+        }
+        // Every answer was exercised, not just kNew.
+        for (const std::size_t n : sightings) EXPECT_GT(n, 100U) << "window " << window;
+    }
+}
+
+TEST(RetryChannel, ThousandsOfConcurrentRequestsKeepEveryKeysBarrier) {
+    EchoPair wire{/*loss=*/0.05, /*seed=*/23, /*reply_delay=*/2 * sim::kMicrosecond};
+    transport::RetryOptions options;
+    options.initial_rto = 50 * sim::kMicrosecond;
+    transport::RetryChannel channel{*wire.client, wire.server->addr(),
+                                    EchoPair::kClientPort, EchoPair::kServerPort,
+                                    options};
+    // 1,000 requests at once, then 1,000 more, one per completion, so
+    // requests also join key queues that have drained part-way.
+    constexpr std::size_t kBurst = 1000;
+    constexpr std::size_t kRequests = 2 * kBurst;
+    constexpr std::size_t kKeys = 50;
+    struct Op {
+        std::size_t key;
+        bool is_write;
+    };
+    std::map<std::uint32_t, Op> ops;  // by seq
+    Rng rng{5};
+    const auto submit_one = [&] {
+        const Op op{rng.next_below(kKeys), rng.next_below(4) == 0};
+        const std::uint32_t seq = channel.submit(Key16{"k" + std::to_string(op.key)},
+                                                 op.is_write, write_seq);
+        ops[seq] = op;
+    };
+    std::size_t completed = 0;
+    wire.client->udp_bind(EchoPair::kClientPort,
+                          [&](sim::HostAddr, std::uint16_t,
+                              std::span<const std::byte> payload) {
+                              ByteReader r{payload};
+                              if (!channel.complete(r.get_u32())) return;
+                              ++completed;
+                              if (ops.size() < kRequests) submit_one();
+                          });
+    for (std::size_t i = 0; i < kBurst; ++i) submit_one();
+    EXPECT_EQ(channel.outstanding(), kBurst);
+    wire.net.run();
+
+    EXPECT_EQ(completed, kRequests);
+    EXPECT_EQ(channel.outstanding(), 0U);
+    EXPECT_EQ(channel.stats().abandoned, 0U);
+    EXPECT_GT(channel.stats().retransmits, 0U);
+    EXPECT_GT(channel.stats().barrier_delays, 0U);
+
+    // Barrier order at the server: a write's first arrival follows the
+    // first arrival of every older request on its key and precedes that
+    // of every younger one.
+    std::map<std::uint32_t, std::size_t> first_arrival;
+    for (std::size_t i = 0; i < wire.arrival_order.size(); ++i) {
+        first_arrival.try_emplace(wire.arrival_order[i], i);
+    }
+    ASSERT_EQ(first_arrival.size(), kRequests);
+    for (const auto& [wseq, wop] : ops) {
+        if (!wop.is_write) continue;
+        for (const auto& [seq, op] : ops) {
+            if (op.key != wop.key || seq == wseq) continue;
+            if (seq < wseq) {
+                EXPECT_LT(first_arrival[seq], first_arrival[wseq]) << seq << " before write " << wseq;
+            } else {
+                EXPECT_GT(first_arrival[seq], first_arrival[wseq]) << seq << " after write " << wseq;
+            }
+        }
+    }
+}
+
+TEST(Transport, SeqZeroNeverNamesARequestOrAReply) {
+    EchoPair wire{/*loss=*/0.0, /*seed=*/1, /*reply_delay=*/0};
+    transport::RetryChannel channel{*wire.client, wire.server->addr(),
+                                    EchoPair::kClientPort, EchoPair::kServerPort,
+                                    {}};
+    // Slot 0 of the empty request ring holds seq 0 as its "free" mark.
+    EXPECT_FALSE(channel.is_outstanding(0));
+    EXPECT_FALSE(channel.nudge(0));
+    EXPECT_FALSE(channel.complete(0).has_value());
+    EXPECT_EQ(channel.stats().duplicate_replies, 1U);
+
+    transport::ReplyCache cache{/*window=*/8};
+    const sim::HostAddr client = 42;
+    EXPECT_EQ(cache.classify(client, 0), transport::Sighting::kNew);
+    cache.record(client, 1, seq_payload(1));  // the client's slot 0 stays free
+    EXPECT_EQ(cache.classify(client, 0), transport::Sighting::kNew);
+    EXPECT_FALSE(cache.find(client, 0).has_value());
+    cache.record(client, 8, seq_payload(8));  // seq 8 fills slot 0
+    EXPECT_EQ(cache.classify(client, 0), transport::Sighting::kNew);
+    EXPECT_FALSE(cache.find(client, 0).has_value());
+    EXPECT_EQ(cache.entries(), 2U);
+}
+
+TEST(Transport, PayloadsPastTheInlineLimitFailLoudly) {
+    EchoPair wire{/*loss=*/0.0, /*seed=*/1, /*reply_delay=*/0};
+    transport::RetryChannel channel{*wire.client, wire.server->addr(),
+                                    EchoPair::kClientPort, EchoPair::kServerPort,
+                                    {}};
+    EXPECT_THROW(channel.submit(Key16{"k"}, false,
+                                [](std::uint32_t, ByteWriter& out) {
+                                    out.put_zeros(transport::kMaxPayload + 1);
+                                }),
+                 BufferError);
+    // The refused request left no trace: the next one still gets seq 1.
+    EXPECT_EQ(channel.outstanding(), 0U);
+    EXPECT_EQ(channel.stats().requests, 0U);
+    EXPECT_EQ(channel.submit(Key16{"k"}, false, write_seq), 1U);
+
+    transport::ReplyCache cache;
+    EXPECT_THROW(cache.record(7, 1, std::vector<std::byte>(transport::kMaxPayload + 1)),
+                 BufferError);
+    EXPECT_EQ(cache.entries(), 0U);
+}
+
+/// Both transport halves over a lossy wire. The client keeps a fixed
+/// number of requests outstanding on kKeys keys (one in four a write,
+/// so barriers queue), issuing the next as each completes; the server
+/// answers through a ReplyCache, replaying duplicates and holding each
+/// fresh reply by value in its send event.
+struct ClosedLoopEcho {
+    static constexpr std::uint16_t kClientPort = 7000;
+    static constexpr std::uint16_t kServerPort = 7001;
+    static constexpr std::size_t kKeys = 32;
+
+    sim::Network net{11};
+    sim::Host* client{nullptr};
+    sim::Host* server{nullptr};
+    transport::ReplyCache replies;
+    std::unique_ptr<transport::RetryChannel> channel;
+    std::array<Key16, kKeys> keys;
+    Rng rng{3};
+    std::uint64_t submitted{0};
+    std::uint64_t completed{0};
+    std::uint64_t replays{0};
+    std::uint64_t limit{0};
+
+    explicit ClosedLoopEcho(double loss) {
+        client = &net.add_host("client");
+        server = &net.add_host("server");
+        sim::LinkParams params;
+        params.loss_probability = loss;
+        net.connect(*client, *server, params);
+        for (std::size_t i = 0; i < kKeys; ++i) keys[i] = Key16{"key" + std::to_string(i)};
+        transport::RetryOptions options;
+        options.initial_rto = 50 * sim::kMicrosecond;
+        channel = std::make_unique<transport::RetryChannel>(
+            *client, server->addr(), kClientPort, kServerPort, options);
+        client->udp_bind(kClientPort, [this](sim::HostAddr, std::uint16_t,
+                                             std::span<const std::byte> payload) {
+            ByteReader r{payload};
+            if (!channel->complete(r.get_u32())) return;
+            ++completed;
+            if (submitted < limit) submit_one();
+        });
+        server->udp_bind(kServerPort, [this](sim::HostAddr src, std::uint16_t src_port,
+                                             std::span<const std::byte> payload) {
+            ByteReader r{payload};
+            const std::uint32_t seq = r.get_u32();
+            switch (replies.classify(src, seq)) {
+                case transport::Sighting::kDuplicate:
+                    ++replays;
+                    server->udp_send(src, kServerPort, src_port, *replies.find(src, seq));
+                    return;
+                case transport::Sighting::kForgotten:
+                    return;
+                case transport::Sighting::kNew:
+                    break;
+            }
+            std::array<std::byte, 8> reply{};
+            std::copy_n(payload.begin(), reply.size(), reply.begin());
+            replies.record(src, seq, reply);
+            server->simulator().schedule_after(
+                10 * sim::kMicrosecond, [this, reply, src, src_port] {
+                    server->udp_send(src, kServerPort, src_port, reply);
+                });
+        });
+    }
+
+    void submit_one() {
+        const std::size_t key = rng.next_below(kKeys);
+        channel->submit(keys[key], rng.next_below(4) == 0,
+                        [](std::uint32_t seq, ByteWriter& out) {
+                            out.put_u32(seq);
+                            out.put_u32(~seq);
+                        });
+        ++submitted;
+    }
+
+    /// Run `n` more requests to completion, `concurrency` at a time.
+    void run_requests(std::uint64_t n, std::size_t concurrency) {
+        limit = submitted + n;
+        for (std::size_t i = 0; i < concurrency && submitted < limit; ++i) submit_one();
+        net.run();
+    }
+};
+
+TEST(Transport, SteadyStateRequestPathAllocatesNothing) {
+#ifdef DAIET_TEST_SANITIZED
+    GTEST_SKIP() << "sanitizer builds replace operator new";
+#else
+    ClosedLoopEcho echo{/*loss=*/0.05};
+    // Warm with 5,000 requests. The first 1,024 go out at once: that
+    // sizes the request ring, the event queue and the link FIFO for a
+    // seq span no 4-deep closed loop reaches (at 4 requests per ~12 us
+    // round trip, a request would have to lose 6 transmissions in a row
+    // to stay outstanding for 1,024 seqs).
+    echo.run_requests(1024, 1024);
+    echo.run_requests(5000 - 1024, 4);
+    ASSERT_EQ(echo.completed, 5000U);
+    const transport::RetryStats warm = echo.channel->stats();
+    const std::uint64_t warm_replays = echo.replays;
+    const std::uint64_t before = g_heap_allocations.load();
+    echo.run_requests(10000, 4);
+    const std::uint64_t allocations = g_heap_allocations.load() - before;
+    EXPECT_EQ(allocations, 0U);
+    EXPECT_EQ(echo.completed, 15000U);
+    EXPECT_EQ(echo.channel->outstanding(), 0U);
+    EXPECT_EQ(echo.channel->stats().abandoned, 0U);
+    // The measured stretch took every path: retransmission, replay from
+    // the reply cache, and queueing behind a key's barrier.
+    EXPECT_GT(echo.channel->stats().retransmits, warm.retransmits);
+    EXPECT_GT(echo.replays, warm_replays);
+    EXPECT_GT(echo.channel->stats().barrier_delays, warm.barrier_delays);
+#endif
+}
+
+/// A kv client whose server never answers: every request times out.
+struct SilentServer {
+    sim::Network net{3};
+    sim::Host* client_host{nullptr};
+    sim::Host* silent{nullptr};
+
+    SilentServer() {
+        client_host = &net.add_host("client");
+        silent = &net.add_host("silent");
+        net.connect(*client_host, *silent, {});
+    }
+};
+
+TEST(KvClientLifetime, DestroyingAClientWithArmedTimersAndQueuedRequestsIsSafe) {
+    SilentServer fabric;
+    auto client = std::make_unique<kv::KvClient>(*fabric.client_host, kv::KvConfig{},
+                                                 fabric.silent->addr());
+    const Key16 key{"k"};
+    client->put(key, 1);          // in flight, RTO armed
+    client->get(key);             // queued behind the write
+    client->get(Key16{"other"});  // in flight, RTO armed
+    EXPECT_EQ(client->outstanding(), 3U);
+    EXPECT_EQ(client->channel().stats().barrier_delays, 1U);
+    fabric.net.simulator().run_until(20 * sim::kMicrosecond);
+    client.reset();
+    // Every RTO still queued fires into the destroyed channel as a no-op.
+    fabric.net.run();
+    EXPECT_TRUE(fabric.net.simulator().idle());
+}
+
+TEST(KvClientLifetime, AbandonedRequestsLeaveOutstanding) {
+    SilentServer fabric;
+    kv::KvConfig config;
+    config.retry.initial_rto = 20 * sim::kMicrosecond;
+    config.retry.max_attempts = 2;
+    kv::KvClient client{*fabric.client_host, config, fabric.silent->addr()};
+    const Key16 key{"k"};
+    client.put(key, 1);
+    client.get(key);  // launched only once the write is abandoned
+    client.get(Key16{"other"});
+    EXPECT_EQ(client.outstanding(), 3U);
+    fabric.net.run();
+    EXPECT_EQ(client.outstanding(), 0U);
+    EXPECT_EQ(client.stats().abandoned, 3U);
+    EXPECT_TRUE(client.log().empty());
 }
 
 // -------------------------------------------------------- mux dispatch

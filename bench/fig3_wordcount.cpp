@@ -8,7 +8,9 @@
 // registers, 16 B keys + 4 B values and at most 10 pairs per packet.
 // Per reducer we report the relative reduction DAIET achieves, and the
 // box plot over the 12 reducers reproduces the figure.
+#include <chrono>
 #include <iostream>
+#include <utility>
 
 #include "bench_json.hpp"
 #include "bench_util.hpp"
@@ -35,13 +37,20 @@ int main() {
         "data volume -86.9..-89.3% (median ~88%); reduce time median -83.6%; "
         "packets vs UDP -88.1..-90.5% (median 90.5%); packets vs TCP median -42%");
 
-    JobOptions options;
-    options.mode = ShuffleMode::kTcpBaseline;
-    const auto tcp = run_wordcount_job(corpus, options);
-    options.mode = ShuffleMode::kUdpNoAgg;
-    const auto udp = run_wordcount_job(corpus, options);
-    options.mode = ShuffleMode::kDaiet;
-    const auto daiet_run = run_wordcount_job(corpus, options);
+    // Each job's wall time, to hold its phase split against.
+    const auto timed_job = [&corpus](ShuffleMode mode) {
+        JobOptions options;
+        options.mode = mode;
+        const auto start = std::chrono::steady_clock::now();
+        JobResult result = run_wordcount_job(corpus, options);
+        return std::pair{std::move(result),
+                         std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                                       start)
+                             .count()};
+    };
+    const auto [tcp, tcp_wall] = timed_job(ShuffleMode::kTcpBaseline);
+    const auto [udp, udp_wall] = timed_job(ShuffleMode::kUdpNoAgg);
+    const auto [daiet_run, daiet_wall] = timed_job(ShuffleMode::kDaiet);
 
     BenchJson json{"fig3_wordcount"};
     json.config()
@@ -133,6 +142,33 @@ int main() {
             .number("reduce_total_ms", reduce_ms);
     }
     agg.print(std::cout);
+
+    // Where each job's wall time went (the phases run back to back; the
+    // reduce phase includes all three timed repeats of every reducer).
+    std::cout << "\nwall-time split per job (s):\n";
+    TextTable split{{"mode", "map", "build", "presort", "shuffle", "reduce", "check",
+                     "output", "sum", "wall"}};
+    for (const auto& [job, wall] : {std::pair{&tcp, tcp_wall}, std::pair{&udp, udp_wall},
+                                    std::pair{&daiet_run, daiet_wall}}) {
+        const JobPhases& p = job->phases;
+        split.add_row({std::string{to_string(job->mode)}, TextTable::fmt(p.map_s, 3),
+                       TextTable::fmt(p.build_s, 3), TextTable::fmt(p.presort_s, 3),
+                       TextTable::fmt(p.shuffle_s, 3), TextTable::fmt(p.reduce_s, 3),
+                       TextTable::fmt(p.check_s, 3), TextTable::fmt(p.output_s, 3),
+                       TextTable::fmt(p.sum(), 3), TextTable::fmt(wall, 3)});
+        json.push("phases")
+            .text("mode", std::string{to_string(job->mode)})
+            .number("map_s", p.map_s)
+            .number("build_s", p.build_s)
+            .number("presort_s", p.presort_s)
+            .number("shuffle_s", p.shuffle_s)
+            .number("reduce_s", p.reduce_s)
+            .number("check_s", p.check_s)
+            .number("output_s", p.output_s)
+            .number("sum_s", p.sum())
+            .number("wall_s", wall);
+    }
+    split.print(std::cout);
     json.root()
         .integer("switch_sram_used_bytes", daiet_run.switch_sram_used_bytes)
         .integer("switch_recirculations", daiet_run.switch_recirculations);

@@ -1,8 +1,69 @@
 #include "core/protocol.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "common/contracts.hpp"
 
 namespace daiet {
+
+namespace {
+
+std::uint8_t key_byte(const KvPair& p, std::size_t depth) noexcept {
+    return static_cast<std::uint8_t>(p.key.bytes()[depth]);
+}
+
+/// Up to kKeySortCutoff pairs, the 256-entry count and prefix sum of a
+/// radix pass cost more than these compares.
+void insertion_sort(std::span<KvPair> pairs) noexcept {
+    for (std::size_t i = 1; i < pairs.size(); ++i) {
+        const KvPair p = pairs[i];
+        std::size_t j = i;
+        for (; j > 0 && p.key < pairs[j - 1].key; --j) pairs[j] = pairs[j - 1];
+        pairs[j] = p;
+    }
+}
+
+/// Sort `pairs`, whose keys agree on bytes [0, depth), through
+/// `scratch` (same size). Scatter and insertion sort are both stable.
+void radix_sort(std::span<KvPair> pairs, std::span<KvPair> scratch, std::size_t depth) {
+    for (; depth < Key16::width; ++depth) {
+        if (pairs.size() <= kKeySortCutoff) {
+            insertion_sort(pairs);
+            return;
+        }
+        std::array<std::size_t, 256> count{};
+        for (const KvPair& p : pairs) ++count[key_byte(p, depth)];
+        // One bucket holds everything (a shared prefix byte): nothing
+        // moves, go straight to the next byte.
+        if (count[key_byte(pairs.front(), depth)] == pairs.size()) continue;
+
+        std::array<std::size_t, 256> next{};
+        for (std::size_t b = 1; b < next.size(); ++b) next[b] = next[b - 1] + count[b - 1];
+        for (const KvPair& p : pairs) scratch[next[key_byte(p, depth)]++] = p;
+        std::ranges::copy(scratch, pairs.begin());
+
+        // Recurse into every bucket, 0x00 included: keys are arbitrary
+        // byte cells, so a zero byte does not end a key.
+        std::size_t start = 0;
+        for (const std::size_t n : count) {
+            if (n > 1) {
+                radix_sort(pairs.subspan(start, n), scratch.subspan(start, n), depth + 1);
+            }
+            start += n;
+        }
+        return;
+    }
+    // depth == width: every key in `pairs` is equal, already in input order.
+}
+
+}  // namespace
+
+void sort_by_key(std::span<KvPair> pairs) {
+    // Inputs no radix pass touches need no scratch buffer.
+    std::vector<KvPair> scratch(pairs.size() > kKeySortCutoff ? pairs.size() : 0);
+    radix_sort(pairs, scratch, 0);
+}
 
 std::vector<std::byte> serialize_data(TreeId tree_id, std::span<const KvPair> pairs) {
     DAIET_EXPECTS(!pairs.empty());

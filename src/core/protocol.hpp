@@ -53,6 +53,17 @@ struct KvPair {
 };
 static_assert(std::is_trivially_copyable_v<KvPair>);
 
+/// Sort pairs by key in Key16's byte order (`operator<=>`), keeping
+/// pairs with equal keys in their input order. Every reducer sorts what
+/// it receives (§4: "the intermediate results must be sorted at the
+/// reducer"), so this is the job's hot sort: an MSD radix sort over the
+/// 16 key bytes with one scratch buffer per call.
+void sort_by_key(std::span<KvPair> pairs);
+
+/// sort_by_key finishes inputs and buckets of at most this many pairs
+/// by insertion sort.
+inline constexpr std::size_t kKeySortCutoff = 32;
+
 inline constexpr std::size_t kPreambleSize = 6;
 inline constexpr std::size_t kPairWireSize = Key16::width + sizeof(WireValue);  // 20
 /// END packet payload: preamble + declared(4) + flags(1).

@@ -122,8 +122,7 @@ std::vector<KvPair> ReducerReceiver::sorted_result() const {
     std::vector<KvPair> out;
     out.reserve(table_.size());
     for (const auto& [key, value] : table_) out.push_back(KvPair{key, value});
-    std::sort(out.begin(), out.end(),
-              [](const KvPair& a, const KvPair& b) { return a.key < b.key; });
+    sort_by_key(out);
     return out;
 }
 

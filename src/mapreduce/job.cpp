@@ -1,7 +1,7 @@
 #include "mapreduce/job.hpp"
 
 #include <algorithm>
-#include <map>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 
@@ -21,6 +21,13 @@ constexpr std::uint16_t kTcpShufflePort = 6000;
 /// Application write granularity for the TCP baseline (spill-buffer
 /// chunk size; Nagle disabled, so this sets the segment size).
 constexpr std::size_t kTcpAppChunkBytes = 1024;
+
+using Clock = std::chrono::steady_clock;
+
+/// Wall seconds since `start`, for the JobPhases split.
+double seconds_since(Clock::time_point start) {
+    return std::chrono::duration<double>(Clock::now() - start).count();
+}
 
 /// Cluster + role assignment. All fabric wiring (switch programs,
 /// controller, tree layout) lives in the runtime; this struct only maps
@@ -90,10 +97,14 @@ std::vector<KvPair> partition_reference(const std::vector<MapOutput>& maps,
     return reduce_pairs(all, AggFnId::kSumI32);
 }
 
+/// Check reducer `r`'s output against the reference, record its
+/// metrics and append the output to `merged` (the job's output pairs).
 void finalize_reducer(JobResult& result, const Cluster& c, std::size_t r,
-                      const std::vector<MapOutput>& maps, std::vector<KvPair> output,
+                      const std::vector<MapOutput>& maps,
+                      const std::vector<KvPair>& output, std::vector<KvPair>& merged,
                       std::uint64_t pairs_received, std::uint64_t payload_bytes,
                       double reduce_seconds) {
+    const auto check_start = Clock::now();
     const auto reference = partition_reference(maps, r);
     if (output != reference) {
         throw std::runtime_error{"WordCount: reducer " + std::to_string(r) +
@@ -101,6 +112,7 @@ void finalize_reducer(JobResult& result, const Cluster& c, std::size_t r,
                                  " keys vs " + std::to_string(reference.size()) +
                                  " expected) -- aggregation broke correctness"};
     }
+    result.phases.check_s += seconds_since(check_start);
     ReducerMetrics metrics;
     metrics.index = r;
     metrics.pairs_received = pairs_received;
@@ -109,16 +121,15 @@ void finalize_reducer(JobResult& result, const Cluster& c, std::size_t r,
     metrics.reduce_seconds = reduce_seconds;
     metrics.output_keys = output.size();
     result.reducers.push_back(metrics);
-    for (const KvPair& p : output) {
-        result.output.emplace_back(p.key.to_string(), i32_from_wire(p.value));
-    }
+    merged.insert(merged.end(), output.begin(), output.end());
 }
 
-void run_udp_shuffle(JobResult& result, Cluster& c,
+void run_udp_shuffle(JobResult& result, std::vector<KvPair>& merged, Cluster& c,
                      const std::vector<MapOutput>& maps, const JobOptions& o) {
     rt::JobDriver& driver = *c.driver;
     const std::size_t r = c.reducers.size();
 
+    const auto shuffle_start = Clock::now();
     driver.begin_round();
     // Raw collectors instead of the driver's ReducerReceivers: Figure 3
     // times the reduce step over the raw received payloads separately.
@@ -147,36 +158,40 @@ void run_udp_shuffle(JobResult& result, Cluster& c,
                                      " stream flagged dirty (lost pairs)"};
         }
     }
+    result.phases.shuffle_s = seconds_since(shuffle_start);
 
     for (std::size_t i = 0; i < r; ++i) {
         const auto& payloads = collectors[i]->payloads();
         std::vector<KvPair> output;
+        const auto reduce_start = Clock::now();
         const double secs = time_seconds(
             [&] { output = reduce_daiet_payloads(payloads, AggFnId::kSumI32); });
-        finalize_reducer(result, c, i, maps, std::move(output),
-                         collectors[i]->pair_count(), collectors[i]->payload_bytes(),
-                         secs);
+        result.phases.reduce_s += seconds_since(reduce_start);
+        finalize_reducer(result, c, i, maps, output, merged, collectors[i]->pair_count(),
+                         collectors[i]->payload_bytes(), secs);
     }
 }
 
-void run_tcp_shuffle(JobResult& result, Cluster& c,
+void run_tcp_shuffle(JobResult& result, std::vector<KvPair>& merged, Cluster& c,
                      const std::vector<MapOutput>& maps, const JobOptions& o) {
     const std::size_t m = c.mappers.size();
     const std::size_t r = c.reducers.size();
 
     // Mapper-side sort (the baseline sorts at the mapper, §4) and
     // re-serialization, done before the network phase starts.
+    const auto presort_start = Clock::now();
     std::vector<std::vector<IntermediateFile>> sorted_files(m);
     for (std::size_t mi = 0; mi < m; ++mi) {
         sorted_files[mi].reserve(r);
         for (std::size_t ri = 0; ri < r; ++ri) {
             auto records = maps[mi].partitions[ri].all_records();
-            std::sort(records.begin(), records.end(),
-                      [](const KvPair& a, const KvPair& b) { return a.key < b.key; });
+            sort_by_key(records);
             sorted_files[mi].emplace_back(records);
         }
     }
+    result.phases.presort_s = seconds_since(presort_start);
 
+    const auto shuffle_start = Clock::now();
     // Reducer-side stream collection: one (key-sorted) run per inbound
     // connection; bytes stay raw until the timed reduce step.
     struct RunState {
@@ -231,6 +246,7 @@ void run_tcp_shuffle(JobResult& result, Cluster& c,
                                      "/" + std::to_string(m) + " connections"};
         }
     }
+    result.phases.shuffle_s = seconds_since(shuffle_start);
 
     for (std::size_t ri = 0; ri < r; ++ri) {
         std::vector<std::vector<std::byte>> streams;
@@ -238,15 +254,17 @@ void run_tcp_shuffle(JobResult& result, Cluster& c,
         streams.reserve(runs[ri].size());
         for (const auto& state : runs[ri]) {
             pairs += state->bytes.size() / kPairWireSize;
-            streams.push_back(state->bytes);
+            streams.push_back(std::move(state->bytes));
         }
         std::vector<KvPair> output;
+        const auto reduce_start = Clock::now();
         const double secs = time_seconds([&] {
             output = o.baseline_merge_reducer
                          ? reduce_sorted_streams(streams, AggFnId::kSumI32)
                          : reduce_streams(streams, AggFnId::kSumI32);
         });
-        finalize_reducer(result, c, ri, maps, std::move(output), pairs,
+        result.phases.reduce_s += seconds_since(reduce_start);
+        finalize_reducer(result, c, ri, maps, output, merged, pairs,
                          c.reducers[ri]->counters().tcp_payload_bytes_rx, secs);
     }
 }
@@ -266,6 +284,7 @@ JobResult run_wordcount_job(const Corpus& corpus, const JobOptions& options) {
     maps.reserve(m);
     JobResult result;
     result.mode = options.mode;
+    const auto map_start = Clock::now();
     for (std::size_t mi = 0; mi < m; ++mi) {
         maps.push_back(run_wordcount_map(corpus.split_text(mi), corpus, r,
                                          options.worker_combiner));
@@ -274,16 +293,29 @@ JobResult run_wordcount_job(const Corpus& corpus, const JobOptions& options) {
             result.total_pairs_shuffled += file.record_count();
         }
     }
+    result.phases.map_s = seconds_since(map_start);
 
     // --- shuffle + reduce ---------------------------------------------------
+    const auto build_start = Clock::now();
     Cluster cluster = build_cluster(corpus, options);
+    result.phases.build_s = seconds_since(build_start);
+    std::vector<KvPair> merged;
     if (options.mode == ShuffleMode::kTcpBaseline) {
-        run_tcp_shuffle(result, cluster, maps, options);
+        run_tcp_shuffle(result, merged, cluster, maps, options);
     } else {
-        run_udp_shuffle(result, cluster, maps, options);
+        run_udp_shuffle(result, merged, cluster, maps, options);
     }
 
-    std::sort(result.output.begin(), result.output.end());
+    // --- job output -----------------------------------------------------------
+    // Reducers own disjoint key sets, so one key sort orders the merged
+    // output. Words hold no NUL, so zero-padded key order is string order.
+    const auto output_start = Clock::now();
+    sort_by_key(merged);
+    result.output.reserve(merged.size());
+    for (const KvPair& p : merged) {
+        result.output.emplace_back(p.key.to_string(), i32_from_wire(p.value));
+    }
+    result.phases.output_s = seconds_since(output_start);
     result.switch_recirculations = cluster.runtime->total_recirculations();
     result.switch_sram_used_bytes = cluster.runtime->max_switch_sram_used();
     return result;

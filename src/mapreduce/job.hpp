@@ -5,7 +5,8 @@
 //
 //   kTcpBaseline  "the original TCP-based data exchange": mappers sort
 //                 each partition, stream it over TCP (1 KiB application
-//                 writes, Nagle off), reducers k-way-merge sorted runs.
+//                 writes, Nagle off); reducers group by sorting, as in
+//                 every mode (ablation A8 k-way-merges the sorted runs).
 //   kUdpNoAgg     "using UDP and the DAIET protocol, but without
 //                 executing data aggregation in the switch": plain L2
 //                 forwarding of DAIET packets.
@@ -69,8 +70,26 @@ struct ReducerMetrics {
     std::size_t output_keys{0};
 };
 
+/// Where one run_wordcount_job call spent its wall time, in seconds.
+/// The phases run one after another, so their sum is the job's wall time
+/// less the untimed glue between them (and the cluster's teardown).
+struct JobPhases {
+    double map_s{0.0};      ///< map tasks of every mapper
+    double build_s{0.0};    ///< cluster, switch programs and aggregation trees
+    double presort_s{0.0};  ///< the TCP baseline's mapper-side sort; 0 otherwise
+    double shuffle_s{0.0};  ///< the simulated shuffle, up to the last END or FIN
+    double reduce_s{0.0};   ///< every timed reduce, all repeats
+    double check_s{0.0};    ///< reducer outputs against the local reference
+    double output_s{0.0};   ///< merging and sorting the job output
+
+    double sum() const noexcept {
+        return map_s + build_s + presort_s + shuffle_s + reduce_s + check_s + output_s;
+    }
+};
+
 struct JobResult {
     ShuffleMode mode{};
+    JobPhases phases;
     std::vector<ReducerMetrics> reducers;
     /// Final output, merged across reducers and sorted (for correctness
     /// checks against Corpus::reference_counts()).

@@ -80,7 +80,7 @@ std::vector<KvPair> merge_sorted_runs(const std::vector<std::vector<KvPair>>& ru
 }
 
 std::vector<KvPair> sort_scan_combine(std::vector<KvPair> all, AggFnId fn) {
-    std::sort(all.begin(), all.end(), key_less);
+    sort_by_key(all);
     std::vector<KvPair> out;
     out.reserve(all.size() / 4 + 16);
     for (const KvPair& p : all) {

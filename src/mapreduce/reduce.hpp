@@ -1,15 +1,20 @@
-// Reducer-side final computation, in the two shapes the paper compares:
+// Reducer-side final computation.
 //
-//  * merge_sorted_runs: the classic baseline — each mapper pre-sorts its
-//    partition, the reducer k-way merges the sorted runs, combining
-//    values of equal keys (what the TCP baseline reducer does);
-//  * reduce_pairs: the DAIET-side reducer — the network delivers
-//    *unordered*, partially aggregated pairs, so the reducer folds them
-//    through a hash table and then sorts the (much smaller) result
-//    ("the intermediate results must be sorted at the reducer", §4).
+//  * sort_scan_combine: the reducer Figure 3 times, in every shuffle
+//    mode. It sorts what the reducer received by key (sort_by_key), then
+//    combines equal adjacent keys in one scan: even the DAIET reducer
+//    receives unordered pairs, and "the intermediate results must be
+//    sorted at the reducer" (§4). reduce_daiet_payloads and
+//    reduce_streams wrap it with the decode of DAIET payloads or TCP
+//    byte streams.
+//  * merge_sorted_runs: a k-way merge of the mappers' key-sorted runs.
+//    Only ablation A8 (JobOptions::baseline_merge_reducer) runs it,
+//    through reduce_sorted_streams.
+//  * reduce_pairs: hash grouping, then a comparison sort. The job's
+//    independent reference check; never timed.
 //
-// Both are pure functions; benchmarks wrap them in a timer to reproduce
-// Figure 3's "Reduce time" box.
+// All are pure functions; the job wraps the timed reduce in
+// time_seconds to reproduce Figure 3's "Reduce time" box.
 #pragma once
 
 #include <functional>
@@ -20,7 +25,7 @@
 
 namespace daiet::mr {
 
-/// Hash-aggregate then sort by key.
+/// Hash-aggregate then sort by key (the reference the job checks against).
 std::vector<KvPair> reduce_pairs(const std::vector<KvPair>& pairs, AggFnId fn);
 
 /// K-way merge of key-sorted runs, combining equal keys.

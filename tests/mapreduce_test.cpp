@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <map>
 
 #include "common/hash.hpp"
@@ -375,6 +376,35 @@ TEST_P(JobModeTest, ProducesCorrectOutputAndSaneMetrics) {
         EXPECT_GT(r.payload_bytes_received, 0U);
         EXPECT_GT(r.reduce_seconds, 0.0);
     }
+}
+
+TEST_P(JobModeTest, PhasesSplitTheWallTime) {
+    const Corpus corpus{small_corpus()};
+    JobOptions opts;
+    opts.mode = GetParam();
+    opts.daiet.register_size = 1024;
+    opts.daiet.max_trees = 3;
+    const auto start = std::chrono::steady_clock::now();
+    const auto result = run_wordcount_job(corpus, opts);
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+
+    const JobPhases& p = result.phases;
+    for (const double phase : {p.map_s, p.build_s, p.presort_s, p.shuffle_s, p.reduce_s,
+                               p.check_s, p.output_s}) {
+        EXPECT_GE(phase, 0.0);
+    }
+    if (GetParam() == ShuffleMode::kTcpBaseline) {
+        EXPECT_GT(p.presort_s, 0.0);
+    } else {
+        EXPECT_EQ(p.presort_s, 0.0);
+    }
+    EXPECT_GT(p.shuffle_s, 0.0);
+    // The timed repeats of every reducer run inside the reduce phase.
+    double timed = 0.0;
+    for (const auto& r : result.reducers) timed += r.reduce_seconds;
+    EXPECT_GE(p.reduce_s, timed);
+    EXPECT_LE(p.sum(), wall);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, JobModeTest,

@@ -117,6 +117,67 @@ TEST(Protocol, RandomRoundTripProperty) {
     }
 }
 
+// ------------------------------------------------------------ key sort
+
+TEST(KvPairSort, MatchesComparisonSort) {
+    // sort_by_key must give exactly std::stable_sort's sequence by
+    // operator<=>. Values number the pairs, so an unstable order of equal
+    // keys shows too.
+    Rng rng{2020};
+    const auto check = [](const char* input, std::vector<Key16> keys) {
+        std::vector<KvPair> pairs;
+        for (const Key16& key : keys) {
+            pairs.push_back(KvPair{key, static_cast<WireValue>(pairs.size())});
+        }
+        std::vector<KvPair> expected = pairs;
+        std::stable_sort(expected.begin(), expected.end(),
+                         [](const KvPair& a, const KvPair& b) { return a.key < b.key; });
+        sort_by_key(pairs);
+        EXPECT_TRUE(pairs == expected) << input << ", " << pairs.size() << " pairs";
+    };
+    const auto key_of = [](const std::array<std::byte, Key16::width>& raw) {
+        return Key16{std::span<const std::byte>{raw}};
+    };
+    // Few byte values, half of them zero or >= 0x80: long shared
+    // prefixes, zeros mid-key and deep buckets under every byte value.
+    const auto random_key = [&] {
+        static constexpr std::array<std::uint8_t, 6> alphabet{0x00, 0x00, 0x01,
+                                                              0x7f, 0x80, 0xff};
+        std::array<std::byte, Key16::width> raw{};
+        const bool narrow = rng.next_below(2) == 0;
+        for (auto& b : raw) {
+            b = static_cast<std::byte>(narrow ? alphabet[rng.next_below(alphabet.size())]
+                                              : rng.next_below(256));
+        }
+        return key_of(raw);
+    };
+    std::array<std::byte, Key16::width> prefix{};
+    for (auto& b : prefix) b = static_cast<std::byte>(rng.next_below(256));
+    const auto shared_prefix_key = [&] {
+        std::array<std::byte, Key16::width> raw = prefix;
+        raw.back() = static_cast<std::byte>(rng.next_below(256));
+        return key_of(raw);
+    };
+    std::vector<Key16> few;
+    for (int i = 0; i < 5; ++i) few.push_back(random_key());
+    few.push_back(Key16{});
+
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kKeySortCutoff - 1,
+                                kKeySortCutoff, kKeySortCutoff + 1, std::size_t{100'000}}) {
+        std::vector<Key16> random, shared, zeros, duplicates;
+        for (std::size_t i = 0; i < n; ++i) {
+            random.push_back(random_key());
+            shared.push_back(shared_prefix_key());
+            zeros.push_back(Key16{});
+            duplicates.push_back(few[rng.next_below(few.size())]);
+        }
+        check("random bytes", random);
+        check("15-byte shared prefix", shared);
+        check("all-zero keys", zeros);
+        check("duplicates", duplicates);
+    }
+}
+
 // ------------------------------------------------------- parser fuzzing
 
 /// Seeded mutation fuzz of one wire parser: every truncation of each

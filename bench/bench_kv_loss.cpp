@@ -5,8 +5,7 @@
 // reports the switch hit rate, the GET latency distribution (now
 // including retransmission delays — the honest p99 a lossy fabric
 // buys), and the recovery traffic itself: client retransmissions,
-// server replay answers, and the duplicate PUTs/ACKs the cache switch
-// recognized and refused to double-count. The acceptance claim is that
+// and server replay answers. The acceptance claim is that
 // the service stays coherent and complete at every loss rate while
 // retransmit counts grow from exactly zero (loss-free fabrics pay
 // nothing for the transport) to clearly nonzero at 2%.
@@ -71,9 +70,8 @@ int main() {
 
     std::printf("kv cache under loss: per-link loss sweep, 7 clients, "
                 "128-slot cache, %zu requests/client\n\n", requests);
-    std::printf("%-7s %9s %12s %12s %12s %12s %12s\n", "loss", "hit_rate",
-                "p99_get_us", "retransmits", "srv_replays", "dup_puts",
-                "dup_acks");
+    std::printf("%-7s %9s %12s %12s %12s\n", "loss", "hit_rate", "p99_get_us",
+                "retransmits", "srv_replays");
 
     bench::BenchJson json{"kv_loss"};
     const bench::SimSpeedMeter sim_speed;
@@ -94,12 +92,10 @@ int main() {
     for (const double loss : losses) {
         const Cell cell = run_cell(loss, requests);
         const kv::KvRunStats& st = cell.stats;
-        std::printf("%-7.3f %8.1f%% %12.2f %12llu %12llu %12llu %12llu\n",
-                    loss, 100.0 * st.hit_rate(), st.p99_get_ns / 1000.0,
+        std::printf("%-7.3f %8.1f%% %12.2f %12llu %12llu\n", loss,
+                    100.0 * st.hit_rate(), st.p99_get_ns / 1000.0,
                     static_cast<unsigned long long>(st.retransmits),
-                    static_cast<unsigned long long>(st.server_duplicates),
-                    static_cast<unsigned long long>(st.cache.duplicate_puts),
-                    static_cast<unsigned long long>(st.cache.duplicate_acks));
+                    static_cast<unsigned long long>(st.server_duplicates));
         json.push("cells")
             .number("loss_probability", loss)
             .integer("gets", st.gets_sent)
@@ -115,8 +111,6 @@ int main() {
             .integer("duplicate_replies", st.duplicate_replies)
             .integer("abandoned", st.abandoned)
             .integer("server_duplicates", st.server_duplicates)
-            .integer("cache_duplicate_puts", st.cache.duplicate_puts)
-            .integer("cache_duplicate_acks", st.cache.duplicate_acks)
             .integer("server_gets", st.server_gets)
             .integer("promotions", st.promotions);
 

@@ -17,7 +17,7 @@
 // tenant.
 // Act 3 breaks the fabric: the same cached workload on 1%-lossy links,
 // surviving on the request/response transport (client retransmission,
-// server reply replay, duplicate-aware cache coherence).
+// server reply replay, a cache that never re-validates from a replay).
 // Act 4 shards the service: four storage racks behind an in-network
 // directory tenant on a spine (clients address the *service*, the
 // switch rewrites to the owning rack), lease-based reply caches at the
@@ -180,12 +180,9 @@ int main() {
 
     print_run("kv on lossy links", lossy_stats);
     std::printf("recovery traffic:      %llu retransmits, %llu server replay "
-                "answers, %llu/%llu duplicate PUTs/ACKs deduped at the "
-                "switch, %llu abandoned\n",
+                "answers, %llu abandoned\n",
                 static_cast<unsigned long long>(lossy_stats.retransmits),
                 static_cast<unsigned long long>(lossy_stats.server_duplicates),
-                static_cast<unsigned long long>(lossy_stats.cache.duplicate_puts),
-                static_cast<unsigned long long>(lossy_stats.cache.duplicate_acks),
                 static_cast<unsigned long long>(lossy_stats.abandoned));
     std::printf("completion:            %llu/%llu GETs, %llu/%llu PUTs "
                 "answered exactly once\n\n",

@@ -16,7 +16,7 @@ struct KvConfig {
 
     /// Client-side retry transport (RTO, attempt budget). The kv
     /// service runs on lossy fabrics by retransmitting at the edge and
-    /// deduplicating everywhere else.
+    /// answering copies from the server's reply cache.
     transport::RetryOptions retry{};
 
     /// Per-request service time of the storage server's (single)

@@ -125,43 +125,11 @@ void KvCacheController::apply_target(const std::vector<Key16>& target) {
             ++stats_.evictions;
         }
     }
-    // (Re-)install every target key. For already-cached keys this
-    // refreshes the snapshot and repairs collision-stuck pending
-    // counters; keys with writes in flight go in as shadow entries
-    // that the final ACK validates (see KvCacheSwitchProgram::insert).
+    // (Re-)install every target key: each goes in valid with the
+    // server's current value (see KvCacheSwitchProgram::insert).
     for (const Key16& key : target) {
         const bool fresh = !cache_->contains(key);
-        if (cache_->insert(key, server_->store().at(key)) && fresh) {
-            ++stats_.promotions;
-            if (cache_->outstanding_writes(key) != 0) ++stats_.shadow_promotions;
-        }
-    }
-
-    // Self-healing for wedged in-flight state. write_flight_ residue —
-    // a write abandoned before any of its ACKs crossed the switch, or
-    // a dedup-filter cell overwritten between a PUT and its
-    // retransmission — never drains in the dataplane and would block
-    // promotion of every key hashing onto the cell forever. Live
-    // writes clear within a client's RTO budget, well inside one
-    // rebalance window, so a wanted key still blocked after
-    // kStuckWindows consecutive windows is wedged: wipe the flight
-    // state (safe at any time; slots re-validate from their next
-    // original ACK or the next rebalance).
-    bool wedged = false;
-    std::unordered_map<Key16, std::uint32_t> still_blocked;
-    for (const Key16& key : target) {
-        if (cache_->outstanding_writes(key) == 0) continue;
-        const auto it = blocked_streak_.find(key);
-        const std::uint32_t streak =
-            (it == blocked_streak_.end() ? 0 : it->second) + 1;
-        still_blocked[key] = streak;
-        wedged |= streak >= kStuckWindows;
-    }
-    blocked_streak_ = std::move(still_blocked);
-    if (wedged) {
-        cache_->reset_flight_state();
-        blocked_streak_.clear();
-        ++stats_.flight_resets;
+        if (cache_->insert(key, server_->store().at(key)) && fresh) ++stats_.promotions;
     }
 }
 

@@ -4,12 +4,12 @@
 // per-key access log at the server (every access the cache failed to
 // absorb). The controller periodically merges the two views, keeps the
 // hottest cache_slots keys cached, and writes values through from the
-// server's authoritative store. Promotion/eviction thus never races
-// the dataplane's coherence protocol: a newly promoted key starts from
-// the server's current value, and a PUT arriving later still
-// invalidates it in-line.
+// server's authoritative store. It knows nothing of in-flight writes:
+// an install serves the server's current value until the next PUT or
+// PUT_ACK to cross the switch decides the slot, by the dataplane's one
+// coherence rule (kvcache/switch_program.hpp).
 //
-// Two promotion modes share the install/heal machinery:
+// Two promotion modes share the install step:
 //   * EWMA (default): smoothed per-key scores folded from the switch
 //     hit counters and the server access log.
 //   * sketch-driven: when a hot-key source is set (telemetry — the
@@ -38,14 +38,6 @@ public:
         std::uint64_t rebalances{0};
         std::uint64_t promotions{0};
         std::uint64_t evictions{0};
-        /// Promotions installed invalid (a write was in flight); the
-        /// write's own ACK validates them with the serialized value.
-        std::uint64_t shadow_promotions{0};
-        /// Times the controller wiped the switch's in-flight state
-        /// because promotion stayed blocked across kStuckWindows
-        /// rebalances (counter residue from an abandoned write or a
-        /// dedup-filter collision — see reset_flight_state()).
-        std::uint64_t flight_resets{0};
     };
 
     /// Keys the promotion target draws from, hottest first (estimate
@@ -96,16 +88,9 @@ public:
     static constexpr double kIdleDecay = 0.5;
     static constexpr double kIdleEvidence = 3.0;
 
-    /// A wanted key whose hashed in-flight bound stays nonzero for this
-    /// many consecutive rebalances is considered wedged by counter
-    /// residue, not by live traffic (real in-flight time is bounded by
-    /// the clients' RTO budget, far below a rebalance window), and
-    /// triggers a reset_flight_state().
-    static constexpr std::uint32_t kStuckWindows = 3;
-
 private:
     /// Shared tail of both modes: evict cached keys outside `target`,
-    /// (re-)install every target key, heal wedged in-flight state.
+    /// (re-)install every target key from the server's store.
     void apply_target(const std::vector<Key16>& target);
 
     KvCacheSwitchProgram* cache_;
@@ -115,9 +100,6 @@ private:
     /// Consecutive windows each scored key was absent from both
     /// hotness views (erased the moment it reappears).
     std::unordered_map<Key16, std::uint32_t> absent_streak_;
-    /// Consecutive rebalances each wanted key spent blocked by
-    /// outstanding_writes() (erased the moment it unblocks).
-    std::unordered_map<Key16, std::uint32_t> blocked_streak_;
     Stats stats_;
 };
 

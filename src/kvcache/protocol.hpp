@@ -57,10 +57,9 @@ enum class KvOp : std::uint8_t {
 inline constexpr std::uint8_t kKvFlagFound = 0x01;       ///< key exists
 inline constexpr std::uint8_t kKvFlagFromSwitch = 0x02;  ///< served by a cache
 /// Reply replayed from the server's ReplyCache (a retransmission was
-/// answered without re-execution). Cache switches drain their
-/// coherence counters on replays that turn out to be first sightings,
-/// but must never *re-validate* a slot from one: the recorded value
-/// may predate writes that have passed the switch since.
+/// answered without re-execution). A cache switch never validates a
+/// slot from one: it leaves the server out of apply order, and the
+/// value it recorded may predate writes that have passed since.
 inline constexpr std::uint8_t kKvFlagReplay = 0x04;
 /// ECN echo (TCP's ECE, kv-flavoured): the request this reply answers
 /// arrived at the server with Congestion Experienced stamped by a

@@ -65,8 +65,6 @@ void add_cache_stats(KvCacheStats& into, const KvCacheStats& s) {
     into.invalidations += s.invalidations;
     into.refreshes += s.refreshes;
     into.replies_seen += s.replies_seen;
-    into.duplicate_puts += s.duplicate_puts;
-    into.duplicate_acks += s.duplicate_acks;
 }
 
 }  // namespace
@@ -101,13 +99,11 @@ KvService::KvService(rt::ClusterRuntime& rt, std::string name, const KvConfig& c
         rack.server = std::make_unique<KvStoreServer>(host, config);
         if (config.cache_slots == 0) continue;  // no cache: no tenant, no controller
         // Lossy fabrics are fine: the retry transport retransmits at
-        // the clients, the server deduplicates via its reply cache, and
-        // the switch drains its coherence counters on distinct ACKs
-        // only — a dropped PUT_ACK no longer wedges the
-        // write_flight_/pending_ registers (a replay drains in its
-        // place), and the rare residue a dedup-filter collision or an
-        // abandoned write can still leave is healed by the controller's
-        // stuck-window flight reset.
+        // the clients, the server answers copies from its reply cache,
+        // and the switch validates a slot only from the original ACK
+        // of the last PUT to cross it — a lost ACK or an abandoned
+        // write leaves the slot invalid until the next install, never
+        // stale.
         auto* sw = dynamic_cast<sim::PipelineSwitchNode*>(rt.network().edge_switch_of(host));
         if (sw == nullptr) {
             throw std::runtime_error{

@@ -87,6 +87,9 @@ private:
     std::unordered_map<Key16, WireValue> store_;
     std::unordered_map<Key16, std::uint64_t> access_log_;
     transport::ReplyCache replies_;
+    /// The serial worker's next free instant. Original replies leave in
+    /// the order their requests were applied; the rack cache's
+    /// coherence rule relies on it (kvcache/switch_program.hpp).
     sim::SimTime worker_free_at_{0};
     Stats stats_;
 };

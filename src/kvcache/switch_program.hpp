@@ -4,56 +4,47 @@
 // (shared SramBook, shared FabricRouter). Cached GETs turn around at
 // the switch: the program builds the reply in the pipeline and sends
 // it back toward the client, so the request never reaches the storage
-// server. Everything else (misses, writes, replies) passes through,
-// with the program updating its state on the way:
+// server. Everything else (misses, writes, replies) passes through.
 //
-//   GET  toward server, key cached+valid  -> reply from switch (hit)
-//   GET  toward server, otherwise         -> count miss, pass through
-//   PUT  toward server (distinct)         -> outstanding-write cell +1;
-//                                            if cached: pending +1, invalidate
-//   PUT  toward server (retransmission)   -> counters untouched;
-//                                            if cached: invalidate only
-//   PUT_ACK from server (distinct)        -> outstanding-write cell -1;
-//                                            if cached: pending -1, and when no
-//                                            writes remain pending, write the
-//                                            acked value and re-validate
-//   PUT_ACK from server (replay)          -> pass through untouched
+// Coherence is one per-slot register, last_put: the (client, seq) tag
+// of the last PUT copy that crossed the slot. The whole rule:
 //
-// Invalidate-on-PUT / revalidate-on-last-ACK is the write-through
-// coherence protocol: between a PUT passing the switch and the final
-// outstanding ACK returning, reads fall through to the server (which
-// serializes all writes), so a cached key never serves a stale value.
-// The per-cell outstanding-write register extends the same guarantee
-// to *promotion*: the controller refuses to promote a key while any
-// write to it is somewhere between this switch and the returning ACK,
-// which is the window where a server-store snapshot could be stale.
-// All of it hinges on every client<->server packet crossing this one
-// switch — why the cache lives at the server's edge (ToR) switch,
-// exactly where NetCache puts it.
+//   GET  toward server, key cached+valid   -> reply from switch (hit)
+//   GET  toward server, otherwise          -> count miss, pass through
+//   PUT  toward server, key cached         -> invalidate, last_put = tag
+//   PUT_ACK original, tag == last_put      -> write its value, validate
+//   PUT_ACK otherwise, key cached          -> invalidate
+//   controller install                     -> server snapshot, valid
+//                                             (last_put = 0 on a fresh slot)
 //
-// On lossy fabrics the retry transport replays packets, so the counters
-// only stay balanced if the dataplane counts *distinct* writes, not
-// transmissions: two (client, seq)-tag filter registers recognize
-// retransmitted PUTs and replayed ACKs, draining the in-flight state on
-// the last distinct ACK only. Re-validation additionally requires the
-// ACK to be the server's *original* (no kKvFlagReplay): originals pass
-// this switch exactly once by construction, so a stale value can never
-// be written back even when a colliding tag sneaks a replay past the
-// dedup filter. Every remaining dedup error is conservative — a
-// duplicate PUT still invalidates (cheap, always safe), a filter
-// mistake can only leave a slot invalid or a counter high. Counter
-// residue (an abandoned write whose ACK never crossed this switch, or
-// a filter-cell overwrite double-count) is not self-draining in the
-// dataplane; the controller heals it out of band by calling
-// reset_flight_state() when promotion stays blocked across windows.
+// A newer value becomes visible to a client only when its PUT_ACK or a
+// GET reply carrying it crosses this switch, and that crossing either
+// invalidates the slot or validates it with that newest value. Three
+// conditions make it so:
+//   1. Every packet between client and server crosses this switch,
+//      over one FIFO link to the server: the cache lives at the
+//      server's edge (ToR), exactly where NetCache puts it. PUTs reach
+//      the server in the order they cross, so a write applied after the
+//      last_put write crossed later and re-armed last_put.
+//   2. The server's serial worker sends original replies in the order
+//      it applied the requests (KvStoreServer::worker_free_at_): no
+//      GET reply or ACK of a later write leaves ahead of an original
+//      ACK.
+//   3. A replayed reply (kKvFlagReplay) never validates: it leaves the
+//      server out of apply order, with a value that may be superseded.
+// Condition 1 also needs every copy of a write to cross before any
+// newer write to its key. A key with one writer has that: the client's
+// per-key write barrier sends a write only after the previous one's
+// reply arrived, on the same path as every earlier copy. With several
+// writers, a retransmitted copy of an applied write that crosses after
+// another client's newer write re-arms last_put for the older value.
 //
 // Promotion is controller-driven, not dataplane-driven: the dataplane
-// only *counts* (per-slot hit registers, the in-flight-write cells);
-// the KvCacheController merges the hit counters with the server's
-// per-key access log — every cache miss reaches the server, so that
-// log *is* the miss counter, per key and collision-free — and rewrites
-// the cache between windows, the way NetCache's controller refreshes
-// its hot set.
+// only *counts* (per-slot hit registers); the KvCacheController merges
+// the hit counters with the server's per-key access log — every cache
+// miss reaches the server, so that log *is* the miss counter, per key
+// and collision-free — and rewrites the cache between windows, the way
+// NetCache's controller refreshes its hot set.
 #pragma once
 
 #include <cstdint>
@@ -79,8 +70,6 @@ struct KvCacheStats {
     std::uint64_t invalidations{0};
     std::uint64_t refreshes{0};     ///< PUT_ACK value write-throughs
     std::uint64_t replies_seen{0};  ///< server replies passing through
-    std::uint64_t duplicate_puts{0};  ///< retransmitted PUTs recognized
-    std::uint64_t duplicate_acks{0};  ///< replayed PUT_ACKs recognized
 
     double hit_rate() const noexcept {
         return gets_seen == 0
@@ -91,7 +80,7 @@ struct KvCacheStats {
 
 class KvCacheSwitchProgram : public TenantProgram {
 public:
-    /// Reserves the cache index table and the value/valid/hit/pending
+    /// Reserves the cache index table and the value/valid/hit/last_put
     /// register slots from the chip's SRAM book (throws
     /// dp::ResourceError when the chip is full). cache_slots must be
     /// > 0 — a zero-slot cache is simply not attached. `server` scopes
@@ -101,16 +90,6 @@ public:
     KvCacheSwitchProgram(KvConfig config, sim::HostAddr server,
                          dp::PipelineSwitch& chip,
                          std::shared_ptr<FabricRouter> router);
-
-    /// Cells in the hashed in-flight-write register (outstanding PUTs
-    /// between this switch and their returning ACKs, the coherence
-    /// guard for promotion).
-    static constexpr std::size_t kWriteFlightCells = 4096;
-    /// Cells in each of the two (client, seq) tag filters that tell
-    /// retransmitted PUTs and replayed PUT_ACKs from distinct ones —
-    /// the registers that keep the coherence counters idempotent on
-    /// lossy fabrics.
-    static constexpr std::size_t kDedupCells = 4096;
 
     // --- data plane ---------------------------------------------------------
     bool claims(const sim::ParsedFrame& frame,
@@ -130,13 +109,13 @@ public:
     std::size_t sram_bytes() const override {
         return index_.footprint_bytes() + values_.footprint_bytes() +
                valid_.footprint_bytes() + hits_.footprint_bytes() +
-               pending_.footprint_bytes() + write_flight_.footprint_bytes() +
-               put_seen_.footprint_bytes() + ack_seen_.footprint_bytes();
+               last_put_.footprint_bytes();
     }
 
     // --- control plane (the KvCacheController's API) ------------------------
-    /// Install (or refresh) a cache entry. Returns false when all slots
-    /// are taken and `key` is not already cached.
+    /// Install (or refresh) a cache entry as valid, serving `value` (the
+    /// server's snapshot) until the next PUT to `key` crosses. Returns
+    /// false when all slots are taken and `key` is not already cached.
     bool insert(const Key16& key, WireValue value);
     /// Remove a cached key; returns false when it was not cached.
     bool erase(const Key16& key);
@@ -148,21 +127,6 @@ public:
     std::vector<std::pair<Key16, std::uint32_t>> hit_counts() const;
     /// Start a new observation window (hit counters).
     void reset_hot_counters();
-    /// Writes to `key` (or a hash-colliding key — conservative) that
-    /// have passed this switch but whose ACK has not yet returned. The
-    /// controller only promotes keys with none: while a write is in
-    /// flight, a server-store snapshot may predate it.
-    std::uint32_t outstanding_writes(const Key16& key) const;
-
-    /// Wipe all in-flight bookkeeping: the write_flight_/pending_
-    /// counters, both dedup filters, and every slot's valid bit. Safe
-    /// at any time — slots merely fall back to the server until their
-    /// next original ACK or the next rebalance re-validates them. The
-    /// controller's escape hatch for counter residue that the
-    /// dataplane cannot drain (abandoned writes, filter-cell
-    /// collisions).
-    void reset_flight_state();
-
     const KvCacheStats& stats() const noexcept { return stats_; }
 
 private:
@@ -177,12 +141,9 @@ private:
     dp::RegisterArray<WireValue> values_;
     dp::RegisterArray<std::uint32_t> valid_;
     dp::RegisterArray<std::uint32_t> hits_;
-    dp::RegisterArray<std::uint32_t> pending_;  ///< in-flight PUTs per slot
-    dp::RegisterArray<std::uint32_t> write_flight_;  ///< hashed outstanding PUTs
-    /// (client, seq) tags of PUTs already counted / ACKs already
-    /// drained — what makes the counters idempotent under replay.
-    dp::RegisterArray<std::uint64_t> put_seen_;
-    dp::RegisterArray<std::uint64_t> ack_seen_;
+    /// (client, seq) tag of the last PUT copy that crossed each slot;
+    /// only the original ACK carrying it validates.
+    dp::RegisterArray<std::uint64_t> last_put_;
     /// Control-plane shadow of index_ (slot -> key) for hit_counts().
     std::vector<Key16> slot_key_;
     /// Lazily interned trace label for this tenant (0 = not interned).

@@ -23,10 +23,9 @@
 //    retransmitted PUT must not re-apply over a later write, and a
 //    retransmitted GET must not observe one.
 //  * the switch half lives with its tenant: KvCacheSwitchProgram
-//    drains its in-flight-write registers on the last *distinct*
-//    PUT_ACK, recognizing duplicates by the same (client, seq)
-//    identity, so replayed packets cannot wedge the coherence
-//    counters.
+//    re-validates a slot only from the original PUT_ACK whose
+//    (client, seq) matches the last PUT to cross it, so a replay or
+//    a late ACK can never write back a superseded value.
 //
 // Both host halves are heap-free in steady state: request payloads and
 // recorded replies live inline (at most kMaxPayload bytes) in flat

@@ -2,12 +2,15 @@
 // protocol, request steering to the owning rack, NACK-driven retry
 // across unowned ranges, edge reply caches (lease grant/expiry,
 // invalidate-on-PUT, stale-reply refusal), live range migration, and
-// value parity between a sharded run and the unsharded reference, and
-// the metrics and counter tracks both kv deployments publish.
+// value parity between a sharded run and the unsharded reference,
+// read-your-writes under rack-cache promotion, and the metrics and
+// counter tracks both kv deployments publish.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -528,6 +531,148 @@ TEST(Rebalance, TelemetryRankingMovesHotRangesOffTheHotRack) {
     EXPECT_EQ(c0.abandoned, 0u);
 }
 
+
+// ------------------------------------------------------ read-your-writes
+
+/// One closed-loop cell: window 8 per client, rack-cache promotion
+/// passes every 100 us, on 0% or 1% loss, one rack or four sharded
+/// racks whose ranges migrate under telemetry-driven rebalancing.
+struct ClosedLoopCell {
+    double loss;
+    bool sharded;
+
+    friend void PrintTo(const ClosedLoopCell& cell, std::ostream* os) {
+        *os << "loss " << cell.loss << (cell.sharded ? ", 4 sharded racks" : ", one rack");
+    }
+};
+
+/// Runs the cell under `seed` and returns the GETs that did not see the
+/// client's last PUT issued before them (or the preload value when
+/// there is none): with one writer per key and the client's per-key
+/// write barrier, any other value is a stale read. Every request must
+/// complete.
+std::size_t stale_gets(const ClosedLoopCell& cell, std::uint64_t seed) {
+    constexpr std::size_t kWindow = 8;
+    constexpr std::size_t kRequests = 400;
+    constexpr sim::SimTime kHorizon = kRequests * 40 * sim::kMicrosecond;
+    rt::ClusterOptions opts = fabric(8, 32);
+    opts.link.loss_probability = cell.loss;
+    opts.seed = seed + 1000;
+    rt::ClusterRuntime rt{opts};
+
+    std::vector<std::size_t> client_hosts;
+    for (std::size_t h = 16; h < 32; ++h) client_hosts.push_back(h);
+    kv::KvConfig config;
+    config.cache_slots = 64;
+    std::optional<telemetry::TelemetryService> tel;
+    std::optional<kv::KvService> rack;
+    std::optional<ShardedKvService> shards;
+    if (cell.sharded) {
+        telemetry::TelemetryOptions tel_opts;
+        tel_opts.collector_host = 1;
+        tel.emplace(rt, tel_opts);
+        ShardedKvOptions kopts;
+        kopts.config = config;
+        kopts.server_hosts = {0, 4, 8, 12};
+        kopts.client_hosts = client_hosts;
+        shards.emplace(rt, kopts);
+    } else {
+        rack.emplace(rt, kv::KvServiceOptions{config, 0, client_hosts});
+    }
+    kv::KvService& svc = cell.sharded ? shards->core() : *rack;
+
+    kv::KvWorkload wl;
+    wl.num_keys = 4096;
+    wl.zipf_s = 0.99;
+    wl.requests_per_client = kRequests;
+    wl.get_fraction = 0.75;
+    wl.partition_keys = true;
+    wl.seed = seed;
+    svc.preload(wl.num_keys);
+
+    struct Loop {
+        std::vector<kv::KvOpSpec> ops;
+        std::vector<std::uint32_t> ids;  ///< req id each op was issued under
+        std::size_t next{0};
+        std::size_t inflight{0};
+    };
+    std::vector<Loop> loops(client_hosts.size());
+    const auto pump = [&](std::size_t ci) {
+        Loop& loop = loops[ci];
+        while (loop.inflight < kWindow && loop.next < loop.ops.size()) {
+            const std::size_t k = loop.next++;
+            const kv::KvOpSpec& op = loop.ops[k];
+            ++loop.inflight;
+            loop.ids[k] = op.is_get ? svc.client(ci).get(op.key)
+                                    : svc.client(ci).put(op.key, op.value);
+        }
+    };
+    sim::Simulator& sim = rt.simulator();
+    for (std::size_t ci = 0; ci < loops.size(); ++ci) {
+        loops[ci].ops = kv::client_op_stream(wl, ci, loops.size());
+        loops[ci].ids.assign(loops[ci].ops.size(), 0);
+        svc.client(ci).on_reply = [&, ci](const kv::KvClient::OpRecord&) {
+            --loops[ci].inflight;
+            pump(ci);
+        };
+        sim.schedule_at((1 + ci) * 500 * sim::kNanosecond, [&pump, ci] { pump(ci); });
+    }
+    for (sim::SimTime at = 100 * sim::kMicrosecond; at <= kHorizon;
+         at += 100 * sim::kMicrosecond) {
+        sim.schedule_at(at, [&svc] { svc.rebalance_racks(); });
+    }
+    if (cell.sharded) {
+        tel->start(100 * sim::kMicrosecond, kHorizon);
+        shards->schedule_rebalances(
+            1000 * sim::kMicrosecond, kHorizon,
+            tel->collector().hot_key_source_for(shards->directory_node()));
+    }
+    rt.run();
+
+    std::size_t stale = 0;
+    for (std::size_t ci = 0; ci < loops.size(); ++ci) {
+        const Loop& loop = loops[ci];
+        std::map<std::uint32_t, WireValue> expected;  // GET req id -> value
+        std::map<Key16, WireValue> latest;
+        for (std::size_t k = 0; k < loop.ops.size(); ++k) {
+            const kv::KvOpSpec& op = loop.ops[k];
+            if (!op.is_get) {
+                latest[op.key] = op.value;
+                continue;
+            }
+            const auto it = latest.find(op.key);
+            expected[loop.ids[k]] =
+                it != latest.end() ? it->second
+                                   : kv::KvService::preload_value_of(op.key.to_u64() - 1);
+        }
+        const auto& log = svc.client(ci).log();
+        EXPECT_EQ(log.size(), loop.ops.size()) << "client " << ci;
+        for (const kv::KvClient::OpRecord& rec : log) {
+            if (rec.op != kv::KvOp::kGet) continue;
+            const auto it = expected.find(rec.req_id);
+            if (!rec.found || it == expected.end() || it->second != rec.value) ++stale;
+        }
+        svc.client(ci).on_reply = nullptr;
+    }
+    return stale;
+}
+
+class ReadYourWrites : public ::testing::TestWithParam<ClosedLoopCell> {};
+
+TEST_P(ReadYourWrites, ClosedLoopWithPromotionNeverReadsStale) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        EXPECT_EQ(stale_gets(GetParam(), seed), 0u) << "seed " << seed;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, ReadYourWrites,
+    ::testing::Values(ClosedLoopCell{0.0, false}, ClosedLoopCell{0.01, false},
+                      ClosedLoopCell{0.0, true}, ClosedLoopCell{0.01, true}),
+    [](const ::testing::TestParamInfo<ClosedLoopCell>& info) {
+        return std::string{info.param.loss > 0 ? "Lossy" : "LossFree"} +
+               (info.param.sharded ? "Sharded" : "OneRack");
+    });
 
 // ------------------------------------------------------ parallel driver
 

@@ -1020,86 +1020,95 @@ TEST(KvSwitchIdempotence, ReplayedAckDrainsButNeverRevalidates) {
     ASSERT_TRUE(h.program->insert(k, 5));
     EXPECT_TRUE(h.get_hits(k));
 
-    // A write passes: slot invalidated, one write in flight.
+    // A write passes: slot invalidated.
     h.inject(h.put_msg(k, /*seq=*/7, 6), true);
     EXPECT_FALSE(h.get_hits(k));
-    EXPECT_EQ(h.program->outstanding_writes(k), 1U);
 
-    // The server's original ACK drains and re-validates with its value.
+    // The server's original ACK re-validates with its value.
     const kv::KvMessage ack = h.ack_msg(k, /*seq=*/7, 6);
     h.inject(ack, false);
-    EXPECT_EQ(h.program->outstanding_writes(k), 0U);
     WireValue got{};
     EXPECT_TRUE(h.get_hits(k, &got));
     EXPECT_EQ(got, 6U);
 
-    // The same identity again: recognized, skipped outright.
+    // The same identity again still carries the newest value.
     h.inject(ack, false);
-    EXPECT_EQ(h.program->stats().duplicate_acks, 1U);
     EXPECT_TRUE(h.get_hits(k, &got));
     EXPECT_EQ(got, 6U);
 
-    // A *replayed* ACK whose identity this switch never drained (its
-    // PUT and original ACK both died elsewhere — or, equivalently, a
-    // colliding tag evicted it from the filter) drains as a first
-    // sighting but must never re-validate: its recorded value may be
-    // stale. It invalidates instead.
+    // A *replayed* ACK must never re-validate: its recorded value may
+    // be stale. It invalidates instead.
     h.inject(h.ack_msg(k, /*seq=*/8, 0xdead, /*replay=*/true), false);
     EXPECT_FALSE(h.get_hits(k)) << "a replay re-validated a slot";
 }
 
-TEST(KvSwitchIdempotence, RetransmittedPutCountsOnceAndResetClearsResidue) {
-    ChipHarness h;
-    const Key16 k{"w"};
-    const kv::KvMessage put = h.put_msg(k, /*seq=*/3, 9);
-    h.inject(put, true);
-    h.inject(put, true);  // client retransmission: same (client, seq)
-    EXPECT_EQ(h.program->stats().duplicate_puts, 1U);
-    EXPECT_EQ(h.program->outstanding_writes(k), 1U) << "transmissions counted";
-
-    // Abandoned write: no ACK will ever cross this switch, so the
-    // dataplane cannot drain the residue — the control-plane reset can,
-    // and it is safe at any time (slots just fall back to the server).
-    h.program->reset_flight_state();
-    EXPECT_EQ(h.program->outstanding_writes(k), 0U);
-    ASSERT_TRUE(h.program->insert(k, 9));  // promotable again
-    WireValue got{};
-    EXPECT_TRUE(h.get_hits(k, &got));
-    EXPECT_EQ(got, 9U);
-}
-
-TEST(KvSwitchIdempotence, ControllerHealsWedgedCountersAfterStuckWindows) {
+TEST(KvSwitchIdempotence, LateOriginalAckNeverServesASupersededValue) {
+    // The stale-read trace: PUT 10 is applied, but its original ACK
+    // waits behind the server's busy worker while a spurious
+    // retransmission is answered by an immediate replay. The client
+    // moves on to PUT 46, which the controller installs from the store
+    // over several promotion passes before its ACK leaves the worker.
+    // When the late original ACK of 10 finally crosses, the switch must
+    // not serve 10 again.
     ChipHarness h;
     sim::Network net{1};
     kv::KvStoreServer server{net.add_host("srv"), h.cfg};
-    const Key16 k{"wedge"};
-    server.preload(k, 9);
+    const Key16 k{"trace"};
+    server.preload(k, 1);
     kv::KvCacheController controller{*h.program, server};
+    ASSERT_TRUE(h.program->insert(k, 1));
+    for (int i = 0; i < 3; ++i) EXPECT_TRUE(h.get_hits(k));  // hot: stays cached
 
-    // Make the key hot (cached with hits), then wedge it: a write
-    // passes the switch and is abandoned before any ACK returns.
-    ASSERT_TRUE(h.program->insert(k, 9));
-    for (int i = 0; i < 3; ++i) EXPECT_TRUE(h.get_hits(k));
-    h.inject(h.put_msg(k, /*seq=*/5, 1), true);
-    EXPECT_EQ(h.program->outstanding_writes(k), 1U);
-    EXPECT_FALSE(h.get_hits(k));
-
-    // The residue survives rebalances (insert repairs pending_, never
-    // write_flight_) until the stuck-window threshold trips.
-    for (std::uint32_t w = 1; w < kv::KvCacheController::kStuckWindows; ++w) {
-        controller.rebalance();
-        EXPECT_EQ(controller.stats().flight_resets, 0U);
-        EXPECT_EQ(h.program->outstanding_writes(k), 1U);
-    }
-    controller.rebalance();
-    EXPECT_EQ(controller.stats().flight_resets, 1U);
-    EXPECT_EQ(h.program->outstanding_writes(k), 0U);
-
-    // One more window re-validates the slot from the server's store.
-    controller.rebalance();
+    h.inject(h.put_msg(k, /*seq=*/10, 10), true);
+    server.preload(k, 10);  // applied; the original ACK is still queued
+    h.inject(h.ack_msg(k, /*seq=*/10, 10, /*replay=*/true), false);
+    h.inject(h.put_msg(k, /*seq=*/46, 46), true);
+    server.preload(k, 46);
     WireValue got{};
+    for (int pass = 0; pass < 3; ++pass) {
+        controller.rebalance();
+        if (h.get_hits(k, &got)) {
+            EXPECT_EQ(got, 46U);
+        }
+    }
+    h.inject(h.ack_msg(k, /*seq=*/46, 46), false);
     EXPECT_TRUE(h.get_hits(k, &got));
-    EXPECT_EQ(got, 9U);
+    EXPECT_EQ(got, 46U);
+
+    h.inject(h.ack_msg(k, /*seq=*/10, 10), false);
+    EXPECT_FALSE(h.get_hits(k, &got)) << "served " << got << " after a late ACK";
+    controller.rebalance();
+    EXPECT_TRUE(h.get_hits(k, &got));
+    EXPECT_EQ(got, 46U);
+}
+
+TEST(KvSwitchIdempotence, InstallDuringAWriteServesTheSnapshotUntilItsAck) {
+    ChipHarness h;
+    WireValue got{};
+
+    // A cached key: the PUT on the switch->server link armed last_put,
+    // so its original ACK re-validates with the written value.
+    const Key16 cached{"cached"};
+    ASSERT_TRUE(h.program->insert(cached, 5));
+    h.inject(h.put_msg(cached, /*seq=*/7, 6), true);
+    EXPECT_FALSE(h.get_hits(cached));
+    ASSERT_TRUE(h.program->insert(cached, 5));  // snapshot predates the PUT
+    EXPECT_TRUE(h.get_hits(cached, &got));
+    EXPECT_EQ(got, 5U);
+    h.inject(h.ack_msg(cached, /*seq=*/7, 6), false);
+    EXPECT_TRUE(h.get_hits(cached, &got));
+    EXPECT_EQ(got, 6U);
+
+    // A key promoted while its PUT is on the link: the fresh slot never
+    // saw the PUT, so the ACK cannot vouch for its value and
+    // invalidates.
+    const Key16 fresh{"fresh"};
+    h.inject(h.put_msg(fresh, /*seq=*/8, 9), true);
+    ASSERT_TRUE(h.program->insert(fresh, 3));
+    EXPECT_TRUE(h.get_hits(fresh, &got));
+    EXPECT_EQ(got, 3U);
+    h.inject(h.ack_msg(fresh, /*seq=*/8, 9), false);
+    EXPECT_FALSE(h.get_hits(fresh));
 }
 
 // --------------------------------------------------- coherence under loss
@@ -1146,13 +1155,7 @@ TEST(KvUnderLoss, LossyCachedRunMatchesLossFreeUncachedRun) {
         EXPECT_EQ(signature_of(cached.client(c)), signature_of(plain.client(c)));
     }
 
-    // No wedged coherence state: every in-flight-write register drained
-    // (a dropped or replayed ACK used to leave these stuck), so any key
-    // is still promotable and hittable after the storm.
-    for (std::size_t i = 0; i < workload.num_keys; ++i) {
-        ASSERT_EQ(cached.cache()->outstanding_writes(kv::KvService::key_of(i)), 0U)
-            << "write_flight wedged for key " << i;
-    }
+    // Any key is still promotable and hittable after the storm.
     const Key16 probe = kv::KvService::key_of(0);
     ASSERT_TRUE(cached.cache()->insert(
         probe, cached.server().store().at(probe)));

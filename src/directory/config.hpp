@@ -9,16 +9,17 @@
 namespace daiet::dir {
 
 struct EdgeCacheConfig {
-    /// Direct-mapped reply-cache slots per edge switch (key, value,
-    /// lease expiry, epoch and forwarded-GET bookkeeping registers are
-    /// all sized by this). 0 means no edge caches: no edge tenant is
-    /// built (the lease ablation).
+    /// Direct-mapped reply-cache slots per edge switch (the key, value,
+    /// lease-expiry and admission-ticket registers are all sized by
+    /// this). 0 means no edge caches: no edge tenant is built (the
+    /// lease ablation).
     std::size_t slots{256};
 
-    /// Lease duration granted to a cached reply. A hit must clear both
-    /// the lease clock and the invalidation protocol; expiry bounds
-    /// how long a *partitioned* edge (one no invalidation can reach)
-    /// may serve a value, the classic lease argument.
+    /// Lease duration granted to a cached reply; must be > 0 when
+    /// slots is. A hit must clear both the lease clock and the
+    /// invalidation protocol; expiry bounds how long a *partitioned*
+    /// edge (one no invalidation can reach) may serve a value, the
+    /// classic lease argument.
     sim::SimTime lease_ttl{400 * sim::kMicrosecond};
 };
 

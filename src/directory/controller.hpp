@@ -8,7 +8,7 @@
 //                      clients' transport — and revoke the range's
 //                      leases at every edge cache (nothing cached, and
 //                      nothing sampled before this instant may install
-//                      after it: the generation bump).
+//                      after it: every edge voids all its tickets).
 //   phase 2 (+drain)   after the drain window (long enough for
 //                      requests already steered past the directory to
 //                      clear the fabric), copy the range's keys to the

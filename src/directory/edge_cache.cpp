@@ -4,6 +4,7 @@
 
 #include "common/contracts.hpp"
 #include "core/aggregation.hpp"
+#include "kvcache/switch_program.hpp"
 #include "netsim/simulator.hpp"
 #include "trace/trace.hpp"
 #include "transport/request_reply.hpp"
@@ -11,6 +12,10 @@
 namespace daiet::dir {
 
 namespace {
+
+/// Bit 63 of a ticket: set by an invalidation or a revocation, it
+/// refuses the reply whose GET armed the ticket.
+constexpr std::uint64_t kVoid = std::uint64_t{1} << 63;
 
 /// Cell of a (client, seq) tag in the invalidation-dedup register,
 /// derived through the switch hash unit like every other hashed index.
@@ -31,24 +36,17 @@ EdgeCacheSwitchProgram::EdgeCacheSwitchProgram(EdgeCacheConfig config,
       node_{&node},
       keys_{"edge.keys", std::max<std::size_t>(config.slots, 1), chip.sram()},
       values_{"edge.values", std::max<std::size_t>(config.slots, 1), chip.sram()},
-      valid_{"edge.valid", std::max<std::size_t>(config.slots, 1), chip.sram()},
       expiry_{"edge.expiry", std::max<std::size_t>(config.slots, 1), chip.sram()},
-      epoch_{"edge.epoch", std::max<std::size_t>(config.slots, 1), chip.sram()},
       fwd_tag_{"edge.fwd_tag", std::max<std::size_t>(config.slots, 1), chip.sram()},
-      fwd_epoch_{"edge.fwd_epoch", std::max<std::size_t>(config.slots, 1),
-                 chip.sram()},
-      fwd_gen_{"edge.fwd_gen", std::max<std::size_t>(config.slots, 1), chip.sram()},
       granted_{"edge.granted", kNumRanges, chip.sram()},
       inval_seen_{"edge.inval_seen", kInvalDedupCells, chip.sram()} {
     DAIET_EXPECTS(config.slots > 0);
+    // A zero lease would take SRAM and never hit (expiry 0 = invalid).
+    DAIET_EXPECTS(config.lease_ttl > 0);
     keys_.fill(Key16{});
     values_.fill(0);
-    valid_.fill(0);
     expiry_.fill(0);
-    epoch_.fill(0);
     fwd_tag_.fill(0);
-    fwd_epoch_.fill(0);
-    fwd_gen_.fill(0);
     granted_.fill(0);
     inval_seen_.fill(0);
 }
@@ -118,31 +116,38 @@ bool EdgeCacheSwitchProgram::on_claimed(dp::PacketContext& ctx,
         const std::size_t slot = slot_of(ctx, msg.key);
         const std::size_t range =
             register_index_from_crc(ctx.hash(msg.key.bytes()), granted_.size());
+        const std::uint64_t tag = transport::request_tag(frame.ip.src, msg.seq);
         ctx.count_op(dp::OpKind::kAlu);  // key compare
-        const bool resident =
-            keys_.read(ctx, slot) == msg.key && valid_.read(ctx, slot) != 0;
-        if (resident && granted_.read(ctx, range) != 0) {
+        const sim::SimTime expiry = expiry_.read(ctx, slot);
+        if (keys_.read(ctx, slot) == msg.key && expiry != 0 &&
+            granted_.read(ctx, range) != 0) {
             ctx.count_op(dp::OpKind::kAlu);  // lease-clock compare
-            if (now() < expiry_.read(ctx, slot)) {
-                serve_hit(ctx, frame, msg, slot);
+            if (now() < expiry) {
+                ++stats_.hits;
+                if (trace::enabled()) {
+                    auto& t = trace::tracer();
+                    if (trace_name_id_ == 0) trace_name_id_ = t.intern(name());
+                    t.record({t.now(), ctx.packet().frame().trace_id(), tag, 0,
+                              trace_name_id_, trace::EventKind::kEdgeHit});
+                }
+                // Impersonate the service, out of the client's own port.
+                kv::reply_from_switch(ctx, frame, msg,
+                                      kv::kKvFlagFound | kv::kKvFlagFromSwitch |
+                                          kv::kKvFlagFromEdge,
+                                      values_.read(ctx, slot));
                 return true;
             }
             ++stats_.expired;
         }
-        // Miss: remember who asked, under which epoch/generation — the
-        // admission ticket the reply must present to install itself.
+        // Miss: the slot's ticket now admits this GET's reply only.
         ++stats_.misses;
         if (trace::enabled()) {
             auto& t = trace::tracer();
             if (trace_name_id_ == 0) trace_name_id_ = t.intern(name());
-            t.record({t.now(), ctx.packet().frame().trace_id(),
-                      transport::request_tag(frame.ip.src, msg.seq), 0,
+            t.record({t.now(), ctx.packet().frame().trace_id(), tag, 0,
                       trace_name_id_, trace::EventKind::kEdgeMiss});
         }
-        fwd_tag_.write(ctx, slot,
-                       transport::request_tag(frame.ip.src, msg.seq));
-        fwd_epoch_.write(ctx, slot, epoch_.read(ctx, slot));
-        fwd_gen_.write(ctx, slot, generation_);
+        fwd_tag_.write(ctx, slot, tag);
         return false;  // on toward the directory
     }
 
@@ -153,11 +158,12 @@ bool EdgeCacheSwitchProgram::on_claimed(dp::PacketContext& ctx,
         // loop back. Deliberately do NOT pre-mark the PUT's tag in the
         // dedup filter: on a multi-path edge->directory stretch (fat
         // tree) a concurrently forwarded GET can overtake this PUT and
-        // return a pre-write reply that passes the epoch guard (it was
-        // forwarded after this bump); the broadcast invalidation is
+        // return a pre-write reply that holds its ticket (it was
+        // forwarded after this void); the broadcast invalidation is
         // the message that evicts it, and skipping it here would leave
-        // that stale install alive for a full lease. A double bump per
-        // own-client PUT is the cheap price of that ordering headroom.
+        // that stale install alive for a full lease. A second
+        // invalidation per own-client PUT is the cheap price of that
+        // ordering headroom.
         apply_invalidate(ctx, msg.key);
         return false;  // on toward the directory
     }
@@ -181,25 +187,23 @@ bool EdgeCacheSwitchProgram::on_claimed(dp::PacketContext& ctx,
         register_index_from_crc(ctx.hash(msg.key.bytes()), granted_.size());
     const std::uint64_t tag = transport::request_tag(frame.ip.dst, msg.seq);
     ctx.count_op(dp::OpKind::kAlu);  // admission compare
-    if (fwd_tag_.read(ctx, slot) != tag) {
-        // Not the newest forwarded GET for this slot — a slower reply
-        // that a later one may supersede. Installing it could roll a
-        // slot backwards in server order.
-        return false;
-    }
-    if (fwd_epoch_.read(ctx, slot) != epoch_.read(ctx, slot) ||
-        fwd_gen_.read(ctx, slot) != generation_) {
+    const std::uint64_t ticket = fwd_tag_.read(ctx, slot);
+    if (ticket == (tag | kVoid)) {
         // An invalidation or a lease revocation arrived between the
         // GET leaving and this reply returning: the value may predate
         // the write that triggered it. Refuse.
         ++stats_.stale_refused;
         return false;
     }
+    if (ticket != tag) {
+        // Not the newest forwarded GET for this slot — a slower reply
+        // that a later one may supersede. Installing it could roll a
+        // slot backwards in server order.
+        return false;
+    }
     if (granted_.read(ctx, range) == 0) return false;
-    const bool occupied = valid_.read(ctx, slot) != 0 &&
-                          !(keys_.read(ctx, slot) == msg.key);
     ctx.count_op(dp::OpKind::kAlu);  // live-lease check
-    if (occupied && now() < expiry_.read(ctx, slot)) {
+    if (!(keys_.read(ctx, slot) == msg.key) && now() < expiry_.read(ctx, slot)) {
         // Never evict a live lease for a colliding key: stability
         // beats recency at the edge, and the rack cache already owns
         // the head of the distribution.
@@ -207,59 +211,23 @@ bool EdgeCacheSwitchProgram::on_claimed(dp::PacketContext& ctx,
     }
     keys_.write(ctx, slot, msg.key);
     values_.write(ctx, slot, msg.value);
-    valid_.write(ctx, slot, 1);
     expiry_.write(ctx, slot, now() + config_.lease_ttl);
     ++stats_.cached;
     return false;  // the reply continues to its client regardless
 }
 
-void EdgeCacheSwitchProgram::serve_hit(dp::PacketContext& ctx,
-                                       const sim::ParsedFrame& frame,
-                                       const kv::KvMessage& msg,
-                                       std::size_t slot) {
-    ++stats_.hits;
-    // Impersonate the service: the reply's source is the GET's original
-    // destination (the service vaddr), and it leaves through the port
-    // the GET arrived on — the client's own access port.
-    kv::KvMessage reply;
-    reply.op = kv::KvOp::kGetReply;
-    reply.flags = kv::kKvFlagFound | kv::kKvFlagFromSwitch | kv::kKvFlagFromEdge;
-    reply.req_id = msg.req_id;
-    reply.seq = msg.seq;  // the client's duplicate filter matches on it
-    reply.key = msg.key;
-    reply.value = values_.read(ctx, slot);
-
-    const auto payload = kv::serialize_kv(reply);
-    auto out_frame = sim::build_udp_frame(frame.ip.dst, frame.ip.src,
-                                          kv::kServerUdpPort,
-                                          frame.udp->src_port, payload);
-    if (trace::enabled()) {
-        auto& t = trace::tracer();
-        if (trace_name_id_ == 0) trace_name_id_ = t.intern(name());
-        // The impersonated reply continues the GET's causal chain.
-        out_frame.set_trace_id(ctx.packet().frame().trace_id());
-        t.record({t.now(), ctx.packet().frame().trace_id(),
-                  transport::request_tag(frame.ip.src, msg.seq), 0,
-                  trace_name_id_, trace::EventKind::kEdgeHit});
-    }
-    dp::Packet out{std::move(out_frame)};
-    out.meta().egress_port = ctx.packet().meta().ingress_port;
-    ctx.emit(std::move(out));
-    ctx.mark_drop();  // the GET is consumed at the edge
-}
-
 void EdgeCacheSwitchProgram::apply_invalidate(dp::PacketContext& ctx,
                                               const Key16& key) {
     const std::size_t slot = slot_of(ctx, key);
-    // The epoch bump outlives the entry: it also poisons any reply
-    // whose GET was forwarded from this slot before now — including
-    // GETs for a key that was never resident (only forwarded), and,
+    // The void outlives the entry: it also refuses any reply whose GET
+    // was forwarded from this slot before now, including GETs for a
+    // key that was never resident (only forwarded), and,
     // conservatively, colliding keys sharing the slot.
-    const std::uint32_t epoch = epoch_.read(ctx, slot);
+    const std::uint64_t ticket = fwd_tag_.read(ctx, slot);
     ctx.count_op(dp::OpKind::kAlu);
-    epoch_.write(ctx, slot, epoch + 1);
-    if (keys_.read(ctx, slot) == key && valid_.read(ctx, slot) != 0) {
-        valid_.write(ctx, slot, 0);
+    fwd_tag_.write(ctx, slot, ticket | kVoid);
+    if (keys_.read(ctx, slot) == key && expiry_.read(ctx, slot) != 0) {
+        expiry_.write(ctx, slot, 0);
         ++stats_.invalidations;
     }
 }
@@ -272,14 +240,14 @@ void EdgeCacheSwitchProgram::grant(std::size_t range) {
 void EdgeCacheSwitchProgram::revoke(std::size_t range) {
     DAIET_EXPECTS(range < granted_.size());
     granted_.poke(range, 0);
-    // Bumping the generation refuses *every* in-flight reply, not just
+    // Voiding every ticket refuses *every* in-flight reply, not just
     // this range's: revocation precedes a migration, and nothing
     // sampled before it may install after it. Cheap and absolute.
-    ++generation_;
     for (std::size_t s = 0; s < keys_.size(); ++s) {
-        if (valid_.peek(s) == 0) continue;
-        if (range_of_key(keys_.peek(s), granted_.size()) == range) {
-            valid_.poke(s, 0);
+        fwd_tag_.poke(s, fwd_tag_.peek(s) | kVoid);
+        if (expiry_.peek(s) != 0 &&
+            range_of_key(keys_.peek(s), granted_.size()) == range) {
+            expiry_.poke(s, 0);
         }
     }
     ++stats_.revocations;
@@ -288,8 +256,7 @@ void EdgeCacheSwitchProgram::revoke(std::size_t range) {
 bool EdgeCacheSwitchProgram::holds(const Key16& key) const {
     const std::size_t slot =
         register_index_from_crc(Crc32::compute(key.bytes()), keys_.size());
-    return keys_.peek(slot) == key && valid_.peek(slot) != 0 &&
-           now() < expiry_.peek(slot);
+    return keys_.peek(slot) == key && now() < expiry_.peek(slot);
 }
 
 }  // namespace daiet::dir

@@ -3,38 +3,55 @@
 // The rack cache (src/kvcache/) sits where every request must go; the
 // edge cache sits where the clients are, so a hit saves the whole
 // fabric round trip. The price is that writes do NOT cross this switch
-// — a PUT from a client behind another edge is invisible here — so the
-// inline invalidate-on-PUT protocol cannot work alone. Three
-// mechanisms replace it, and each handles a failure the others cannot:
+// (a PUT from a client behind another edge is invisible here), so the
+// directory broadcasts an INVALIDATE for every PUT it passes.
 //
-//   * lease INVALIDATE frames from the directory. Every PUT to the
-//     service crosses the directory switch, which broadcasts an
-//     invalidation (tagged with the PUT's (client, seq) identity) to
-//     every edge. Replays are recognized by tag and skipped — not for
-//     safety (invalidating twice is harmless) but so a late replay
-//     cannot wipe an entry a newer reply has refreshed.
-//   * a per-slot epoch + a cache-wide generation, checked between
-//     forwarding a GET and caching its reply. A reply whose GET left
-//     before an invalidation (or a lease revocation) arrived may carry
-//     a value from before the write — the epoch mismatch refuses it.
-//     Freshness argument: if the GET was forwarded *after* the
-//     invalidation arrived here, then it crossed the directory after
-//     the PUT did (the invalidation had already covered the
-//     directory->edge stretch when the GET started its edge->directory
-//     stretch), and the single directory->rack path is FIFO, so the
-//     server answered it post-write.
-//   * a per-slot last-forwarded tag: only the reply answering the most
-//     recently forwarded GET for a slot may cache. Two clients' replies
-//     for one key can return over different spines and reorder; GETs
-//     forwarded later are served later by the (serializing) server, so
-//     keeping only the newest reply keeps slot values monotone in
-//     server order.
+// Each slot keeps a key, a value, a lease clock (expiry; 0 = invalid)
+// and one admission ticket, fwd_tag: the (client, seq) tag of the last
+// GET forwarded from the slot. Voiding a ticket sets its bit 63 (no
+// client tag has it: host ids stay far below 2^31). The whole rule:
+//
+//   GET  from a client, key resident, granted,
+//        lease running                     -> reply from switch (hit)
+//   GET  from a client, otherwise          -> miss (`expired` if the
+//                                             lease ran out), ticket =
+//                                             tag, on to the directory
+//   PUT  from a client                     -> invalidate, on its way
+//   INVALIDATE frame, tag not seen         -> invalidate, remember tag
+//   INVALIDATE frame, tag seen             -> skip (replayed broadcast)
+//   invalidate                             -> void the slot's ticket,
+//                                             clear the key's entry
+//   GET_REPLY original found, ticket == tag,
+//        granted, no live colliding lease  -> install, lease = now+ttl
+//   GET_REPLY, ticket == tag | void        -> refuse (stale_refused)
+//   GET_REPLY otherwise                    -> pass, install nothing
+//   revoke(range)                          -> ungrant, void every
+//                                             ticket, clear the range
+//
+// Why a reply that still holds its ticket is fresh: its GET was
+// forwarded after the last invalidation of the slot arrived here, so
+// it crossed the directory after that invalidation's PUT did (the
+// INVALIDATE had already covered the directory->edge stretch when the
+// GET started its edge->directory stretch), and the single
+// directory->rack path is FIFO, so the server answered it post-write.
+// The known gap: a retransmitted GET re-arms its own voided ticket, so
+// its original copy's reply, sampled before the invalidation, also
+// installs. Only a per-transmission index echoed in replies can tell
+// the two copies apart. Why only the newest ticket: two clients' replies for one key can
+// return over different spines and reorder; GETs forwarded later are
+// served later by the (serializing) server, so keeping only the newest
+// reply keeps slot values monotone in server order. A replayed reply
+// (kKvFlagReplay) may predate writes that have passed the directory
+// since, the same rule as the rack cache.
 //
 // The lease TTL bounds the damage of the one failure no message can
-// fix — an edge the invalidation cannot reach — and leases are granted
-// per key range by the DirectoryController, which revokes a range
-// before migrating it (no stale read across a live migration) and
-// re-grants it after the flip.
+// fix, an edge the invalidation cannot reach. Leases are granted per
+// key range by the DirectoryController, which revokes a range before
+// migrating it (no stale read across a live migration) and re-grants
+// it after the flip. The grant check at install is not redundant with
+// the voided tickets: a GET retransmitted after the revocation re-arms
+// its own ticket, and its original reply, sampled before the
+// revocation, would then install.
 //
 // The cache is direct-mapped and reactive: replies passing toward this
 // edge's clients install themselves, no controller involvement per
@@ -65,7 +82,7 @@ struct EdgeCacheStats {
     std::uint64_t expired{0};        ///< lease ran out (counted in misses)
     std::uint64_t replies_seen{0};
     std::uint64_t cached{0};         ///< replies installed
-    std::uint64_t stale_refused{0};  ///< replies refused by epoch/tag guard
+    std::uint64_t stale_refused{0};  ///< replies whose ticket was voided
     std::uint64_t invalidations{0};  ///< entries cleared (frames or inline PUT)
     std::uint64_t duplicate_invalidations{0};  ///< replayed frames skipped
     std::uint64_t revocations{0};    ///< control-plane range revokes applied
@@ -80,7 +97,8 @@ struct EdgeCacheStats {
 class EdgeCacheSwitchProgram : public TenantProgram {
 public:
     /// Reserves every register from the chip's SRAM book (throws
-    /// dp::ResourceError when the chip is full). `node` is the switch
+    /// dp::ResourceError when the chip is full). config.slots and
+    /// config.lease_ttl must be > 0. `node` is the switch
     /// this chip sits in: the tenant consumes invalidations addressed
     /// to edge_vaddr(node.id()) and reads the chip's clock for lease
     /// expiry. It fronts the traffic to kServiceVaddr.
@@ -108,9 +126,7 @@ public:
     }
     std::size_t sram_bytes() const override {
         return keys_.footprint_bytes() + values_.footprint_bytes() +
-               valid_.footprint_bytes() + expiry_.footprint_bytes() +
-               epoch_.footprint_bytes() + fwd_tag_.footprint_bytes() +
-               fwd_epoch_.footprint_bytes() + fwd_gen_.footprint_bytes() +
+               expiry_.footprint_bytes() + fwd_tag_.footprint_bytes() +
                granted_.footprint_bytes() + inval_seen_.footprint_bytes();
     }
 
@@ -122,9 +138,9 @@ public:
     void add_client(sim::HostAddr client) { clients_.insert(client); }
     bool fronts(sim::HostAddr client) const { return clients_.contains(client); }
 
-    /// Lease administration, per key range. revoke() also bumps the
-    /// cache-wide generation, which refuses every in-flight reply —
-    /// nothing sampled before the revocation can install after it.
+    /// Lease administration, per key range. revoke() also voids every
+    /// slot's ticket, which refuses every in-flight reply: nothing
+    /// sampled before the revocation can install after it.
     void grant(std::size_t range);
     void revoke(std::size_t range);
     bool granted(std::size_t range) const { return granted_.peek(range) != 0; }
@@ -137,8 +153,6 @@ public:
 
 private:
     std::size_t slot_of(dp::PacketContext& ctx, const Key16& key) const;
-    void serve_hit(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
-                   const kv::KvMessage& msg, std::size_t slot);
     void apply_invalidate(dp::PacketContext& ctx, const Key16& key);
     sim::SimTime now() const noexcept;
 
@@ -149,16 +163,10 @@ private:
     // Direct-mapped reply cache (slot = scrambled hash of the key).
     dp::RegisterArray<Key16> keys_;
     dp::RegisterArray<WireValue> values_;
-    dp::RegisterArray<std::uint32_t> valid_;
-    dp::RegisterArray<sim::SimTime> expiry_;     ///< lease deadline per slot
-    dp::RegisterArray<std::uint32_t> epoch_;     ///< bumped per invalidation
-    // Forwarded-GET bookkeeping: who may install the next reply.
-    dp::RegisterArray<std::uint64_t> fwd_tag_;   ///< (client, seq) of last GET
-    dp::RegisterArray<std::uint32_t> fwd_epoch_; ///< slot epoch at forward time
-    dp::RegisterArray<std::uint32_t> fwd_gen_;   ///< generation at forward time
+    dp::RegisterArray<sim::SimTime> expiry_;     ///< lease deadline; 0 = invalid
+    dp::RegisterArray<std::uint64_t> fwd_tag_;   ///< admission ticket per slot
     dp::RegisterArray<std::uint32_t> granted_;   ///< lease grant per range
     dp::RegisterArray<std::uint64_t> inval_seen_; ///< replayed-INVALIDATE filter
-    std::uint32_t generation_{1};
     EdgeCacheStats stats_;
     std::uint32_t trace_name_id_{0};  ///< lazily interned name()
 };

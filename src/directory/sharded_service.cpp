@@ -190,7 +190,7 @@ void ShardedKvService::install_probes(rt::FabricSampler& sampler) const {
         for (const auto& e : *edges) n += e->stats().hits;
         return static_cast<double>(n);
     });
-    core_.add_client_probe(sampler, "retransmits", &kv::KvClient::Stats::retransmits);
+    core_.add_client_probe(sampler, "retransmits", &transport::RetryStats::retransmits);
 }
 
 ShardedKvRunStats ShardedKvService::run(const kv::KvWorkload& workload) {

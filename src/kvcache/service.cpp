@@ -215,7 +215,8 @@ KvRunStats KvService::collect() const {
     LogHistogram gets;
     LogHistogram puts;
     for (const auto& client : clients_) {
-        const KvClient::Stats s = client->stats();
+        const KvClient::Stats& s = client->stats();
+        const transport::RetryStats& t = client->channel().stats();
         out.gets_sent += s.gets_sent;
         out.puts_sent += s.puts_sent;
         out.get_replies += s.get_replies;
@@ -224,11 +225,11 @@ KvRunStats KvService::collect() const {
         out.edge_hits += s.edge_hits;
         out.nacks += s.nacks;
         out.nack_retries += s.nack_retries;
-        out.retransmits += s.retransmits;
-        out.duplicate_replies += s.duplicate_replies;
-        out.abandoned += s.abandoned;
-        out.congestion_marks += s.congestion_marks;
-        out.ecn_backoffs += s.ecn_backoffs;
+        out.retransmits += t.retransmits;
+        out.duplicate_replies += t.duplicate_replies;
+        out.abandoned += t.abandoned;
+        out.congestion_marks += t.congestion_marks;
+        out.ecn_backoffs += t.ecn_backoffs;
         gets.merge(client->get_latency());
         puts.merge(client->put_latency());
         for (const KvClient::OpRecord& rec : client->log()) {
@@ -241,7 +242,7 @@ KvRunStats KvService::collect() const {
         if (slo_) {
             // Abandoned requests carry no completion stamp; charge them
             // at the end of the run (they failed by then by definition).
-            for (std::uint64_t i = 0; i < s.abandoned; ++i) slo_->record_failure(now);
+            for (std::uint64_t i = 0; i < t.abandoned; ++i) slo_->record_failure(now);
         }
     }
     for (const Rack& rack : racks_) {
@@ -304,16 +305,16 @@ void KvService::install_probes(rt::FabricSampler& sampler) const {
             return static_cast<double>(cache->stats().misses);
         });
     }
-    add_client_probe(sampler, "retransmits", &KvClient::Stats::retransmits);
-    add_client_probe(sampler, "abandoned", &KvClient::Stats::abandoned);
+    add_client_probe(sampler, "retransmits", &transport::RetryStats::retransmits);
+    add_client_probe(sampler, "abandoned", &transport::RetryStats::abandoned);
 }
 
 void KvService::add_client_probe(rt::FabricSampler& sampler, const char* stat,
-                                 std::uint64_t KvClient::Stats::*field) const {
+                                 std::uint64_t transport::RetryStats::*field) const {
     const auto* clients = &clients_;
     sampler.add_probe(name_ + "." + stat, "kv-clients", [clients, field] {
         std::uint64_t n = 0;
-        for (const auto& c : *clients) n += c->stats().*field;
+        for (const auto& c : *clients) n += c->channel().stats().*field;
         return static_cast<double>(n);
     });
 }

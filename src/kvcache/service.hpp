@@ -229,10 +229,10 @@ private:
               std::vector<std::size_t> client_hosts, sim::HostAddr client_target,
               RackOf rack_of);
 
-    /// A "<service>.<stat>" track at node "kv-clients": the named client
-    /// counter summed over every client.
+    /// A "<service>.<stat>" track at node "kv-clients": the named retry
+    /// transport counter summed over every client.
     void add_client_probe(rt::FabricSampler& sampler, const char* stat,
-                          std::uint64_t KvClient::Stats::*field) const;
+                          std::uint64_t transport::RetryStats::*field) const;
 
     struct Rack {
         std::size_t host{0};  ///< index into ClusterRuntime::hosts()

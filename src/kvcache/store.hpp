@@ -123,17 +123,6 @@ public:
         /// migration) and the immediate retransmissions they triggered.
         std::uint64_t nacks{0};
         std::uint64_t nack_retries{0};
-        /// Wire-level retransmissions by the retry transport (not
-        /// counted in gets_sent/puts_sent, which are logical requests).
-        std::uint64_t retransmits{0};
-        std::uint64_t duplicate_replies{0};
-        /// Requests dropped after the transport's attempt budget.
-        std::uint64_t abandoned{0};
-        /// ECN feedback loop (transport/request_reply.hpp): marks
-        /// delivered to the retry channel, and RTO expiries it
-        /// postponed because of them.
-        std::uint64_t congestion_marks{0};
-        std::uint64_t ecn_backoffs{0};
     };
 
     /// Binds the client UDP port on `host` (one kv client per host).
@@ -157,16 +146,8 @@ public:
     /// Invoked on every completed request (after stats are recorded).
     std::function<void(const OpRecord&)> on_reply;
 
-    /// Application counters with the transport's folded in.
-    Stats stats() const noexcept {
-        Stats out = stats_;
-        out.retransmits = channel_.stats().retransmits;
-        out.duplicate_replies = channel_.stats().duplicate_replies;
-        out.abandoned = channel_.stats().abandoned;
-        out.congestion_marks = channel_.stats().congestion_marks;
-        out.ecn_backoffs = channel_.stats().ecn_backoffs;
-        return out;
-    }
+    /// Application counters; the transport's are channel().stats().
+    const Stats& stats() const noexcept { return stats_; }
     /// Per-op latency distributions, fixed-memory no matter how long
     /// the run (log-bucketed; mean/min/max exact, quantiles ≤ ~1.6%
     /// relative error).
@@ -176,7 +157,8 @@ public:
     /// the correctness surface for parity/coherence tests).
     const std::vector<OpRecord>& log() const noexcept { return log_; }
     std::size_t outstanding() const noexcept { return channel_.outstanding(); }
-    /// The retry transport underneath (retransmit/barrier stats).
+    /// The retry transport underneath (retransmit, abandon, ECN and
+    /// barrier stats).
     const transport::RetryChannel& channel() const noexcept { return channel_; }
 
 private:

@@ -130,30 +130,26 @@ void KvCacheSwitchProgram::serve_hit(dp::PacketContext& ctx,
                   transport::request_tag(frame.ip.src, msg.seq), 0, trace_name_id_,
                   trace::EventKind::kCacheHit});
     }
+    reply_from_switch(ctx, frame, msg, kKvFlagFound | kKvFlagFromSwitch,
+                      values_.read(ctx, slot));
+}
 
-    // Impersonate the server: the reply's source is the GET's original
-    // destination, and it leaves through the port the GET arrived on —
-    // the one port guaranteed to lead back toward the client, with no
-    // second routing-table application (a table may only be applied
-    // once per pass, and the miss path needs it for the server route).
+void reply_from_switch(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
+                       const KvMessage& get, std::uint8_t flags, WireValue value) {
     KvMessage reply;
     reply.op = KvOp::kGetReply;
-    reply.flags = kKvFlagFound | kKvFlagFromSwitch;
-    reply.req_id = msg.req_id;
-    reply.seq = msg.seq;  // the client's duplicate filter matches on it
-    reply.key = msg.key;
-    reply.value = values_.read(ctx, slot);
+    reply.flags = flags;
+    reply.req_id = get.req_id;
+    reply.seq = get.seq;  // the client's duplicate filter matches on it
+    reply.key = get.key;
+    reply.value = value;
 
-    const auto payload = serialize_kv(reply);
-    auto out_frame = sim::build_udp_frame(frame.ip.dst, frame.ip.src,
-                                          kServerUdpPort,
-                                          frame.udp->src_port, payload);
-    // The in-network reply continues the request's causal trace.
+    auto out_frame = sim::build_udp_frame(frame.ip.dst, frame.ip.src, kServerUdpPort,
+                                          frame.udp->src_port, serialize_kv(reply));
     if (trace::enabled()) out_frame.set_trace_id(ctx.packet().frame().trace_id());
     dp::Packet out{std::move(out_frame)};
     out.meta().egress_port = ctx.packet().meta().ingress_port;
     ctx.emit(std::move(out));
-    // The GET itself is consumed by the switch.
     ctx.mark_drop();
 }
 

@@ -78,6 +78,16 @@ struct KvCacheStats {
     }
 };
 
+/// Answer a GET from the switch, impersonating the server: the reply
+/// (`flags`, `value`, the GET's req_id, seq and key) leaves with the
+/// GET's destination as its source, out of the port the GET arrived
+/// on. That is the one port sure to lead back toward the client, with
+/// no second routing-table application (a table may only be applied
+/// once per pass, and the miss path needs it for the server route).
+/// The reply continues the GET's trace; the GET itself is dropped.
+void reply_from_switch(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
+                       const KvMessage& get, std::uint8_t flags, WireValue value);
+
 class KvCacheSwitchProgram : public TenantProgram {
 public:
     /// Reserves the cache index table and the value/valid/hit/last_put
@@ -130,8 +140,7 @@ public:
     const KvCacheStats& stats() const noexcept { return stats_; }
 
 private:
-    /// Build and emit the switch-side reply out of the GET's ingress
-    /// port, consuming the request.
+    /// Count the hit and answer the GET from `slot`.
     void serve_hit(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
                    const KvMessage& msg, std::uint16_t slot);
 

@@ -282,7 +282,7 @@ TEST(EdgeCache, WriterReadsItsOwnWrites) {
     sim::Simulator& sim = rt.simulator();
     // get (caches the preload value) -> put -> get: the write barrier
     // orders the requests, the edge's inline invalidation plus the
-    // epoch guard keep the cached pre-write value from resurfacing.
+    // voided ticket keep the cached pre-write value from resurfacing.
     sim.schedule_at(10 * sim::kMicrosecond, [&] { svc.client(0).get(key); });
     sim.schedule_at(100 * sim::kMicrosecond,
                     [&] { svc.client(0).put(key, 0xA0002); });
@@ -326,7 +326,7 @@ TEST(Migration, MovesTheRangeAndLosesNothing) {
     // Every read completed with the (never-written) preload value.
     const kv::KvClient::Stats stats = svc.client(0).stats();
     EXPECT_EQ(stats.get_replies, 30u);
-    EXPECT_EQ(stats.abandoned, 0u);
+    EXPECT_EQ(svc.client(0).channel().stats().abandoned, 0u);
     for (const auto& rec : svc.client(0).log()) {
         EXPECT_EQ(rec.value, kv::KvService::preload_value_of(11));
     }
@@ -527,8 +527,7 @@ TEST(Rebalance, TelemetryRankingMovesHotRangesOffTheHotRack) {
     EXPECT_GE(svc.controller().stats().rebalances, 1u);
     EXPECT_GE(svc.controller().stats().migrations_completed, 1u);
     // Every read still completed, with the preload values.
-    const kv::KvClient::Stats c0 = svc.client(0).stats();
-    EXPECT_EQ(c0.abandoned, 0u);
+    EXPECT_EQ(svc.client(0).channel().stats().abandoned, 0u);
 }
 
 

@@ -24,6 +24,7 @@
 #include "core/controller.hpp"
 #include "core/pipeline_program.hpp"
 #include "core/worker.hpp"
+#include "directory/edge_cache.hpp"
 #include "kvcache/service.hpp"
 #include "netsim/network.hpp"
 #include "runtime/job_driver.hpp"
@@ -761,7 +762,7 @@ TEST(KvClientLifetime, AbandonedRequestsLeaveOutstanding) {
     EXPECT_EQ(client.outstanding(), 3U);
     fabric.net.run();
     EXPECT_EQ(client.outstanding(), 0U);
-    EXPECT_EQ(client.stats().abandoned, 3U);
+    EXPECT_EQ(client.channel().stats().abandoned, 3U);
     EXPECT_TRUE(client.log().empty());
 }
 
@@ -1109,6 +1110,262 @@ TEST(KvSwitchIdempotence, InstallDuringAWriteServesTheSnapshotUntilItsAck) {
     EXPECT_EQ(got, 3U);
     h.inject(h.ack_msg(fresh, /*seq=*/8, 9), false);
     EXPECT_FALSE(h.get_hits(fresh));
+}
+
+// ----------------------------------------------- edge-cache admission
+
+/// A bare edge-cache chip on a switch node with no links: GETs, PUTs,
+/// replies and INVALIDATEs injected straight into its pipeline, and
+/// the node's simulator clock moved by hand for the lease.
+struct EdgeChipHarness {
+    static constexpr sim::HostAddr kServer = 1;
+    static constexpr sim::HostAddr kClient = 2;
+
+    sim::Network net{1};
+    sim::PipelineSwitchNode& node;
+    std::shared_ptr<FabricRouter> router;
+    std::shared_ptr<dir::EdgeCacheSwitchProgram> program;
+    std::uint32_t next_req{1};
+
+    explicit EdgeChipHarness(dir::EdgeCacheConfig cfg = small_config())
+        : node{net.add_pipeline_switch("edge", ChipHarness::switch_config())} {
+        router = std::make_shared<FabricRouter>(node.chip().sram(), 16);
+        program = std::make_shared<dir::EdgeCacheSwitchProgram>(cfg, node, node.chip(),
+                                                                 router);
+        program->add_client(kClient);
+        node.chip().load_program(program);
+        router->install(dir::kServiceVaddr, {1});
+        router->install(kClient, {2});
+        for (std::size_t r = 0; r < dir::kNumRanges; ++r) program->grant(r);
+    }
+
+    static dir::EdgeCacheConfig small_config() {
+        dir::EdgeCacheConfig cfg;
+        cfg.slots = 8;
+        cfg.lease_ttl = 100 * sim::kMicrosecond;
+        return cfg;
+    }
+
+    std::size_t slot_of(const Key16& key) const {
+        return register_index_from_crc(Crc32::compute(key.bytes()),
+                                       program->config().slots);
+    }
+    static std::size_t range_of(const Key16& key) {
+        return dir::range_of_key(key, dir::kNumRanges);
+    }
+    /// The first key ("k0", "k1", ...) that `pred` accepts.
+    template <typename Pred>
+    static Key16 find_key(Pred pred) {
+        for (int i = 0;; ++i) {
+            const Key16 key{"k" + std::to_string(i)};
+            if (pred(key)) return key;
+        }
+    }
+
+    std::vector<dp::Packet> from_client(kv::KvOp op, const Key16& key,
+                                        std::uint32_t seq, WireValue value = 0) {
+        kv::KvMessage msg;
+        msg.op = op;
+        msg.req_id = next_req++;
+        msg.seq = seq;
+        msg.key = key;
+        msg.value = value;
+        return node.chip().receive(
+            dp::Packet{sim::build_udp_frame(kClient, dir::kServiceVaddr,
+                                            kv::kClientUdpPort, kv::kServerUdpPort,
+                                            kv::serialize_kv(msg))},
+            2);
+    }
+
+    /// Inject a GET; true (plus the value) if the edge answered it.
+    bool get_hits(const Key16& key, std::uint32_t seq, WireValue* value = nullptr) {
+        const auto out = from_client(kv::KvOp::kGet, key, seq);
+        if (out.size() != 1) return false;
+        const auto frame = sim::parse_frame(out[0].payload());
+        if (!frame || !frame->udp || frame->ip.dst != kClient) return false;
+        const kv::KvMessage reply = kv::parse_kv(frame->payload_of(out[0].payload()));
+        if (reply.op != kv::KvOp::kGetReply || !reply.from_edge()) return false;
+        if (value != nullptr) *value = reply.value;
+        return true;
+    }
+
+    /// The server's original, found reply to the GET with `seq`.
+    void reply(const Key16& key, std::uint32_t seq, WireValue value) {
+        kv::KvMessage msg;
+        msg.op = kv::KvOp::kGetReply;
+        msg.flags = kv::kKvFlagFound;
+        msg.req_id = next_req++;
+        msg.seq = seq;
+        msg.key = key;
+        msg.value = value;
+        node.chip().receive(
+            dp::Packet{sim::build_udp_frame(kServer, kClient, kv::kServerUdpPort,
+                                            kv::kClientUdpPort, kv::serialize_kv(msg))},
+            1);
+    }
+
+    /// The directory's INVALIDATE for the PUT tagged `tag`.
+    void invalidate(const Key16& key, std::uint64_t tag) {
+        dir::DirectoryMessage msg;
+        msg.op = dir::DirectoryOp::kInvalidate;
+        msg.tag = tag;
+        msg.key = key;
+        node.chip().receive(
+            dp::Packet{sim::build_udp_frame(kServer, program->vaddr(),
+                                            dir::kDirectoryUdpPort,
+                                            dir::kDirectoryUdpPort,
+                                            dir::serialize_directory(msg))},
+            1);
+    }
+
+    /// A missed GET and its reply: installs `value` for `key`.
+    void install(const Key16& key, std::uint32_t seq, WireValue value) {
+        EXPECT_FALSE(get_hits(key, seq));
+        reply(key, seq, value);
+        EXPECT_TRUE(program->holds(key));
+    }
+
+    const dir::EdgeCacheStats& stats() const { return program->stats(); }
+};
+
+TEST(EdgeCacheAdmission, ReplyAfterAnInvalidateIsRefusedAndCounted) {
+    EdgeChipHarness h;
+    const Key16 k{"hot"};
+    ASSERT_FALSE(h.get_hits(k, 1));
+    h.invalidate(k, transport::request_tag(7, 1));  // another edge's client wrote
+    h.reply(k, 1, 5);
+    EXPECT_EQ(h.stats().stale_refused, 1U);
+    EXPECT_EQ(h.stats().cached, 0U);
+    EXPECT_FALSE(h.get_hits(k, 2));
+
+    // The next GET was forwarded after the invalidation: its reply installs.
+    h.reply(k, 2, 6);
+    WireValue got{};
+    EXPECT_TRUE(h.get_hits(k, 3, &got));
+    EXPECT_EQ(got, 6U);
+    EXPECT_EQ(h.stats().stale_refused, 1U);
+}
+
+TEST(EdgeCacheAdmission, ReplySupersededByANewerGetIsIgnoredUncounted) {
+    EdgeChipHarness h;
+    const Key16 k{"hot"};
+    ASSERT_FALSE(h.get_hits(k, 1));
+    ASSERT_FALSE(h.get_hits(k, 2));
+    h.reply(k, 1, 5);  // the older GET's reply may predate the newer one's
+    EXPECT_FALSE(h.program->holds(k));
+    EXPECT_EQ(h.stats().cached, 0U);
+    EXPECT_EQ(h.stats().stale_refused, 0U);
+
+    h.reply(k, 2, 6);
+    WireValue got{};
+    EXPECT_TRUE(h.get_hits(k, 3, &got));
+    EXPECT_EQ(got, 6U);
+    EXPECT_EQ(h.stats().cached, 1U);
+    EXPECT_EQ(h.stats().stale_refused, 0U);
+}
+
+TEST(EdgeCacheAdmission, RevokeRefusesInFlightRepliesAndClearsOnlyItsRange) {
+    EdgeChipHarness h;
+    const Key16 a = EdgeChipHarness::find_key([](const Key16&) { return true; });
+    const auto elsewhere = [&](const Key16& key) {
+        return EdgeChipHarness::range_of(key) != EdgeChipHarness::range_of(a) &&
+               h.slot_of(key) != h.slot_of(a);
+    };
+    const Key16 b = EdgeChipHarness::find_key(elsewhere);
+    const Key16 c = EdgeChipHarness::find_key(
+        [&](const Key16& key) { return elsewhere(key) && h.slot_of(key) != h.slot_of(b); });
+    h.install(a, 1, 10);
+    h.install(b, 2, 20);
+    ASSERT_FALSE(h.get_hits(c, 3));  // c's reply is still in flight
+
+    h.program->revoke(EdgeChipHarness::range_of(a));
+    EXPECT_EQ(h.stats().revocations, 1U);
+    EXPECT_FALSE(h.program->holds(a));
+    EXPECT_TRUE(h.program->holds(b)) << "revoke cleared another range's entry";
+
+    // Every in-flight reply is refused, even one for a granted range.
+    h.reply(c, 3, 30);
+    EXPECT_EQ(h.stats().stale_refused, 1U);
+    EXPECT_FALSE(h.program->holds(c));
+
+    // While the range is revoked, a fresh GET's reply installs nothing.
+    EXPECT_FALSE(h.get_hits(a, 4));
+    h.reply(a, 4, 11);
+    EXPECT_FALSE(h.program->holds(a));
+    h.program->grant(EdgeChipHarness::range_of(a));
+    h.install(a, 5, 12);
+    WireValue got{};
+    EXPECT_TRUE(h.get_hits(a, 6, &got));
+    EXPECT_EQ(got, 12U);
+    EXPECT_EQ(h.stats().cached, 3U);
+}
+
+TEST(EdgeCacheAdmission, OwnClientPutInvalidatesInline) {
+    EdgeChipHarness h;
+    const Key16 k{"hot"};
+    h.install(k, 1, 5);
+    ASSERT_TRUE(h.get_hits(k, 2));
+
+    // The PUT passes on toward the directory and clears the entry at once.
+    EXPECT_EQ(h.from_client(kv::KvOp::kPut, k, 3, 6).size(), 1U);
+    EXPECT_EQ(h.stats().invalidations, 1U);
+    EXPECT_FALSE(h.program->holds(k));
+    EXPECT_FALSE(h.get_hits(k, 4));
+
+    // The PUT's own broadcast is not pre-marked: when it loops back it
+    // still refuses the reply of a GET forwarded before it arrived.
+    h.invalidate(k, transport::request_tag(EdgeChipHarness::kClient, 3));
+    EXPECT_EQ(h.stats().duplicate_invalidations, 0U);
+    h.reply(k, 4, 6);
+    EXPECT_EQ(h.stats().stale_refused, 1U);
+    EXPECT_FALSE(h.program->holds(k));
+}
+
+TEST(EdgeCacheAdmission, ExpiredLeaseCountsAsExpiredNotAsAHit) {
+    EdgeChipHarness h;
+    const Key16 k{"hot"};
+    h.install(k, 1, 5);
+    h.net.simulator().run_until(h.program->config().lease_ttl - 1);
+    EXPECT_TRUE(h.get_hits(k, 2));
+    h.net.simulator().run_until(h.program->config().lease_ttl);
+    EXPECT_FALSE(h.get_hits(k, 3));
+    EXPECT_EQ(h.stats().hits, 1U);
+    EXPECT_EQ(h.stats().expired, 1U);
+    EXPECT_EQ(h.stats().misses, 2U);  // the install's GET and the expired one
+
+    // The expired GET's reply renews the lease.
+    h.reply(k, 3, 6);
+    WireValue got{};
+    EXPECT_TRUE(h.get_hits(k, 4, &got));
+    EXPECT_EQ(got, 6U);
+}
+
+TEST(EdgeCacheAdmission, CollidingKeyNeverEvictsALiveLease) {
+    EdgeChipHarness h;
+    const Key16 a{"hot"};
+    const Key16 b = EdgeChipHarness::find_key(
+        [&](const Key16& key) { return key != a && h.slot_of(key) == h.slot_of(a); });
+    h.install(a, 1, 10);
+    EXPECT_FALSE(h.get_hits(b, 2));
+    h.reply(b, 2, 20);
+    EXPECT_TRUE(h.program->holds(a));
+    EXPECT_FALSE(h.program->holds(b));
+    EXPECT_EQ(h.stats().cached, 1U);
+    EXPECT_EQ(h.stats().stale_refused, 0U);
+
+    // Once a's lease ran out, b takes the slot.
+    h.net.simulator().run_until(h.program->config().lease_ttl);
+    h.install(b, 3, 21);
+    EXPECT_FALSE(h.program->holds(a));
+    WireValue got{};
+    EXPECT_TRUE(h.get_hits(b, 4, &got));
+    EXPECT_EQ(got, 21U);
+}
+
+TEST(EdgeCacheAdmission, ZeroLeaseIsRejectedAtConstruction) {
+    dir::EdgeCacheConfig cfg = EdgeChipHarness::small_config();
+    cfg.lease_ttl = 0;
+    EXPECT_DEATH(EdgeChipHarness{cfg}, "precondition");
 }
 
 // --------------------------------------------------- coherence under loss

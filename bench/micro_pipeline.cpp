@@ -25,7 +25,7 @@ struct PipelineHarness {
         rule.out_port = 1;
         rule.flush_dst = 99;
         program->configure_tree(1, rule);
-        program->install_route(50, {2});
+        program->router().install(50, {2});
     }
 
     static dp::SwitchConfig make_switch_config() {
@@ -42,7 +42,7 @@ struct PipelineHarness {
             pairs.push_back(KvPair{Key16::from_u64(rng.next_u64() | 1),
                                    wire_from_i32(1)});
         }
-        return sim::build_udp_frame(10, 99, cfg.mapper_udp_port, cfg.udp_port,
+        return sim::build_udp_frame(10, 99, kMapperUdpPort, kDaietUdpPort,
                                     serialize_data(1, pairs));
     }
 };
@@ -88,12 +88,12 @@ void BM_EndFlushRecirculation(benchmark::State& state) {
         for (std::size_t off = 0; off < pairs.size(); off += 10) {
             const auto n = std::min<std::size_t>(10, pairs.size() - off);
             auto frame = sim::build_udp_frame(
-                10, 99, h.cfg.mapper_udp_port, h.cfg.udp_port,
+                10, 99, kMapperUdpPort, kDaietUdpPort,
                 serialize_data(1, std::span{pairs}.subspan(off, n)));
             h.chip.receive(dp::Packet{std::move(frame)}, 0);
         }
-        auto end_frame = sim::build_udp_frame(10, 99, h.cfg.mapper_udp_port,
-                                              h.cfg.udp_port, serialize_end(1));
+        auto end_frame = sim::build_udp_frame(10, 99, kMapperUdpPort,
+                                              kDaietUdpPort, serialize_end(1));
         state.ResumeTiming();
         benchmark::DoNotOptimize(h.chip.receive(dp::Packet{std::move(end_frame)}, 0));
     }

@@ -9,45 +9,6 @@
 
 namespace daiet {
 
-void RunningStats::add(double x) noexcept {
-    if (n_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++n_;
-    sum_ += x;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const noexcept {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const auto na = static_cast<double>(n_);
-    const auto nb = static_cast<double>(other.n_);
-    const double delta = other.mean_ - mean_;
-    const double total = na + nb;
-    mean_ += delta * nb / total;
-    m2_ += other.m2_ + delta * delta * na * nb / total;
-    n_ += other.n_;
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
 std::size_t LogHistogram::bucket_of(double x) noexcept {
     if (!(x >= 1.0)) return 0;  // underflow (and filters NaN at add())
     int exp = 0;
@@ -161,31 +122,6 @@ std::string BoxPlot::to_string(int precision) const {
                   precision, min, precision, q1, precision, median, precision, q3,
                   precision, max, precision, mean, n);
     return std::string{buf};
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_{lo}, hi_{hi}, counts_(buckets, 0) {
-    DAIET_EXPECTS(hi > lo);
-    DAIET_EXPECTS(buckets > 0);
-}
-
-void Histogram::add(double x) noexcept {
-    const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-    auto idx = static_cast<std::int64_t>((x - lo_) / w);
-    idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-}
-
-std::uint64_t Histogram::bucket(std::size_t i) const {
-    DAIET_EXPECTS(i < counts_.size());
-    return counts_[i];
-}
-
-double Histogram::bucket_low(std::size_t i) const {
-    DAIET_EXPECTS(i < counts_.size());
-    const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-    return lo_ + w * static_cast<double>(i);
 }
 
 }  // namespace daiet

@@ -1,6 +1,6 @@
-// Descriptive statistics used by the experiment harnesses: running
-// moments, exact percentiles over stored samples, and the five-number
-// summary that backs the paper's Figure 3 box plot.
+// Descriptive statistics used by the experiment harnesses: exact
+// percentiles over stored samples, the five-number summary that backs
+// the paper's Figure 3 box plot, and a fixed-memory log histogram.
 #pragma once
 
 #include <array>
@@ -10,30 +10,6 @@
 #include <vector>
 
 namespace daiet {
-
-/// Online mean/variance (Welford) plus min/max; O(1) memory.
-class RunningStats {
-public:
-    void add(double x) noexcept;
-
-    std::size_t count() const noexcept { return n_; }
-    double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
-    double variance() const noexcept;  ///< sample variance (n-1 denominator)
-    double stddev() const noexcept;
-    double min() const noexcept { return n_ > 0 ? min_ : 0.0; }
-    double max() const noexcept { return n_ > 0 ? max_ : 0.0; }
-    double sum() const noexcept { return sum_; }
-
-    void merge(const RunningStats& other) noexcept;
-
-private:
-    std::size_t n_{0};
-    double mean_{0.0};
-    double m2_{0.0};
-    double min_{0.0};
-    double max_{0.0};
-    double sum_{0.0};
-};
 
 /// Stores samples; provides exact order statistics.
 class Samples {
@@ -120,26 +96,6 @@ private:
     double sum_{0.0};
     double min_{0.0};
     double max_{0.0};
-};
-
-/// Fixed-width bucket histogram over [lo, hi); out-of-range values clamp
-/// into the first/last bucket.
-class Histogram {
-public:
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void add(double x) noexcept;
-
-    std::size_t bucket_count() const noexcept { return counts_.size(); }
-    std::uint64_t bucket(std::size_t i) const;
-    double bucket_low(std::size_t i) const;
-    std::uint64_t total() const noexcept { return total_; }
-
-private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_{0};
 };
 
 }  // namespace daiet

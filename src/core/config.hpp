@@ -30,13 +30,6 @@ struct Config {
     /// with as many entries as the number of pairs that can fit in one
     /// packet").
     std::size_t spillover_capacity{10};
-
-    /// UDP destination port that identifies DAIET traffic at switches
-    /// and reducers.
-    std::uint16_t udp_port{5000};
-
-    /// Source port used by mappers (only for flow identification).
-    std::uint16_t mapper_udp_port{5001};
 };
 
 }  // namespace daiet

@@ -52,10 +52,6 @@ void DaietSwitchProgram::Slot::arm(std::uint32_t num_children) {
     dirty.poke(0, 0);
 }
 
-DaietSwitchProgram::DaietSwitchProgram(Config config, dp::PipelineSwitch& chip)
-    : DaietSwitchProgram{config, chip,
-                         std::make_shared<FabricRouter>(chip.sram())} {}
-
 DaietSwitchProgram::DaietSwitchProgram(Config config, dp::PipelineSwitch& chip,
                                        std::shared_ptr<FabricRouter> router)
     : TenantProgram{std::move(router)},
@@ -141,12 +137,12 @@ std::size_t DaietSwitchProgram::occupied_cells(TreeId tree) const {
 
 bool DaietSwitchProgram::claims(const sim::ParsedFrame& frame,
                                 std::span<const std::byte> payload) const {
-    return frame.udp && frame.udp->dst_port == config_.udp_port &&
+    return frame.udp && frame.udp->dst_port == kDaietUdpPort &&
            looks_like_daiet(payload);
 }
 
 std::vector<std::uint16_t> DaietSwitchProgram::claim_ports() const {
-    return {config_.udp_port};
+    return {kDaietUdpPort};
 }
 
 bool DaietSwitchProgram::on_claimed(dp::PacketContext& ctx,
@@ -338,8 +334,8 @@ void DaietSwitchProgram::emit_pairs(dp::PacketContext& ctx, TreeId tree,
     slot.pairs_out.write(ctx, 0,
                          forwarded + static_cast<std::uint32_t>(pairs.size()));
     const auto payload = serialize_data(tree, pairs);
-    auto frame = sim::build_udp_frame(/*src=*/0, rule.flush_dst, config_.udp_port,
-                                      config_.udp_port, payload);
+    auto frame = sim::build_udp_frame(/*src=*/0, rule.flush_dst, kDaietUdpPort,
+                                      kDaietUdpPort, payload);
     dp::Packet out{std::move(frame)};
     out.meta().egress_port = rule.out_port;
     ctx.emit(std::move(out));
@@ -355,8 +351,8 @@ void DaietSwitchProgram::emit_end(dp::PacketContext& ctx, TreeId tree,
     const bool is_dirty = upstream_dirty != 0 || seen != declared;
     const std::uint32_t forwarded = slot.pairs_out.read(ctx, 0);
     const auto payload = serialize_end(tree, forwarded, is_dirty);
-    auto frame = sim::build_udp_frame(/*src=*/0, rule.flush_dst, config_.udp_port,
-                                      config_.udp_port, payload);
+    auto frame = sim::build_udp_frame(/*src=*/0, rule.flush_dst, kDaietUdpPort,
+                                      kDaietUdpPort, payload);
     dp::Packet out{std::move(frame)};
     out.meta().egress_port = rule.out_port;
     ctx.emit(std::move(out));
@@ -364,8 +360,11 @@ void DaietSwitchProgram::emit_end(dp::PacketContext& ctx, TreeId tree,
 
 std::shared_ptr<DaietSwitchProgram> load_daiet_program(Config config,
                                                        dp::PipelineSwitch& chip) {
-    auto program = std::make_shared<DaietSwitchProgram>(config, chip);
-    chip.load_program(program);
+    auto router = std::make_shared<FabricRouter>(chip.sram());
+    auto program = std::make_shared<DaietSwitchProgram>(config, chip, router);
+    auto mux = std::make_shared<SwitchProgramMux>(std::move(router));
+    mux->add_tenant(program);
+    chip.load_program(std::move(mux));
     return program;
 }
 

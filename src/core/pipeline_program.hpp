@@ -53,12 +53,8 @@ public:
     /// dp::ResourceError if the configuration does not fit the chip.
     /// Host memory for a slot's registers is allocated only when the
     /// controller first places a tree in it (configure_tree), so a
-    /// switch no tree crosses costs its reservation but no cells. This
-    /// standalone form owns a private FabricRouter (single-tenant chip).
-    DaietSwitchProgram(Config config, dp::PipelineSwitch& chip);
-
-    /// Co-resident form: resolve ports through the chip's shared router
-    /// (the SwitchProgramMux arrangement built by ClusterRuntime).
+    /// switch no tree crosses costs its reservation but no cells. Ports
+    /// resolve through the chip's shared router.
     DaietSwitchProgram(Config config, dp::PipelineSwitch& chip,
                        std::shared_ptr<FabricRouter> router);
 
@@ -148,7 +144,8 @@ private:
     std::vector<std::unique_ptr<Slot>> slots_;
 };
 
-/// Convenience: create a program and load it into `chip`.
+/// Load `chip` with a one-tenant SwitchProgramMux running DAIET over a
+/// fresh FabricRouter (install routes through program->router()).
 std::shared_ptr<DaietSwitchProgram> load_daiet_program(Config config,
                                                        dp::PipelineSwitch& chip);
 

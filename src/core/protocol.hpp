@@ -38,6 +38,11 @@
 namespace daiet {
 
 inline constexpr std::uint16_t kDaietMagic = 0xDA1E;
+/// UDP destination port that identifies DAIET traffic at switches and
+/// reducers.
+inline constexpr std::uint16_t kDaietUdpPort = 5000;
+/// Source port mappers send from (flow identification only).
+inline constexpr std::uint16_t kMapperUdpPort = 5001;
 
 enum class PacketType : std::uint8_t {
     kData = 1,

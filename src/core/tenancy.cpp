@@ -111,63 +111,11 @@ const sim::ParsedFrame* parse_frame_with_ops(dp::PacketContext& ctx) {
     return frame;
 }
 
-namespace {
-
-/// The one dispatch loop both the mux and standalone tenants run. It
-/// iterates borrowed raw pointers (this runs per frame per hop, and the
-/// callers own the tenants for the duration of the call); `observers`
-/// holds only the tenants with a real observe() tap.
-void dispatch(dp::PacketContext& ctx, const FabricRouter& router,
-              std::span<TenantProgram* const> observers,
-              std::span<TenantProgram* const> tenants,
-              const ClaimPortFilter* claim_filter) {
-    const sim::ParsedFrame* frame = parse_frame_with_ops(ctx);
-    if (frame == nullptr) return;
-    const auto payload = frame->payload_of(ctx.packet().payload());
-    // Stat-keeping stages run first, on every ingress frame (not on
-    // recirculated passes — those re-enter mid-pipeline, after the
-    // ingress counters, and must not double-count).
-    if (ctx.packet().meta().recirc_count == 0) {
-        for (TenantProgram* tenant : observers) {
-            tenant->observe(ctx, *frame, payload);
-        }
-    }
-    if (frame->udp &&
-        (claim_filter == nullptr || claim_filter->hit(frame->udp->dst_port) ||
-         claim_filter->hit(frame->udp->src_port))) {
-        for (TenantProgram* tenant : tenants) {
-            if (!tenant->claims(*frame, payload)) continue;
-            if (trace::enabled()) {
-                auto& t = trace::tracer();
-                // The claiming tenant doubles as the location: the mux
-                // has no node handle here, and "kvcache@7" names the
-                // chip more usefully than the mux wrapper would.
-                const std::uint32_t name_id = t.intern(tenant->name());
-                t.record({t.now(), ctx.packet().frame().trace_id(), name_id,
-                          0, name_id, trace::EventKind::kTenantClaim});
-            }
-            if (tenant->on_claimed(ctx, *frame, payload)) return;
-            break;  // claimed but declined: fall through to plain forwarding
-        }
-    }
-    router.forward(ctx, *frame);
-}
-
-}  // namespace
-
 // ------------------------------------------------------- TenantProgram
 
 TenantProgram::TenantProgram(std::shared_ptr<FabricRouter> router)
     : router_{std::move(router)} {
     DAIET_EXPECTS(router_ != nullptr);
-}
-
-void TenantProgram::on_packet(dp::PacketContext& ctx) {
-    // Standalone mode: this tenant is the chip's entire pipeline — it
-    // sees every frame, so no claim filter, and its own tap always runs.
-    TenantProgram* self = this;
-    const std::span<TenantProgram* const> all{&self, 1};
-    dispatch(ctx, *router_, all, all, nullptr);
 }
 
 // ---------------------------------------------------- SwitchProgramMux
@@ -208,8 +156,38 @@ TenantProgram* SwitchProgramMux::tenant(std::string_view name) const {
 }
 
 void SwitchProgramMux::on_packet(dp::PacketContext& ctx) {
-    dispatch(ctx, *router_, observers_raw_, tenants_raw_,
-             claim_filter_valid_ ? &claim_filter_ : nullptr);
+    // Runs per frame per hop: the loops iterate borrowed raw pointers,
+    // and observers_raw_ holds only the tenants with a real observe() tap.
+    const sim::ParsedFrame* frame = parse_frame_with_ops(ctx);
+    if (frame == nullptr) return;
+    const auto payload = frame->payload_of(ctx.packet().payload());
+    // Stat-keeping stages run first, on every ingress frame (not on
+    // recirculated passes — those re-enter mid-pipeline, after the
+    // ingress counters, and must not double-count).
+    if (ctx.packet().meta().recirc_count == 0) {
+        for (TenantProgram* tenant : observers_raw_) {
+            tenant->observe(ctx, *frame, payload);
+        }
+    }
+    if (frame->udp &&
+        (!claim_filter_valid_ || claim_filter_.hit(frame->udp->dst_port) ||
+         claim_filter_.hit(frame->udp->src_port))) {
+        for (TenantProgram* tenant : tenants_raw_) {
+            if (!tenant->claims(*frame, payload)) continue;
+            if (trace::enabled()) {
+                auto& t = trace::tracer();
+                // The claiming tenant doubles as the location: the mux
+                // has no node handle here, and "kvcache@7" names the
+                // chip more usefully than the mux wrapper would.
+                const std::uint32_t name_id = t.intern(tenant->name());
+                t.record({t.now(), ctx.packet().frame().trace_id(), name_id,
+                          0, name_id, trace::EventKind::kTenantClaim});
+            }
+            if (tenant->on_claimed(ctx, *frame, payload)) return;
+            break;  // claimed but declined: fall through to plain forwarding
+        }
+    }
+    router_->forward(ctx, *frame);
 }
 
 std::vector<std::pair<std::string, std::size_t>> SwitchProgramMux::sram_report()

@@ -12,14 +12,13 @@
 //     all resolve egress ports here, and its SRAM footprint is charged
 //     once, not per tenant.
 //   * TenantProgram — a dataplane program that claims a slice of the
-//     traffic (by UDP port / magic) and handles only that slice. A
-//     tenant is still a complete dp::PipelineProgram, so a chip with a
-//     single tenant loads it directly, exactly as before.
-//   * SwitchProgramMux — the compiled pipeline of a multi-tenant chip:
-//     parses once, asks each tenant in registration order to claim the
-//     packet, and falls back to plain ECMP forwarding. This is what
-//     lets DAIET aggregation and the NetCache-style kv cache coexist
-//     on one fabric, arbitrated by a shared SramBook.
+//     traffic (by UDP port / magic) and handles only that slice.
+//   * SwitchProgramMux — the compiled pipeline of a programmable chip,
+//     and the only program one runs: parses once, asks each tenant in
+//     registration order to claim the packet, and falls back to plain
+//     ECMP forwarding. This is what lets DAIET aggregation and the
+//     NetCache-style kv cache coexist on one fabric, arbitrated by a
+//     shared SramBook; a chip with one tenant runs a one-tenant mux.
 #pragma once
 
 #include <algorithm>
@@ -136,11 +135,15 @@ private:
 
 /// A co-resident dataplane program: claims its slice of the traffic and
 /// processes it against its own registers/tables, resolving ports
-/// through the shared FabricRouter. Also a complete PipelineProgram, so
-/// a single-tenant chip loads it directly (no mux indirection).
-class TenantProgram : public dp::PipelineProgram, public sim::RouteSink {
+/// through the shared FabricRouter. It runs only inside a
+/// SwitchProgramMux.
+class TenantProgram {
 public:
     explicit TenantProgram(std::shared_ptr<FabricRouter> router);
+    virtual ~TenantProgram() = default;
+
+    /// The tenant's name in the mux ("daiet", "kvcache@<server>", ...).
+    virtual std::string name() const = 0;
 
     /// True when this tenant owns the (UDP) packet — typically a port
     /// plus protocol-magic check, the parser-level classification a P4
@@ -186,12 +189,6 @@ public:
     /// The arbiter-pressure observability behind
     /// SwitchProgramMux::sram_report().
     virtual std::size_t sram_bytes() const = 0;
-
-    // --- single-tenant (standalone) operation -------------------------------
-    void on_packet(dp::PacketContext& ctx) final;
-    void install_route(sim::HostAddr dst, std::vector<dp::PortId> ports) final {
-        router_->install(dst, std::move(ports));
-    }
 
     FabricRouter& router() noexcept { return *router_; }
     const FabricRouter& router() const noexcept { return *router_; }

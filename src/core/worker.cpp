@@ -37,7 +37,7 @@ void MapperSender::send_serialized(std::span<const std::byte> records) {
         w.put_u16(tree_);
         w.put_u8(static_cast<std::uint8_t>(n));
         w.put_bytes(records.subspan(sent * kPairWireSize, n * kPairWireSize));
-        host_->udp_send(reducer_, config_.mapper_udp_port, config_.udp_port, w.bytes());
+        host_->udp_send(reducer_, kMapperUdpPort, kDaietUdpPort, w.bytes());
         ++stats_.data_packets_sent;
         stats_.pairs_sent += n;
         stats_.payload_bytes_sent += w.size();
@@ -48,7 +48,7 @@ void MapperSender::send_serialized(std::span<const std::byte> records) {
 void MapperSender::flush_buffer() {
     if (buffer_.empty()) return;
     const auto payload = serialize_data(tree_, buffer_);
-    host_->udp_send(reducer_, config_.mapper_udp_port, config_.udp_port, payload);
+    host_->udp_send(reducer_, kMapperUdpPort, kDaietUdpPort, payload);
     ++stats_.data_packets_sent;
     stats_.pairs_sent += buffer_.size();
     stats_.payload_bytes_sent += payload.size();
@@ -60,25 +60,25 @@ void MapperSender::finish() {
     flush_buffer();
     const auto payload = serialize_end(
         tree_, static_cast<std::uint32_t>(stats_.pairs_sent), /*dirty=*/false);
-    host_->udp_send(reducer_, config_.mapper_udp_port, config_.udp_port, payload);
+    host_->udp_send(reducer_, kMapperUdpPort, kDaietUdpPort, payload);
     ++stats_.end_packets_sent;
     stats_.payload_bytes_sent += payload.size();
     finished_ = true;
 }
 
-ReducerReceiver::ReducerReceiver(sim::Host& host, Config config, TreeId tree,
-                                 AggFnId fn, std::uint32_t expected_ends)
-    : host_{&host}, config_{config}, tree_{tree}, fn_{fn},
+ReducerReceiver::ReducerReceiver(sim::Host& host, TreeId tree, AggFnId fn,
+                                 std::uint32_t expected_ends)
+    : host_{&host}, tree_{tree}, fn_{fn},
       expected_ends_{expected_ends} {
     DAIET_EXPECTS(expected_ends > 0);
-    host_->udp_bind(config_.udp_port,
+    host_->udp_bind(kDaietUdpPort,
                     [this](sim::HostAddr src, std::uint16_t src_port,
                            std::span<const std::byte> payload) {
                         on_datagram(src, src_port, payload);
                     });
 }
 
-ReducerReceiver::~ReducerReceiver() { host_->udp_unbind(config_.udp_port); }
+ReducerReceiver::~ReducerReceiver() { host_->udp_unbind(kDaietUdpPort); }
 
 void ReducerReceiver::on_datagram(sim::HostAddr /*src*/, std::uint16_t /*src_port*/,
                                   std::span<const std::byte> payload) {

@@ -76,7 +76,7 @@ public:
     /// of END packets that mark stream completion: 1 per direct tree
     /// child of this reducer (the controller's TreeLayout reports it),
     /// or the number of mappers when no aggregation runs in-network.
-    ReducerReceiver(sim::Host& host, Config config, TreeId tree, AggFnId fn,
+    ReducerReceiver(sim::Host& host, TreeId tree, AggFnId fn,
                     std::uint32_t expected_ends);
 
     ~ReducerReceiver();
@@ -121,7 +121,6 @@ private:
                      std::span<const std::byte> payload);
 
     sim::Host* host_;
-    Config config_;
     TreeId tree_;
     AggFnId fn_;
     std::uint32_t expected_ends_;

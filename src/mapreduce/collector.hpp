@@ -13,7 +13,6 @@
 #include <variant>
 #include <vector>
 
-#include "core/config.hpp"
 #include "core/protocol.hpp"
 #include "netsim/host.hpp"
 
@@ -21,17 +20,16 @@ namespace daiet::mr {
 
 class RawCollector {
 public:
-    RawCollector(sim::Host& host, Config config, TreeId tree,
-                 std::uint32_t expected_ends)
-        : host_{&host}, config_{config}, tree_{tree}, expected_ends_{expected_ends} {
-        host_->udp_bind(config_.udp_port,
+    RawCollector(sim::Host& host, TreeId tree, std::uint32_t expected_ends)
+        : host_{&host}, tree_{tree}, expected_ends_{expected_ends} {
+        host_->udp_bind(kDaietUdpPort,
                         [this](sim::HostAddr, std::uint16_t,
                                std::span<const std::byte> payload) {
                             on_datagram(payload);
                         });
     }
 
-    ~RawCollector() { host_->udp_unbind(config_.udp_port); }
+    ~RawCollector() { host_->udp_unbind(kDaietUdpPort); }
     RawCollector(const RawCollector&) = delete;
     RawCollector& operator=(const RawCollector&) = delete;
 
@@ -71,7 +69,6 @@ private:
     }
 
     sim::Host* host_;
-    Config config_;
     TreeId tree_;
     std::uint32_t expected_ends_;
     std::vector<std::vector<std::byte>> payloads_;

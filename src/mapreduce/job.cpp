@@ -125,7 +125,7 @@ void finalize_reducer(JobResult& result, const Cluster& c, std::size_t r,
 }
 
 void run_udp_shuffle(JobResult& result, std::vector<KvPair>& merged, Cluster& c,
-                     const std::vector<MapOutput>& maps, const JobOptions& o) {
+                     const std::vector<MapOutput>& maps) {
     rt::JobDriver& driver = *c.driver;
     const std::size_t r = c.reducers.size();
 
@@ -137,7 +137,7 @@ void run_udp_shuffle(JobResult& result, std::vector<KvPair>& merged, Cluster& c,
     collectors.reserve(r);
     for (std::size_t i = 0; i < r; ++i) {
         collectors.push_back(std::make_unique<RawCollector>(
-            *c.reducers[i], o.daiet, driver.tree(i), driver.expected_ends(i)));
+            *c.reducers[i], driver.tree(i), driver.expected_ends(i)));
     }
 
     driver.schedule_sends([&maps](std::size_t group, std::size_t mapper,
@@ -303,7 +303,7 @@ JobResult run_wordcount_job(const Corpus& corpus, const JobOptions& options) {
     if (options.mode == ShuffleMode::kTcpBaseline) {
         run_tcp_shuffle(result, merged, cluster, maps, options);
     } else {
-        run_udp_shuffle(result, merged, cluster, maps, options);
+        run_udp_shuffle(result, merged, cluster, maps);
     }
 
     // --- job output -----------------------------------------------------------

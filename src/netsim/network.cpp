@@ -180,106 +180,62 @@ Node* Network::edge_switch_of(const Host& host) const noexcept {
     return nullptr;
 }
 
-StarTopology make_star_l2(Network& net, std::size_t n_hosts, LinkParams params) {
+StarTopology make_star(Network& net, std::size_t n_hosts,
+                       const SwitchFactory& add_switch, LinkParams params) {
     StarTopology topo;
-    topo.net = &net;
-    auto& tor = net.add_l2_switch("tor");
-    topo.tor = &tor;
+    topo.tor = add_switch("tor", n_hosts);
     for (std::size_t i = 0; i < n_hosts; ++i) {
-        auto& h = net.add_host("host" + std::to_string(i));
-        net.connect(h, tor, params);
+        auto& h = net.add_host("h" + std::to_string(i));
+        net.connect(h, *topo.tor, params);
         topo.hosts.push_back(&h);
     }
     return topo;
 }
 
-StarTopology make_star_pipeline(Network& net, std::size_t n_hosts,
-                                dp::SwitchConfig config, LinkParams params) {
-    StarTopology topo;
-    topo.net = &net;
-    config.num_ports = static_cast<std::uint16_t>(std::max<std::size_t>(n_hosts, 1));
-    auto& tor = net.add_pipeline_switch("tor", config);
-    topo.tor = &tor;
-    for (std::size_t i = 0; i < n_hosts; ++i) {
-        auto& h = net.add_host("host" + std::to_string(i));
-        net.connect(h, tor, params);
-        topo.hosts.push_back(&h);
-    }
-    return topo;
-}
-
-namespace {
-
-template <typename AddLeaf>
-LeafSpineTopology make_leaf_spine_impl(Network& net, std::size_t n_leaf,
-                                       std::size_t n_spine, std::size_t hosts_per_leaf,
-                                       LinkParams params, AddLeaf&& add_switch) {
-    DAIET_EXPECTS(n_leaf > 0 && n_spine > 0 && hosts_per_leaf > 0);
+LeafSpineTopology make_leaf_spine(Network& net, std::size_t n_leaf, std::size_t n_spine,
+                                  std::size_t n_hosts, const SwitchFactory& add_switch,
+                                  LinkParams params) {
+    DAIET_EXPECTS(n_leaf > 0 && n_spine > 0);
     LeafSpineTopology topo;
-    topo.net = &net;
+    topo.hosts_per_leaf = (n_hosts + n_leaf - 1) / n_leaf;
     for (std::size_t s = 0; s < n_spine; ++s) {
-        topo.spines.push_back(add_switch("spine" + std::to_string(s)));
+        topo.spines.push_back(add_switch("spine" + std::to_string(s), n_leaf));
     }
     for (std::size_t l = 0; l < n_leaf; ++l) {
-        Node* leaf = add_switch("leaf" + std::to_string(l));
+        Node* leaf =
+            add_switch("leaf" + std::to_string(l), topo.hosts_per_leaf + n_spine);
+        for (Node* spine : topo.spines) net.connect(*leaf, *spine, params);
         topo.leaves.push_back(leaf);
-        for (std::size_t h = 0; h < hosts_per_leaf; ++h) {
-            auto& host =
-                net.add_host("host" + std::to_string(l) + "_" + std::to_string(h));
-            net.connect(host, *leaf, params);
-            topo.hosts.push_back(&host);
-        }
-        for (Node* spine : topo.spines) {
-            net.connect(*leaf, *spine, params);
-        }
+    }
+    // Consecutive fill: the rack-locality layout the paper's Figure 2
+    // trees aggregate over.
+    for (std::size_t i = 0; i < n_hosts; ++i) {
+        auto& h = net.add_host("h" + std::to_string(i));
+        net.connect(h, *topo.leaves[i / topo.hosts_per_leaf], params);
+        topo.hosts.push_back(&h);
     }
     return topo;
 }
 
-}  // namespace
-
-LeafSpineTopology make_leaf_spine_l2(Network& net, std::size_t n_leaf,
-                                     std::size_t n_spine, std::size_t hosts_per_leaf,
-                                     LinkParams params) {
-    return make_leaf_spine_impl(net, n_leaf, n_spine, hosts_per_leaf, params,
-                                [&](std::string name) -> Node* {
-                                    return &net.add_l2_switch(std::move(name));
-                                });
-}
-
-LeafSpineTopology make_leaf_spine_pipeline(Network& net, std::size_t n_leaf,
-                                           std::size_t n_spine,
-                                           std::size_t hosts_per_leaf,
-                                           const dp::SwitchConfig& config,
-                                           LinkParams params) {
-    return make_leaf_spine_impl(
-        net, n_leaf, n_spine, hosts_per_leaf, params,
-        [&](std::string name) -> Node* {
-            return &net.add_pipeline_switch(std::move(name), config);
-        });
-}
-
-namespace {
-
-template <typename AddSwitch>
-FatTreeTopology make_fat_tree_impl(Network& net, std::size_t k, std::size_t n_hosts,
-                                   LinkParams params, AddSwitch&& add_switch) {
+FatTreeTopology make_fat_tree(Network& net, std::size_t k, std::size_t n_hosts,
+                              const SwitchFactory& add_switch, LinkParams params) {
     DAIET_EXPECTS(k >= 2 && k % 2 == 0);
+    if (n_hosts > FatTreeTopology::capacity(k)) {
+        throw std::runtime_error{
+            "make_fat_tree: " + std::to_string(n_hosts) +
+            " hosts exceed fat-tree capacity k^3/4 = " +
+            std::to_string(FatTreeTopology::capacity(k))};
+    }
     const std::size_t half = k / 2;
-    if (n_hosts == 0) n_hosts = FatTreeTopology::capacity(k);
-    DAIET_EXPECTS(n_hosts <= FatTreeTopology::capacity(k));
-
     FatTreeTopology topo;
-    topo.net = &net;
-    topo.k = k;
-
+    // Every fat-tree switch has k ports: k/2 down and k/2 up (cores: k down).
     for (std::size_t c = 0; c < half * half; ++c) {
-        topo.cores.push_back(add_switch("core" + std::to_string(c)));
+        topo.cores.push_back(add_switch("core" + std::to_string(c), k));
     }
     for (std::size_t p = 0; p < k; ++p) {
         for (std::size_t a = 0; a < half; ++a) {
             Node* agg =
-                add_switch("agg" + std::to_string(p) + "_" + std::to_string(a));
+                add_switch("agg" + std::to_string(p) + "_" + std::to_string(a), k);
             topo.aggs.push_back(agg);
             // Aggregation switch a of every pod uplinks to the a-th
             // group of k/2 core switches.
@@ -289,45 +245,19 @@ FatTreeTopology make_fat_tree_impl(Network& net, std::size_t k, std::size_t n_ho
         }
         for (std::size_t e = 0; e < half; ++e) {
             Node* edge =
-                add_switch("edge" + std::to_string(p) + "_" + std::to_string(e));
+                add_switch("edge" + std::to_string(p) + "_" + std::to_string(e), k);
             topo.edges.push_back(edge);
             for (std::size_t a = 0; a < half; ++a) {
                 net.connect(*edge, *topo.aggs[p * half + a], params);
             }
         }
     }
-    // Round-robin host placement keeps partially populated fabrics
-    // balanced across pods (a cluster of 8 on k=4 lands 1 per edge).
     for (std::size_t i = 0; i < n_hosts; ++i) {
         auto& host = net.add_host("host" + std::to_string(i));
         net.connect(host, *topo.edges[i % topo.edges.size()], params);
         topo.hosts.push_back(&host);
     }
     return topo;
-}
-
-}  // namespace
-
-FatTreeTopology make_fat_tree_l2(Network& net, std::size_t k, std::size_t n_hosts,
-                                 LinkParams params) {
-    return make_fat_tree_impl(net, k, n_hosts, params,
-                              [&](std::string name) -> Node* {
-                                  return &net.add_l2_switch(std::move(name));
-                              });
-}
-
-FatTreeTopology make_fat_tree_pipeline(Network& net, std::size_t k,
-                                       const dp::SwitchConfig& config,
-                                       std::size_t n_hosts, LinkParams params) {
-    dp::SwitchConfig sized = config;
-    // A fat-tree switch never needs more than k ports (k/2 down + k/2 up).
-    sized.num_ports = std::max<std::uint16_t>(
-        sized.num_ports, static_cast<std::uint16_t>(k + 2));
-    return make_fat_tree_impl(net, k, n_hosts, params,
-                              [&](std::string name) -> Node* {
-                                  return &net.add_pipeline_switch(std::move(name),
-                                                                  sized);
-                              });
 }
 
 }  // namespace daiet::sim

@@ -2,6 +2,7 @@
 // and computes shortest-path (ECMP-aware) routing.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -134,48 +135,59 @@ private:
     std::unordered_map<HostAddr, NodeId> switch_vaddrs_;  // registered vaddrs
 };
 
+/// Builds one switch of a fabric: `ports` is the most links the builder
+/// will attach to it. A DAIET fabric sizes a programmable chip from it;
+/// `l2_switches` ignores it.
+using SwitchFactory = std::function<Node*(const std::string& name, std::size_t ports)>;
+
+/// The factory of a plain L2 fabric (the paper's baselines).
+inline SwitchFactory l2_switches(Network& net) {
+    return [&net](const std::string& name, std::size_t) -> Node* {
+        return &net.add_l2_switch(name);
+    };
+}
+
+// One builder per topology shape. Each creates its switches through the
+// factory, then its hosts; node ids, port numbers and link order follow
+// from the creation order documented on each builder.
+
 /// A star ("rack") topology: every host hangs off one switch — the
-/// physical shape of the paper's Figure 3 testbed.
+/// physical shape of the paper's Figure 3 testbed. Creates "tor", then
+/// hosts "h<i>", each linked host-first to the next free tor port.
 struct StarTopology {
-    Network* net{nullptr};
-    Node* tor{nullptr};  ///< L2Switch or PipelineSwitchNode
+    Node* tor{nullptr};
     std::vector<Host*> hosts;
 };
 
-StarTopology make_star_l2(Network& net, std::size_t n_hosts, LinkParams params = {});
-StarTopology make_star_pipeline(Network& net, std::size_t n_hosts,
-                                dp::SwitchConfig config, LinkParams params = {});
+StarTopology make_star(Network& net, std::size_t n_hosts,
+                       const SwitchFactory& add_switch, LinkParams params = {});
 
-/// Two-tier leaf-spine fabric: `n_leaf` leaf switches each with
-/// `hosts_per_leaf` hosts, fully meshed to `n_spine` spine switches.
-/// Models the multi-level aggregation trees of the paper's Figure 2.
+/// Two-tier leaf-spine fabric: `n_leaf` leaf switches fully meshed to
+/// `n_spine` spine switches. Models the multi-level aggregation trees of
+/// the paper's Figure 2. Creates the spines, then each leaf with its
+/// links to every spine, then hosts "h<i>", filled consecutively:
+/// ceil(n_hosts / n_leaf) per leaf, so the last racks may be short or
+/// empty.
 struct LeafSpineTopology {
-    Network* net{nullptr};
     std::vector<Node*> leaves;
     std::vector<Node*> spines;
-    std::vector<Host*> hosts;  ///< grouped by leaf: hosts_per_leaf consecutive
+    std::vector<Host*> hosts;  ///< hosts[i] hangs off leaves[i / hosts_per_leaf]
+    std::size_t hosts_per_leaf{0};
 };
 
-LeafSpineTopology make_leaf_spine_l2(Network& net, std::size_t n_leaf,
-                                     std::size_t n_spine, std::size_t hosts_per_leaf,
-                                     LinkParams params = {});
-
-/// Pipeline-switch variant; `make_config` is invoked once per switch so
-/// each chip gets its own SRAM book.
-LeafSpineTopology make_leaf_spine_pipeline(Network& net, std::size_t n_leaf,
-                                           std::size_t n_spine,
-                                           std::size_t hosts_per_leaf,
-                                           const dp::SwitchConfig& config,
-                                           LinkParams params = {});
+LeafSpineTopology make_leaf_spine(Network& net, std::size_t n_leaf, std::size_t n_spine,
+                                  std::size_t n_hosts, const SwitchFactory& add_switch,
+                                  LinkParams params = {});
 
 /// Three-tier k-ary fat-tree (Al-Fares et al.): k pods, each with k/2
 /// edge and k/2 aggregation switches, and (k/2)^2 core switches. Every
 /// edge switch serves up to k/2 hosts, for a full complement of k^3/4.
 /// The deepest aggregation trees a DAIET deployment can build — five
-/// switch hops between hosts in different pods.
+/// switch hops between hosts in different pods. Creates the cores, then
+/// pod by pod the aggs (each with its core uplinks) and the edges (each
+/// with its agg uplinks), then hosts "host<i>" dealt round-robin across
+/// the edges, so a partial fabric keeps every pod populated.
 struct FatTreeTopology {
-    Network* net{nullptr};
-    std::size_t k{0};
     std::vector<Node*> cores;  ///< (k/2)^2 switches
     std::vector<Node*> aggs;   ///< pod-major: pod p owns [p*k/2, (p+1)*k/2)
     std::vector<Node*> edges;  ///< pod-major, same layout as aggs
@@ -186,14 +198,8 @@ struct FatTreeTopology {
     }
 };
 
-/// `n_hosts` == 0 attaches the full k^3/4 complement; smaller counts are
-/// spread round-robin across edge switches so every pod stays populated.
-FatTreeTopology make_fat_tree_l2(Network& net, std::size_t k,
-                                 std::size_t n_hosts = 0, LinkParams params = {});
-
-FatTreeTopology make_fat_tree_pipeline(Network& net, std::size_t k,
-                                       const dp::SwitchConfig& config,
-                                       std::size_t n_hosts = 0,
-                                       LinkParams params = {});
+/// Throws std::runtime_error when `n_hosts` exceeds k^3/4.
+FatTreeTopology make_fat_tree(Network& net, std::size_t k, std::size_t n_hosts,
+                              const SwitchFactory& add_switch, LinkParams params = {});
 
 }  // namespace daiet::sim

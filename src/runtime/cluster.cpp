@@ -72,92 +72,65 @@ dp::SwitchConfig ClusterRuntime::switch_config_for(const Config& config,
     return cfg;
 }
 
-sim::Node* ClusterRuntime::add_switch(const std::string& name, std::size_t ports) {
-    if (options_.daiet) {
-        auto& sw = net_->add_pipeline_switch(name, switch_config_for(options_.config, ports));
-        daiet_switches_.push_back(&sw);
-        return &sw;
+sim::SwitchFactory ClusterRuntime::switch_factory() {
+    if (!options_.daiet) return sim::l2_switches(*net_);
+    return [this](const std::string& name, std::size_t ports) -> sim::Node* {
+        return &net_->add_pipeline_switch(name, switch_config_for(options_.config, ports));
+    };
+}
+
+void ClusterRuntime::adopt_switches(const std::vector<sim::Node*>& tier) {
+    if (!options_.daiet) return;
+    for (sim::Node* node : tier) {
+        auto* sw = dynamic_cast<sim::PipelineSwitchNode*>(node);
+        DAIET_EXPECTS(sw != nullptr);
+        daiet_switches_.push_back(sw);
     }
-    return &net_->add_l2_switch(name);
 }
 
 void ClusterRuntime::build_star() {
-    sim::Node* tor = add_switch("tor", options_.num_hosts);
-    for (std::size_t i = 0; i < options_.num_hosts; ++i) {
-        auto& h = net_->add_host("h" + std::to_string(i));
-        net_->connect(h, *tor, options_.link);
-        hosts_.push_back(&h);
-    }
+    const auto topo =
+        sim::make_star(*net_, options_.num_hosts, switch_factory(), options_.link);
+    hosts_ = topo.hosts;
+    adopt_switches({topo.tor});
     // One rack = one shard: a star has no cut with positive lookahead,
     // so enable_parallel degrades to a plain sequential run.
     shard_of_node_.assign(net_->nodes().size(), 0);
 }
 
 void ClusterRuntime::build_leaf_spine() {
-    DAIET_EXPECTS(options_.n_leaf > 0 && options_.n_spine > 0);
-    const std::size_t hosts_per_leaf =
-        (options_.num_hosts + options_.n_leaf - 1) / options_.n_leaf;
-    std::vector<sim::Node*> spines;
-    for (std::size_t s = 0; s < options_.n_spine; ++s) {
-        spines.push_back(add_switch("spine" + std::to_string(s), options_.n_leaf));
-    }
-    std::vector<sim::Node*> leaves;
-    for (std::size_t l = 0; l < options_.n_leaf; ++l) {
-        sim::Node* leaf = add_switch("leaf" + std::to_string(l),
-                                     hosts_per_leaf + options_.n_spine);
-        for (sim::Node* spine : spines) net_->connect(*leaf, *spine, options_.link);
-        leaves.push_back(leaf);
-    }
-    // Consecutive fill: hosts [l*hosts_per_leaf, ...) share leaf l, the
-    // rack-locality layout the paper's Figure 2 trees aggregate over.
-    for (std::size_t i = 0; i < options_.num_hosts; ++i) {
-        auto& h = net_->add_host("h" + std::to_string(i));
-        net_->connect(h, *leaves[i / hosts_per_leaf], options_.link);
-        hosts_.push_back(&h);
-    }
+    const auto topo = sim::make_leaf_spine(*net_, options_.n_leaf, options_.n_spine,
+                                           options_.num_hosts, switch_factory(),
+                                           options_.link);
+    hosts_ = topo.hosts;
+    adopt_switches(topo.spines);
+    adopt_switches(topo.leaves);
     // Shard plan: a leaf and its rack of hosts stay together (the
     // host<->leaf links are the chatty ones); spines deal round-robin
     // across the rack shards, so every shard boundary is a leaf-spine
     // link whose propagation delay funds the lookahead.
     shard_of_node_.assign(net_->nodes().size(), 0);
-    for (std::size_t s = 0; s < spines.size(); ++s) {
-        shard_of_node_[spines[s]->id()] =
+    for (std::size_t s = 0; s < topo.spines.size(); ++s) {
+        shard_of_node_[topo.spines[s]->id()] =
             static_cast<std::uint32_t>(s % options_.n_leaf);
     }
-    for (std::size_t l = 0; l < leaves.size(); ++l) {
-        shard_of_node_[leaves[l]->id()] = static_cast<std::uint32_t>(l);
+    for (std::size_t l = 0; l < topo.leaves.size(); ++l) {
+        shard_of_node_[topo.leaves[l]->id()] = static_cast<std::uint32_t>(l);
     }
     for (std::size_t i = 0; i < hosts_.size(); ++i) {
         shard_of_node_[hosts_[i]->id()] =
-            static_cast<std::uint32_t>(i / hosts_per_leaf);
+            static_cast<std::uint32_t>(i / topo.hosts_per_leaf);
     }
 }
 
 void ClusterRuntime::build_fat_tree() {
     const std::size_t k = options_.fat_tree_k;
-    if (options_.num_hosts > sim::FatTreeTopology::capacity(k)) {
-        throw std::runtime_error{
-            "ClusterRuntime: " + std::to_string(options_.num_hosts) +
-            " hosts exceed fat-tree capacity k^3/4 = " +
-            std::to_string(sim::FatTreeTopology::capacity(k))};
-    }
-    sim::FatTreeTopology topo;
-    if (options_.daiet) {
-        topo = sim::make_fat_tree_pipeline(
-            *net_, k,
-            switch_config_for(options_.config, k),
-            options_.num_hosts, options_.link);
-        for (const auto* tier : {&topo.cores, &topo.aggs, &topo.edges}) {
-            for (sim::Node* node : *tier) {
-                auto* sw = dynamic_cast<sim::PipelineSwitchNode*>(node);
-                DAIET_EXPECTS(sw != nullptr);
-                daiet_switches_.push_back(sw);
-            }
-        }
-    } else {
-        topo = sim::make_fat_tree_l2(*net_, k, options_.num_hosts, options_.link);
-    }
+    const auto topo = sim::make_fat_tree(*net_, k, options_.num_hosts, switch_factory(),
+                                         options_.link);
     hosts_ = topo.hosts;
+    adopt_switches(topo.cores);
+    adopt_switches(topo.aggs);
+    adopt_switches(topo.edges);
     // Shard plan: one pod per shard — a pod's edges, aggs and hosts
     // interconnect densely and stay together; core switches deal
     // round-robin across the pod shards. Every boundary is an agg<->core

@@ -170,7 +170,10 @@ private:
         std::shared_ptr<DaietSwitchProgram> daiet;
     };
 
-    sim::Node* add_switch(const std::string& name, std::size_t ports);
+    /// Plain L2 switches, or DAIET chips sized by switch_config_for.
+    sim::SwitchFactory switch_factory();
+    /// Append a tier's programmable switches to daiet_switches_.
+    void adopt_switches(const std::vector<sim::Node*>& tier);
     void build_star();
     void build_leaf_spine();
     void build_fat_tree();

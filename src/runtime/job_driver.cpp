@@ -82,8 +82,7 @@ JobDriver::Receivers JobDriver::bind_receivers() {
     for (std::size_t g = 0; g < spec_.groups.size(); ++g) {
         const JobGroup& group = spec_.groups[g];
         receivers.push_back(std::make_unique<ReducerReceiver>(
-            *group.reducer, rt_->options().config, trees_[g], group.fn,
-            expected_ends_[g]));
+            *group.reducer, trees_[g], group.fn, expected_ends_[g]));
     }
     return receivers;
 }

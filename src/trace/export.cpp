@@ -59,11 +59,10 @@ void append_event(std::string& out, const SpanEvent& ev) {
         // The a operand is a transport request tag: client<<32 | seq.
         arg("client", ev.a >> 32);
         arg("seq", ev.a & 0xffffffffu);
-    } else if (ev.kind == EventKind::kTenantClaim || ev.kind == EventKind::kPipelinePass ||
-               ev.kind == EventKind::kLog) {
+    } else if (ev.kind == EventKind::kTenantClaim || ev.kind == EventKind::kPipelinePass) {
         if (!first) out += ", ";
         first = false;
-        out += (ev.kind == EventKind::kLog) ? "\"message\": \"" : "\"program\": \"";
+        out += "\"program\": \"";
         append_escaped(out, tracer().name_of(static_cast<std::uint32_t>(ev.a)));
         out += "\"";
     } else {

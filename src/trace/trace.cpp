@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/log.hpp"
 
 namespace daiet::trace {
 
@@ -37,7 +36,6 @@ const char* kind_name(EventKind kind) noexcept {
         case EventKind::kNudge: return "req.nudge";
         case EventKind::kAbandon: return "req.abandon";
         case EventKind::kReplyRx: return "req.reply";
-        case EventKind::kLog: return "log";
     }
     return "?";
 }
@@ -113,11 +111,10 @@ TraceEnvConfig trace_env() {
 }
 
 namespace {
-// Check both operator switches at startup, so a junk value exits before
-// any work rather than at the first trace or log call, which some
-// binaries never make. Every binary that links a trace hook runs this.
-[[maybe_unused]] const bool g_env_checked =
-    (trace_env(), daiet::detail::log_level_from_env(), true);
+// Check the operator switch at startup, so a junk value exits before
+// any work rather than at the first trace call, which some binaries
+// never make. Every binary that links a trace hook runs this.
+[[maybe_unused]] const bool g_env_checked = (trace_env(), true);
 }  // namespace
 
 Tracer::Tracer() {
@@ -272,13 +269,6 @@ const std::string& Tracer::name_of(std::uint32_t id) const {
     const std::lock_guard<std::mutex> lock{intern_mu_};
     if (id >= intern_names_.size()) return intern_names_.front();
     return intern_names_[id];
-}
-
-void log_instant(int level, std::string_view message) {
-    if (!enabled()) return;
-    Tracer& t = tracer();
-    t.record(SpanEvent{t.now(), 0, t.intern(message), static_cast<std::uint64_t>(level), 0,
-                       EventKind::kLog});
 }
 
 }  // namespace daiet::trace

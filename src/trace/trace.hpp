@@ -76,8 +76,6 @@ enum class EventKind : std::uint8_t {
     kNudge,         ///< a=request tag
     kAbandon,       ///< a=request tag, b=attempts
     kReplyRx,       ///< a=request tag, b=attempts
-    // diagnostics routed from common/log.hpp
-    kLog,           ///< a=interned message, b=LogLevel
 };
 
 /// Stable lowercase name for exporters ("host.tx", "link.drop.loss", ...).
@@ -256,10 +254,5 @@ private:
 };
 
 inline Tracer& tracer() { return Tracer::instance(); }
-
-/// Route a diagnostic line into the trace as a kLog instant event
-/// (called by common/log.hpp for warnings and errors; no-op when
-/// tracing is disabled).
-void log_instant(int level, std::string_view message);
 
 }  // namespace daiet::trace

@@ -83,10 +83,18 @@ TEST(Rng, BernoulliMatchesProbability) {
 
 TEST(Rng, GaussianMomentsAreStandard) {
     Rng rng{13};
-    RunningStats stats;
-    for (int i = 0; i < 50000; ++i) stats.add(rng.next_gaussian());
-    EXPECT_NEAR(stats.mean(), 0.0, 0.03);
-    EXPECT_NEAR(stats.stddev(), 1.0, 0.03);
+    constexpr int kN = 50000;
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (int i = 0; i < kN; ++i) {
+        const double x = rng.next_gaussian();
+        sum += x;
+        sum_sq += x * x;
+    }
+    const double mean = sum / kN;
+    const double stddev = std::sqrt((sum_sq - kN * mean * mean) / (kN - 1));
+    EXPECT_NEAR(mean, 0.0, 0.03);
+    EXPECT_NEAR(stddev, 1.0, 0.03);
 }
 
 TEST(Rng, ForkIsDeterministicAndDivergesFromParent) {
@@ -366,61 +374,6 @@ TEST(FixedKey, EmptyIsAllZeroBytes) {
 
 // -------------------------------------------------------------- stats
 
-TEST(RunningStats, BasicMoments) {
-    RunningStats s;
-    for (const double x : {1.0, 2.0, 3.0, 4.0, 5.0}) s.add(x);
-    EXPECT_EQ(s.count(), 5U);
-    EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 2.5);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 5.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 15.0);
-}
-
-TEST(RunningStats, MergeEqualsCombinedStream) {
-    Rng rng{9};
-    RunningStats a;
-    RunningStats b;
-    RunningStats all;
-    for (int i = 0; i < 1000; ++i) {
-        const double x = rng.next_gaussian();
-        (i % 2 == 0 ? a : b).add(x);
-        all.add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmptySidesPreservesMinMax) {
-    // Pin the empty-side semantics: merging an empty other is a no-op,
-    // and merging into an empty accumulator adopts the other wholesale —
-    // neither may drag min/max toward the empty sentinel values.
-    RunningStats filled;
-    for (const double x : {3.0, -2.0, 7.0}) filled.add(x);
-
-    RunningStats a = filled;
-    a.merge(RunningStats{});
-    EXPECT_EQ(a.count(), 3U);
-    EXPECT_DOUBLE_EQ(a.min(), -2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 7.0);
-    EXPECT_DOUBLE_EQ(a.mean(), filled.mean());
-
-    RunningStats b;
-    b.merge(filled);
-    EXPECT_EQ(b.count(), 3U);
-    EXPECT_DOUBLE_EQ(b.min(), -2.0);
-    EXPECT_DOUBLE_EQ(b.max(), 7.0);
-    EXPECT_DOUBLE_EQ(b.mean(), filled.mean());
-
-    RunningStats c;
-    c.merge(RunningStats{});
-    EXPECT_EQ(c.count(), 0U);
-}
-
 TEST(LogHistogram, ExactCountSumMinMax) {
     LogHistogram h;
     EXPECT_TRUE(h.empty());
@@ -507,19 +460,6 @@ TEST(BoxPlot, FiveNumberSummary) {
     EXPECT_DOUBLE_EQ(box.q3, 7.5);
     EXPECT_EQ(box.n, 11U);
     EXPECT_FALSE(box.to_string().empty());
-}
-
-TEST(Histogram, BucketsAndClamping) {
-    Histogram h{0.0, 10.0, 10};
-    h.add(0.5);
-    h.add(5.5);
-    h.add(-3.0);   // clamps into bucket 0
-    h.add(100.0);  // clamps into bucket 9
-    EXPECT_EQ(h.bucket(0), 2U);
-    EXPECT_EQ(h.bucket(5), 1U);
-    EXPECT_EQ(h.bucket(9), 1U);
-    EXPECT_EQ(h.total(), 4U);
-    EXPECT_DOUBLE_EQ(h.bucket_low(5), 5.0);
 }
 
 // -------------------------------------------------------------- table

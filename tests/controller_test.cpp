@@ -56,7 +56,10 @@ TEST(Controller, LeafSpineTwoLevelTree) {
     sc.num_ports = 16;
     sc.sram_bytes = 64 << 20;
 
-    auto topo = make_leaf_spine_pipeline(net, 2, 2, 3, sc);
+    auto topo = make_leaf_spine(net, 2, 2, 6,
+                                [&](const std::string& name, std::size_t) -> sim::Node* {
+                                    return &net.add_pipeline_switch(name, sc);
+                                });
     Controller ctrl{net, cfg};
     std::vector<std::shared_ptr<DaietSwitchProgram>> programs;
     for (auto* node : topo.leaves) {
@@ -141,7 +144,7 @@ TEST(Controller, PartialDeploymentContractsChildren) {
 
 TEST(Controller, NoProgramsMeansReducerSeesAllEnds) {
     sim::Network net;
-    auto topo = make_star_l2(net, 4);
+    auto topo = make_star(net, 4, l2_switches(net));
     net.install_routes();
     Controller ctrl{net, tree_config()};
     TreeSpec spec;
@@ -155,7 +158,7 @@ TEST(Controller, NoProgramsMeansReducerSeesAllEnds) {
 
 TEST(Controller, UnreachableMapperThrows) {
     sim::Network net;
-    auto topo = make_star_l2(net, 2);
+    auto topo = make_star(net, 2, l2_switches(net));
     auto& island = net.add_host("island");  // never connected
     net.install_routes();
     Controller ctrl{net, tree_config()};
@@ -189,14 +192,14 @@ TEST(Controller, ResetReArmsAllRules) {
 
     // Run a full round through the program so children hit zero.
     const auto payload = serialize_end(1);
-    auto frame = sim::build_udp_frame(m.addr(), r.addr(), cfg.mapper_udp_port,
-                                      cfg.udp_port, payload);
+    auto frame = sim::build_udp_frame(m.addr(), r.addr(), kMapperUdpPort,
+                                      kDaietUdpPort, payload);
     tor.chip().receive(dp::Packet{std::move(frame)}, 0);
 
     ctrl.reset_tree(1);
     // After reset, another END must complete again (children re-armed).
-    auto frame2 = sim::build_udp_frame(m.addr(), r.addr(), cfg.mapper_udp_port,
-                                       cfg.udp_port, serialize_end(1));
+    auto frame2 = sim::build_udp_frame(m.addr(), r.addr(), kMapperUdpPort,
+                                       kDaietUdpPort, serialize_end(1));
     const auto out = tor.chip().receive(dp::Packet{std::move(frame2)}, 0);
     ASSERT_EQ(out.size(), 1U);  // empty registers: just the END propagates
 }

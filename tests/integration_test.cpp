@@ -60,7 +60,7 @@ KvPair kv(const std::string& k, std::int32_t v) {
 
 TEST(Integration, StarAggregatesAcrossMappers) {
     DaietStar star{4};
-    ReducerReceiver rx{*star.reducer, star.cfg, 1, AggFnId::kSumI32,
+    ReducerReceiver rx{*star.reducer, 1, AggFnId::kSumI32,
                        star.layout.reducer_expected_ends};
     std::vector<MapperSender> senders;
     for (auto* m : star.mappers) {
@@ -86,7 +86,7 @@ TEST(Integration, ValueConservationUnderRegisterPressure) {
     // Tiny registers force spillover flushes mid-stream; totals must
     // still be exact.
     DaietStar star{3, it_config(4)};
-    ReducerReceiver rx{*star.reducer, star.cfg, 1, AggFnId::kSumI32,
+    ReducerReceiver rx{*star.reducer, 1, AggFnId::kSumI32,
                        star.layout.reducer_expected_ends};
     Rng rng{3};
     std::map<std::string, std::int64_t> expected;
@@ -121,7 +121,10 @@ TEST(Integration, LeafSpineMultiLevelAggregation) {
     dp::SwitchConfig sc;
     sc.num_ports = 12;
     sc.sram_bytes = 64 << 20;
-    auto topo = make_leaf_spine_pipeline(net, 2, 2, 3, sc);
+    auto topo = make_leaf_spine(net, 2, 2, 6,
+                                [&](const std::string& name, std::size_t) -> sim::Node* {
+                                    return &net.add_pipeline_switch(name, sc);
+                                });
     Controller ctrl{net, cfg};
     std::vector<std::shared_ptr<DaietSwitchProgram>> programs;
     for (auto* nodes : {&topo.leaves, &topo.spines}) {
@@ -143,7 +146,7 @@ TEST(Integration, LeafSpineMultiLevelAggregation) {
     spec.mappers = mappers;
     const TreeLayout& layout = ctrl.setup_tree(spec);
 
-    ReducerReceiver rx{*reducer, cfg, 2, AggFnId::kSumI32,
+    ReducerReceiver rx{*reducer, 2, AggFnId::kSumI32,
                        layout.reducer_expected_ends};
     for (auto* m : mappers) {
         MapperSender tx{*m, cfg, 2, reducer->addr()};
@@ -192,9 +195,9 @@ TEST(Integration, MultipleTreesRunConcurrently) {
         spec.mappers = {hosts[0], hosts[1]};
         layouts.push_back(ctrl.setup_tree(spec));
     }
-    ReducerReceiver rx0{*hosts[2], cfg, 0, AggFnId::kSumI32,
+    ReducerReceiver rx0{*hosts[2], 0, AggFnId::kSumI32,
                         layouts[0].reducer_expected_ends};
-    ReducerReceiver rx1{*hosts[3], cfg, 1, AggFnId::kSumI32,
+    ReducerReceiver rx1{*hosts[3], 1, AggFnId::kSumI32,
                         layouts[1].reducer_expected_ends};
     for (auto* m : {hosts[0], hosts[1]}) {
         MapperSender tx0{*m, cfg, 0, hosts[2]->addr()};
@@ -215,7 +218,7 @@ TEST(Integration, IterativeRoundsViaReset) {
     DaietStar star{2};
     for (int round = 0; round < 3; ++round) {
         if (round > 0) star.controller->reset_tree(1);
-        ReducerReceiver rx{*star.reducer, star.cfg, 1, AggFnId::kSumI32,
+        ReducerReceiver rx{*star.reducer, 1, AggFnId::kSumI32,
                            star.layout.reducer_expected_ends};
         for (auto* m : star.mappers) {
             MapperSender tx{*m, star.cfg, 1, star.reducer->addr()};
@@ -239,7 +242,7 @@ TEST(Integration, FloatGradientAggregation) {
     spec.fn = AggFnId::kSumF32;
     star.layout = star.controller->setup_tree(spec);
 
-    ReducerReceiver rx{*star.reducer, star.cfg, 1, AggFnId::kSumF32,
+    ReducerReceiver rx{*star.reducer, 1, AggFnId::kSumF32,
                        star.layout.reducer_expected_ends};
     for (std::size_t w = 0; w < star.mappers.size(); ++w) {
         MapperSender tx{*star.mappers[w], star.cfg, 1, star.reducer->addr()};
@@ -291,7 +294,7 @@ TEST(Integration, PacketLossLosesDataWithoutReliability) {
     spec.mappers = {&m};
     const auto& layout = ctrl.setup_tree(spec);
 
-    ReducerReceiver rx{r, cfg, 1, AggFnId::kSumI32, layout.reducer_expected_ends};
+    ReducerReceiver rx{r, 1, AggFnId::kSumI32, layout.reducer_expected_ends};
     MapperSender tx{m, cfg, 1, r.addr()};
     std::int64_t sent_total = 0;
     for (int i = 0; i < 2000; ++i) {
@@ -313,11 +316,11 @@ TEST(Integration, EcmpBaselineStillCorrectForUdp) {
     // UDP/no-agg over a multipath fabric: ECMP must not break the
     // DAIET *protocol* even when frames take different spines.
     sim::Network net{29};
-    auto topo = make_leaf_spine_l2(net, 2, 2, 2);
+    auto topo = make_leaf_spine(net, 2, 2, 4, l2_switches(net));
     net.install_routes();
     Config cfg;
     auto* reducer = topo.hosts[3];
-    ReducerReceiver rx{*reducer, cfg, 1, AggFnId::kSumI32, 2};
+    ReducerReceiver rx{*reducer, 1, AggFnId::kSumI32, 2};
     std::vector<MapperSender> senders;
     senders.emplace_back(*topo.hosts[0], cfg, 1, reducer->addr());
     senders.emplace_back(*topo.hosts[1], cfg, 1, reducer->addr());

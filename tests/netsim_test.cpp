@@ -325,7 +325,7 @@ TEST(Headers, ParseFrameMatchesReferenceParserOnMutatedFrames) {
 
 TEST(Network, UdpDeliveryAcrossStar) {
     Network net;
-    auto topo = make_star_l2(net, 3);
+    auto topo = make_star(net, 3, l2_switches(net));
     net.install_routes();
 
     std::string received;
@@ -347,7 +347,7 @@ TEST(Network, LinkTimingMatchesBandwidthAndDelay) {
     LinkParams params;
     params.gbps = 1.0;                        // 1 Gb/s: 8 ns per byte
     params.propagation_delay = 1000;          // 1 us
-    auto topo = make_star_l2(net, 2, params);
+    auto topo = make_star(net, 2, l2_switches(net), params);
     net.install_routes();
 
     SimTime arrival = 0;
@@ -363,7 +363,7 @@ TEST(Network, LinkTimingMatchesBandwidthAndDelay) {
 
 TEST(Network, FifoOrderingPreserved) {
     Network net;
-    auto topo = make_star_l2(net, 2);
+    auto topo = make_star(net, 2, l2_switches(net));
     net.install_routes();
     std::vector<int> order;
     topo.hosts[1]->udp_bind(9, [&](HostAddr, std::uint16_t, auto payload) {
@@ -383,7 +383,7 @@ TEST(Network, DropTailQueueDropsExcess) {
     LinkParams params;
     params.gbps = 0.001;  // slow link so the queue builds up
     params.queue_bytes = 300;
-    auto topo = make_star_l2(net, 2, params);
+    auto topo = make_star(net, 2, l2_switches(net), params);
     net.install_routes();
     int delivered = 0;
     topo.hosts[1]->udp_bind(9, [&](HostAddr, std::uint16_t, auto) { ++delivered; });
@@ -402,7 +402,7 @@ TEST(Network, LossInjectionDropsFraction) {
     Network net{77};
     LinkParams params;
     params.loss_probability = 0.5;
-    auto topo = make_star_l2(net, 2, params);
+    auto topo = make_star(net, 2, l2_switches(net), params);
     net.install_routes();
     int delivered = 0;
     topo.hosts[1]->udp_bind(9, [&](HostAddr, std::uint16_t, auto) { ++delivered; });
@@ -417,7 +417,7 @@ TEST(Network, LossInjectionDropsFraction) {
 
 TEST(Network, UnknownDestinationDropsAtSwitch) {
     Network net;
-    auto topo = make_star_l2(net, 2);
+    auto topo = make_star(net, 2, l2_switches(net));
     net.install_routes();
     topo.hosts[0]->udp_send(999, 9, 9, as_bytes("x"));
     net.run();
@@ -428,7 +428,7 @@ TEST(Network, UnknownDestinationDropsAtSwitch) {
 
 TEST(Network, UnboundPortCountsUnclaimed) {
     Network net;
-    auto topo = make_star_l2(net, 2);
+    auto topo = make_star(net, 2, l2_switches(net));
     net.install_routes();
     topo.hosts[0]->udp_send(topo.hosts[1]->addr(), 9, 1234, as_bytes("x"));
     net.run();
@@ -439,7 +439,7 @@ TEST(Network, UnboundPortCountsUnclaimed) {
 
 TEST(LeafSpine, AllPairsReachable) {
     Network net;
-    auto topo = make_leaf_spine_l2(net, 3, 2, 2);
+    auto topo = make_leaf_spine(net, 3, 2, 6, l2_switches(net));
     net.install_routes();
     int received = 0;
     for (auto* h : topo.hosts) {
@@ -459,7 +459,7 @@ TEST(LeafSpine, AllPairsReachable) {
 
 TEST(LeafSpine, EcmpSpreadsFlowsAcrossSpines) {
     Network net;
-    auto topo = make_leaf_spine_l2(net, 2, 2, 4);
+    auto topo = make_leaf_spine(net, 2, 2, 8, l2_switches(net));
     net.install_routes();
     for (auto* h : topo.hosts) {
         h->udp_bind(9, [](HostAddr, std::uint16_t, auto) {});
@@ -485,7 +485,7 @@ TEST(LeafSpine, EcmpSpreadsFlowsAcrossSpines) {
 
 TEST(LeafSpine, SameLeafTrafficStaysLocal) {
     Network net;
-    auto topo = make_leaf_spine_l2(net, 2, 2, 2);
+    auto topo = make_leaf_spine(net, 2, 2, 4, l2_switches(net));
     net.install_routes();
     topo.hosts[1]->udp_bind(9, [](HostAddr, std::uint16_t, auto) {});
     topo.hosts[0]->udp_send(topo.hosts[1]->addr(), 9, 9, as_bytes("x"));
@@ -498,7 +498,7 @@ TEST(LeafSpine, SameLeafTrafficStaysLocal) {
 
 TEST(Network, HostByAddrLookup) {
     Network net;
-    auto topo = make_star_l2(net, 3);
+    auto topo = make_star(net, 3, l2_switches(net));
     EXPECT_EQ(net.host_by_addr(topo.hosts[1]->addr()), topo.hosts[1]);
     EXPECT_EQ(net.host_by_addr(0), nullptr);
     EXPECT_EQ(net.host_by_addr(999), nullptr);
@@ -506,7 +506,7 @@ TEST(Network, HostByAddrLookup) {
 
 TEST(Network, EdgeSwitchOfFindsTheTor) {
     Network net;
-    auto topo = make_leaf_spine_l2(net, 2, 2, 2);
+    auto topo = make_leaf_spine(net, 2, 2, 4, l2_switches(net));
     net.install_routes();
     EXPECT_EQ(net.edge_switch_of(*topo.hosts[0]), topo.leaves[0]);
     EXPECT_EQ(net.edge_switch_of(*topo.hosts[3]), topo.leaves[1]);
@@ -516,7 +516,7 @@ TEST(Network, EdgeSwitchOfFindsTheTor) {
 
 TEST(SwitchVaddr, DuplicateRegistrationToAnotherNodeThrows) {
     Network net;
-    auto topo = make_leaf_spine_l2(net, 2, 2, 1);
+    auto topo = make_leaf_spine(net, 2, 2, 2, l2_switches(net));
     net.install_routes();
     constexpr HostAddr kVaddr = 0xF0000123u;
     net.install_switch_address(*topo.spines[0], kVaddr);
@@ -531,7 +531,7 @@ TEST(SwitchVaddr, DuplicateRegistrationToAnotherNodeThrows) {
 
 TEST(SwitchVaddr, CollidingWithAHostAddressThrows) {
     Network net;
-    auto topo = make_leaf_spine_l2(net, 2, 2, 1);
+    auto topo = make_leaf_spine(net, 2, 2, 2, l2_switches(net));
     net.install_routes();
     EXPECT_THROW(net.install_switch_address(*topo.spines[0],
                                             topo.hosts[0]->addr()),
@@ -540,7 +540,7 @@ TEST(SwitchVaddr, CollidingWithAHostAddressThrows) {
 
 TEST(SwitchVaddr, ProbingAnUnclaimedVaddrDropsAtTheTarget) {
     Network net;
-    auto topo = make_leaf_spine_l2(net, 2, 2, 2);
+    auto topo = make_leaf_spine(net, 2, 2, 4, l2_switches(net));
     net.install_routes();
     // A vaddr on a plain L2 switch with no resident program claiming
     // it: frames route *toward* the target and die there (the target
@@ -766,7 +766,7 @@ TEST(Simulator, MatchesReferenceQueueOnRandomSchedules) {
 
 TEST(Host, CancelledTimerReclaimsItsTombstoneEarly) {
     Network net;
-    auto topo = make_star_l2(net, 2);
+    auto topo = make_star(net, 2, l2_switches(net));
     net.install_routes();
     Host& host = *topo.hosts[0];
     int fired = 0;
@@ -919,7 +919,7 @@ LossyRunOutcome run_lossy_leaf_spine() {
     Network net{1234};
     LinkParams params;
     params.loss_probability = 0.02;
-    auto topo = make_leaf_spine_l2(net, 4, 2, 4, params);
+    auto topo = make_leaf_spine(net, 4, 2, 16, l2_switches(net), params);
     net.install_routes();
 
     std::uint64_t sig = 0xcbf29ce484222325ULL;
@@ -986,7 +986,8 @@ LossyRunOutcome run_lossy_leaf_spine_parallel(std::size_t threads,
     Network net{1234};
     LinkParams params;
     params.loss_probability = 0.02;
-    auto topo = make_leaf_spine_l2(net, kLeaves, kSpines, kHostsPerLeaf, params);
+    auto topo = make_leaf_spine(net, kLeaves, kSpines, kLeaves * kHostsPerLeaf,
+                                l2_switches(net), params);
     net.install_routes();
 
     if (partition) {
@@ -1083,7 +1084,7 @@ struct RaceOutcome {
 
 RaceOutcome run_equal_timestamp_race(std::size_t threads) {
     Network net{7};
-    auto topo = make_star_l2(net, 3);
+    auto topo = make_star(net, 3, l2_switches(net));
     net.install_routes();
     // h0 + tor on shard 0; h1 and h2 alone on shards 1 and 2.
     std::vector<std::uint32_t> shard_of(net.nodes().size(), 0);
@@ -1122,7 +1123,7 @@ TEST(ParallelSim, EqualTimestampCrossShardArrivalsOrderBySourceShard) {
 TEST(ParallelSim, SingleShardPlanDegradesToSequential) {
     const auto run = [](bool partition) {
         Network net{99};
-        auto topo = make_star_l2(net, 4);
+        auto topo = make_star(net, 4, l2_switches(net));
         net.install_routes();
         if (partition) {
             net.enable_parallel(

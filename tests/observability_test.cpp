@@ -2,7 +2,7 @@
 // (src/trace/profiler.*), time-series counter tracks and their Perfetto
 // export (src/trace/timeseries.* + export.*), the per-service SLO
 // monitor (src/trace/slo.*), JSON escaping of hostile metric names, and
-// the DAIET_TRACE / DAIET_LOG_LEVEL / DAIET_SCALE env-parsing paths.
+// the DAIET_TRACE / DAIET_SCALE env-parsing paths.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/log.hpp"
 #include "kvcache/service.hpp"
 #include "netsim/network.hpp"
 #include "netsim/parallel.hpp"
@@ -237,26 +236,8 @@ TEST(EnvParsing, TraceEnvGrammar) {
     }
 }
 
-TEST(EnvParsing, LogLevelGrammar) {
-    bool ok = false;
-    EXPECT_EQ(detail::parse_log_level("error", ok), LogLevel::kError);
-    EXPECT_TRUE(ok);
-    EXPECT_EQ(detail::parse_log_level("3", ok), LogLevel::kDebug);
-    EXPECT_TRUE(ok);
-    EXPECT_EQ(detail::parse_log_level(nullptr, ok), LogLevel::kWarn);
-    EXPECT_TRUE(ok);
-    EXPECT_EQ(detail::parse_log_level("", ok), LogLevel::kWarn);
-    EXPECT_TRUE(ok);
-    // Junk falls back to warn and reports unrecognized.
-    EXPECT_EQ(detail::parse_log_level("loud", ok), LogLevel::kWarn);
-    EXPECT_FALSE(ok);
-    EXPECT_EQ(detail::parse_log_level("WARN", ok), LogLevel::kWarn);
-    EXPECT_FALSE(ok);
-}
-
-// A junk DAIET_TRACE or DAIET_LOG_LEVEL exits 2 with a message naming
-// the variable, like DAIET_SCALE and DAIET_THREADS, instead of running
-// untraced or at the default level.
+// A junk DAIET_TRACE exits 2 with a message naming the variable, like
+// DAIET_SCALE and DAIET_THREADS, instead of running untraced.
 TEST(EnvParsingDeathTest, JunkTraceEnvExits2) {
     for (const char* junk : {"yes", "ring:99999999999999999999"}) {
         EXPECT_EXIT(
@@ -267,15 +248,6 @@ TEST(EnvParsingDeathTest, JunkTraceEnvExits2) {
             ::testing::ExitedWithCode(2), "DAIET_TRACE")
             << junk;
     }
-}
-
-TEST(EnvParsingDeathTest, JunkLogLevelExits2) {
-    EXPECT_EXIT(
-        {
-            setenv("DAIET_LOG_LEVEL", "loud", 1);
-            detail::log_level_from_env();
-        },
-        ::testing::ExitedWithCode(2), "DAIET_LOG_LEVEL");
 }
 
 TEST(EnvParsing, ScaleGrammar) {

@@ -43,14 +43,14 @@ struct Harness {
     std::vector<dp::Packet> data(std::span<const KvPair> pairs, dp::PortId in = 0) {
         const auto payload = serialize_data(1, pairs);
         auto frame = sim::build_udp_frame(kMapperAddr, kReducerAddr,
-                                          cfg.mapper_udp_port, cfg.udp_port, payload);
+                                          kMapperUdpPort, kDaietUdpPort, payload);
         return chip.receive(dp::Packet{std::move(frame)}, in);
     }
 
     std::vector<dp::Packet> end(dp::PortId in = 0) {
         const auto payload = serialize_end(1);
         auto frame = sim::build_udp_frame(kMapperAddr, kReducerAddr,
-                                          cfg.mapper_udp_port, cfg.udp_port, payload);
+                                          kMapperUdpPort, kDaietUdpPort, payload);
         return chip.receive(dp::Packet{std::move(frame)}, in);
     }
 
@@ -111,7 +111,7 @@ TEST(DaietProgram, EmittedFramesAddressTheTreeRoot) {
     const auto frame = sim::parse_frame(out[0].payload());
     ASSERT_TRUE(frame.has_value());
     EXPECT_EQ(frame->ip.dst, kReducerAddr);
-    EXPECT_EQ(frame->udp->dst_port, h.cfg.udp_port);
+    EXPECT_EQ(frame->udp->dst_port, kDaietUdpPort);
 }
 
 TEST(DaietProgram, ChildrenCountdownAcrossEnds) {
@@ -225,7 +225,7 @@ TEST(DaietProgram, OperationBudgetRespectedAtFullPacketSize) {
 
 TEST(DaietProgram, NonDaietTrafficForwardsViaRoutes) {
     Harness h{tiny_config()};
-    h.program->install_route(kReducerAddr, {5});
+    h.program->router().install(kReducerAddr, {5});
     auto frame = sim::build_udp_frame(kMapperAddr, kReducerAddr, 1, 9999,
                                       as_bytes("not daiet"));
     const auto out = h.chip.receive(dp::Packet{std::move(frame)}, 0);
@@ -244,10 +244,10 @@ TEST(DaietProgram, UnconfiguredTreeFallsBackToForwarding) {
     // forwarded like plain traffic, not dropped (§2 "no worse than
     // without in-network computation").
     Harness h{tiny_config()};
-    h.program->install_route(kReducerAddr, {6});
+    h.program->router().install(kReducerAddr, {6});
     const auto payload = serialize_data(42, std::vector{kv("a", 1)});
     auto frame = sim::build_udp_frame(kMapperAddr, kReducerAddr,
-                                      h.cfg.mapper_udp_port, h.cfg.udp_port, payload);
+                                      kMapperUdpPort, kDaietUdpPort, payload);
     const auto out = h.chip.receive(dp::Packet{std::move(frame)}, 0);
     ASSERT_EQ(out.size(), 1U);
     EXPECT_EQ(out[0].meta().egress_port, 6);
@@ -281,7 +281,7 @@ TEST(DaietProgram, DoesNotFitTinySwitch) {
 
 TEST(DaietProgram, RouteEcmpStableForFlow) {
     Harness h{tiny_config()};
-    h.program->install_route(kReducerAddr, {1, 2, 4});
+    h.program->router().install(kReducerAddr, {1, 2, 4});
     dp::PortId first = dp::kPortInvalid;
     for (int i = 0; i < 10; ++i) {
         auto frame =

@@ -284,6 +284,138 @@ TEST(ClusterRuntime, RejectsAnEcmpSetLargerThanANextHopGroup) {
     }
 }
 
+// -------------------------------------------------------- ClusterLayout
+//
+// The fabric each TopologyKind builds, pinned node by node and link by
+// link. Node ids, port numbering and link order feed routing, ECMP
+// choices and the per-link loss seeds (derived from the link index), so
+// a reordering changes every simulated result.
+
+struct Layout {
+    std::vector<std::string> nodes;  ///< "id name port_count", by id
+    std::vector<std::string> links;  ///< "a:port b:port", creation order
+    std::vector<std::uint32_t> shards;
+    std::vector<std::string> chips;  ///< "name chip_ports", daiet_switches() order
+};
+
+Layout layout_of(ClusterOptions opts) {
+    opts.config.max_trees = 1;
+    ClusterRuntime rt{opts};
+    Layout out;
+    for (const auto& node : rt.network().nodes()) {
+        out.nodes.push_back(std::to_string(node->id()) + " " + node->name() + " " +
+                            std::to_string(node->port_count()));
+    }
+    for (const auto& link : rt.network().links()) {
+        // end_of(0) is the first endpoint; peer_port(1) is its port.
+        out.links.push_back(link->end_of(0).name() + ":" +
+                            std::to_string(link->peer_port(1)) + " " +
+                            link->end_of(1).name() + ":" +
+                            std::to_string(link->peer_port(0)));
+    }
+    out.shards = rt.shard_plan();
+    for (const sim::PipelineSwitchNode* sw : rt.daiet_switches()) {
+        out.chips.push_back(sw->name() + " " +
+                            std::to_string(sw->chip().config().num_ports));
+    }
+    return out;
+}
+
+/// The DAIET fabric matches `want`; the plain-L2 fabric of the same
+/// options matches it too, except that it has no programmable chips.
+void expect_layout(ClusterOptions opts, const Layout& want) {
+    const Layout got = layout_of(opts);
+    EXPECT_EQ(got.nodes, want.nodes);
+    EXPECT_EQ(got.links, want.links);
+    EXPECT_EQ(got.shards, want.shards);
+    EXPECT_EQ(got.chips, want.chips);
+    opts.daiet = false;
+    const Layout plain = layout_of(opts);
+    EXPECT_EQ(plain.nodes, want.nodes);
+    EXPECT_EQ(plain.links, want.links);
+    EXPECT_EQ(plain.shards, want.shards);
+    EXPECT_TRUE(plain.chips.empty());
+}
+
+TEST(ClusterLayout, Star) {
+    ClusterOptions opts;
+    opts.topology = TopologyKind::kStar;
+    opts.num_hosts = 4;
+    expect_layout(opts,
+                  {.nodes = {"0 tor 4", "1 h0 1", "2 h1 1", "3 h2 1", "4 h3 1"},
+                   .links = {"h0:0 tor:0", "h1:0 tor:1", "h2:0 tor:2", "h3:0 tor:3"},
+                   .shards = {0, 0, 0, 0, 0},
+                   .chips = {"tor 6"}});
+}
+
+TEST(ClusterLayout, LeafSpineUnevenFill) {
+    // 7 hosts over 3 leaves: racks of 3, 3 and 1, filled consecutively.
+    ClusterOptions opts;
+    opts.topology = TopologyKind::kLeafSpine;
+    opts.n_leaf = 3;
+    opts.n_spine = 2;
+    opts.num_hosts = 7;
+    expect_layout(
+        opts,
+        {.nodes = {"0 spine0 3", "1 spine1 3", "2 leaf0 5", "3 leaf1 5", "4 leaf2 3",
+                   "5 h0 1", "6 h1 1", "7 h2 1", "8 h3 1", "9 h4 1", "10 h5 1",
+                   "11 h6 1"},
+         .links = {"leaf0:0 spine0:0", "leaf0:1 spine1:0", "leaf1:0 spine0:1",
+                   "leaf1:1 spine1:1", "leaf2:0 spine0:2", "leaf2:1 spine1:2",
+                   "h0:0 leaf0:2", "h1:0 leaf0:3", "h2:0 leaf0:4", "h3:0 leaf1:2",
+                   "h4:0 leaf1:3", "h5:0 leaf1:4", "h6:0 leaf2:2"},
+         .shards = {0, 1, 0, 1, 2, 0, 0, 0, 1, 1, 1, 2},
+         .chips = {"spine0 5", "spine1 5", "leaf0 7", "leaf1 7", "leaf2 7"}});
+}
+
+TEST(ClusterLayout, FatTreeK4PartialFill) {
+    // 10 of 16 hosts, dealt round-robin over the 8 edge switches.
+    ClusterOptions opts;
+    opts.topology = TopologyKind::kFatTree;
+    opts.fat_tree_k = 4;
+    opts.num_hosts = 10;
+    Layout want;
+    want.nodes = {"0 core0 4",    "1 core1 4",    "2 core2 4",    "3 core3 4",
+                  "4 agg0_0 4",   "5 agg0_1 4",   "6 edge0_0 4",  "7 edge0_1 4",
+                  "8 agg1_0 4",   "9 agg1_1 4",   "10 edge1_0 3", "11 edge1_1 3",
+                  "12 agg2_0 4",  "13 agg2_1 4",  "14 edge2_0 3", "15 edge2_1 3",
+                  "16 agg3_0 4",  "17 agg3_1 4",  "18 edge3_0 3", "19 edge3_1 3",
+                  "20 host0 1",   "21 host1 1",   "22 host2 1",   "23 host3 1",
+                  "24 host4 1",   "25 host5 1",   "26 host6 1",   "27 host7 1",
+                  "28 host8 1",   "29 host9 1"};
+    for (int p = 0; p < 4; ++p) {
+        const std::string pod = std::to_string(p);
+        const std::string up = ":" + pod;  // core port p faces pod p
+        want.links.insert(want.links.end(),
+                          {"agg" + pod + "_0:0 core0" + up, "agg" + pod + "_0:1 core1" + up,
+                           "agg" + pod + "_1:0 core2" + up, "agg" + pod + "_1:1 core3" + up,
+                           "edge" + pod + "_0:0 agg" + pod + "_0:2",
+                           "edge" + pod + "_0:1 agg" + pod + "_1:2",
+                           "edge" + pod + "_1:0 agg" + pod + "_0:3",
+                           "edge" + pod + "_1:1 agg" + pod + "_1:3"});
+    }
+    want.links.insert(want.links.end(),
+                      {"host0:0 edge0_0:2", "host1:0 edge0_1:2", "host2:0 edge1_0:2",
+                       "host3:0 edge1_1:2", "host4:0 edge2_0:2", "host5:0 edge2_1:2",
+                       "host6:0 edge3_0:2", "host7:0 edge3_1:2", "host8:0 edge0_0:3",
+                       "host9:0 edge0_1:3"});
+    want.shards = {0, 1, 2, 3, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2,
+                   2, 3, 3, 3, 3, 0, 0, 1, 1, 2, 2, 3, 3, 0, 0};
+    // Tier order: cores, then every pod's aggs, then every pod's edges.
+    for (const char* tier : {"core0", "core1", "core2", "core3"}) {
+        want.chips.push_back(std::string{tier} + " 6");
+    }
+    for (const char* tier : {"agg", "edge"}) {
+        for (int p = 0; p < 4; ++p) {
+            for (int i = 0; i < 2; ++i) {
+                want.chips.push_back(std::string{tier} + std::to_string(p) + "_" +
+                                     std::to_string(i) + " 6");
+            }
+        }
+    }
+    expect_layout(opts, want);
+}
+
 /// On every switch and for every host, the router's group mirror (the
 /// per-hop path) must resolve exactly what the charged table holds, at
 /// the cost of one table application.

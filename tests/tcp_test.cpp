@@ -21,7 +21,7 @@ struct TcpFixture : public ::testing::Test {
     int closed{0};
 
     void SetUp() override {
-        topo = make_star_l2(net, 2);
+        topo = make_star(net, 2, l2_switches(net));
         net.install_routes();
         client = topo.hosts[0];
         server = topo.hosts[1];
@@ -158,7 +158,7 @@ TEST(TcpLoss, RetransmissionRecoversSingleLoss) {
     Network net{5};
     LinkParams params;
     params.loss_probability = 0.05;
-    auto topo = make_star_l2(net, 2, params);
+    auto topo = make_star(net, 2, l2_switches(net), params);
     net.install_routes();
     auto* client = topo.hosts[0];
     auto* server = topo.hosts[1];
@@ -189,7 +189,7 @@ TEST(TcpLoss, GivesUpAfterMaxRetries) {
     Network net{6};
     LinkParams params;
     params.loss_probability = 1.0;
-    auto topo = make_star_l2(net, 2, params);
+    auto topo = make_star(net, 2, l2_switches(net), params);
     net.install_routes();
     auto& conn = topo.hosts[0]->tcp_connect(topo.hosts[1]->addr(), 80);
     bool closed = false;
@@ -203,7 +203,7 @@ TEST(TcpPacketAccounting, CountsMatchExpectedShape) {
     // The Figure 3 packet-count baseline depends on this arithmetic:
     // data segments at the app write granularity + handshake + FIN.
     Network net;
-    auto topo = make_star_l2(net, 2);
+    auto topo = make_star(net, 2, l2_switches(net));
     net.install_routes();
     auto* client = topo.hosts[0];
     auto* server = topo.hosts[1];

@@ -173,7 +173,7 @@ TEST(Netsim, QueueWatermarkAndEcnMarking) {
     slow.gbps = 0.01;  // ~80 us per 100-byte frame: queues build instantly
     slow.queue_bytes = 4096;
     slow.ecn_threshold_bytes = 512;
-    auto topo = sim::make_star_l2(net, 2, slow);
+    auto topo = sim::make_star(net, 2, sim::l2_switches(net), slow);
 
     bool saw_ce_in_handler = false;
     topo.hosts[1]->udp_bind(9, [&](sim::HostAddr, std::uint16_t,
@@ -204,7 +204,7 @@ TEST(Netsim, QueueWatermarkAndEcnMarking) {
 TEST(RetryChannel, CongestionMarkPostponesRtoWhenEnabled) {
     for (const bool backoff : {true, false}) {
         sim::Network net;
-        auto topo = sim::make_star_l2(net, 2, {});
+        auto topo = sim::make_star(net, 2, sim::l2_switches(net), {});
         net.install_routes();
         sim::Host& client = *topo.hosts[0];
 

@@ -126,7 +126,7 @@ transport::RestartReport run_with_tree_restart(LossyStar& star,
 
 TEST(StreamRestart, CompletesFirstTryOnCleanNetwork) {
     LossyStar star{2, 0.0, 5};
-    ReducerReceiver rx{*star.reducer, star.cfg, 1, AggFnId::kSumI32,
+    ReducerReceiver rx{*star.reducer, 1, AggFnId::kSumI32,
                        star.layout.reducer_expected_ends};
     const auto report = run_with_tree_restart(star, rx, [&] {
         for (auto* m : star.mappers) {
@@ -145,7 +145,7 @@ TEST(StreamRestart, RestartRecoversExactTotalsUnderLoss) {
     // must converge to a loss-free replay with *exact* totals (no
     // double counting from earlier partial attempts).
     LossyStar star{3, 0.02, 99};
-    ReducerReceiver rx{*star.reducer, star.cfg, 1, AggFnId::kSumI32,
+    ReducerReceiver rx{*star.reducer, 1, AggFnId::kSumI32,
                        star.layout.reducer_expected_ends};
 
     std::map<std::string, std::int64_t> expected;
@@ -183,7 +183,7 @@ TEST(StreamRestart, RestartRecoversExactTotalsUnderLoss) {
 
 TEST(StreamRestart, GivesUpAfterMaxAttempts) {
     LossyStar star{1, 1.0, 7};  // dead links
-    ReducerReceiver rx{*star.reducer, star.cfg, 1, AggFnId::kSumI32,
+    ReducerReceiver rx{*star.reducer, 1, AggFnId::kSumI32,
                        star.layout.reducer_expected_ends};
     const auto report = run_with_tree_restart(
         star, rx,
@@ -211,7 +211,7 @@ TEST(StreamRestart, RestartTreeWipesHeldState) {
     EXPECT_EQ(star.program->held_pairs(1), 0U);
 
     // A fresh round now completes with only the fresh data.
-    ReducerReceiver rx{*star.reducer, star.cfg, 1, AggFnId::kSumI32,
+    ReducerReceiver rx{*star.reducer, 1, AggFnId::kSumI32,
                        star.layout.reducer_expected_ends};
     for (auto* m : star.mappers) {
         MapperSender tx{*m, star.cfg, 1, star.reducer->addr()};
@@ -930,6 +930,14 @@ TEST(SwitchProgramMux, ClaimPortUnionBeyondTheFilterOffersEveryFrame) {
 
 // ---------------------------------------------- switch-side idempotence
 
+/// Load `chip` with a one-tenant mux, the only program a chip runs.
+void load_one_tenant(dp::PipelineSwitch& chip, std::shared_ptr<FabricRouter> router,
+                     std::shared_ptr<TenantProgram> tenant) {
+    auto mux = std::make_shared<SwitchProgramMux>(std::move(router));
+    mux->add_tenant(std::move(tenant));
+    chip.load_program(std::move(mux));
+}
+
 /// A bare cache chip (no network): packets injected straight into the
 /// pipeline, the idiom the dataplane tests use.
 struct ChipHarness {
@@ -947,7 +955,7 @@ struct ChipHarness {
         router = std::make_shared<FabricRouter>(chip.sram(), 16);
         program = std::make_shared<kv::KvCacheSwitchProgram>(cfg, kServer, chip,
                                                              router);
-        chip.load_program(program);
+        load_one_tenant(chip, router, program);
         router->install(kServer, {1});
         router->install(kClient, {2});
     }
@@ -1133,7 +1141,7 @@ struct EdgeChipHarness {
         program = std::make_shared<dir::EdgeCacheSwitchProgram>(cfg, node, node.chip(),
                                                                  router);
         program->add_client(kClient);
-        node.chip().load_program(program);
+        load_one_tenant(node.chip(), router, program);
         router->install(dir::kServiceVaddr, {1});
         router->install(kClient, {2});
         for (std::size_t r = 0; r < dir::kNumRanges; ++r) program->grant(r);

@@ -14,7 +14,7 @@ struct WorkerFixture : public ::testing::Test {
     Config cfg;
 
     void SetUp() override {
-        topo = make_star_l2(net, 3);  // plain L2: frames pass untouched
+        topo = make_star(net, 3, l2_switches(net));  // plain L2: frames pass untouched
         net.install_routes();
         cfg.max_pairs_per_packet = 10;
     }
@@ -28,7 +28,7 @@ KvPair kv(const std::string& k, std::int32_t v) {
 }
 
 TEST_F(WorkerFixture, PacketizesAtConfiguredSize) {
-    ReducerReceiver rx{reducer(), cfg, 5, AggFnId::kSumI32, 1};
+    ReducerReceiver rx{reducer(), 5, AggFnId::kSumI32, 1};
     MapperSender tx{mapper(), cfg, 5, reducer().addr()};
     for (int i = 0; i < 23; ++i) tx.send(kv("k" + std::to_string(i), 1));
     tx.finish();
@@ -43,7 +43,7 @@ TEST_F(WorkerFixture, PacketizesAtConfiguredSize) {
 }
 
 TEST_F(WorkerFixture, ReceiverAggregatesDuplicates) {
-    ReducerReceiver rx{reducer(), cfg, 5, AggFnId::kSumI32, 1};
+    ReducerReceiver rx{reducer(), 5, AggFnId::kSumI32, 1};
     MapperSender tx{mapper(), cfg, 5, reducer().addr()};
     for (int i = 0; i < 30; ++i) tx.send(kv("dup", 2));
     tx.finish();
@@ -53,7 +53,7 @@ TEST_F(WorkerFixture, ReceiverAggregatesDuplicates) {
 }
 
 TEST_F(WorkerFixture, SortedResultIsSortedByKey) {
-    ReducerReceiver rx{reducer(), cfg, 5, AggFnId::kSumI32, 1};
+    ReducerReceiver rx{reducer(), 5, AggFnId::kSumI32, 1};
     MapperSender tx{mapper(), cfg, 5, reducer().addr()};
     tx.send(kv("zebra", 1));
     tx.send(kv("apple", 2));
@@ -68,7 +68,7 @@ TEST_F(WorkerFixture, SortedResultIsSortedByKey) {
 }
 
 TEST_F(WorkerFixture, CompletionFiresOnLastEnd) {
-    ReducerReceiver rx{reducer(), cfg, 5, AggFnId::kSumI32, 2};
+    ReducerReceiver rx{reducer(), 5, AggFnId::kSumI32, 2};
     int completions = 0;
     rx.on_complete = [&] { ++completions; };
 
@@ -99,7 +99,7 @@ TEST_F(WorkerFixture, SendSerializedMatchesPairwiseSend) {
         raw.put_u32(p.value);
     }
 
-    ReducerReceiver rx{reducer(), cfg, 5, AggFnId::kSumI32, 2};
+    ReducerReceiver rx{reducer(), 5, AggFnId::kSumI32, 2};
     MapperSender a{mapper(0), cfg, 5, reducer().addr()};
     MapperSender b{mapper(1), cfg, 5, reducer().addr()};
     a.send_all(pairs);
@@ -119,7 +119,7 @@ TEST_F(WorkerFixture, SendSerializedMatchesPairwiseSend) {
 }
 
 TEST_F(WorkerFixture, MixedTreeTrafficIsFiltered) {
-    ReducerReceiver rx{reducer(), cfg, 5, AggFnId::kSumI32, 1};
+    ReducerReceiver rx{reducer(), 5, AggFnId::kSumI32, 1};
     MapperSender right{mapper(0), cfg, 5, reducer().addr()};
     MapperSender wrong{mapper(1), cfg, 6, reducer().addr()};  // other tree
     right.send(kv("mine", 1));
@@ -132,7 +132,7 @@ TEST_F(WorkerFixture, MixedTreeTrafficIsFiltered) {
 }
 
 TEST_F(WorkerFixture, EmptyStreamJustEnds) {
-    ReducerReceiver rx{reducer(), cfg, 5, AggFnId::kSumI32, 1};
+    ReducerReceiver rx{reducer(), 5, AggFnId::kSumI32, 1};
     MapperSender tx{mapper(), cfg, 5, reducer().addr()};
     tx.finish();
     net.run();
@@ -142,7 +142,7 @@ TEST_F(WorkerFixture, EmptyStreamJustEnds) {
 }
 
 TEST_F(WorkerFixture, PayloadSizesStayUnderParseBudget) {
-    ReducerReceiver rx{reducer(), cfg, 5, AggFnId::kSumI32, 1};
+    ReducerReceiver rx{reducer(), 5, AggFnId::kSumI32, 1};
     MapperSender tx{mapper(), cfg, 5, reducer().addr()};
     for (int i = 0; i < 100; ++i) tx.send(kv("k" + std::to_string(i), 1));
     tx.finish();

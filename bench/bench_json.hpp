@@ -19,11 +19,9 @@
 #include <utility>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/framebuf.hpp"
 #include "netsim/simulator.hpp"
 #include "trace/metrics.hpp"
-#include "trace/profiler.hpp"
 
 namespace daiet::bench {
 
@@ -175,8 +173,7 @@ class SimSpeedMeter {
 public:
     SimSpeedMeter()
         : start_{std::chrono::steady_clock::now()},
-          start_events_{sim::Simulator::process_events_executed()},
-          threads_{thread_cap().value_or(1)} {}
+          start_events_{sim::Simulator::process_events_executed()} {}
 
     /// `external_events` covers simulated events a bench ran in child
     /// processes (the throughput macro-bench measures each trial in a
@@ -202,39 +199,17 @@ public:
             .number("wall_clock_seconds", seconds)
             .number("events_per_sec",
                     seconds > 0 ? static_cast<double>(events) / seconds : 0.0)
-            .integer("threads", threads_)
             .number("peak_rss_mb", static_cast<double>(peak_kib) / 1024.0)
             // High-water mark of pooled frame-slab bytes on this thread
             // (the sequential simulator's), the frame share of the RSS.
             .number("frame_pool_peak_mb",
                     static_cast<double>(FrameBuf::pool_stats().peak_live_bytes) /
                         (1024.0 * 1024.0));
-        // When the bench ran with the self-profiler on, the utilization
-        // breakdown lands next to sim_speed: the root gets the summary,
-        // publish() puts the per-shard exec/barrier/drain split into the
-        // spliced "metrics" array.
-        if (trace::profiling()) {
-            const trace::Profiler::Report prof = trace::profiler().report();
-            json.root()
-                .integer("prof_wall_ns", prof.wall_ns)
-                .integer("prof_exec_ns", prof.exec_ns)
-                .integer("prof_barrier_ns", prof.barrier_ns)
-                .integer("prof_drain_ns", prof.drain_ns)
-                .number("prof_utilization_min", prof.utilization_min)
-                .number("prof_utilization_max", prof.utilization_max)
-                .number("prof_imbalance", prof.imbalance);
-            trace::profiler().publish();
-        }
     }
 
 private:
     std::chrono::steady_clock::time_point start_;
     std::uint64_t start_events_;
-    /// Worker-thread cap the bench ran under (DAIET_THREADS; 1 =
-    /// sequential), so speed trajectories are comparable only within one
-    /// parallelism level. Read at construction, so a malformed value
-    /// fails before the bench runs rather than after.
-    std::uint64_t threads_;
 };
 
 }  // namespace daiet::bench

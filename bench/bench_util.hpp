@@ -41,30 +41,6 @@ inline double scale_factor() {
     std::exit(2);
 }
 
-/// A DAIET_THREADS value: a decimal integer > 0 with nothing trailing;
-/// nullopt for anything else.
-inline std::optional<std::size_t> parse_threads(const char* text) {
-    if (text == nullptr) return std::nullopt;
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || v <= 0) {
-        return std::nullopt;
-    }
-    return static_cast<std::size_t>(v);
-}
-
-/// Worker-thread cap from the environment (DAIET_THREADS); nullopt when
-/// unset. A malformed or non-positive value exits with status 2 rather
-/// than silently falling back to the caller's default.
-inline std::optional<std::size_t> thread_cap() {
-    const char* env = std::getenv("DAIET_THREADS");
-    if (env == nullptr) return std::nullopt;
-    if (const std::optional<std::size_t> v = parse_threads(env)) return v;
-    std::fprintf(stderr, "DAIET_THREADS=\"%s\" is not a positive integer\n", env);
-    std::exit(2);
-}
-
 /// `base` scaled by scale_factor(), never below 1: a count a bench
 /// scales is a size it needs, so a tiny DAIET_SCALE shrinks it to one
 /// instead of to nothing.

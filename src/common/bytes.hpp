@@ -11,7 +11,6 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -66,33 +65,12 @@ public:
         put_u32(static_cast<std::uint32_t>(v));
     }
 
-    void put_i32(std::int32_t v) { put_u32(static_cast<std::uint32_t>(v)); }
-    void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
-
-    /// IEEE-754 single-precision, big-endian bit pattern.
-    void put_f32(float v) {
-        std::uint32_t bits = 0;
-        std::memcpy(&bits, &v, sizeof bits);
-        put_u32(bits);
-    }
-
     void put_bytes(std::span<const std::byte> data) {
         append(data.data(), data.size());
     }
 
     void put_string(std::string_view s) {
         append(s.data(), s.size());
-    }
-
-    /// Pad with `count` zero bytes.
-    void put_zeros(std::size_t count) {
-        ensure_room(count);
-        if (fixed_mode_) {
-            std::memset(fixed_.data() + fixed_size_, 0, count);
-            fixed_size_ += count;
-        } else {
-            buf_.insert(buf_.end(), count, std::byte{0});
-        }
     }
 
     std::size_t size() const noexcept {
@@ -175,26 +153,11 @@ public:
         return hi << 32 | lo;
     }
 
-    std::int32_t get_i32() { return static_cast<std::int32_t>(get_u32()); }
-    std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
-
-    float get_f32() {
-        const std::uint32_t bits = get_u32();
-        float v = 0.0F;
-        std::memcpy(&v, &bits, sizeof v);
-        return v;
-    }
-
     std::span<const std::byte> get_bytes(std::size_t n) {
         need(n);
         const auto out = data_.subspan(pos_, n);
         pos_ += n;
         return out;
-    }
-
-    std::string get_string(std::size_t n) {
-        const auto raw = get_bytes(n);
-        return std::string{reinterpret_cast<const char*>(raw.data()), raw.size()};
     }
 
     void skip(std::size_t n) {

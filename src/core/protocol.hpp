@@ -13,8 +13,8 @@
 //   DATA packet payload: preamble + num_entries * pair  (<= 206 B for 10 pairs,
 //   within the 200-300 B parse budget of P4 hardware, §5)
 //
-// Extension beyond the paper (loss *detection*; recovery lives in
-// transport/restart.hpp):
+// Extension beyond the paper (loss *detection*; recovery is
+// JobDriver::run_round's restart loop, runtime/job_driver.hpp):
 // END packets additionally carry declared(4) + flags(1) — the number of
 // DATA pairs the sender of the END transmitted towards this hop, and a
 // dirty bit that propagates "upstream detected loss". Each hop checks

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "common/contracts.hpp"
-#include "trace/trace.hpp"
 
 namespace daiet::sim {
 
@@ -82,7 +81,6 @@ void Network::enable_parallel(const std::vector<std::uint32_t>& shard_of_node,
     // partition must keep such links inside one shard.
     DAIET_EXPECTS(!any_boundary || lookahead > 0);
     par_->set_lookahead(lookahead);
-    trace::tracer().configure_lanes(n_shards);
 }
 
 Host* Network::host_by_addr(HostAddr addr) noexcept {

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "trace/profiler.hpp"
-#include "trace/timeseries.hpp"
 #include "trace/trace.hpp"
 
 namespace daiet::sim {
@@ -84,16 +84,12 @@ void ShardedSimulator::run_shard_windows(std::size_t worker,
                                          SimTime window_end,
                                          std::uint64_t* chain) {
     for (std::size_t i = worker; i < shards_.size(); i += workers) {
-        // Spans recorded while executing shard i land in lane i no
-        // matter which thread runs the window — traces are
-        // thread-count-independent, like everything else. The profiler
-        // attributes by the same numbering, so exec time is charged
-        // per shard, not per thread.
-        trace::tracer().bind_lane(i);
         if (chain == nullptr) {
             shards_[i]->run_window(window_end);
             continue;
         }
+        // The profiler attributes per shard, not per thread, so exec
+        // time is charged the same way whatever the worker count.
         const std::uint64_t ev0 = shards_[i]->events_executed();
         shards_[i]->run_window(window_end);
         const std::uint64_t t = trace::Profiler::now_ticks();
@@ -103,36 +99,7 @@ void ShardedSimulator::run_shard_windows(std::size_t worker,
     }
 }
 
-SimTime ShardedSimulator::run_sequential() {
-    const bool prof = trace::profiling();
-    if (prof) trace::profiler().begin_run();
-    std::uint64_t chain = prof ? trace::Profiler::now_ticks() : 0;
-    for (;;) {
-        drain_mailboxes();
-        SimTime next = Simulator::kNever;
-        for (Simulator* s : shards_) next = std::min(next, s->next_event_at());
-        if (next != Simulator::kNever && sampler_ != nullptr) {
-            sampler_->maybe_sample(next);
-        }
-        if (prof) {
-            // Drain span: mailbox hand-off, window sizing, and the
-            // time-series scrape — the same attribution the parallel
-            // coordinator gets.
-            const std::uint64_t t = trace::Profiler::now_ticks();
-            trace::profiler().add_drain(0, t - chain);
-            chain = t;
-        }
-        if (next == Simulator::kNever) break;
-        ++windows_;
-        run_shard_windows(0, 1, window_end_after(next, lookahead_),
-                          prof ? &chain : nullptr);
-    }
-    trace::tracer().bind_lane(0);
-    if (prof) trace::profiler().end_run();
-    return now();
-}
-
-SimTime ShardedSimulator::run_parallel(std::size_t workers) {
+SimTime ShardedSimulator::run_windows(std::size_t workers) {
     std::barrier<> gate{static_cast<std::ptrdiff_t>(workers)};
     std::atomic<bool> stop{false};
     SimTime window_end = 0;  // written by worker 0, read after the barrier
@@ -149,9 +116,8 @@ SimTime ShardedSimulator::run_parallel(std::size_t workers) {
             if (j == 0) {
                 // The coordinator phase owns every shard queue: drain
                 // the window's cross-shard traffic, then size the next
-                // window (workers are parked at the barrier below) —
-                // which also makes it the one safe spot to scrape
-                // time-series probes over any shard's state.
+                // window while the other workers are parked at the
+                // barrier below.
                 drain_mailboxes();
                 SimTime next = Simulator::kNever;
                 for (Simulator* s : shards_) {
@@ -162,7 +128,6 @@ SimTime ShardedSimulator::run_parallel(std::size_t workers) {
                 } else {
                     ++windows_;
                     window_end = window_end_after(next, lookahead_);
-                    if (sampler_ != nullptr) sampler_->maybe_sample(next);
                 }
                 if (prof) {
                     const std::uint64_t t = trace::Profiler::now_ticks();
@@ -202,21 +167,24 @@ SimTime ShardedSimulator::run_parallel(std::size_t workers) {
     }
     drive(0);
     for (std::thread& t : pool) t.join();
-    trace::tracer().bind_lane(0);
     if (prof) trace::profiler().end_run();
     return now();
 }
 
 SimTime ShardedSimulator::run() {
+    if (trace::enabled()) {
+        throw std::runtime_error{
+            "ShardedSimulator: refuses to run while tracing is enabled — the "
+            "tracer records from one thread only; trace a sequential run"};
+    }
     if (shards_.size() == 1) {
         // Degenerate partition (e.g. every node landed in one shard):
         // plain sequential run, no windows, no barriers.
         return shards_[0]->run();
     }
     DAIET_EXPECTS(lookahead_ > 0);
-    const std::size_t workers = std::min(threads_, shards_.size());
-    if (workers <= 1) return run_sequential();
-    return run_parallel(workers);
+    // One worker runs the same windows on the calling thread.
+    return run_windows(std::min(threads_, shards_.size()));
 }
 
 }  // namespace daiet::sim

@@ -23,9 +23,13 @@
 // sequence numbers the receiving queue assigns — and therefore the
 // same-instant tie-break, and therefore the entire schedule — are
 // identical no matter how many worker threads ran the windows. That is
-// the determinism contract the bench gates on: 1-thread, 2-thread and
-// N-thread runs produce bit-identical event counts, signatures and
-// final times.
+// the determinism contract the ParallelSim tests gate on: 1-thread,
+// 2-thread and N-thread runs produce bit-identical event counts,
+// signatures and final times.
+//
+// Observers stay sequential: run() throws while the tracer is enabled,
+// and the fabric sampler refuses a partitioned fabric. The profiler's
+// exec/barrier/drain split is the one observer the windows feed.
 //
 // Shard ownership of *link directions* (not whole links) is what keeps
 // windows coordination-free: drop-tail, loss draw, ECN mark and the
@@ -46,10 +50,6 @@
 #include "netsim/link.hpp"  // CrossFrame
 #include "netsim/simulator.hpp"
 #include "netsim/time.hpp"
-
-namespace daiet::trace {
-class TsSampler;
-}  // namespace daiet::trace
 
 namespace daiet::sim {
 
@@ -87,7 +87,8 @@ public:
     /// Run every shard to quiescence. Returns the final simulated time
     /// (the max over shards — identical to what one sequential queue
     /// would report, because run_window never inflates a shard's clock
-    /// past its last executed event).
+    /// past its last executed event). Throws std::logic_error while
+    /// tracing is enabled: the tracer records from one thread only.
     SimTime run();
 
     /// Max over shards — the fabric-wide clock between/after runs.
@@ -100,15 +101,6 @@ public:
     /// Conservative windows executed by the last run() (diagnostics).
     std::uint64_t windows_run() const noexcept { return windows_; }
 
-    /// Window-driven time-series sampling: the coordinator calls
-    /// sampler->maybe_sample(window_start) between barriers, where it
-    /// has exclusive access to every shard's state — probes may read
-    /// any of it, no sim events are injected (signatures stay
-    /// bit-identical), and sample times are deterministic. Pass nullptr
-    /// to detach; the sampler must outlive any run() it is attached for.
-    void set_sampler(trace::TsSampler* sampler) noexcept { sampler_ = sampler; }
-    trace::TsSampler* sampler() const noexcept { return sampler_; }
-
 private:
     void drain_mailboxes();
     /// One thread's share of a window: shards j, j+T, j+2T, ...
@@ -118,8 +110,7 @@ private:
     /// written back for the caller's next span.
     void run_shard_windows(std::size_t worker, std::size_t workers,
                            SimTime window_end, std::uint64_t* chain = nullptr);
-    SimTime run_sequential();
-    SimTime run_parallel(std::size_t workers);
+    SimTime run_windows(std::size_t workers);
 
     std::vector<Simulator*> shards_;               ///< [0] = primary, borrowed
     std::vector<std::unique_ptr<Simulator>> owned_;  ///< shards 1..S-1
@@ -127,7 +118,6 @@ private:
     SimTime lookahead_{Simulator::kNever};
     std::size_t threads_;
     std::uint64_t windows_{0};
-    trace::TsSampler* sampler_{nullptr};
 };
 
 }  // namespace daiet::sim

@@ -30,7 +30,6 @@
 
 #include "common/contracts.hpp"
 #include "netsim/time.hpp"
-#include "trace/profiler.hpp"
 
 namespace daiet::sim {
 
@@ -113,10 +112,6 @@ public:
 
     /// Run until no events remain. Returns the final simulated time.
     SimTime run() {
-        // Profiler exec attribution brackets the whole drain (two clock
-        // reads per run, not per event); a disabled profiler costs one
-        // branch here.
-        const trace::ScopedExec prof{executed_};
         while (!idle()) step();
         return now_;
     }
@@ -137,9 +132,6 @@ public:
     /// lookahead, and keeping now_ at the last real event makes the
     /// max-over-shards final time bit-identical to a sequential run.
     SimTime run_window(SimTime end) {
-        // No profiler hook here: the parallel driver (the only caller)
-        // times windows itself with one chained clock read per shard,
-        // half the cost of a begin/end bracket per window.
         while (!idle() && front_at() < end) step();
         return now_;
     }

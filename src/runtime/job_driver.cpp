@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/contracts.hpp"
-#include "transport/restart.hpp"
 
 namespace daiet::rt {
 
@@ -195,17 +194,20 @@ RoundStats JobDriver::collect(Receivers& receivers, const ConsumeFn& consume) {
 RoundStats JobDriver::run_round(const ProduceFn& produce, const ConsumeFn& consume) {
     begin_round();
     Receivers receivers = bind_receivers();
-    // Recovery rides the shared stream-restart transport: resend the
-    // whole round, check completeness at the roots, and between
-    // attempts wipe the trees' switch state and reset the receivers
-    // (restart() does both).
-    transport::StreamHooks hooks;
-    hooks.resend = [this, &produce] { schedule_sends(produce); };
-    hooks.all_complete = [this, &receivers] { return round_ok(receivers); };
-    hooks.reset = [this, &receivers] { restart(receivers); };
-    const transport::RestartReport report = transport::run_stream_with_restart(
-        rt_->network(), hooks, options_.max_restarts + 1);
-    if (!report.success) verify(receivers);  // throws the per-group diagnostic
+    // Switches fold pairs into running aggregates, so resending only
+    // the lost pairs would double-count the rest: recovery is
+    // all-or-nothing. A dirty or incomplete round wipes the trees'
+    // switch state, resets the receivers (restart() does both) and
+    // replays every send, within the Options::max_restarts budget.
+    for (;;) {
+        schedule_sends(produce);
+        run_to_quiescence();
+        if (round_ok(receivers)) break;
+        if (attempts_this_round_ > options_.max_restarts) {
+            verify(receivers);  // throws the per-group diagnostic
+        }
+        restart(receivers);
+    }
     return collect(receivers, consume);
 }
 

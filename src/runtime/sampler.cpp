@@ -1,5 +1,6 @@
 #include "runtime/sampler.hpp"
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -7,7 +8,6 @@
 #include "dataplane/pipeline_switch.hpp"
 #include "netsim/link.hpp"
 #include "netsim/network.hpp"
-#include "netsim/parallel.hpp"
 #include "netsim/switch_node.hpp"
 #include "runtime/cluster.hpp"
 
@@ -16,10 +16,6 @@ namespace daiet::rt {
 FabricSampler::FabricSampler(ClusterRuntime& rt, std::uint64_t period_ns,
                              std::size_t capacity)
     : rt_{rt}, sampler_{period_ns}, capacity_{capacity} {}
-
-FabricSampler::~FabricSampler() {
-    if (attached_ != nullptr) attached_->set_sampler(nullptr);
-}
 
 void FabricSampler::add_probe(std::string_view name, std::string_view node,
                               std::function<double()> fn) {
@@ -69,10 +65,10 @@ void FabricSampler::add_fabric_probes() {
 }
 
 void FabricSampler::start(sim::SimTime horizon) {
-    if (sim::ShardedSimulator* par = rt_.network().parallel()) {
-        par->set_sampler(&sampler_);
-        attached_ = par;
-        return;
+    if (rt_.network().parallel() != nullptr) {
+        throw std::runtime_error{
+            "FabricSampler: refuses a partitioned fabric — its probes read "
+            "every shard's state from one shard's events; sample a sequential run"};
     }
     pump(horizon);
 }

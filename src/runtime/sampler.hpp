@@ -8,14 +8,10 @@
 // TimeSeriesRegistry, so write_chrome_trace() exports them as Perfetto
 // counter tracks with no further plumbing.
 //
-// Two drive modes, chosen by start():
-//  - Parallel fabric: attaches to the ShardedSimulator, whose
-//    coordinator calls maybe_sample between window barriers — exclusive
-//    access to every shard, zero injected events, signatures untouched.
-//  - Single-threaded fabric: a self-rescheduling sim event pumps the
-//    sampler every period until the horizon. This DOES add events to
-//    the schedule (fine for examples and services; the determinism
-//    bench uses the parallel mode).
+// A self-rescheduling sim event pumps the sampler every period until
+// the horizon. The pump adds events to the schedule but changes no
+// outcome. Sequential fabrics only: start() throws on a fabric
+// partitioned for the parallel driver.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +20,6 @@
 
 #include "netsim/time.hpp"
 #include "trace/timeseries.hpp"
-
-namespace daiet::sim {
-class ShardedSimulator;
-}  // namespace daiet::sim
 
 namespace daiet::rt {
 
@@ -40,7 +32,6 @@ public:
     /// and/or add_probe(), then start().
     FabricSampler(ClusterRuntime& rt, std::uint64_t period_ns,
                   std::size_t capacity = trace::TimeSeriesRegistry::kDefaultCapacity);
-    ~FabricSampler();
 
     FabricSampler(const FabricSampler&) = delete;
     FabricSampler& operator=(const FabricSampler&) = delete;
@@ -50,13 +41,13 @@ public:
     /// ("sram.used_bytes" plus "sram.<tenant>" from sram_report).
     void add_fabric_probes();
 
-    /// Any scalar the caller can close over; the probe runs in the
-    /// sampling context (coordinator phase or sim event).
+    /// Any scalar the caller can close over; the probe runs inside the
+    /// pump's sim event.
     void add_probe(std::string_view name, std::string_view node,
                    std::function<double()> fn);
 
-    /// Begin sampling: attach to the parallel driver when one exists,
-    /// otherwise pump via sim events until `horizon`.
+    /// Begin sampling: pump via sim events until `horizon`. Throws
+    /// std::runtime_error on a partitioned fabric.
     void start(sim::SimTime horizon);
 
     trace::TsSampler& sampler() noexcept { return sampler_; }
@@ -68,7 +59,6 @@ private:
     ClusterRuntime& rt_;
     trace::TsSampler sampler_;
     std::size_t capacity_;
-    sim::ShardedSimulator* attached_{nullptr};
 };
 
 }  // namespace daiet::rt

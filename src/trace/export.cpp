@@ -113,8 +113,8 @@ std::string chrome_trace_json(const std::vector<SpanEvent>& events) {
     }
 
     // Counter tracks (ph:"C"): one Perfetto track per series, identity
-    // (pid, name). pid comes from the interner, so the same node string
-    // maps to the same track no matter which shard lane sampled it.
+    // (pid, name). pid comes from the interner, so a node's counter rows
+    // share the pid of its instant events.
     for (const TimeSeries& s : timeseries().series()) {
         if (s.held() == 0) continue;
         const std::uint32_t pid = tracer().intern(s.node());

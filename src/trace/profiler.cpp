@@ -1,10 +1,6 @@
 #include "trace/profiler.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-
-#include "trace/metrics.hpp"
 
 namespace daiet::trace {
 
@@ -74,9 +70,9 @@ Profiler::Report Profiler::report() const {
         exec_min = r.lanes.size() == 1 ? lane.exec_ns
                                        : std::min(exec_min, lane.exec_ns);
     }
-    // Without an explicit begin_run/end_run bracket (e.g. a bare
-    // Simulator::run under a unit test), the critical path is the
-    // slowest lane's exec time.
+    // Without an explicit begin_run/end_run bracket (synthetic add_*
+    // calls under a unit test), the critical path is the slowest lane's
+    // exec time.
     if (r.wall_ns == 0) r.wall_ns = exec_max;
     if (r.wall_ns > 0) {
         bool first = true;
@@ -95,52 +91,6 @@ Profiler::Report Profiler::report() const {
             static_cast<double>(exec_max) / static_cast<double>(exec_min);
     }
     return r;
-}
-
-std::string Profiler::format() const {
-    const Report r = report();
-    std::string out;
-    char line[192];
-    std::snprintf(line, sizeof(line),
-                  "profiler: wall %.3f ms, exec %.3f ms, barrier %.3f ms, "
-                  "drain %.3f ms, imbalance %.2fx\n",
-                  r.wall_ns / 1e6, r.exec_ns / 1e6, r.barrier_ns / 1e6,
-                  r.drain_ns / 1e6, r.imbalance);
-    out += line;
-    for (const LaneReport& lane : r.lanes) {
-        std::snprintf(line, sizeof(line),
-                      "  shard %2zu: exec %9.3f ms  barrier %9.3f ms  drain "
-                      "%9.3f ms  windows %8llu  events %10llu  util %5.1f%%\n",
-                      lane.lane, lane.exec_ns / 1e6, lane.barrier_ns / 1e6,
-                      lane.drain_ns / 1e6,
-                      static_cast<unsigned long long>(lane.windows),
-                      static_cast<unsigned long long>(lane.events),
-                      lane.utilization * 100.0);
-        out += line;
-    }
-    return out;
-}
-
-void Profiler::publish() const {
-    const Report r = report();
-    MetricsRegistry& reg = metrics();
-    reg.counter("prof.wall_ns").set(r.wall_ns);
-    reg.counter("prof.exec_ns").set(r.exec_ns);
-    reg.counter("prof.barrier_ns").set(r.barrier_ns);
-    reg.counter("prof.drain_ns").set(r.drain_ns);
-    reg.gauge("prof.utilization_min").set(r.utilization_min);
-    reg.gauge("prof.utilization_max").set(r.utilization_max);
-    reg.gauge("prof.imbalance").set(r.imbalance);
-    for (const LaneReport& lane : r.lanes) {
-        char node[32];
-        std::snprintf(node, sizeof(node), "shard%zu", lane.lane);
-        reg.counter("prof.shard.exec_ns", "", node).set(lane.exec_ns);
-        reg.counter("prof.shard.barrier_ns", "", node).set(lane.barrier_ns);
-        reg.counter("prof.shard.drain_ns", "", node).set(lane.drain_ns);
-        reg.counter("prof.shard.windows", "", node).set(lane.windows);
-        reg.counter("prof.shard.events", "", node).set(lane.events);
-        reg.gauge("prof.shard.utilization", "", node).set(lane.utilization);
-    }
 }
 
 }  // namespace daiet::trace

@@ -1,14 +1,14 @@
 // Sim self-profiler: per-shard wall-time attribution for the
-// conservative-window parallel driver (and plain sequential runs).
+// conservative-window parallel driver.
 //
-// Answers "where does the 4-thread speedup go?" with numbers instead of
-// guesses: every lane (= shard, same numbering as the tracer's lanes)
-// accumulates how long its event windows took to EXECUTE, how long its
-// worker sat at the inter-window BARRIER, and how long the coordinator
-// spent DRAINING mailboxes and sizing windows. The summary turns those
-// into per-shard utilization (exec / run wall-clock) and an imbalance
-// ratio (max/min shard exec) — the exact decomposition the ROADMAP's
-// "sim speed phase 2" item needs located before touching the driver.
+// Answers "where does the parallel run's wall time go?" with numbers
+// instead of guesses: every shard slot accumulates how long its event
+// windows took to EXECUTE, how long its worker sat at the inter-window
+// BARRIER, and how long the coordinator spent DRAINING mailboxes and
+// sizing windows. The summary turns those into per-shard utilization
+// (exec / run wall-clock) and an imbalance ratio (max/min shard exec).
+// Only the parallel driver (netsim/parallel.cpp) feeds it; a sequential
+// run has no windows to attribute.
 //
 // Cost model mirrors trace::enabled(): profiling is OFF by default and
 // every hook is a single predictable branch on a plain global. When ON,
@@ -24,16 +24,14 @@
 //
 // Threading contract (TSan-proof, no atomics on the hot path): slot i's
 // exec fields are written only by the worker executing shard i's window
-// (the inter-window barrier hands lanes off, exactly like the tracer's
-// recording lanes); slot j's barrier/drain fields are written only by
-// worker j; the wall clock only by the thread driving run(). Reports
-// are taken after the workers joined.
+// (the inter-window barrier hands shards off); slot j's barrier/drain
+// fields are written only by worker j; the wall clock only by the
+// thread driving run(). Reports are taken after the workers joined.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace daiet::trace {
@@ -81,16 +79,7 @@ public:
 #endif
     }
 
-    /// Route this thread's ScopedExec attributions to lane `i` (the
-    /// parallel driver attributes per shard explicitly via add_exec;
-    /// this covers bare Simulator::run and tests).
-    static void bind_lane(std::size_t i) noexcept {
-        tl_lane_ = i < kMaxLanes ? i : kMaxLanes - 1;
-    }
-    static std::size_t bound_lane() noexcept { return tl_lane_; }
-
-    /// One executed window (or whole sequential run) on lane `lane`.
-    /// `ticks` is a now_ticks() delta.
+    /// One executed window on lane `lane`; `ticks` is a now_ticks() delta.
     void add_exec(std::size_t lane, std::uint64_t ticks,
                   std::uint64_t events) noexcept {
         Slot& s = slot(lane);
@@ -140,15 +129,6 @@ public:
     };
     Report report() const;
 
-    /// Human-readable per-shard utilization/imbalance table.
-    std::string format() const;
-
-    /// Publish the report into the process-wide MetricsRegistry, so
-    /// every BENCH_*.json written afterwards carries the breakdown
-    /// (prof.exec_ns / prof.barrier_ns / prof.drain_ns per shard plus
-    /// fabric-wide utilization and imbalance gauges).
-    void publish() const;
-
 private:
     Profiler() = default;
 
@@ -174,36 +154,8 @@ private:
     std::uint64_t run_t0_{0};
     std::uint64_t calib_ticks0_{0};
     std::uint64_t calib_ns0_{0};
-    inline static thread_local std::size_t tl_lane_{0};
 };
 
 inline Profiler& profiler() { return Profiler::instance(); }
-
-/// RAII exec attribution for an event-loop slice: captures a reference
-/// to the loop's executed-events counter, and on destruction charges
-/// the elapsed wall time plus the events delta to the thread's bound
-/// lane. Free when profiling is off (one branch, no clock reads).
-class ScopedExec {
-public:
-    explicit ScopedExec(const std::uint64_t& executed) noexcept {
-        if (!profiling()) return;
-        events_ = &executed;
-        events0_ = executed;
-        t0_ = Profiler::now_ticks();
-    }
-    ScopedExec(const ScopedExec&) = delete;
-    ScopedExec& operator=(const ScopedExec&) = delete;
-    ~ScopedExec() {
-        if (events_ == nullptr) return;
-        Profiler::instance().add_exec(Profiler::bound_lane(),
-                                      Profiler::now_ticks() - t0_,
-                                      *events_ - events0_);
-    }
-
-private:
-    const std::uint64_t* events_{nullptr};
-    std::uint64_t events0_{0};
-    std::uint64_t t0_{0};
-};
 
 }  // namespace daiet::trace

@@ -10,10 +10,8 @@
 // Memory model mirrors the tracer's ring mode: each series is a
 // fixed-capacity ring of (sim_ts, value) points, so a long run keeps
 // the most recent window instead of growing without bound. Probes are
-// registered at setup time; sampling is driven either by the parallel
-// driver's coordinator phase (between barriers, where every shard's
-// state is quiescent — no sim events injected, signatures untouched)
-// or by a self-rescheduling sim event for single-threaded runs.
+// registered at setup time; sampling is driven by a self-rescheduling
+// sim event (runtime/sampler.hpp), on sequential runs only.
 #pragma once
 
 #include <cstddef>
@@ -112,10 +110,8 @@ private:
 inline TimeSeriesRegistry& timeseries() { return TimeSeriesRegistry::instance(); }
 
 /// Scrapes a set of probes into their tracks on a fixed sim-time
-/// cadence. Owns no sim machinery: callers decide when "now" advances
-/// (the parallel coordinator calls maybe_sample between barriers; the
-/// single-threaded FabricSampler pumps it from a self-rescheduling
-/// event).
+/// cadence. Owns no sim machinery: the caller decides when "now"
+/// advances (FabricSampler pumps it from a self-rescheduling event).
 class TsSampler {
 public:
     explicit TsSampler(std::uint64_t period_ns) : period_{period_ns} {}
@@ -134,18 +130,6 @@ public:
         ++samples_;
     }
 
-    /// Scrape only if sim time reached the next cadence point; then
-    /// advance the due time past `now` (skipping missed periods rather
-    /// than replaying them — samples carry their real timestamps, so a
-    /// sparse region of sim time yields a sparse track, not a burst).
-    void maybe_sample(std::uint64_t now) {
-        if (period_ == 0 || now < next_due_) return;
-        sample(now);
-        next_due_ = now - (now % period_) + period_;
-    }
-
-    std::uint64_t next_due() const noexcept { return next_due_; }
-
 private:
     struct Probe {
         TimeSeries* track;
@@ -153,7 +137,6 @@ private:
     };
     std::vector<Probe> probes_;
     std::uint64_t period_;
-    std::uint64_t next_due_{0};
     std::uint64_t samples_{0};
 };
 

@@ -1,6 +1,5 @@
 #include "trace/trace.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -118,8 +117,6 @@ namespace {
 }  // namespace
 
 Tracer::Tracer() {
-    lanes_.push_back(std::make_unique<Lane>());
-    lanes_.back()->index = 0;
     intern_names_.emplace_back("?");  // id 0 = unknown
     // Operator switch: DAIET_TRACE=full | ring[:N] | 1 enables tracing
     // for any binary without code changes (1 == full).
@@ -131,132 +128,56 @@ Tracer::Tracer() {
     }
 }
 
-void Tracer::reset_lane(Lane& l) const {
+void Tracer::reset(std::size_t ring_capacity) {
+    ring_ = ring_capacity > 0;
     if (ring_) {
-        l.events.assign(ring_capacity_, SpanEvent{});
+        events_.assign(ring_capacity, SpanEvent{});
     } else {
-        l.events.clear();
-        if (!detail::g_trace_enabled) l.events.shrink_to_fit();
+        events_.clear();
+        if (!detail::g_trace_enabled) events_.shrink_to_fit();
     }
-    l.ring_next = 0;
-    l.held = 0;
-    l.total = 0;
-    l.pending_tx_tag = 0;
-}
-
-void Tracer::configure_lanes(std::size_t n) {
-    while (lanes_.size() < n) {
-        lanes_.push_back(std::make_unique<Lane>());
-        Lane& l = *lanes_.back();
-        l.index = lanes_.size() - 1;
-        // New lanes join in the current mode (a ring lane needs its
-        // fixed buffer up front).
-        if (ring_) l.events.assign(ring_capacity_, SpanEvent{});
-    }
+    ring_next_ = 0;
+    held_ = 0;
+    total_ = 0;
+    pending_tx_tag_ = 0;
 }
 
 void Tracer::enable_full() {
-    ring_ = false;
-    ring_capacity_ = 0;
     detail::g_trace_enabled = true;
-    for (auto& l : lanes_) reset_lane(*l);
+    reset(0);
 }
 
 void Tracer::enable_ring(std::size_t capacity) {
-    if (capacity == 0) capacity = 1;
-    ring_ = true;
-    ring_capacity_ = capacity;
     detail::g_trace_enabled = true;
-    for (auto& l : lanes_) reset_lane(*l);
+    reset(capacity == 0 ? 1 : capacity);
 }
 
 void Tracer::disable() {
     detail::g_trace_enabled = false;
-    ring_ = false;
-    ring_capacity_ = 0;
-    for (auto& l : lanes_) reset_lane(*l);
+    reset(0);
 }
 
 void Tracer::clear() {
-    for (auto& l : lanes_) {
-        if (ring_) {
-            l->ring_next = 0;
-        } else {
-            l->events.clear();
-        }
-        l->held = 0;
-        l->total = 0;
-        l->pending_tx_tag = 0;
-    }
-}
-
-std::size_t Tracer::size() const noexcept {
-    std::size_t n = 0;
-    for (const auto& l : lanes_) n += l->held;
-    return n;
-}
-
-std::uint64_t Tracer::total_recorded() const noexcept {
-    std::uint64_t n = 0;
-    for (const auto& l : lanes_) n += l->total;
-    return n;
+    if (!ring_) events_.clear();
+    ring_next_ = 0;
+    held_ = 0;
+    total_ = 0;
+    pending_tx_tag_ = 0;
 }
 
 std::vector<SpanEvent> Tracer::snapshot() const {
-    // Unroll one lane into record order (ring: oldest entry at ring_next).
-    const auto unroll = [this](const Lane& l, std::vector<SpanEvent>& out) {
-        if (ring_ && l.held == l.events.size() && l.held > 0) {
-            out.insert(out.end(),
-                       l.events.begin() + static_cast<std::ptrdiff_t>(l.ring_next),
-                       l.events.end());
-            out.insert(out.end(), l.events.begin(),
-                       l.events.begin() + static_cast<std::ptrdiff_t>(l.ring_next));
-        } else {
-            out.insert(out.end(), l.events.begin(),
-                       l.events.begin() + static_cast<std::ptrdiff_t>(l.held));
-        }
-    };
-
-    std::size_t active = 0;
-    const Lane* only = nullptr;
-    for (const auto& l : lanes_) {
-        if (l->held > 0) {
-            ++active;
-            only = l.get();
-        }
-    }
+    // Ring: once wrapped, the oldest entry sits at ring_next_.
+    const auto split = static_cast<std::ptrdiff_t>(
+        ring_ && held_ == events_.size() ? ring_next_ : 0);
     std::vector<SpanEvent> out;
-    out.reserve(size());
-    if (active <= 1) {
-        // Single-lane history (every sequential run): exact record
-        // order, bit-identical to the pre-lane tracer.
-        if (only != nullptr) unroll(*only, out);
-        return out;
-    }
-    // Multiple shards recorded: stable timestamp merge, ties broken by
-    // lane index then by record order — the same result no matter how
-    // many threads drove the shards.
-    std::vector<std::uint32_t> lane_of;
-    for (const auto& l : lanes_) {
-        if (l->held == 0) continue;
-        unroll(*l, out);
-        lane_of.resize(out.size(), static_cast<std::uint32_t>(l->index));
-    }
-    std::vector<std::size_t> order(out.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         if (out[a].ts != out[b].ts) return out[a].ts < out[b].ts;
-                         return lane_of[a] < lane_of[b];
-                     });
-    std::vector<SpanEvent> merged;
-    merged.reserve(out.size());
-    for (const std::size_t i : order) merged.push_back(out[i]);
-    return merged;
+    out.reserve(held_);
+    out.insert(out.end(), events_.begin() + split,
+               events_.begin() + static_cast<std::ptrdiff_t>(held_));
+    out.insert(out.end(), events_.begin(), events_.begin() + split);
+    return out;
 }
 
 std::uint32_t Tracer::intern(std::string_view name) {
-    const std::lock_guard<std::mutex> lock{intern_mu_};
     auto it = intern_ids_.find(name);
     if (it != intern_ids_.end()) return it->second;
     const auto id = static_cast<std::uint32_t>(intern_names_.size());
@@ -266,7 +187,6 @@ std::uint32_t Tracer::intern(std::string_view name) {
 }
 
 const std::string& Tracer::name_of(std::uint32_t id) const {
-    const std::lock_guard<std::mutex> lock{intern_mu_};
     if (id >= intern_names_.size()) return intern_names_.front();
     return intern_names_[id];
 }

@@ -22,23 +22,14 @@
 //     spans — bounded memory for huge runs, still enough tail to
 //     autopsy "why did the last request stall".
 //
-// Parallel simulation (netsim/parallel.hpp): recording state lives in
-// *lanes*, one per shard. The worker executing a shard's window binds
-// that shard's lane to its thread first, so the hot record() path stays
-// lock-free — every mutable field it touches is lane-local and a lane
-// is driven by exactly one thread per window. Lanes are bound per
-// *shard*, not per thread, so a trace is identical no matter how many
-// workers ran it; snapshot() merges lanes by timestamp at export time
-// (and hands back the exact record order when only one lane was ever
-// used, which keeps single-shard ring semantics bit-for-bit). Only
-// intern() takes a mutex — it is off the per-frame fast path (labels
-// are cached at their hook sites).
+// Single-threaded: the recording state is plain members, written only
+// by the thread running the simulator. The parallel driver
+// (netsim/parallel.hpp) refuses to run while tracing is enabled, so no
+// hook ever records from a shard worker.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -127,8 +118,7 @@ public:
 
     /// Unbounded recording (clears previous events).
     void enable_full();
-    /// Flight-recorder mode: keep only the last `capacity` spans *per
-    /// lane* (one lane exists until a parallel partition adds more).
+    /// Flight-recorder mode: keep only the last `capacity` spans.
     void enable_ring(std::size_t capacity);
     /// Stop recording and free all buffers (the default state).
     void disable();
@@ -136,119 +126,78 @@ public:
     void clear();
 
     bool ring_mode() const noexcept { return ring_; }
-    /// Ring capacity per lane (0 when not in ring mode).
-    std::size_t capacity() const noexcept { return ring_ ? ring_capacity_ : 0; }
-    /// Events currently held across all lanes (≤ lanes × capacity in
-    /// ring mode).
-    std::size_t size() const noexcept;
+    /// Ring capacity (0 when not in ring mode).
+    std::size_t capacity() const noexcept { return ring_ ? events_.size() : 0; }
+    /// Events currently held (≤ capacity in ring mode).
+    std::size_t size() const noexcept { return held_; }
     /// Monotonic count of every record() since the last mode change.
-    std::uint64_t total_recorded() const noexcept;
+    std::uint64_t total_recorded() const noexcept { return total_; }
 
-    /// Recorded events: exact record order while a single lane was in
-    /// use (ring unrolled oldest → newest); with multiple active lanes,
-    /// a stable timestamp merge (ties broken by lane, then by record
-    /// order within the lane — deterministic, thread-count-independent).
+    /// Recorded events in record order (ring unrolled oldest → newest).
     std::vector<SpanEvent> snapshot() const;
 
     /// Intern a location/tenant/message name; ids are dense from 1.
-    /// Thread-safe (mutex) — hook sites cache the returned id.
+    /// Hook sites call it only behind trace::enabled() and cache the
+    /// returned id.
     std::uint32_t intern(std::string_view name);
     /// Reverse lookup; returns "?" for 0 / unknown ids.
     const std::string& name_of(std::uint32_t id) const;
 
-    // --- shard lanes (parallel sim) ------------------------------------
-    /// Grow the lane set to `n` (never shrinks; lane 0 always exists).
-    /// Called by Network::enable_parallel with the shard count.
-    void configure_lanes(std::size_t n);
-    /// Route this thread's subsequent records into lane `i`. The
-    /// parallel driver binds the shard's lane before each window.
-    void bind_lane(std::size_t i) noexcept { tl_lane_ = lanes_[i].get(); }
-    std::size_t lane_count() const noexcept { return lanes_.size(); }
-
     /// Append one event. Callers must check trace::enabled() first.
     void record(const SpanEvent& ev) {
         if (!detail::g_trace_enabled) return;
-        Lane& l = lane();
-        ++l.total;
+        ++total_;
         if (ring_) {
-            l.events[l.ring_next] = ev;
-            l.ring_next = (l.ring_next + 1) % l.events.size();
-            if (l.held < l.events.size()) ++l.held;
+            events_[ring_next_] = ev;
+            ring_next_ = (ring_next_ + 1) % events_.size();
+            if (held_ < events_.size()) ++held_;
         } else {
-            l.events.push_back(ev);
-            l.held = l.events.size();
+            events_.push_back(ev);
+            held_ = events_.size();
         }
     }
 
-    /// Fresh nonzero frame trace id. Lane-local counters with the lane
-    /// index in the top bits: no cross-thread contention, ids stay
-    /// unique fabric-wide, and lane 0 (the sequential case) emits the
-    /// same dense 1,2,3,... sequence as ever.
-    TraceId next_trace_id() noexcept {
-        Lane& l = lane();
-        return (static_cast<TraceId>(l.index) << 48) | ++l.last_trace_id;
-    }
+    /// Fresh nonzero frame trace id: the dense sequence 1, 2, 3, ...
+    TraceId next_trace_id() noexcept { return ++last_trace_id_; }
 
     /// One-shot request-tag annotation: the transport (or a server about
     /// to reply) sets this immediately before a send; Host::send_frame
     /// consumes it into the kHostTx event, binding tag ↔ trace id.
-    /// Lane-local: the annotate → send pair always executes within one
-    /// shard's window.
-    void annotate_next_tx(std::uint64_t tag) noexcept {
-        lane().pending_tx_tag = tag;
-    }
+    void annotate_next_tx(std::uint64_t tag) noexcept { pending_tx_tag_ = tag; }
     std::uint64_t take_tx_annotation() noexcept {
-        Lane& l = lane();
-        const std::uint64_t tag = l.pending_tx_tag;
-        l.pending_tx_tag = 0;
+        const std::uint64_t tag = pending_tx_tag_;
+        pending_tx_tag_ = 0;
         return tag;
     }
 
     /// Trace clock for hooks that run inside the dataplane (no Simulator
     /// reference); host/switch frame handlers refresh it on every entry.
-    /// Lane-local — each shard's window keeps its own clock.
-    void set_now(std::uint64_t ns) noexcept { lane().now = ns; }
-    std::uint64_t now() noexcept { return lane().now; }
+    void set_now(std::uint64_t ns) noexcept { now_ = ns; }
+    std::uint64_t now() const noexcept { return now_; }
 
 private:
     Tracer();
 
-    /// All mutable recording state one shard's worker touches while a
-    /// window executes. A lane is written by exactly one thread at a
-    /// time (the inter-window barrier hands it off), so none of this
-    /// needs atomics.
-    struct Lane {
-        std::size_t index{0};
-        std::vector<SpanEvent> events;
-        std::size_t ring_next{0};
-        std::size_t held{0};
-        std::uint64_t total{0};
-        TraceId last_trace_id{0};
-        std::uint64_t pending_tx_tag{0};
-        std::uint64_t now{0};
-    };
-
-    Lane& lane() noexcept { return tl_lane_ ? *tl_lane_ : *lanes_[0]; }
-
-    void reset_lane(Lane& l) const;
+    /// Empty the buffer for `ring_capacity` slots (0 = full mode).
+    void reset(std::size_t ring_capacity);
 
     bool ring_{false};
-    std::size_t ring_capacity_{0};
-    std::vector<std::unique_ptr<Lane>> lanes_;  ///< stable addresses
-    /// The lane this thread records into; null = lane 0 (the default
-    /// for the main thread and every thread that never ran a shard).
-    inline static thread_local Lane* tl_lane_{nullptr};
+    std::vector<SpanEvent> events_;
+    std::size_t ring_next_{0};
+    std::size_t held_{0};
+    std::uint64_t total_{0};
+    TraceId last_trace_id_{0};
+    std::uint64_t pending_tx_tag_{0};
+    std::uint64_t now_{0};
 
     // Heterogeneous-lookup interner: find() on a string_view never
-    // allocates, so re-interning a known name is allocation-free. The
-    // mutex serializes shard workers interning lazily mid-window.
+    // allocates, so re-interning a known name is allocation-free.
     struct SvHash {
         using is_transparent = void;
         std::size_t operator()(std::string_view s) const noexcept {
             return std::hash<std::string_view>{}(s);
         }
     };
-    mutable std::mutex intern_mu_;
     std::unordered_map<std::string, std::uint32_t, SvHash, std::equal_to<>> intern_ids_;
     std::vector<std::string> intern_names_;
 };

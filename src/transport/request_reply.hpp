@@ -1,8 +1,8 @@
-// Loss-tolerant transport, strategy 2: request/response retransmission.
+// Loss-tolerant transport: request/response retransmission.
 //
-// For RPC-shaped tenants (the kv cache) a stream restart would be
-// absurd: requests are independent, so lost ones are retried
-// selectively. Three cooperating pieces, all keyed by the per-request
+// For RPC-shaped tenants (the kv cache) restarting the whole stream,
+// as JobDriver does for aggregation rounds, would be absurd: requests
+// are independent, so lost ones are retried selectively. Three cooperating pieces, all keyed by the per-request
 // transport sequence number the client stamps into the wire message
 // (retransmissions carry the *same* seq, so (client address, seq)
 // names one logical request everywhere on the path):

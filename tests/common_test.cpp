@@ -188,18 +188,12 @@ TEST(Bytes, RoundTripScalars) {
     w.put_u16(0x1234);
     w.put_u32(0xDEADBEEF);
     w.put_u64(0x0123456789ABCDEFULL);
-    w.put_i32(-42);
-    w.put_i64(-1);
-    w.put_f32(3.5F);
 
     ByteReader r{w.bytes()};
     EXPECT_EQ(r.get_u8(), 0xAB);
     EXPECT_EQ(r.get_u16(), 0x1234);
     EXPECT_EQ(r.get_u32(), 0xDEADBEEFU);
     EXPECT_EQ(r.get_u64(), 0x0123456789ABCDEFULL);
-    EXPECT_EQ(r.get_i32(), -42);
-    EXPECT_EQ(r.get_i64(), -1);
-    EXPECT_EQ(r.get_f32(), 3.5F);
     EXPECT_TRUE(r.exhausted());
 }
 
@@ -228,21 +222,13 @@ TEST(Bytes, WriterCapacityEnforced) {
 TEST(Bytes, StringsAndRawBytes) {
     ByteWriter w;
     w.put_string("hello");
-    w.put_zeros(3);
+    w.put_bytes(as_bytes("abc"));
     ByteReader r{w.bytes()};
-    EXPECT_EQ(r.get_string(5), "hello");
+    const auto hello = r.get_bytes(5);
+    EXPECT_TRUE(std::equal(hello.begin(), hello.end(), as_bytes("hello").begin()));
     EXPECT_EQ(r.remaining(), 3U);
     r.skip(3);
     EXPECT_TRUE(r.exhausted());
-}
-
-TEST(Bytes, F32RoundTripSpecials) {
-    for (const float v : {0.0F, -0.0F, 1e-30F, 3.4e38F, -1.5F}) {
-        ByteWriter w;
-        w.put_f32(v);
-        ByteReader r{w.bytes()};
-        EXPECT_EQ(r.get_f32(), v);
-    }
 }
 
 // ----------------------------------------------------------- FixedKey

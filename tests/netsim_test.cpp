@@ -9,6 +9,7 @@
 #include <functional>
 #include <optional>
 #include <queue>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "netsim/headers.hpp"
 #include "netsim/network.hpp"
 #include "netsim/simulator.hpp"
+#include "trace/trace.hpp"
 
 namespace daiet::sim {
 namespace {
@@ -220,7 +222,7 @@ TEST(Headers, LengthFieldsRejectPayloadsTheyCannotHold) {
 TEST(Headers, NonIpv4ReturnsNullopt) {
     ByteWriter w;
     EthernetHeader{.dst = 1, .src = 2, .ethertype = 0x86DD}.serialize(w);
-    w.put_zeros(40);
+    w.put_bytes(std::vector<std::byte>(40));
     EXPECT_FALSE(parse_frame(w.bytes()).has_value());
 }
 
@@ -1153,6 +1155,32 @@ TEST(ParallelSim, SingleShardPlanDegradesToSequential) {
     const auto plain = run(false);
     EXPECT_EQ(partitioned, plain);
     EXPECT_GT(std::get<2>(partitioned), 0u);
+}
+
+// The tracer records from one thread only, so a partitioned run refuses
+// to start while tracing is on; the same fabric runs once it is off.
+TEST(ParallelSim, RefusesToRunWhileTracing) {
+    Network net{5};
+    auto topo = make_star(net, 3, l2_switches(net));
+    net.install_routes();
+    std::vector<std::uint32_t> shard_of(net.nodes().size(), 0);
+    shard_of[topo.hosts[2]->id()] = 1;
+    net.enable_parallel(shard_of, 2);
+    int delivered = 0;
+    topo.hosts[0]->udp_bind(7000, [&delivered](HostAddr, std::uint16_t, auto) {
+        ++delivered;
+    });
+    const std::vector<std::byte> payload(4, std::byte{0x5a});
+    topo.hosts[2]->simulator().schedule_at(50, [&topo, payload] {
+        topo.hosts[2]->udp_send(topo.hosts[0]->addr(), 7000, 7000, payload);
+    });
+
+    trace::tracer().enable_full();
+    EXPECT_THROW(net.run(), std::runtime_error);
+    trace::tracer().disable();
+    EXPECT_EQ(delivered, 0);
+    net.run();
+    EXPECT_EQ(delivered, 1);
 }
 
 }  // namespace

@@ -5,14 +5,19 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <map>
+#include <span>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/distributed.hpp"
 #include "graph/generator.hpp"
 #include "graph/pregel.hpp"
+#include "kvcache/service.hpp"
 #include "ml/training.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/job_driver.hpp"
@@ -667,6 +672,132 @@ TEST(JobDriver, RecoversFromPacketLossViaRestart) {
     // The seeded loss process drops frames on the first attempt, so the
     // round must have gone through the recovery path at least once.
     EXPECT_GT(round.attempts, 1U);
+}
+
+// ------------------------------------------------------ parallel parity
+
+/// What one three-tenant fat-tree run delivered: each kv client's
+/// replies keyed by request id, each reducer's sorted output, each echo
+/// endpoint's receive count, plus the schedule's size and end.
+struct ThreeTenantOutcome {
+    using Reply = std::tuple<kv::KvOp, std::string, WireValue, bool>;
+    std::vector<std::map<std::uint32_t, Reply>> kv_replies;
+    std::vector<std::vector<KvPair>> reduced;
+    std::vector<std::uint64_t> echo_rx;
+    std::uint64_t events{0};
+    sim::SimTime final_time{0};
+};
+
+/// kv (server on host 0, clients on hosts 1 mod 4, rack cache on the
+/// server's edge switch), one two-group aggregation round (reducers 2
+/// and 6, mappers 3 mod 4) and a cross-pod echo between hosts 10 and 14,
+/// all on one k=4 fat tree. threads == 0 runs the sequential simulator;
+/// otherwise the pod-per-shard partition with that many workers.
+ThreeTenantOutcome run_three_tenant_fat_tree(std::size_t threads) {
+    ClusterOptions opts;
+    opts.topology = TopologyKind::kFatTree;
+    opts.fat_tree_k = 4;
+    opts.num_hosts = 16;
+    opts.seed = 23;
+    ClusterRuntime rt{opts};
+    if (threads > 0) rt.enable_parallel(threads);
+
+    kv::KvServiceOptions kopts;
+    kopts.server_host = 0;
+    kopts.client_hosts = {1, 5, 9, 13};
+    kv::KvService svc{rt, kopts};
+    kv::KvWorkload wl;
+    wl.num_keys = 64;
+    wl.requests_per_client = 60;
+    wl.get_fraction = 0.75;
+    // One writer per key: a reply's value cannot depend on how the
+    // clients' requests interleave, only on the client's own history.
+    wl.partition_keys = true;
+    wl.rebalance_interval = 40 * sim::kMicrosecond;
+    svc.schedule(wl);
+
+    constexpr std::uint16_t kEchoPort = 47001;
+    constexpr std::uint32_t kEchoLegs = 40;
+    const std::size_t echo_hosts[2] = {10, 14};
+    ThreeTenantOutcome out;
+    out.echo_rx.assign(2, 0);
+    for (std::size_t j = 0; j < 2; ++j) {
+        rt.host(echo_hosts[j])
+            .udp_bind(kEchoPort, [&rt, &out, &echo_hosts, j](
+                                     sim::HostAddr src, std::uint16_t src_port,
+                                     std::span<const std::byte> payload) {
+                ++out.echo_rx[j];
+                std::uint32_t remaining = 0;
+                std::memcpy(&remaining, payload.data(),
+                            std::min(sizeof remaining, payload.size()));
+                if (remaining == 0) return;
+                --remaining;
+                std::byte buf[sizeof remaining];
+                std::memcpy(buf, &remaining, sizeof remaining);
+                rt.host(echo_hosts[j]).udp_send(src, kEchoPort, src_port, buf);
+            });
+    }
+    rt.host(echo_hosts[0]).simulator().schedule_at(700, [&rt, &echo_hosts] {
+        std::uint32_t remaining = kEchoLegs - 1;
+        std::byte buf[sizeof remaining];
+        std::memcpy(buf, &remaining, sizeof remaining);
+        rt.host(echo_hosts[0])
+            .udp_send(rt.host(echo_hosts[1]).addr(), kEchoPort, kEchoPort, buf);
+    });
+
+    JobSpec spec;
+    spec.name = "parity";
+    for (std::size_t g = 0; g < 2; ++g) {
+        JobGroup group;
+        group.reducer = &rt.host(2 + 4 * g);
+        group.mappers = {&rt.host(3 + 8 * g), &rt.host(7 + 8 * g)};
+        spec.groups.push_back(group);
+    }
+    JobDriver driver{rt, spec};
+    out.reduced.resize(2);
+    driver.run_round(
+        [](std::size_t g, std::size_t m, MapperSender& tx) {
+            for (int p = 0; p < 120; ++p) {
+                tx.send(kv("g" + std::to_string(g) + "k" + std::to_string(p % 37),
+                           static_cast<std::int32_t>(1 + m + p % 5)));
+            }
+        },
+        [&out](std::size_t g, ReducerReceiver& rx) {
+            out.reduced[g] = rx.sorted_result();
+        });
+    rt.run();
+
+    for (std::size_t c = 0; c < svc.num_clients(); ++c) {
+        auto& replies = out.kv_replies.emplace_back();
+        for (const kv::KvClient::OpRecord& rec : svc.client(c).log()) {
+            replies[rec.req_id] = {rec.op, rec.key.to_string(), rec.value, rec.found};
+        }
+    }
+    out.events = rt.network().events_executed();
+    out.final_time = rt.now();
+    return out;
+}
+
+// The parallel driver must reproduce the sequential run's outcomes on a
+// full three-tenant workload, and its own schedule must not depend on
+// the worker count.
+TEST(ParallelSim, ThreeTenantFatTreeMatchesSequentialOutcomes) {
+    const ThreeTenantOutcome seq = run_three_tenant_fat_tree(0);
+    const ThreeTenantOutcome one = run_three_tenant_fat_tree(1);
+    const ThreeTenantOutcome two = run_three_tenant_fat_tree(2);
+
+    ASSERT_EQ(seq.kv_replies.size(), 4U);
+    for (const auto& replies : seq.kv_replies) EXPECT_EQ(replies.size(), 60U);
+    for (const auto& reduced : seq.reduced) EXPECT_EQ(reduced.size(), 37U);
+    EXPECT_EQ(seq.echo_rx[0] + seq.echo_rx[1], 40U);
+
+    for (const ThreeTenantOutcome* par : {&one, &two}) {
+        EXPECT_EQ(par->kv_replies, seq.kv_replies);
+        EXPECT_EQ(par->reduced, seq.reduced);
+        EXPECT_EQ(par->echo_rx, seq.echo_rx);
+    }
+    EXPECT_EQ(one.events, two.events);
+    EXPECT_EQ(one.final_time, two.final_time);
 }
 
 // --------------------------------------------- networked ML and Pregel

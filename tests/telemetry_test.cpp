@@ -216,7 +216,7 @@ TEST(RetryChannel, CongestionMarkPostponesRtoWhenEnabled) {
         transport::RetryChannel channel{client, topo.hosts[1]->addr(), 7000,
                                         7001, options};
         channel.submit(Key16{"k"}, false, [](std::uint32_t, ByteWriter& out) {
-            out.put_zeros(8);
+            out.put_u64(0);
         });
         // A congestion mark lands just before the first RTO would fire.
         net.simulator().schedule_at(150 * sim::kMicrosecond,

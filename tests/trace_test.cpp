@@ -103,51 +103,6 @@ TEST(Tracer, RingModeKeepsOnlyTheLastN) {
     for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(events[i].ts, 7 + i);
 }
 
-// Parallel simulation gives every shard its own recording lane (one
-// writer each — a shared ring would interleave racily); the snapshot
-// merges the active lanes by (timestamp, lane) with per-lane record
-// order preserved. Lane binding is thread-local, so one thread driving
-// bind_lane exercises exactly what the shard workers do.
-TEST(Tracer, PerLaneRingsMergeDeterministicallyAtSnapshot) {
-    TraceGuard guard;
-    auto& t = trace::tracer();
-    t.enable_ring(4);
-    t.configure_lanes(3);
-    ASSERT_EQ(t.lane_count(), 3U);
-
-    // Each lane records independently — including past its ring
-    // capacity — at timestamps that interleave across lanes.
-    for (std::size_t lane = 0; lane < 3; ++lane) {
-        t.bind_lane(lane);
-        for (std::uint64_t i = 0; i < 6; ++i) {
-            t.record({10 * i + lane, 0, i, 0, 0, trace::EventKind::kHostTx});
-        }
-    }
-    t.bind_lane(0);
-
-    // Per-lane eviction: each ring kept its own last 4.
-    EXPECT_EQ(t.size(), 12U);
-    EXPECT_EQ(t.total_recorded(), 18U);
-    const auto events = t.snapshot();
-    ASSERT_EQ(events.size(), 12U);
-    // Global (ts, lane) order: 20, 21, 22, 30, 31, 32, ...
-    for (std::size_t i = 1; i < events.size(); ++i) {
-        EXPECT_LT(events[i - 1].ts, events[i].ts);
-    }
-    EXPECT_EQ(events.front().ts, 20U);  // lane 0's oldest survivor
-    EXPECT_EQ(events.back().ts, 52U);   // lane 2's newest
-
-    // Trace ids stay fabric-unique: the lane index rides the top bits.
-    t.bind_lane(1);
-    const trace::TraceId on_lane1 = t.next_trace_id();
-    t.bind_lane(2);
-    const trace::TraceId on_lane2 = t.next_trace_id();
-    t.bind_lane(0);
-    EXPECT_EQ(on_lane1 >> 48, 1U);
-    EXPECT_EQ(on_lane2 >> 48, 2U);
-    EXPECT_NE(on_lane1, on_lane2);
-}
-
 TEST(Tracer, InternIsStableAndAnnotationIsOneShot) {
     TraceGuard guard;
     auto& t = trace::tracer();

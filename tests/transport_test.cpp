@@ -1,6 +1,5 @@
-// Tests for the loss-tolerant transport layer (src/transport/): the
-// stream-restart strategy (migrated from the old core/reliable tests),
-// the request/response retry strategy (RetryChannel / ReplyCache,
+// Tests for loss tolerance: JobDriver's all-or-nothing round restart on
+// a lossy star, the request/response retry strategy of src/transport/ (RetryChannel / ReplyCache,
 // including a differential test of the reply rings against the old
 // std::map cache and a count of heap allocations in steady state), the
 // SwitchProgramMux dispatch edge cases, and the headline guarantees —
@@ -29,7 +28,6 @@
 #include "netsim/network.hpp"
 #include "runtime/job_driver.hpp"
 #include "transport/request_reply.hpp"
-#include "transport/restart.hpp"
 
 // ------------------------------------------------- allocation counting
 
@@ -107,49 +105,60 @@ struct LossyStar {
     }
 };
 
-/// The DAIET-shaped hooks: between attempts wipe tree 1's switch state
-/// through the controller and reset the receiver — what JobDriver's
-/// restart() does for real jobs.
-transport::RestartReport run_with_tree_restart(LossyStar& star,
-                                               ReducerReceiver& rx,
-                                               const std::function<void()>& resend,
-                                               std::size_t max_attempts = 8) {
-    transport::StreamHooks hooks;
-    hooks.resend = resend;
-    hooks.all_complete = [&rx] { return rx.complete() && rx.clean(); };
-    hooks.reset = [&star, &rx] {
-        star.controller->restart_tree(1);
-        rx.reset(star.layout.reducer_expected_ends);
-    };
-    return transport::run_stream_with_restart(star.net, hooks, max_attempts);
+/// A star cluster whose every link drops frames with probability
+/// `loss`, and a one-group job: hosts 0..n_mappers-1 feed the last host.
+rt::ClusterOptions lossy_star_options(std::size_t n_mappers, double loss,
+                                      std::uint64_t seed) {
+    rt::ClusterOptions opts;
+    opts.num_hosts = n_mappers + 1;
+    opts.config.register_size = 1024;
+    opts.config.max_trees = 2;
+    opts.link.loss_probability = loss;
+    opts.seed = seed;
+    return opts;
+}
+
+rt::JobSpec one_group_job(rt::ClusterRuntime& rt) {
+    rt::JobGroup group;
+    group.reducer = &rt.host(rt.hosts().size() - 1);
+    for (std::size_t i = 0; i + 1 < rt.hosts().size(); ++i) {
+        group.mappers.push_back(&rt.host(i));
+    }
+    rt::JobSpec spec;
+    spec.groups.push_back(group);
+    return spec;
+}
+
+rt::JobDriver::Options attempt_budget(std::size_t attempts) {
+    rt::JobDriver::Options options;
+    options.max_restarts = attempts - 1;
+    return options;
 }
 
 TEST(StreamRestart, CompletesFirstTryOnCleanNetwork) {
-    LossyStar star{2, 0.0, 5};
-    ReducerReceiver rx{*star.reducer, 1, AggFnId::kSumI32,
-                       star.layout.reducer_expected_ends};
-    const auto report = run_with_tree_restart(star, rx, [&] {
-        for (auto* m : star.mappers) {
-            MapperSender tx{*m, star.cfg, 1, star.reducer->addr()};
+    rt::ClusterRuntime rt{lossy_star_options(2, 0.0, 5)};
+    rt::JobDriver driver{rt, one_group_job(rt), attempt_budget(8)};
+    std::int64_t total = 0;
+    const rt::RoundStats round = driver.run_round(
+        [](std::size_t, std::size_t, MapperSender& tx) {
             tx.send(KvPair{Key16{"k"}, wire_from_i32(1)});
-            tx.finish();
-        }
-    });
-    EXPECT_TRUE(report.success);
-    EXPECT_EQ(report.attempts, 1U);
-    EXPECT_EQ(i32_from_wire(rx.aggregated().at(Key16{"k"})), 2);
+        },
+        [&total](std::size_t, ReducerReceiver& rx) {
+            total = i32_from_wire(rx.aggregated().at(Key16{"k"}));
+        });
+    EXPECT_EQ(round.attempts, 1U);
+    EXPECT_EQ(total, 2);
 }
 
 TEST(StreamRestart, RestartRecoversExactTotalsUnderLoss) {
-    // 2% loss per hop: most attempts lose something; the coordinator
-    // must converge to a loss-free replay with *exact* totals (no
-    // double counting from earlier partial attempts).
-    LossyStar star{3, 0.02, 99};
-    ReducerReceiver rx{*star.reducer, 1, AggFnId::kSumI32,
-                       star.layout.reducer_expected_ends};
+    // 2% loss per hop: most attempts lose something; the round must
+    // converge to a loss-free replay with *exact* totals (no double
+    // counting from earlier partial attempts).
+    rt::ClusterRuntime rt{lossy_star_options(3, 0.02, 99)};
+    rt::JobDriver driver{rt, one_group_job(rt), attempt_budget(64)};
 
     std::map<std::string, std::int64_t> expected;
-    std::vector<std::vector<KvPair>> streams(star.mappers.size());
+    std::vector<std::vector<KvPair>> streams(3);
     Rng rng{4};
     for (auto& stream : streams) {
         for (int i = 0; i < 400; ++i) {
@@ -160,41 +169,32 @@ TEST(StreamRestart, RestartRecoversExactTotalsUnderLoss) {
         }
     }
 
-    const auto report = run_with_tree_restart(
-        star, rx,
-        [&] {
-            for (std::size_t m = 0; m < star.mappers.size(); ++m) {
-                MapperSender tx{*star.mappers[m], star.cfg, 1, star.reducer->addr()};
-                tx.send_all(streams[m]);
-                tx.finish();
-            }
-        },
-        /*max_attempts=*/64);
-
-    ASSERT_TRUE(report.success) << "did not converge in 64 attempts";
     std::map<std::string, std::int64_t> actual;
-    for (const auto& [key, value] : rx.aggregated()) {
-        actual[key.to_string()] += i32_from_wire(value);
-    }
+    const rt::RoundStats round = driver.run_round(
+        [&streams](std::size_t, std::size_t m, MapperSender& tx) {
+            tx.send_all(streams[m]);
+        },
+        [&actual](std::size_t, ReducerReceiver& rx) {
+            for (const auto& [key, value] : rx.aggregated()) {
+                actual[key.to_string()] += i32_from_wire(value);
+            }
+        });
     EXPECT_EQ(actual, expected)
         << "restart recovery must preserve exactly-once aggregation";
-    EXPECT_GE(report.attempts, 2U) << "test should exercise at least one restart";
+    EXPECT_GE(round.attempts, 2U) << "test should exercise at least one restart";
 }
 
 TEST(StreamRestart, GivesUpAfterMaxAttempts) {
-    LossyStar star{1, 1.0, 7};  // dead links
-    ReducerReceiver rx{*star.reducer, 1, AggFnId::kSumI32,
-                       star.layout.reducer_expected_ends};
-    const auto report = run_with_tree_restart(
-        star, rx,
-        [&] {
-            MapperSender tx{*star.mappers[0], star.cfg, 1, star.reducer->addr()};
-            tx.send(KvPair{Key16{"k"}, wire_from_i32(1)});
-            tx.finish();
-        },
-        /*max_attempts=*/3);
-    EXPECT_FALSE(report.success);
-    EXPECT_EQ(report.attempts, 3U);
+    rt::ClusterRuntime rt{lossy_star_options(1, 1.0, 7)};  // dead links
+    rt::JobDriver driver{rt, one_group_job(rt), attempt_budget(3)};
+    std::size_t sends = 0;
+    EXPECT_THROW(driver.run_round([&sends](std::size_t, std::size_t, MapperSender& tx) {
+                     ++sends;
+                     tx.send(KvPair{Key16{"k"}, wire_from_i32(1)});
+                 }),
+                 std::runtime_error);
+    EXPECT_EQ(sends, 3U);
+    EXPECT_EQ(driver.rounds_completed(), 0U);
 }
 
 TEST(StreamRestart, RestartTreeWipesHeldState) {
@@ -593,7 +593,7 @@ TEST(Transport, PayloadsPastTheInlineLimitFailLoudly) {
                                     {}};
     EXPECT_THROW(channel.submit(Key16{"k"}, false,
                                 [](std::uint32_t, ByteWriter& out) {
-                                    out.put_zeros(transport::kMaxPayload + 1);
+                                    out.put_bytes(std::vector<std::byte>(transport::kMaxPayload + 1));
                                 }),
                  BufferError);
     // The refused request left no trace: the next one still gets seq 1.

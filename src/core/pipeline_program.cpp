@@ -9,8 +9,7 @@
 namespace daiet {
 
 DaietSwitchProgram::Slot::Slot(const Config& cfg, std::size_t slot_idx)
-    : keys{"t" + std::to_string(slot_idx) + ".keys", cfg.register_size},
-      values{"t" + std::to_string(slot_idx) + ".values", cfg.register_size},
+    : cells{"t" + std::to_string(slot_idx) + ".cells", cfg.register_size},
       index_stack{"t" + std::to_string(slot_idx) + ".stack", cfg.register_size},
       stack_depth{"t" + std::to_string(slot_idx) + ".depth", 1},
       spill{"t" + std::to_string(slot_idx) + ".spill", cfg.spillover_capacity},
@@ -23,7 +22,11 @@ DaietSwitchProgram::Slot::Slot(const Config& cfg, std::size_t slot_idx)
       dirty{"t" + std::to_string(slot_idx) + ".dirty", 1} {}
 
 std::size_t DaietSwitchProgram::Slot::footprint_bytes(const Config& cfg) {
-    // index_stack plus the eight one-cell registers, depth through dirty.
+    // The pair cells are the keys[R] and values[R] arrays of the model,
+    // charged as such. Then index_stack plus the eight one-cell
+    // registers, depth through dirty.
+    static_assert(sizeof(KvPair) == sizeof(Key16) + sizeof(WireValue),
+                  "a pair cell holds exactly one key cell and one value cell");
     constexpr std::size_t kScalarRegisters = 8;
     return dp::RegisterArray<Key16>::footprint_for(cfg.register_size) +
            dp::RegisterArray<WireValue>::footprint_for(cfg.register_size) +
@@ -35,9 +38,7 @@ std::size_t DaietSwitchProgram::Slot::footprint_bytes(const Config& cfg) {
 void DaietSwitchProgram::Slot::wipe(AggFnId fn) {
     const std::uint32_t depth = stack_depth.peek(0);
     for (std::uint32_t i = 0; i < depth; ++i) {
-        const std::uint32_t idx = index_stack.peek(i);
-        keys.poke(idx, Key16{});
-        values.poke(idx, identity_of(fn));
+        cells.poke(index_stack.peek(i), KvPair{Key16{}, identity_of(fn)});
     }
     stack_depth.poke(0, 0);
     spill_head.poke(0, 0);
@@ -129,8 +130,8 @@ std::size_t DaietSwitchProgram::held_pairs(TreeId tree) const {
 std::size_t DaietSwitchProgram::occupied_cells(TreeId tree) const {
     const Slot& slot = slot_of(tree);
     std::size_t occupied = 0;
-    for (std::size_t i = 0; i < slot.keys.size(); ++i) {
-        if (!slot.keys.peek(i).empty()) ++occupied;
+    for (std::size_t i = 0; i < slot.cells.size(); ++i) {
+        if (!slot.cells.peek(i).key.empty()) ++occupied;
     }
     return occupied;
 }
@@ -149,10 +150,25 @@ bool DaietSwitchProgram::on_claimed(dp::PacketContext& ctx,
                                     const sim::ParsedFrame& /*frame*/,
                                     std::span<const std::byte> payload) {
     ctx.count_op(dp::OpKind::kParse);  // DAIET preamble
-    DaietPacket packet = parse_packet(payload);
-    const TreeId tree = std::holds_alternative<DataPacket>(packet)
-                            ? std::get<DataPacket>(packet).tree_id
-                            : std::get<EndPacket>(packet).tree_id;
+    DaietPacket packet;
+    try {
+        packet = parse_packet(payload);
+    } catch (const BufferError&) {
+        // Truncated, zero pairs, unknown type: the parser rejects it
+        // before any table sees it.
+        ++drops_.malformed;
+        ctx.mark_drop();
+        return true;
+    }
+    auto* data = std::get_if<DataPacket>(&packet);
+    if (data != nullptr && data->pairs.size() > config_.max_pairs_per_packet) {
+        // The parser is unrolled for max_pairs_per_packet pairs (§5).
+        ++drops_.oversized;
+        ctx.mark_drop();
+        return true;
+    }
+    const TreeId tree =
+        data != nullptr ? data->tree_id : std::get<EndPacket>(packet).tree_id;
 
     const TreeRule* rule = tree_table_.apply(ctx, tree);
     if (rule == nullptr) {
@@ -164,61 +180,56 @@ bool DaietSwitchProgram::on_claimed(dp::PacketContext& ctx,
     }
 
     Slot& slot = *slots_[rule->slot];
-    if (auto* data = std::get_if<DataPacket>(&packet)) {
-        handle_data(ctx, *rule, slot, *data);
+    if (data != nullptr) {
+        handle_data(ctx, tree, *rule, slot, data->pairs);
     } else {
         handle_end(ctx, tree, *rule, slot, std::get<EndPacket>(packet));
     }
     return true;
 }
 
-void DaietSwitchProgram::handle_data(dp::PacketContext& ctx, const TreeRule& rule,
-                                     Slot& slot, const DataPacket& data) {
-    DAIET_EXPECTS(data.pairs.size() <= config_.max_pairs_per_packet);
-    const TreeId tree = data.tree_id;
-
+void DaietSwitchProgram::handle_data(dp::PacketContext& ctx, TreeId tree,
+                                     const TreeRule& rule, Slot& slot, PairSpan pairs) {
+    const std::size_t n = pairs.size();
     // Loss detection: count arriving pairs (one register update per packet).
     const std::uint32_t seen = slot.pairs_in.read(ctx, 0);
     ctx.count_op(dp::OpKind::kAlu);
-    slot.pairs_in.write(ctx, 0,
-                        seen + static_cast<std::uint32_t>(data.pairs.size()));
+    slot.pairs_in.write(ctx, 0, seen + static_cast<std::uint32_t>(n));
 
-    for (const KvPair& pair : data.pairs) {
-        ctx.count_op(dp::OpKind::kParse);  // pair extraction (unrolled parser)
-        ++slot.stats.pairs_in;
-        ctx.count_op(dp::OpKind::kAlu);  // hash finalizer stage
-        const std::size_t idx = register_index_from_crc(ctx.hash(pair.key.bytes()),
-                                                        config_.register_size);
+    // Hash every key first and prefetch its cell: each pair lands on a
+    // random one of R cells, so a packet's cell loads overlap instead of
+    // missing one after another.
+    std::array<std::uint32_t, kMaxWirePairs> index{};
+    for (std::size_t i = 0; i < n; ++i) {
+        index[i] = static_cast<std::uint32_t>(register_index_from_crc(
+            Crc32::compute(pairs.key_bytes(i)), config_.register_size));
+        __builtin_prefetch(&slot.cells.cell(index[i]));
+    }
 
-        const Key16& stored_key = slot.keys.read(ctx, idx);
-        ctx.count_op(dp::OpKind::kAlu);  // key comparison
-        if (stored_key.empty()) {
+    std::size_t stored = 0;
+    std::size_t spilled = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const KvPair pair = pairs[i];
+        const std::uint32_t idx = index[i];
+        KvPair& cell = slot.cells.cell(idx);
+        if (cell.key.empty()) {
             // Algorithm 1 lines 6-9.
-            slot.keys.write(ctx, idx, pair.key);
-            slot.values.write(ctx, idx, first_value(rule.fn, pair.value));
-            const std::uint32_t depth = slot.stack_depth.read(ctx, 0);
-            slot.index_stack.write(ctx, depth, static_cast<std::uint32_t>(idx));
-            ctx.count_op(dp::OpKind::kAlu);  // depth + 1
-            slot.stack_depth.write(ctx, 0, depth + 1);
-            ++slot.stats.pairs_stored;
-        } else if (stored_key == pair.key) {
+            cell = KvPair{pair.key, first_value(rule.fn, pair.value)};
+            std::uint32_t& depth = slot.stack_depth.cell(0);
+            slot.index_stack.cell(depth) = idx;
+            ++depth;
+            ++stored;
+        } else if (cell.key == pair.key) {
             // Algorithm 1 lines 10-11.
-            const WireValue current = slot.values.read(ctx, idx);
-            ctx.count_op(dp::OpKind::kAlu);  // combine
-            slot.values.write(ctx, idx, combine(rule.fn, current, pair.value));
-            ++slot.stats.pairs_combined;
+            cell.value = combine(rule.fn, cell.value, pair.value);
         } else {
             // Algorithm 1 lines 12-15: collision -> spillover ring.
-            const std::uint32_t head = slot.spill_head.read(ctx, 0);
-            const std::uint32_t count = slot.spill_count.read(ctx, 0);
-            ctx.count_op(dp::OpKind::kAlu);  // (head + count) % capacity
-            const auto pos = static_cast<std::size_t>(head + count) %
-                             config_.spillover_capacity;
-            slot.spill.write(ctx, pos, pair);
-            ctx.count_op(dp::OpKind::kAlu);  // count + 1
-            slot.spill_count.write(ctx, 0, count + 1);
-            ++slot.stats.pairs_spilled;
-            if (count + 1 >= config_.spillover_capacity) {
+            const std::uint32_t head = slot.spill_head.cell(0);
+            std::uint32_t& count = slot.spill_count.cell(0);
+            slot.spill.cell((head + count) % config_.spillover_capacity) = pair;
+            ++count;
+            ++spilled;
+            if (count >= config_.spillover_capacity) {
                 // "When this bucket is full, the entries are immediately
                 // sent to the next node" (§4) — drain it completely.
                 ++slot.stats.spill_flushes;
@@ -227,6 +238,25 @@ void DaietSwitchProgram::handle_data(dp::PacketContext& ctx, const TreeRule& rul
             }
         }
     }
+    const std::size_t combined = n - stored - spilled;
+    slot.stats.pairs_in += n;
+    slot.stats.pairs_stored += stored;
+    slot.stats.pairs_combined += combined;
+    slot.stats.pairs_spilled += spilled;
+
+    // The pass's per-pair ops, charged once. Every pair: its extraction
+    // (unrolled parser), the hash, the hash finalizer stage, the key
+    // cell read and the key comparison. A store also reads the stack
+    // depth, writes key, value, stack slot and depth, and adds 1 to the
+    // depth; a combine reads, combines and writes the value; a spill
+    // reads head and count, computes (head + count) % capacity, writes
+    // the ring cell, and adds 1 to the count.
+    ctx.count_ops(dp::OpKind::kParse, n);
+    ctx.count_ops(dp::OpKind::kHash, n);
+    ctx.count_ops(dp::OpKind::kAlu, 2 * n + stored + combined + 2 * spilled);
+    ctx.count_ops(dp::OpKind::kRegisterRead, n + stored + combined + 2 * spilled);
+    ctx.count_ops(dp::OpKind::kRegisterWrite, 4 * stored + combined + 2 * spilled);
+
     // Every pair was either absorbed into registers or re-emitted; the
     // original packet never leaves the switch.
     ctx.mark_drop();
@@ -285,19 +315,18 @@ std::size_t DaietSwitchProgram::flush_spillover(dp::PacketContext& ctx, TreeId t
     if (count == 0) return 0;
     const std::uint32_t head = slot.spill_head.read(ctx, 0);
     const std::size_t n = std::min<std::size_t>(count, config_.max_pairs_per_packet);
-    std::vector<KvPair> pairs;
-    pairs.reserve(n);
+    DataPacketBuilder packet{tree};
     for (std::size_t i = 0; i < n; ++i) {
-        ctx.count_op(dp::OpKind::kAlu);  // (head + i) % capacity
-        const auto pos =
-            static_cast<std::size_t>(head + i) % config_.spillover_capacity;
-        pairs.push_back(slot.spill.read(ctx, pos));
+        packet.add(slot.spill.cell((head + i) % config_.spillover_capacity));
     }
+    // Per pair: (head + i) % capacity and the ring cell read.
+    ctx.count_ops(dp::OpKind::kAlu, n);
+    ctx.count_ops(dp::OpKind::kRegisterRead, n);
     ctx.count_op(dp::OpKind::kAlu);
     slot.spill_head.write(ctx, 0, static_cast<std::uint32_t>(
                                       (head + n) % config_.spillover_capacity));
     slot.spill_count.write(ctx, 0, count - static_cast<std::uint32_t>(n));
-    emit_pairs(ctx, tree, rule, slot, pairs);
+    emit_pairs(ctx, rule, slot, packet);
     return n;
 }
 
@@ -306,37 +335,31 @@ std::size_t DaietSwitchProgram::drain_stack_chunk(dp::PacketContext& ctx, TreeId
     const std::uint32_t depth = slot.stack_depth.read(ctx, 0);
     if (depth == 0) return 0;
     const std::size_t n = std::min<std::size_t>(depth, config_.max_pairs_per_packet);
-    std::vector<KvPair> pairs;
-    pairs.reserve(n);
+    DataPacketBuilder packet{tree};
     for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t idx = slot.index_stack.read(ctx, depth - 1 - i);
-        KvPair p;
-        p.key = slot.keys.read(ctx, idx);
-        p.value = slot.values.read(ctx, idx);
-        pairs.push_back(p);
+        KvPair& cell = slot.cells.cell(slot.index_stack.cell(depth - 1 - i));
+        packet.add(cell);
         // Clear the cell for the next round.
-        slot.keys.write(ctx, idx, Key16{});
-        slot.values.write(ctx, idx, identity_of(rule.fn));
+        cell = KvPair{Key16{}, identity_of(rule.fn)};
     }
+    // Per pair: the stack, key and value reads, the key and value writes.
+    ctx.count_ops(dp::OpKind::kRegisterRead, 3 * n);
+    ctx.count_ops(dp::OpKind::kRegisterWrite, 2 * n);
     ctx.count_op(dp::OpKind::kAlu);
     slot.stack_depth.write(ctx, 0, depth - static_cast<std::uint32_t>(n));
-    emit_pairs(ctx, tree, rule, slot, pairs);
+    emit_pairs(ctx, rule, slot, packet);
     return n;
 }
 
-void DaietSwitchProgram::emit_pairs(dp::PacketContext& ctx, TreeId tree,
-                                    const TreeRule& rule, Slot& slot,
-                                    std::span<const KvPair> pairs) {
-    DAIET_EXPECTS(!pairs.empty());
-    slot.stats.pairs_out += pairs.size();
+void DaietSwitchProgram::emit_pairs(dp::PacketContext& ctx, const TreeRule& rule,
+                                    Slot& slot, DataPacketBuilder& packet) {
+    const std::size_t n = packet.pair_count();
+    slot.stats.pairs_out += n;
     const std::uint32_t forwarded = slot.pairs_out.read(ctx, 0);
     ctx.count_op(dp::OpKind::kAlu);
-    slot.pairs_out.write(ctx, 0,
-                         forwarded + static_cast<std::uint32_t>(pairs.size()));
-    const auto payload = serialize_data(tree, pairs);
-    auto frame = sim::build_udp_frame(/*src=*/0, rule.flush_dst, kDaietUdpPort,
-                                      kDaietUdpPort, payload);
-    dp::Packet out{std::move(frame)};
+    slot.pairs_out.write(ctx, 0, forwarded + static_cast<std::uint32_t>(n));
+    dp::Packet out{sim::build_udp_frame(/*src=*/0, rule.flush_dst, kDaietUdpPort,
+                                        kDaietUdpPort, packet.bytes())};
     out.meta().egress_port = rule.out_port;
     ctx.emit(std::move(out));
 }
@@ -350,10 +373,9 @@ void DaietSwitchProgram::emit_end(dp::PacketContext& ctx, TreeId tree,
     ctx.count_op(dp::OpKind::kAlu);  // comparison
     const bool is_dirty = upstream_dirty != 0 || seen != declared;
     const std::uint32_t forwarded = slot.pairs_out.read(ctx, 0);
-    const auto payload = serialize_end(tree, forwarded, is_dirty);
-    auto frame = sim::build_udp_frame(/*src=*/0, rule.flush_dst, kDaietUdpPort,
-                                      kDaietUdpPort, payload);
-    dp::Packet out{std::move(frame)};
+    dp::Packet out{sim::build_udp_frame(/*src=*/0, rule.flush_dst, kDaietUdpPort,
+                                        kDaietUdpPort,
+                                        serialize_end(tree, forwarded, is_dirty))};
     out.meta().egress_port = rule.out_port;
     ctx.emit(std::move(out));
 }

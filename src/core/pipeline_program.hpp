@@ -12,6 +12,12 @@
 //              non-DAIET traffic and partial deployments fall through to it)
 //   registers: per tree slot: keys[R], values[R], index_stack[R],
 //              stack_depth[1], spill[S], spill_count[1], children[1]
+//              (the host keeps keys[R] and values[R] as one array of pair
+//              cells, so a pair touches one cache line; SRAM is charged
+//              for both arrays as before)
+//   ops:       each pass adds up its per-pair charges and charges them
+//              once per packet (PacketContext::count_ops); the totals per
+//              op kind are those of one charge per access
 //   flush:     END-triggered drain emits one packet per pipeline pass,
 //              recirculating until the registers are empty (no loops in
 //              the data plane, §2).
@@ -35,6 +41,14 @@
 #include "netsim/switch_node.hpp"
 
 namespace daiet {
+
+/// DAIET payloads this switch dropped without touching any tree: the
+/// parser rejects them, so none of their pairs reach a register and the
+/// round they belong to reads dirty at its END (declared-pairs check).
+struct DaietDropStats {
+    std::uint64_t malformed{0};  ///< parse_packet rejected the payload
+    std::uint64_t oversized{0};  ///< DATA with more than max_pairs_per_packet pairs
+};
 
 /// Per-tree flow rule pushed by the controller (paper §4: tree id,
 /// output port, aggregation function, number of children).
@@ -77,6 +91,7 @@ public:
 
     // --- observability ------------------------------------------------------
     const AgentTreeStats& tree_stats(TreeId tree) const;
+    const DaietDropStats& drop_stats() const noexcept { return drops_; }
     std::size_t held_pairs(TreeId tree) const;
     /// Control-plane scan: key cells of the tree's slot that hold a key.
     std::size_t occupied_cells(TreeId tree) const;
@@ -84,8 +99,8 @@ public:
 
 private:
     struct Slot {
-        dp::RegisterArray<Key16> keys;
-        dp::RegisterArray<WireValue> values;
+        /// keys[R] and values[R]: one pair cell per register index.
+        dp::RegisterArray<KvPair> cells;
         dp::RegisterArray<std::uint32_t> index_stack;
         dp::RegisterArray<std::uint32_t> stack_depth;   // [1]
         dp::RegisterArray<KvPair> spill;                ///< ring buffer (§4: "a queue of pairs")
@@ -117,14 +132,14 @@ private:
     /// The slot of an installed tree; throws std::runtime_error otherwise.
     const Slot& slot_of(TreeId tree) const;
 
-    void handle_data(dp::PacketContext& ctx, const TreeRule& rule, Slot& slot,
-                     const DataPacket& data);
+    void handle_data(dp::PacketContext& ctx, TreeId tree, const TreeRule& rule,
+                     Slot& slot, PairSpan pairs);
     void handle_end(dp::PacketContext& ctx, TreeId tree, const TreeRule& rule,
                     Slot& slot, const EndPacket& end);
 
-    /// Emit one DAIET DATA frame carrying `pairs` out of the tree port.
-    void emit_pairs(dp::PacketContext& ctx, TreeId tree, const TreeRule& rule,
-                    Slot& slot, std::span<const KvPair> pairs);
+    /// Emit `packet` as one DAIET DATA frame out of the tree port.
+    void emit_pairs(dp::PacketContext& ctx, const TreeRule& rule, Slot& slot,
+                    DataPacketBuilder& packet);
     void emit_end(dp::PacketContext& ctx, TreeId tree, const TreeRule& rule,
                   Slot& slot);
 
@@ -142,6 +157,7 @@ private:
     /// Placed slots in assignment order; slots are never freed, so
     /// slots_.size() is the next free slot index.
     std::vector<std::unique_ptr<Slot>> slots_;
+    DaietDropStats drops_;
 };
 
 /// Load `chip` with a one-tenant SwitchProgramMux running DAIET over a

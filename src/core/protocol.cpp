@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 
 #include "common/contracts.hpp"
 
@@ -24,37 +25,61 @@ void insertion_sort(std::span<KvPair> pairs) noexcept {
     }
 }
 
-/// Sort `pairs`, whose keys agree on bytes [0, depth), through
-/// `scratch` (same size). Scatter and insertion sort are both stable.
-void radix_sort(std::span<KvPair> pairs, std::span<KvPair> scratch, std::size_t depth) {
+/// Sort the pairs in `from`, whose keys agree on bytes [0, depth), so
+/// that they end up in the caller's array. `to` is the same-sized
+/// region of the other buffer; `from_is_home` says whether `from` is
+/// the caller's array. Each scatter pass moves the pairs into the other
+/// buffer and the buckets recurse from there, so a pair is copied back
+/// only where its bucket finishes in scratch. Scatter and insertion
+/// sort are both stable.
+void radix_sort(std::span<KvPair> from, std::span<KvPair> to, std::size_t depth,
+                bool from_is_home) {
     for (; depth < Key16::width; ++depth) {
-        if (pairs.size() <= kKeySortCutoff) {
-            insertion_sort(pairs);
+        if (from.size() <= kKeySortCutoff) {
+            if (!from_is_home) {
+                std::ranges::copy(from, to.begin());
+                from = to;
+            }
+            insertion_sort(from);
             return;
         }
         std::array<std::size_t, 256> count{};
-        for (const KvPair& p : pairs) ++count[key_byte(p, depth)];
+        for (const KvPair& p : from) ++count[key_byte(p, depth)];
         // One bucket holds everything (a shared prefix byte): nothing
         // moves, go straight to the next byte.
-        if (count[key_byte(pairs.front(), depth)] == pairs.size()) continue;
+        if (count[key_byte(from.front(), depth)] == from.size()) continue;
 
         std::array<std::size_t, 256> next{};
         for (std::size_t b = 1; b < next.size(); ++b) next[b] = next[b - 1] + count[b - 1];
-        for (const KvPair& p : pairs) scratch[next[key_byte(p, depth)]++] = p;
-        std::ranges::copy(scratch, pairs.begin());
+        for (const KvPair& p : from) to[next[key_byte(p, depth)]++] = p;
 
         // Recurse into every bucket, 0x00 included: keys are arbitrary
         // byte cells, so a zero byte does not end a key.
         std::size_t start = 0;
         for (const std::size_t n : count) {
             if (n > 1) {
-                radix_sort(pairs.subspan(start, n), scratch.subspan(start, n), depth + 1);
+                radix_sort(to.subspan(start, n), from.subspan(start, n), depth + 1,
+                           !from_is_home);
+            } else if (n == 1 && from_is_home) {
+                from[start] = to[start];
             }
             start += n;
         }
         return;
     }
-    // depth == width: every key in `pairs` is equal, already in input order.
+    // depth == width: every key in `from` is equal, already in input order.
+    if (!from_is_home) std::ranges::copy(from, to.begin());
+}
+
+/// Write the 6-byte preamble at `out`.
+void encode_preamble(std::byte* out, PacketType type, TreeId tree_id,
+                     std::uint8_t n) noexcept {
+    out[0] = static_cast<std::byte>(kDaietMagic >> 8);
+    out[1] = static_cast<std::byte>(kDaietMagic & 0xff);
+    out[2] = static_cast<std::byte>(type);
+    out[3] = static_cast<std::byte>(tree_id >> 8);
+    out[4] = static_cast<std::byte>(tree_id & 0xff);
+    out[5] = static_cast<std::byte>(n);
 }
 
 }  // namespace
@@ -62,67 +87,68 @@ void radix_sort(std::span<KvPair> pairs, std::span<KvPair> scratch, std::size_t 
 void sort_by_key(std::span<KvPair> pairs) {
     // Inputs no radix pass touches need no scratch buffer.
     std::vector<KvPair> scratch(pairs.size() > kKeySortCutoff ? pairs.size() : 0);
-    radix_sort(pairs, scratch, 0);
+    radix_sort(pairs, scratch, 0, /*from_is_home=*/true);
+}
+
+DataPacketBuilder::DataPacketBuilder(TreeId tree_id) noexcept {
+    encode_preamble(wire_.data(), PacketType::kData, tree_id, 0);
+}
+
+void DataPacketBuilder::add_records(std::span<const std::byte> records) {
+    const std::size_t n = PairSpan{records}.size();
+    DAIET_EXPECTS(n <= kMaxWirePairs - n_);
+    if (n == 0) return;
+    std::memcpy(wire_.data() + data_packet_size(n_), records.data(), records.size());
+    n_ += n;
+}
+
+std::span<const std::byte> DataPacketBuilder::bytes() noexcept {
+    DAIET_EXPECTS(n_ > 0);
+    wire_[5] = static_cast<std::byte>(n_);
+    return std::span{wire_}.first(data_packet_size(n_));
 }
 
 std::vector<std::byte> serialize_data(TreeId tree_id, std::span<const KvPair> pairs) {
-    DAIET_EXPECTS(!pairs.empty());
-    DAIET_EXPECTS(pairs.size() <= 255);
-    ByteWriter w;
-    w.put_u16(kDaietMagic);
-    w.put_u8(static_cast<std::uint8_t>(PacketType::kData));
-    w.put_u16(tree_id);
-    w.put_u8(static_cast<std::uint8_t>(pairs.size()));
-    for (const KvPair& p : pairs) {
-        w.put_bytes(p.key.bytes());
-        w.put_u32(p.value);
-    }
-    return w.take();
+    DataPacketBuilder packet{tree_id};
+    for (const KvPair& p : pairs) packet.add(p);
+    const auto bytes = packet.bytes();
+    return {bytes.begin(), bytes.end()};
 }
 
-std::vector<std::byte> serialize_end(TreeId tree_id, std::uint32_t declared_pairs,
-                                     bool dirty) {
-    ByteWriter w;
-    w.put_u16(kDaietMagic);
-    w.put_u8(static_cast<std::uint8_t>(PacketType::kEnd));
-    w.put_u16(tree_id);
-    w.put_u8(0);
-    w.put_u32(declared_pairs);
-    w.put_u8(dirty ? 1 : 0);
-    return w.take();
+EndWire serialize_end(TreeId tree_id, std::uint32_t declared_pairs, bool dirty) {
+    EndWire out;
+    encode_preamble(out.data(), PacketType::kEnd, tree_id, 0);
+    for (std::size_t i = 0; i < sizeof declared_pairs; ++i) {
+        out[kPreambleSize + i] = static_cast<std::byte>(declared_pairs >> (24 - 8 * i));
+    }
+    out[kPreambleSize + 4] = static_cast<std::byte>(dirty ? 1 : 0);
+    return out;
 }
 
 DaietPacket parse_packet(std::span<const std::byte> payload) {
-    ByteReader r{payload};
-    const std::uint16_t magic = r.get_u16();
-    if (magic != kDaietMagic) {
-        throw BufferError{"not a DAIET packet (bad magic)"};
+    if (!looks_like_daiet(payload)) {
+        throw BufferError{"not a DAIET packet (short or bad magic)"};
     }
-    const auto type = static_cast<PacketType>(r.get_u8());
-    const TreeId tree_id = r.get_u16();
-    const std::uint8_t n = r.get_u8();
-
+    const auto type = static_cast<PacketType>(payload[2]);
+    const auto tree_id = static_cast<TreeId>(static_cast<std::uint16_t>(payload[3]) << 8 |
+                                             static_cast<std::uint16_t>(payload[4]));
+    const auto n = static_cast<std::size_t>(payload[5]);
     switch (type) {
         case PacketType::kEnd: {
+            if (payload.size() != kEndPacketSize) throw BufferError{"END packet size"};
+            ByteReader r{payload.subspan(kPreambleSize)};
             EndPacket end;
             end.tree_id = tree_id;
             end.declared_pairs = r.get_u32();
             end.dirty = r.get_u8() != 0;
             return end;
         }
-        case PacketType::kData: {
+        case PacketType::kData:
             if (n == 0) throw BufferError{"DATA packet with zero entries"};
-            DataPacket pkt;
-            pkt.tree_id = tree_id;
-            pkt.pairs.reserve(n);
-            for (std::uint8_t i = 0; i < n; ++i) {
-                KvPair p;
-                p.key = Key16{r.get_bytes(Key16::width)};
-                p.value = r.get_u32();
-                pkt.pairs.push_back(p);
+            if (payload.size() != data_packet_size(n)) {
+                throw BufferError{"DATA packet size does not match its entry count"};
             }
-            return pkt;
-        }
+            return DataPacket{tree_id, PairSpan{payload.subspan(kPreambleSize)}};
     }
     throw BufferError{"unknown DAIET packet type"};
 }

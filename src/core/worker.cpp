@@ -27,32 +27,28 @@ void MapperSender::send_serialized(std::span<const std::byte> records) {
     DAIET_EXPECTS(!finished_);
     DAIET_EXPECTS(buffer_.empty());
     DAIET_EXPECTS(records.size() % kPairWireSize == 0);
-    const std::size_t total = records.size() / kPairWireSize;
-    std::size_t sent = 0;
-    while (sent < total) {
-        const std::size_t n = std::min(config_.max_pairs_per_packet, total - sent);
-        ByteWriter w;
-        w.put_u16(kDaietMagic);
-        w.put_u8(static_cast<std::uint8_t>(PacketType::kData));
-        w.put_u16(tree_);
-        w.put_u8(static_cast<std::uint8_t>(n));
-        w.put_bytes(records.subspan(sent * kPairWireSize, n * kPairWireSize));
-        host_->udp_send(reducer_, kMapperUdpPort, kDaietUdpPort, w.bytes());
-        ++stats_.data_packets_sent;
-        stats_.pairs_sent += n;
-        stats_.payload_bytes_sent += w.size();
-        sent += n;
+    const std::size_t chunk = config_.max_pairs_per_packet * kPairWireSize;
+    for (std::size_t off = 0; off < records.size(); off += chunk) {
+        DataPacketBuilder packet{tree_};
+        packet.add_records(records.subspan(off, std::min(chunk, records.size() - off)));
+        transmit(packet);
     }
 }
 
 void MapperSender::flush_buffer() {
     if (buffer_.empty()) return;
-    const auto payload = serialize_data(tree_, buffer_);
+    DataPacketBuilder packet{tree_};
+    for (const KvPair& p : buffer_) packet.add(p);
+    transmit(packet);
+    buffer_.clear();
+}
+
+void MapperSender::transmit(DataPacketBuilder& packet) {
+    const auto payload = packet.bytes();
     host_->udp_send(reducer_, kMapperUdpPort, kDaietUdpPort, payload);
     ++stats_.data_packets_sent;
-    stats_.pairs_sent += buffer_.size();
+    stats_.pairs_sent += packet.pair_count();
     stats_.payload_bytes_sent += payload.size();
-    buffer_.clear();
 }
 
 void MapperSender::finish() {
@@ -83,14 +79,21 @@ ReducerReceiver::~ReducerReceiver() { host_->udp_unbind(kDaietUdpPort); }
 void ReducerReceiver::on_datagram(sim::HostAddr /*src*/, std::uint16_t /*src_port*/,
                                   std::span<const std::byte> payload) {
     if (!looks_like_daiet(payload)) return;
-    const DaietPacket packet = parse_packet(payload);
+    DaietPacket packet;
+    try {
+        packet = parse_packet(payload);
+    } catch (const BufferError&) {
+        // Its pairs, if any, are lost: the round reads dirty at its END.
+        ++stats_.malformed_packets;
+        return;
+    }
     stats_.payload_bytes_received += payload.size();
 
     if (const auto* data = std::get_if<DataPacket>(&packet)) {
         if (data->tree_id != tree_) return;
         ++stats_.data_packets_received;
         stats_.pairs_received += data->pairs.size();
-        for (const KvPair& p : data->pairs) {
+        for (const KvPair p : data->pairs) {
             const auto [it, inserted] = table_.try_emplace(p.key, first_value(fn_, p.value));
             if (!inserted) it->second = combine(fn_, it->second, p.value);
         }

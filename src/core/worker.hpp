@@ -53,6 +53,8 @@ public:
 
 private:
     void flush_buffer();
+    /// Send one built DATA packet and count it.
+    void transmit(DataPacketBuilder& packet);
 
     sim::Host* host_;
     Config config_;
@@ -68,6 +70,9 @@ struct ReceiverStats {
     std::uint64_t data_packets_received{0};
     std::uint64_t end_packets_received{0};
     std::uint64_t payload_bytes_received{0};
+    /// DAIET payloads parse_packet rejected, ignored (any pairs they
+    /// carried are missing from the declared-pairs check).
+    std::uint64_t malformed_packets{0};
 };
 
 class ReducerReceiver {

@@ -85,10 +85,16 @@ public:
 
     /// Record one primitive operation; throws PipelineError when the
     /// per-pass budget is exhausted (budget 0 = unlimited).
-    void count_op(OpKind kind) {
-        ++pass_ops_.by_kind[static_cast<std::size_t>(kind)];
-        ++total_ops_.by_kind[static_cast<std::size_t>(kind)];
-        ++pass_total_;
+    void count_op(OpKind kind) { count_ops(kind, 1); }
+
+    /// Record `n` operations of one kind at once: a program that knows a
+    /// packet's per-pair charges adds them up and charges them per
+    /// packet. Same totals and the same budget check as `n` count_op
+    /// calls.
+    void count_ops(OpKind kind, std::uint64_t n) {
+        pass_ops_.by_kind[static_cast<std::size_t>(kind)] += n;
+        total_ops_.by_kind[static_cast<std::size_t>(kind)] += n;
+        pass_total_ += n;
         if (budget_ != 0 && pass_total_ > budget_) {
             throw PipelineError{"per-pass operation budget (" +
                                 std::to_string(budget_) + ") exceeded"};

@@ -68,6 +68,15 @@ public:
         cells_[idx] = value;
     }
 
+    /// Data-plane access whose reads and writes the program charges
+    /// itself, per packet, through PacketContext::count_ops: the per-pair
+    /// loops of a pass add up their charges instead of paying one call
+    /// per access.
+    T& cell(std::size_t idx) {
+        DAIET_EXPECTS(idx < cells_.size());
+        return cells_[idx];
+    }
+
     /// Control-plane access (no packet in flight, not op-charged):
     /// the controller may reset or inspect registers out of band.
     const T& peek(std::size_t idx) const {

@@ -1,5 +1,6 @@
 // RawCollector: reducer-side ingestion that stores DATA payloads
-// verbatim (no parsing at receive time).
+// verbatim (no pair decoding at receive time), back to back in 64 KiB
+// blocks: one copy per payload and one allocation per block.
 //
 // The reduce phase — deserialize + aggregate + sort — is measured as a
 // separate, timed step over these raw bytes, so the "Reduce time" box of
@@ -20,6 +21,10 @@ namespace daiet::mr {
 
 class RawCollector {
 public:
+    /// Capacity of one payload block. A block holds whole payloads only.
+    static constexpr std::size_t kBlockBytes = 64 * 1024;
+    static_assert(data_packet_size(kMaxWirePairs) <= kBlockBytes);
+
     RawCollector(sim::Host& host, TreeId tree, std::uint32_t expected_ends)
         : host_{&host}, tree_{tree}, expected_ends_{expected_ends} {
         host_->udp_bind(kDaietUdpPort,
@@ -33,15 +38,17 @@ public:
     RawCollector(const RawCollector&) = delete;
     RawCollector& operator=(const RawCollector&) = delete;
 
-    /// Raw DATA packet payloads (preamble + pairs), in arrival order.
-    const std::vector<std::vector<std::byte>>& payloads() const noexcept {
-        return payloads_;
-    }
+    /// Raw DATA packet payloads (preamble + pairs) in arrival order,
+    /// concatenated into blocks of at most kBlockBytes; no payload
+    /// straddles two blocks (reduce_daiet_payloads walks them).
+    const std::vector<std::vector<std::byte>>& blocks() const noexcept { return blocks_; }
 
-    std::uint64_t data_packets() const noexcept { return payloads_.size(); }
+    std::uint64_t data_packets() const noexcept { return data_packets_; }
     std::uint64_t pair_count() const noexcept { return pairs_; }
     std::uint64_t ends() const noexcept { return ends_; }
     std::uint64_t payload_bytes() const noexcept { return payload_bytes_; }
+    /// DAIET payloads parse_packet rejected, ignored.
+    std::uint64_t malformed() const noexcept { return malformed_; }
     bool complete() const noexcept { return ends_ >= expected_ends_; }
 
     /// Loss detection: all declared pairs arrived, nothing flagged dirty.
@@ -49,33 +56,45 @@ public:
 
 private:
     void on_datagram(std::span<const std::byte> payload) {
-        if (!looks_like_daiet(payload) || payload.size() < kPreambleSize) return;
-        // Only the preamble is peeked at receive time (type + tree id).
-        const auto type = static_cast<PacketType>(static_cast<std::uint8_t>(payload[2]));
-        const TreeId tree = static_cast<TreeId>(
-            static_cast<std::uint16_t>(payload[3]) << 8 |
-            static_cast<std::uint16_t>(payload[4]));
-        if (tree != tree_) return;
-        payload_bytes_ += payload.size();
-        if (type == PacketType::kEnd) {
-            const auto end = std::get<EndPacket>(parse_packet(payload));
-            declared_total_ += end.declared_pairs;
-            dirty_ = dirty_ || end.dirty;
+        if (!looks_like_daiet(payload)) return;
+        // A checked view of the payload: its pairs are not decoded here.
+        DaietPacket packet;
+        try {
+            packet = parse_packet(payload);
+        } catch (const BufferError&) {
+            // Its pairs, if any, are lost: the round reads dirty at its END.
+            ++malformed_;
+            return;
+        }
+        if (const auto* end = std::get_if<EndPacket>(&packet)) {
+            if (end->tree_id != tree_) return;
+            payload_bytes_ += payload.size();
+            declared_total_ += end->declared_pairs;
+            dirty_ = dirty_ || end->dirty;
             ++ends_;
             return;
         }
-        pairs_ += static_cast<std::uint8_t>(payload[5]);
-        payloads_.emplace_back(payload.begin(), payload.end());
+        const auto& data = std::get<DataPacket>(packet);
+        if (data.tree_id != tree_) return;
+        payload_bytes_ += payload.size();
+        pairs_ += data.pairs.size();
+        ++data_packets_;
+        if (blocks_.empty() || blocks_.back().size() + payload.size() > kBlockBytes) {
+            blocks_.emplace_back().reserve(kBlockBytes);
+        }
+        blocks_.back().insert(blocks_.back().end(), payload.begin(), payload.end());
     }
 
     sim::Host* host_;
     TreeId tree_;
     std::uint32_t expected_ends_;
-    std::vector<std::vector<std::byte>> payloads_;
+    std::vector<std::vector<std::byte>> blocks_;
+    std::uint64_t data_packets_{0};
     std::uint64_t pairs_{0};
     std::uint64_t ends_{0};
     std::uint64_t payload_bytes_{0};
     std::uint64_t declared_total_{0};
+    std::uint64_t malformed_{0};
     bool dirty_{false};
 };
 

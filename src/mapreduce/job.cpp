@@ -161,11 +161,11 @@ void run_udp_shuffle(JobResult& result, std::vector<KvPair>& merged, Cluster& c,
     result.phases.shuffle_s = seconds_since(shuffle_start);
 
     for (std::size_t i = 0; i < r; ++i) {
-        const auto& payloads = collectors[i]->payloads();
+        const auto& blocks = collectors[i]->blocks();
         std::vector<KvPair> output;
         const auto reduce_start = Clock::now();
         const double secs = time_seconds(
-            [&] { output = reduce_daiet_payloads(payloads, AggFnId::kSumI32); });
+            [&] { output = reduce_daiet_payloads(blocks, AggFnId::kSumI32); });
         result.phases.reduce_s += seconds_since(reduce_start);
         finalize_reducer(result, c, i, maps, output, merged, collectors[i]->pair_count(),
                          collectors[i]->payload_bytes(), secs);

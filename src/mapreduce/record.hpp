@@ -10,10 +10,10 @@
 // IntermediateFile models that on-disk map output: a flat byte buffer
 // of 20-byte records (16 B zero-padded key + 4 B value). The shuffle
 // layer slices complete records straight out of the buffer without
-// deserializing — exactly the paper's packetization path.
+// deserializing — exactly the paper's packetization path. Records use
+// the wire's pair codec (encode_pair/decode_pair, core/protocol.hpp).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -24,32 +24,10 @@
 
 namespace daiet::mr {
 
-/// Encode one pair as a 20-byte record at `out`: the 16 B key, then the
-/// value big-endian, matching the wire format.
-inline void encode_pair(const KvPair& pair, std::byte* out) noexcept {
-    std::copy(pair.key.bytes().begin(), pair.key.bytes().end(), out);
-    for (std::size_t i = 0; i < sizeof(WireValue); ++i) {
-        out[Key16::width + i] = static_cast<std::byte>(pair.value >> (24 - 8 * i));
-    }
-}
-
-/// Decode one 20-byte record (the inverse of encode_pair).
-inline KvPair decode_pair(std::span<const std::byte, kPairWireSize> raw) noexcept {
-    KvPair p;
-    p.key = Key16{raw.first<Key16::width>()};
-    for (std::size_t i = 0; i < sizeof(WireValue); ++i) {
-        p.value = p.value << 8 | static_cast<WireValue>(raw[Key16::width + i]);
-    }
-    return p;
-}
-
 /// Decode a whole number of 20-byte records onto the end of `out`.
 /// Callers that know the total pair count reserve `out` once up front.
 inline void decode_pairs(std::span<const std::byte> records, std::vector<KvPair>& out) {
-    DAIET_EXPECTS(records.size() % kPairWireSize == 0);
-    for (std::size_t off = 0; off < records.size(); off += kPairWireSize) {
-        out.push_back(decode_pair(records.subspan(off).first<kPairWireSize>()));
-    }
+    for (const KvPair p : PairSpan{records}) out.push_back(p);
 }
 
 class IntermediateFile {
@@ -85,7 +63,7 @@ public:
 
     /// Deserialize record `i` (used by tests).
     KvPair record(std::size_t i) const {
-        return decode_pair(slice(i, 1).first<kRecordSize>());
+        return PairSpan{slice(i, 1)}[0];
     }
 
     std::vector<KvPair> all_records() const {

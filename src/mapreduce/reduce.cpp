@@ -95,19 +95,24 @@ std::vector<KvPair> sort_scan_combine(std::vector<KvPair> all, AggFnId fn) {
 
 std::vector<KvPair> reduce_daiet_payloads(
     const std::vector<std::vector<std::byte>>& payloads, AggFnId fn) {
+    // Each vector holds one or more whole DATA payloads back to back.
     // Fixed-size pairs make offsets pure arithmetic (the same Section-4
-    // property the packetizer relies on): count them, then decode once.
-    std::size_t total = 0;
-    for (const auto& payload : payloads) {
-        DAIET_EXPECTS(payload.size() >= kPreambleSize);
-        const auto n = static_cast<std::size_t>(static_cast<std::uint8_t>(payload[5]));
-        DAIET_EXPECTS(payload.size() == data_packet_size(n));
-        total += n;
-    }
+    // property the packetizer relies on), so one walk over the
+    // preambles finds every payload. The reservation bounds the pair
+    // count by the byte count; its untouched tail costs no memory.
+    std::size_t bytes = 0;
+    for (const auto& block : payloads) bytes += block.size();
     std::vector<KvPair> all;
-    all.reserve(total);
-    for (const auto& payload : payloads) {
-        decode_pairs(std::span{payload}.subspan(kPreambleSize), all);
+    all.reserve(bytes / kPairWireSize);
+    for (const auto& block : payloads) {
+        for (std::span<const std::byte> rest{block}; !rest.empty();) {
+            DAIET_EXPECTS(rest.size() >= kPreambleSize);
+            const std::size_t size = data_packet_size(static_cast<std::uint8_t>(rest[5]));
+            DAIET_EXPECTS(size <= rest.size());
+            const PairSpan pairs = std::get<DataPacket>(parse_packet(rest.first(size))).pairs;
+            for (const KvPair p : pairs) all.push_back(p);
+            rest = rest.subspan(size);
+        }
     }
     return sort_scan_combine(std::move(all), fn);
 }

@@ -39,7 +39,9 @@ std::vector<KvPair> merge_sorted_runs(const std::vector<std::vector<KvPair>>& ru
 std::vector<KvPair> sort_scan_combine(std::vector<KvPair> all, AggFnId fn);
 
 /// The complete DAIET-side reduce: deserialize raw DAIET DATA payloads,
-/// then sort-scan-combine. This is the function Figure 3 times.
+/// then sort-scan-combine. This is the function Figure 3 times. Each
+/// vector holds one or more whole payloads back to back (RawCollector's
+/// blocks).
 std::vector<KvPair> reduce_daiet_payloads(
     const std::vector<std::vector<std::byte>>& payloads, AggFnId fn);
 

@@ -42,6 +42,15 @@ void TcpConnection::send(std::span<const std::byte> data) {
     DAIET_EXPECTS(state_ == State::kSynSent || state_ == State::kSynReceived ||
                   state_ == State::kEstablished);
     DAIET_EXPECTS(!fin_pending_ && !fin_sent_);
+    if (state_ == State::kEstablished && send_buffer_.empty()) {
+        // Nothing queued ahead of these bytes: segment them straight
+        // from the caller's span.
+        transmit(data);
+        return;
+    }
+    // Before establishment, or behind bytes queued before it (a send
+    // from the passive side's on_established): queue, so the segments
+    // are the ones one queue of all these bytes gives.
     send_buffer_.insert(send_buffer_.end(), data.begin(), data.end());
     if (state_ == State::kEstablished) pump_send_queue();
 }
@@ -53,20 +62,25 @@ void TcpConnection::close() {
 }
 
 void TcpConnection::pump_send_queue() {
-    // No congestion window: every queued byte goes out now, MSS at a time.
-    for (std::size_t off = 0; off < send_buffer_.size();) {
-        const std::size_t len =
-            std::min<std::size_t>(send_buffer_.size() - off, params_.mss);
-        const std::span<const std::byte> seg{send_buffer_.data() + off, len};
+    // Empty the queue first: a FIN waits for it to be empty.
+    const std::vector<std::byte> queued = std::move(send_buffer_);
+    send_buffer_.clear();
+    transmit(queued);
+}
+
+void TcpConnection::transmit(std::span<const std::byte> data) {
+    // No congestion window: every byte goes out now, MSS at a time.
+    for (std::size_t off = 0; off < data.size();) {
+        const std::size_t len = std::min<std::size_t>(data.size() - off, params_.mss);
+        const std::span<const std::byte> seg = data.subspan(off, len);
         off += len;
         std::uint8_t flags = TcpHeader::kFlagAck;
-        if (off == send_buffer_.size()) flags |= TcpHeader::kFlagPsh;
+        if (off == data.size()) flags |= TcpHeader::kFlagPsh;
         unacked_.insert(unacked_.end(), seg.begin(), seg.end());
         send_segment(flags, seg);
         snd_nxt_ += static_cast<std::uint32_t>(len);
         stats_.payload_bytes_sent += len;
     }
-    send_buffer_.clear();
     maybe_send_fin();
     if (snd_una_ != snd_nxt_) arm_timer();
 }

@@ -84,7 +84,11 @@ private:
     void start_accept(std::uint32_t peer_isn);  ///< passive open (server side)
     void on_segment(const TcpHeader& tcp, std::span<const std::byte> payload);
 
+    /// Transmit what send() queued before establishment.
     void pump_send_queue();
+    /// Segment `data` at MSS and send it (PSH on the last segment), then
+    /// send a pending FIN and re-arm the retransmit timer.
+    void transmit(std::span<const std::byte> data);
     void send_segment(std::uint8_t flags, std::span<const std::byte> payload,
                       bool retransmission = false);
     void send_ack();
@@ -107,7 +111,8 @@ private:
     // Send side.
     std::uint32_t snd_nxt_{0};  ///< next seq to send
     std::uint32_t snd_una_{0};  ///< oldest unacknowledged seq
-    std::vector<std::byte> send_buffer_;  ///< bytes not yet transmitted
+    /// Bytes sent before establishment, not yet transmitted.
+    std::vector<std::byte> send_buffer_;
     /// Transmitted bytes; those past unacked_head_ are not yet ACKed.
     /// The acknowledged prefix is compacted away once it is half the
     /// vector, so an ACK costs no memmove of the whole window.

@@ -8,12 +8,16 @@
 #include <map>
 
 #include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "core/aggregation.hpp"
+#include "core/worker.hpp"
+#include "mapreduce/collector.hpp"
 #include "mapreduce/corpus.hpp"
 #include "mapreduce/job.hpp"
 #include "mapreduce/record.hpp"
 #include "mapreduce/reduce.hpp"
 #include "mapreduce/wordcount.hpp"
+#include "netsim/network.hpp"
 
 namespace daiet::mr {
 namespace {
@@ -272,6 +276,133 @@ TEST(Reduce, DaietPayloadVariantAgrees) {
     }
     EXPECT_EQ(reduce_daiet_payloads(payloads, AggFnId::kSumI32),
               sort_scan_combine(all, AggFnId::kSumI32));
+}
+
+/// `count` DATA payloads of 1-10 pairs each over a 40-key vocabulary.
+std::vector<std::vector<std::byte>> random_payloads(Rng& rng, int count) {
+    std::vector<std::vector<std::byte>> payloads;
+    for (int n = 0; n < count; ++n) {
+        std::vector<KvPair> packet;
+        const auto pairs = 1 + rng.next_below(10);
+        for (std::uint64_t i = 0; i < pairs; ++i) {
+            packet.push_back(KvPair{Key16{"k" + std::to_string(rng.next_below(40))},
+                                    wire_from_i32(static_cast<std::int32_t>(i + 1))});
+        }
+        payloads.push_back(serialize_data(5, packet));
+    }
+    return payloads;
+}
+
+TEST(Reduce, DaietPayloadBlocksMatchOnePayloadPerVector) {
+    Rng rng{31};
+    const auto payloads = random_payloads(rng, 300);
+    // The same payloads concatenated back to back, 1-20 to a block.
+    std::vector<std::vector<std::byte>> blocks;
+    for (std::size_t i = 0; i < payloads.size();) {
+        auto& block = blocks.emplace_back();
+        for (auto k = 1 + rng.next_below(20); k > 0 && i < payloads.size(); --k, ++i) {
+            block.insert(block.end(), payloads[i].begin(), payloads[i].end());
+        }
+    }
+    ASSERT_LT(blocks.size(), payloads.size());
+    const auto expected = reduce_daiet_payloads(payloads, AggFnId::kSumI32);
+    EXPECT_FALSE(expected.empty());
+    EXPECT_EQ(reduce_daiet_payloads(blocks, AggFnId::kSumI32), expected);
+}
+
+/// Two hosts on a plain L2 star: h0 sends, h1 collects.
+struct CollectorStar {
+    sim::Network net;
+    sim::StarTopology topo = sim::make_star(net, 2, sim::l2_switches(net));
+
+    CollectorStar() { net.install_routes(); }
+    void send(std::span<const std::byte> payload) {
+        topo.hosts[0]->udp_send(topo.hosts[1]->addr(), kMapperUdpPort, kDaietUdpPort,
+                                payload);
+    }
+};
+
+TEST(RawCollector, BlocksHoldWholePayloadsOnly) {
+    CollectorStar star;
+    RawCollector rx{*star.topo.hosts[1], 5, 1};
+    Rng rng{32};
+    const auto payloads = random_payloads(rng, 2000);
+    std::vector<std::byte> sent;
+    std::uint32_t pairs = 0;
+    for (const auto& payload : payloads) {
+        star.send(payload);
+        sent.insert(sent.end(), payload.begin(), payload.end());
+        pairs += static_cast<std::uint8_t>(payload[5]);
+    }
+    star.send(serialize_end(5, pairs));
+    star.net.run();
+    ASSERT_TRUE(rx.complete());
+    EXPECT_TRUE(rx.clean());
+    EXPECT_EQ(rx.data_packets(), payloads.size());
+
+    // Several blocks, each a whole number of payloads within the cap,
+    // together the payloads in arrival order.
+    ASSERT_GT(rx.blocks().size(), 2U);
+    std::vector<std::byte> received;
+    for (const auto& block : rx.blocks()) {
+        EXPECT_LE(block.size(), RawCollector::kBlockBytes);
+        std::size_t off = 0;
+        while (off + kPreambleSize <= block.size()) {
+            off += data_packet_size(static_cast<std::uint8_t>(block[off + 5]));
+        }
+        EXPECT_EQ(off, block.size());
+        received.insert(received.end(), block.begin(), block.end());
+    }
+    EXPECT_EQ(received, sent);
+    EXPECT_EQ(reduce_daiet_payloads(rx.blocks(), AggFnId::kSumI32),
+              reduce_daiet_payloads(payloads, AggFnId::kSumI32));
+}
+
+TEST(RawCollector, IgnoresAndCountsMalformedPayloads) {
+    const auto data = serialize_data(5, std::vector{KvPair{Key16{"x"}, 1}});
+    const auto end = serialize_end(5, 1);
+    std::vector<std::pair<const char*, std::vector<std::byte>>> bad;
+    bad.emplace_back("truncated DATA", std::vector<std::byte>{data.begin(), data.end() - 1});
+    bad.emplace_back("n = 0", std::vector<std::byte>{data.begin(), data.begin() + kPreambleSize});
+    bad.back().second[5] = std::byte{0};
+    bad.emplace_back("unknown type", data);
+    bad.back().second[2] = std::byte{3};
+    bad.emplace_back("truncated END", std::vector<std::byte>{end.begin(), end.end() - 2});
+    for (const auto& [name, payload] : bad) {
+        SCOPED_TRACE(name);
+        CollectorStar star;
+        RawCollector rx{*star.topo.hosts[1], 5, 1};
+        star.send(payload);
+        star.net.run();
+        EXPECT_EQ(rx.malformed(), 1U);
+        EXPECT_EQ(rx.data_packets(), 0U);
+        EXPECT_EQ(rx.ends(), 0U);
+
+        // The next round collects exactly and reads clean.
+        Config cfg;
+        MapperSender tx{*star.topo.hosts[0], cfg, 5, star.topo.hosts[1]->addr()};
+        tx.send_all(std::vector{KvPair{Key16{"a"}, wire_from_i32(1)},
+                                KvPair{Key16{"a"}, wire_from_i32(2)}});
+        tx.finish();
+        star.net.run();
+        EXPECT_TRUE(rx.complete());
+        EXPECT_TRUE(rx.clean());
+        EXPECT_EQ(reduce_daiet_payloads(rx.blocks(), AggFnId::kSumI32),
+                  (std::vector{KvPair{Key16{"a"}, wire_from_i32(3)}}));
+    }
+}
+
+TEST(RawCollector, RoundThatLostAMalformedPayloadReadsDirty) {
+    CollectorStar star;
+    RawCollector rx{*star.topo.hosts[1], 5, 1};
+    auto truncated = serialize_data(5, std::vector{KvPair{Key16{"x"}, 1}});
+    truncated.pop_back();
+    star.send(truncated);
+    star.send(serialize_end(5, 1));  // declares the lost pair
+    star.net.run();
+    EXPECT_TRUE(rx.complete());
+    EXPECT_FALSE(rx.clean());
+    EXPECT_EQ(rx.malformed(), 1U);
 }
 
 TEST(Reduce, AllReducersAgreeOnFullWidthKeys) {

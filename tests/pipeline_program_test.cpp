@@ -5,6 +5,7 @@
 
 #include <map>
 
+#include "alloc_counter.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline_program.hpp"
 #include "core/switch_agent.hpp"
@@ -52,6 +53,14 @@ struct Harness {
         auto frame = sim::build_udp_frame(kMapperAddr, kReducerAddr,
                                           kMapperUdpPort, kDaietUdpPort, payload);
         return chip.receive(dp::Packet{std::move(frame)}, in);
+    }
+
+    /// Inject an arbitrary payload on the DAIET port.
+    std::vector<dp::Packet> raw(std::span<const std::byte> payload) {
+        return chip.receive(dp::Packet{sim::build_udp_frame(kMapperAddr, kReducerAddr,
+                                                            kMapperUdpPort, kDaietUdpPort,
+                                                            payload)},
+                            0);
     }
 
     /// Decode emitted packets back into DAIET packets.
@@ -298,6 +307,129 @@ TEST(DaietProgram, RouteEcmpStableForFlow) {
 
 // ------------------------------------------------- cross-validation
 
+/// One malformed DAIET payload of each kind the parser rejects, plus a
+/// well-formed DATA packet one pair over the per-packet maximum.
+struct BadPayload {
+    const char* name;
+    std::vector<std::byte> bytes;
+    bool oversized;
+};
+
+std::vector<BadPayload> bad_payloads(const std::vector<KvPair>& pairs,
+                                     std::size_t max_pairs) {
+    const auto data = serialize_data(1, pairs);
+    std::vector<BadPayload> out;
+    out.push_back({"truncated DATA", {data.begin(), data.end() - 5}, false});
+    out.push_back({"n = 0", {data.begin(), data.begin() + kPreambleSize}, false});
+    out.back().bytes[5] = std::byte{0};
+    out.push_back({"n = max + 1",
+                   serialize_data(1, std::vector<KvPair>(max_pairs + 1, pairs.front())),
+                   true});
+    out.push_back({"unknown type", data, false});
+    out.back().bytes[2] = std::byte{99};
+    const auto end = serialize_end(1, 3);
+    out.push_back({"truncated END", {end.begin(), end.end() - 1}, false});
+    return out;
+}
+
+// A malformed payload must not take the simulation down: the switch
+// drops and counts it without touching the tree, and the next round
+// still aggregates exactly and reads clean.
+TEST(DaietProgram, MalformedPayloadsAreDroppedAndCounted) {
+    const std::vector<KvPair> pairs{kv("a", 1), kv("b", 2), kv("a", 3)};
+    for (const BadPayload& bad : bad_payloads(pairs, tiny_config().max_pairs_per_packet)) {
+        SCOPED_TRACE(bad.name);
+        Harness h{tiny_config()};
+        EXPECT_TRUE(h.raw(bad.bytes).empty());
+        EXPECT_EQ(h.program->drop_stats().malformed, bad.oversized ? 0U : 1U);
+        EXPECT_EQ(h.program->drop_stats().oversized, bad.oversized ? 1U : 0U);
+        EXPECT_EQ(h.program->tree_stats(1).pairs_in, 0U);
+        EXPECT_EQ(h.program->tree_stats(1).end_packets_in, 0U);
+
+        EXPECT_TRUE(h.data(pairs).empty());
+        const auto out = h.raw(serialize_end(1, 3));
+        ASSERT_EQ(out.size(), 2U);
+        const auto decoded = Harness::decode(out);
+        const auto* data = std::get_if<DataPacket>(&decoded[0]);
+        ASSERT_NE(data, nullptr);
+        std::map<std::string, std::int32_t> got;
+        for (const KvPair p : data->pairs) got[p.key.to_string()] = i32_from_wire(p.value);
+        EXPECT_EQ(got, (std::map<std::string, std::int32_t>{{"a", 4}, {"b", 2}}));
+        const auto* end = std::get_if<EndPacket>(&decoded[1]);
+        ASSERT_NE(end, nullptr);
+        EXPECT_EQ(end->declared_pairs, 2U);
+        EXPECT_FALSE(end->dirty);
+    }
+}
+
+// The pairs of a dropped payload are missing from the hop's count, so
+// the round's END reads dirty through the declared-pairs check.
+TEST(DaietProgram, RoundThatLostADroppedPayloadReadsDirty) {
+    const std::vector<KvPair> pairs{kv("a", 1), kv("b", 2), kv("a", 3)};
+    Harness h{tiny_config()};
+    auto truncated = serialize_data(1, pairs);
+    truncated.pop_back();
+    EXPECT_TRUE(h.raw(truncated).empty());
+    EXPECT_TRUE(h.data(pairs).empty());
+    const auto out = h.raw(serialize_end(1, 6));  // the sender sent both packets
+    ASSERT_EQ(out.size(), 2U);
+    const auto decoded = Harness::decode(out);
+    const auto* end = std::get_if<EndPacket>(&decoded[1]);
+    ASSERT_NE(end, nullptr);
+    EXPECT_TRUE(end->dirty);
+    EXPECT_EQ(h.program->drop_stats().malformed, 1U);
+}
+
+// The data path of a warm switch is allocation-free: pairs decode
+// straight from the payload, ops are charged per packet and flush
+// frames are built without a heap buffer.
+TEST(DaietProgram, SteadyStateDataPathAllocatesNothing) {
+#ifdef DAIET_TEST_SANITIZED
+    GTEST_SKIP() << "sanitizer builds replace operator new";
+#else
+    // 64 cells under a 300-key vocabulary: most pairs collide, so the
+    // spill ring fills and flushes many times per round.
+    Harness h{tiny_config(64)};
+    Rng rng{25};
+    std::vector<FrameBuf> frames;
+    for (int n = 0; n < 10'000; ++n) {
+        std::vector<KvPair> pairs;
+        for (int i = 0; i < 10; ++i) {
+            pairs.push_back(kv("w" + std::to_string(rng.next_below(300)), 1));
+        }
+        frames.push_back(sim::build_udp_frame(kMapperAddr, kReducerAddr, kMapperUdpPort,
+                                              kDaietUdpPort, serialize_data(1, pairs)));
+    }
+    const FrameBuf end = sim::build_udp_frame(kMapperAddr, kReducerAddr, kMapperUdpPort,
+                                              kDaietUdpPort, serialize_end(1, 100'000));
+    std::vector<dp::Packet> out;
+    std::uint64_t flush_frames = 0;
+    const auto round = [&] {
+        for (const FrameBuf& frame : frames) {
+            h.chip.receive_into(dp::Packet{frame}, 0, out);
+            flush_frames += out.size();
+            out.clear();
+        }
+        h.chip.receive_into(dp::Packet{end}, 0, out);
+        flush_frames += out.size();
+        out.clear();
+    };
+    // Warm-up: sizes the frame pool, the pass context's emit list and
+    // `out` for everything the measured round does.
+    round();
+    h.program->reset_tree(1, 1);
+    const std::uint64_t warm_flushes = h.program->tree_stats(1).spill_flushes;
+    const std::uint64_t warm_frames = flush_frames;
+
+    const std::uint64_t before = g_heap_allocations.load();
+    round();
+    EXPECT_EQ(g_heap_allocations.load() - before, 0U);
+    EXPECT_GT(h.program->tree_stats(1).spill_flushes - warm_flushes, 1000U);
+    EXPECT_EQ(flush_frames - warm_frames, warm_frames);
+    EXPECT_EQ(h.program->held_pairs(1), 0U);
+#endif
+}
+
 struct CrossParams {
     std::size_t register_size;
     std::size_t vocab;
@@ -325,8 +457,8 @@ TEST_P(CrossValidation, PipelineMatchesReferenceAgent) {
     std::map<std::string, std::int64_t> agent_out;
 
     const auto account = [](std::map<std::string, std::int64_t>& sink,
-                            const DataPacket& data) {
-        for (const auto& p : data.pairs) {
+                            const auto& pairs) {
+        for (const KvPair p : pairs) {
             sink[p.key.to_string()] += i32_from_wire(p.value);
         }
     };
@@ -341,10 +473,10 @@ TEST_P(CrossValidation, PipelineMatchesReferenceAgent) {
         for (const auto& out : pipeline.data(pairs)) {
             const auto frame = sim::parse_frame(out.payload());
             const auto packet = parse_packet(frame->payload_of(out.payload()));
-            account(pipeline_out, std::get<DataPacket>(packet));
+            account(pipeline_out, std::get<DataPacket>(packet).pairs);
         }
         for (const auto& flushed : agent.on_data(1, pairs)) {
-            account(agent_out, DataPacket{1, flushed});
+            account(agent_out, flushed);
         }
         EXPECT_EQ(pipeline.program->held_pairs(1), agent.held_pairs(1));
     }
@@ -353,13 +485,13 @@ TEST_P(CrossValidation, PipelineMatchesReferenceAgent) {
         const auto frame = sim::parse_frame(out.payload());
         const auto packet = parse_packet(frame->payload_of(out.payload()));
         if (const auto* data = std::get_if<DataPacket>(&packet)) {
-            account(pipeline_out, *data);
+            account(pipeline_out, data->pairs);
         }
     }
     const auto end = agent.on_end(1);
     EXPECT_TRUE(end.completed);
     for (const auto& flushed : end.packets) {
-        account(agent_out, DataPacket{1, flushed});
+        account(agent_out, flushed);
     }
 
     EXPECT_EQ(pipeline_out, agent_out);

@@ -109,7 +109,8 @@ TEST(Protocol, RandomRoundTripProperty) {
                                    static_cast<WireValue>(rng.next_u64())});
         }
         const auto tree = static_cast<TreeId>(rng.next_below(65536));
-        const auto parsed = parse_packet(serialize_data(tree, pairs));
+        const auto bytes = serialize_data(tree, pairs);
+        const auto parsed = parse_packet(bytes);
         const auto* data = std::get_if<DataPacket>(&parsed);
         ASSERT_NE(data, nullptr);
         EXPECT_EQ(data->tree_id, tree);
@@ -176,6 +177,42 @@ TEST(KvPairSort, MatchesComparisonSort) {
         check("all-zero keys", zeros);
         check("duplicates", duplicates);
     }
+
+    // Each scatter pass moves a bucket into the other buffer, so these
+    // shapes finish buckets in the scratch half, which must be copied
+    // back. bytes(b0, b1, b2) is a key with those leading bytes.
+    const auto bytes = [&](std::uint8_t b0, std::uint8_t b1, std::uint8_t b2) {
+        std::array<std::byte, Key16::width> raw{};
+        raw[0] = std::byte{b0};
+        raw[1] = std::byte{b1};
+        raw[2] = std::byte{b2};
+        return key_of(raw);
+    };
+    // Two buckets of 100 at byte 0, two of 50 under each at byte 1, then
+    // a last scatter at byte 2 into scratch, all singletons.
+    std::vector<Key16> three_passes;
+    for (int i = 0; i < 200; ++i) {
+        three_passes.push_back(bytes(static_cast<std::uint8_t>(i % 2),
+                                     static_cast<std::uint8_t>(i / 2 % 2),
+                                     static_cast<std::uint8_t>(255 - i / 4)));
+    }
+    check("last scatter into scratch", three_passes);
+    // 40 copies of one key next to 40 distinct ones: after one pass the
+    // copies sit in scratch and share every further byte (depth == width).
+    std::vector<Key16> equal_run;
+    for (int i = 0; i < 80; ++i) {
+        equal_run.push_back(i % 2 == 0 ? bytes(9, 9, 9)
+                                       : bytes(static_cast<std::uint8_t>(10 + i), 0, 0));
+    }
+    check("equal run after one pass", equal_run);
+    // Singletons after the first pass (in scratch) and after a second
+    // pass over a 50-key bucket (back home).
+    std::vector<Key16> both_halves;
+    for (int i = 0; i < 60; ++i) {
+        both_halves.push_back(i < 10 ? bytes(static_cast<std::uint8_t>(200 - i), 0, 0)
+                                     : bytes(7, static_cast<std::uint8_t>(i * 3), 0));
+    }
+    check("singletons in both halves", both_halves);
 }
 
 // ------------------------------------------------------- parser fuzzing
@@ -282,7 +319,7 @@ TEST(Parsers, DaietParserSurvivesMutation) {
     }
     const std::vector<std::vector<std::byte>> golden{
         serialize_data(42, std::span{pairs}.first(3)), serialize_data(7, pairs),
-        serialize_end(42, 30, true)};
+        bytes_of(serialize_end(42, 30, true))};
     const auto v = fuzz_parser(golden, parse_packet, [](const DaietPacket&, auto) {});
     EXPECT_GT(v[0], 0U);
     EXPECT_GT(v[1], 0U);

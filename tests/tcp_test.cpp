@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/rng.hpp"
+#include "dataplane/pipeline.hpp"
 #include "netsim/network.hpp"
 #include "netsim/tcp.hpp"
 
@@ -106,6 +107,75 @@ TEST_F(TcpFixture, ChunkedWritesProduceOneSegmentPerChunk) {
     EXPECT_EQ(conn.stats().segments_sent, 14U);
     EXPECT_EQ(conn.stats().acks_sent, 2U);
     EXPECT_EQ(conn.stats().payload_bytes_sent, data.size());
+}
+
+/// A star's switch that records every TCP segment crossing it and
+/// forwards by the installed routes.
+struct SegmentRecorder : dp::PipelineProgram, RouteSink {
+    struct Segment {
+        HostAddr src;
+        std::uint32_t seq;
+        std::uint32_t ack;
+        std::uint8_t flags;
+        std::vector<std::byte> payload;
+        friend bool operator==(const Segment&, const Segment&) = default;
+    };
+    std::vector<Segment> segments;
+    std::unordered_map<HostAddr, dp::PortId> routes;
+
+    void install_route(HostAddr dst, std::vector<dp::PortId> ports) override {
+        routes[dst] = ports.front();
+    }
+    void on_packet(dp::PacketContext& ctx) override {
+        const auto frame = parse_frame(ctx.packet().payload());
+        if (frame && frame->tcp) {
+            const auto payload = frame->payload_of(ctx.packet().payload());
+            segments.push_back({frame->ip.src, frame->tcp->seq, frame->tcp->ack,
+                                frame->tcp->flags, {payload.begin(), payload.end()}});
+        }
+        ctx.set_egress(routes.at(frame->ip.dst));
+    }
+    std::string name() const override { return "segment_recorder"; }
+};
+
+/// Every segment of one 5,000-byte transfer and close, the bytes sent
+/// either before the handshake completes or from on_established.
+std::vector<SegmentRecorder::Segment> transfer_segments(bool send_before_established) {
+    Network net{123};
+    auto recorder = std::make_shared<SegmentRecorder>();
+    const auto topo = make_star(net, 2, [&](const std::string& name, std::size_t) {
+        auto& sw = net.add_pipeline_switch(name, dp::SwitchConfig{});
+        sw.chip().load_program(recorder);
+        return &sw;
+    });
+    net.install_routes();
+    topo.hosts[1]->tcp_listen(80, [](TcpConnection&) {});
+    auto& conn = topo.hosts[0]->tcp_connect(topo.hosts[1]->addr(), 80);
+    const auto data = TcpFixture::pattern(5000);
+    if (send_before_established) {
+        conn.send(data);
+        conn.close();
+    } else {
+        conn.on_established = [&] {
+            conn.send(data);
+            conn.close();
+        };
+    }
+    net.run();
+    EXPECT_EQ(conn.state(), TcpConnection::State::kDone);
+    return recorder->segments;
+}
+
+// A send after establishment segments straight from the caller's span;
+// one queued before it goes through the send queue. Both must put the
+// same segments on the wire: sequence numbers, flags and bytes.
+TEST(TcpSendPath, SendsBeforeAndAfterEstablishmentPutIdenticalSegments) {
+    const auto queued = transfer_segments(true);
+    const auto direct = transfer_segments(false);
+    std::size_t data_segments = 0;
+    for (const auto& seg : direct) data_segments += seg.payload.empty() ? 0 : 1;
+    EXPECT_EQ(data_segments, 4U);  // 5,000 B at the 1,460 B MSS
+    EXPECT_TRUE(queued == direct);
 }
 
 TEST_F(TcpFixture, DelayedAckReducesAckCount) {

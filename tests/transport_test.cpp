@@ -19,6 +19,7 @@
 #include <tuple>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "common/rng.hpp"
 #include "core/controller.hpp"
 #include "core/pipeline_program.hpp"
@@ -28,39 +29,6 @@
 #include "netsim/network.hpp"
 #include "runtime/job_driver.hpp"
 #include "transport/request_reply.hpp"
-
-// ------------------------------------------------- allocation counting
-
-// Sanitizers bring their own operator new; the allocation test skips
-// itself there instead of fighting them for the symbol.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define DAIET_TEST_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define DAIET_TEST_SANITIZED 1
-#endif
-#endif
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocations{0};
-}  // namespace
-
-#ifndef DAIET_TEST_SANITIZED
-// Replacements that only count: every global new of this test binary
-// bumps g_heap_allocations, then allocates as usual. GCC cannot see
-// that the deletes below pair with these news, hence the pragma.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-    g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-    throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#endif
 
 namespace daiet {
 namespace {

@@ -151,5 +151,56 @@ TEST_F(WorkerFixture, PayloadSizesStayUnderParseBudget) {
     EXPECT_EQ(tx.stats().payload_bytes_sent, 10 * 206U + kEndPacketSize);
 }
 
+/// One malformed DAIET payload of each kind parse_packet rejects, for
+/// tree 5.
+std::vector<std::pair<const char*, std::vector<std::byte>>> malformed_payloads() {
+    const auto data = serialize_data(5, std::vector{kv("x", 1), kv("y", 1)});
+    std::vector<std::pair<const char*, std::vector<std::byte>>> out;
+    out.emplace_back("truncated DATA", std::vector<std::byte>{data.begin(), data.end() - 3});
+    out.emplace_back("n = 0", std::vector<std::byte>{data.begin(), data.begin() + kPreambleSize});
+    out.back().second[5] = std::byte{0};
+    out.emplace_back("unknown type", data);
+    out.back().second[2] = std::byte{7};
+    const auto end = serialize_end(5, 2);
+    out.emplace_back("truncated END", std::vector<std::byte>{end.begin(), end.end() - 1});
+    return out;
+}
+
+TEST_F(WorkerFixture, ReceiverIgnoresAndCountsMalformedPayloads) {
+    for (const auto& [name, payload] : malformed_payloads()) {
+        SCOPED_TRACE(name);
+        ReducerReceiver rx{reducer(), 5, AggFnId::kSumI32, 1};
+        mapper().udp_send(reducer().addr(), kMapperUdpPort, kDaietUdpPort, payload);
+        net.run();
+        EXPECT_EQ(rx.stats().malformed_packets, 1U);
+        EXPECT_EQ(rx.stats().data_packets_received, 0U);
+        EXPECT_EQ(rx.stats().end_packets_received, 0U);
+
+        // The next round aggregates exactly and reads clean.
+        MapperSender tx{mapper(), cfg, 5, reducer().addr()};
+        tx.send_all(std::vector{kv("a", 1), kv("b", 2), kv("a", 3)});
+        tx.finish();
+        net.run();
+        EXPECT_TRUE(rx.complete());
+        EXPECT_TRUE(rx.clean());
+        ASSERT_EQ(rx.aggregated().size(), 2U);
+        EXPECT_EQ(i32_from_wire(rx.aggregated().at(Key16{"a"})), 4);
+        EXPECT_EQ(i32_from_wire(rx.aggregated().at(Key16{"b"})), 2);
+    }
+}
+
+TEST_F(WorkerFixture, RoundThatLostAMalformedPayloadReadsDirty) {
+    ReducerReceiver rx{reducer(), 5, AggFnId::kSumI32, 1};
+    auto truncated = serialize_data(5, std::vector{kv("a", 1), kv("b", 2)});
+    truncated.pop_back();
+    mapper().udp_send(reducer().addr(), kMapperUdpPort, kDaietUdpPort, truncated);
+    mapper().udp_send(reducer().addr(), kMapperUdpPort, kDaietUdpPort,
+                      serialize_end(5, 2));  // declares the two lost pairs
+    net.run();
+    EXPECT_TRUE(rx.complete());
+    EXPECT_FALSE(rx.clean());
+    EXPECT_EQ(rx.stats().malformed_packets, 1U);
+}
+
 }  // namespace
 }  // namespace daiet

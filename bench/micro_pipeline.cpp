@@ -25,7 +25,7 @@ struct PipelineHarness {
         rule.out_port = 1;
         rule.flush_dst = 99;
         program->configure_tree(1, rule);
-        program->router().install(50, {2});
+        program->router().install(50, std::array<dp::PortId, 1>{2});
     }
 
     static dp::SwitchConfig make_switch_config() {
@@ -47,13 +47,19 @@ struct PipelineHarness {
     }
 };
 
-/// Full parse + Algorithm-1 processing of a 10-pair DATA packet.
+/// Full parse + Algorithm-1 processing of a 10-pair DATA packet. The
+/// 1024 input frames are built before timing starts; the loop times one
+/// pipeline pass into a reused result vector.
 void BM_DaietDataPacket(benchmark::State& state) {
     PipelineHarness h;
-    std::uint64_t salt = 0;
+    std::vector<FrameBuf> frames;
+    for (std::uint64_t salt = 0; salt < 1024; ++salt) frames.push_back(h.daiet_frame(salt));
+    std::vector<dp::Packet> out;
+    std::size_t next = 0;
     for (auto _ : state) {
-        auto frame = h.daiet_frame(salt++ % 1024);
-        benchmark::DoNotOptimize(h.chip.receive(dp::Packet{std::move(frame)}, 0));
+        out.clear();
+        h.chip.receive_into(dp::Packet{frames[next++ % frames.size()]}, 0, out);
+        benchmark::DoNotOptimize(out.data());
     }
     // 10 pairs per packet.
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10);
@@ -65,9 +71,11 @@ void BM_PlainForwarding(benchmark::State& state) {
     PipelineHarness h;
     const auto frame = sim::build_udp_frame(10, 50, 1234, 80,
                                             as_bytes("0123456789abcdef"));
+    std::vector<dp::Packet> out;
     for (auto _ : state) {
-        auto copy = frame;
-        benchmark::DoNotOptimize(h.chip.receive(dp::Packet{std::move(copy)}, 0));
+        out.clear();
+        h.chip.receive_into(dp::Packet{frame}, 0, out);
+        benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -45,8 +45,6 @@ public:
     /// number of children this switch receives traffic from.
     void configure_tree(TreeId tree, AggFnId fn, std::uint32_t num_children);
 
-    bool has_tree(TreeId tree) const noexcept { return trees_.contains(tree); }
-
     /// Process the pairs of one DATA packet (Algorithm 1, lines 2-15).
     /// Returns zero or more packets' worth of pairs that must be
     /// forwarded to the next node *now* (spillover flushes).

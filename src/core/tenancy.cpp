@@ -15,7 +15,7 @@ namespace daiet {
 FabricRouter::FabricRouter(dp::SramBook& book, std::size_t capacity)
     : table_{"l2_route", capacity, book} {}
 
-void FabricRouter::install(sim::HostAddr dst, std::vector<dp::PortId> ports) {
+void FabricRouter::install(sim::HostAddr dst, std::span<const dp::PortId> ports) {
     DAIET_EXPECTS(!ports.empty());
     RoutePorts rp;
     if (ports.size() > rp.ports.size()) {
@@ -25,27 +25,29 @@ void FabricRouter::install(sim::HostAddr dst, std::vector<dp::PortId> ports) {
     }
     rp.count = static_cast<std::uint8_t>(ports.size());
     std::copy(ports.begin(), ports.end(), rp.ports.begin());
-    const std::uint16_t group = dst < kDenseLimit ? group_of(rp) : kNoGroup;
-    table_.install(dst, rp);
-    if (group != kNoGroup) {
-        if (dense_.size() <= dst) dense_.resize(dst + 1, kNoGroup);
-        dense_[dst] = group;
+    const bool known = peek(dst) != nullptr;
+    if (!known && size() >= table_.capacity()) {
+        throw dp::ResourceError{"table '" + table_.name() + "' is full (capacity " +
+                                std::to_string(table_.capacity()) + ")"};
     }
+    if (dst >= kDenseLimit) {
+        table_.install(dst, rp);
+        return;
+    }
+    if (dense_.size() <= dst) dense_.resize(dst + 1, kNoGroup);
+    dense_[dst] = group_of(rp);
+    if (!known) ++dense_routes_;
 }
 
 std::uint16_t FabricRouter::group_of(const RoutePorts& rp) {
-    // Routes are installed destination by destination, and neighbouring
-    // hosts share a group, so a scan from the newest group nearly
-    // always stops at once.
-    for (std::size_t i = groups_.size(); i-- > 0;) {
-        if (groups_[i] == rp) return static_cast<std::uint16_t>(i);
-    }
-    if (groups_.size() >= kNoGroup) {
+    if (groups_.size() >= kNoGroup && !group_index_.contains(rp)) {
         throw dp::ResourceError{"FabricRouter: more than 65535 distinct "
                                 "ECMP next-hop groups"};
     }
-    groups_.push_back(rp);
-    return static_cast<std::uint16_t>(groups_.size() - 1);
+    const auto [it, added] =
+        group_index_.try_emplace(rp, static_cast<std::uint16_t>(groups_.size()));
+    if (added) groups_.push_back(rp);
+    return it->second;
 }
 
 void FabricRouter::forward(dp::PacketContext& ctx,

@@ -27,6 +27,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -76,15 +77,19 @@ struct ClaimPortFilter {
 
 /// The chip's destination-routing table plus the ECMP selection logic
 /// every resident program shares. One instance per programmable switch;
-/// its SRAM footprint is reserved once from the chip's book.
+/// its SRAM footprint, `capacity` routes, is reserved once from the
+/// chip's book. Each route is stored once: a host address (below
+/// kDenseLimit) as a 2-byte index into the chip's distinct next-hop
+/// groups, a switch vaddr (at or above it) in the hash table.
 class FabricRouter {
 public:
     explicit FabricRouter(dp::SramBook& book, std::size_t capacity = 4096);
 
     // --- control plane ------------------------------------------------------
-    /// Throws dp::ResourceError when `ports` exceeds a next-hop group or
-    /// the chip would need more distinct groups than it can index.
-    void install(sim::HostAddr dst, std::vector<dp::PortId> ports);
+    /// Throws dp::ResourceError when `ports` exceeds a next-hop group, a
+    /// new destination would exceed the capacity, or the chip would need
+    /// more distinct groups than it can index.
+    void install(sim::HostAddr dst, std::span<const dp::PortId> ports);
 
     // --- data plane ---------------------------------------------------------
     /// Route the current packet: ECMP over the 5-tuple via the switch
@@ -96,41 +101,54 @@ public:
     /// application; at most once per pass like any table).
     const RoutePorts* apply(dp::PacketContext& ctx, sim::HostAddr dst) const {
         if (dst < kDenseLimit) {
-            // Dense mirror of the table for low host addresses: same op
-            // accounting and single-apply rule, two array indexes instead
-            // of a hash lookup on the per-hop path.
+            // Same op accounting and single-apply rule as the hash
+            // table, two array indexes on the per-hop path.
             ctx.note_table_application(table_.name());
-            if (dst < dense_.size() && dense_[dst] != kNoGroup) {
-                return &groups_[dense_[dst]];
-            }
-            return nullptr;
+            return dense_route(dst);
         }
         return table_.apply(ctx, dst);
     }
 
     /// Control-plane lookup (not op-charged).
-    const RoutePorts* peek(sim::HostAddr dst) const { return table_.peek(dst); }
+    const RoutePorts* peek(sim::HostAddr dst) const {
+        return dst < kDenseLimit ? dense_route(dst) : table_.peek(dst);
+    }
 
-    std::size_t size() const noexcept { return table_.size(); }
+    /// Installed destinations, host addresses and vaddrs together.
+    std::size_t size() const noexcept { return dense_routes_ + table_.size(); }
     /// SRAM charged for the shared routing table (reserved once per
     /// chip, not per tenant).
     std::size_t sram_bytes() const noexcept { return table_.footprint_bytes(); }
 
 private:
-    /// Host addresses below this are mirrored into dense_ at install
-    /// time (fabric hosts are numbered densely from zero, so in practice
-    /// every destination qualifies).
+    /// Destinations below this are host addresses (numbered densely from
+    /// one) and live in dense_; switch vaddrs sit far above it.
     static constexpr sim::HostAddr kDenseLimit = 1u << 16;
     static constexpr std::uint16_t kNoGroup = 0xffff;  ///< dense_: no route
 
+    const RoutePorts* dense_route(sim::HostAddr dst) const noexcept {
+        if (dst >= dense_.size() || dense_[dst] == kNoGroup) return nullptr;
+        return &groups_[dense_[dst]];
+    }
     /// The groups_ index of `rp`, appending it if it is new.
     std::uint16_t group_of(const RoutePorts& rp);
+    /// Hashes the port slots (unused ones are zero); operator== also
+    /// compares count.
+    struct GroupHash {
+        std::size_t operator()(const RoutePorts& rp) const noexcept {
+            return std::hash<std::string_view>{}(
+                {reinterpret_cast<const char*>(rp.ports.data()), sizeof(rp.ports)});
+        }
+    };
 
+    /// Holds the vaddr routes; its footprint is the whole router's SRAM.
     dp::ExactMatchTable<sim::HostAddr, RoutePorts> table_;
-    /// The mirror, stored as real switches store ECMP: each distinct
+    /// Host routes, stored as real switches store ECMP: each distinct
     /// next-hop group once, and per destination a 2-byte group index.
     std::vector<RoutePorts> groups_;
+    std::unordered_map<RoutePorts, std::uint16_t, GroupHash> group_index_;
     std::vector<std::uint16_t> dense_;
+    std::size_t dense_routes_{0};  ///< entries of dense_ that hold a group
 };
 
 /// A co-resident dataplane program: claims its slice of the traffic and
@@ -191,7 +209,6 @@ public:
     virtual std::size_t sram_bytes() const = 0;
 
     FabricRouter& router() noexcept { return *router_; }
-    const FabricRouter& router() const noexcept { return *router_; }
     std::shared_ptr<FabricRouter> shared_router() const noexcept { return router_; }
 
 private:
@@ -209,7 +226,6 @@ public:
     void add_tenant(std::shared_ptr<TenantProgram> tenant);
 
     TenantProgram* tenant(std::string_view name) const;
-    std::size_t num_tenants() const noexcept { return tenants_.size(); }
 
     /// Per-tenant SRAM ledger: one (name, bytes) entry per resident
     /// tenant in registration order, plus a trailing "shared:router"
@@ -220,11 +236,9 @@ public:
 
     void on_packet(dp::PacketContext& ctx) override;
     std::string name() const override;
-    void install_route(sim::HostAddr dst, std::vector<dp::PortId> ports) override {
-        router_->install(dst, std::move(ports));
+    void install_route(sim::HostAddr dst, std::span<const dp::PortId> ports) override {
+        router_->install(dst, ports);
     }
-
-    FabricRouter& router() noexcept { return *router_; }
 
 private:
     std::shared_ptr<FabricRouter> router_;

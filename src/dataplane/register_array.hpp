@@ -8,10 +8,13 @@
 // charged to the per-packet operation budget.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/contracts.hpp"
 #include "dataplane/context.hpp"
@@ -33,11 +36,16 @@ public:
 
     /// Host storage for an array whose SRAM is already held elsewhere,
     /// by an SramReservation covering footprint_for(size) bytes.
+    /// Every cell starts as all-zero bits, the empty cell.
     RegisterArray(std::string name, std::size_t size)
-        : name_{std::move(name)}, cells_(size), book_{nullptr} {
+        : name_{std::move(name)},
+          cells_{static_cast<T*>(std::calloc(size, sizeof(T)))},
+          size_{size},
+          book_{nullptr} {
         static_assert(std::is_trivially_copyable_v<T>,
                       "register cells must be raw data");
         DAIET_EXPECTS(size > 0);
+        if (cells_ == nullptr) throw std::bad_alloc{};
     }
 
     ~RegisterArray() {
@@ -50,6 +58,7 @@ public:
     RegisterArray(RegisterArray&& other) noexcept
         : name_{std::move(other.name_)},
           cells_{std::move(other.cells_)},
+          size_{std::exchange(other.size_, 0)},
           book_{std::exchange(other.book_, nullptr)} {}
 
     RegisterArray& operator=(RegisterArray&&) = delete;
@@ -57,14 +66,14 @@ public:
     /// Read through the packet context (charged as one register-read op).
     const T& read(PacketContext& ctx, std::size_t idx) const {
         ctx.count_op(OpKind::kRegisterRead);
-        DAIET_EXPECTS(idx < cells_.size());
+        DAIET_EXPECTS(idx < size_);
         return cells_[idx];
     }
 
     /// Write through the packet context (charged as one register-write op).
     void write(PacketContext& ctx, std::size_t idx, const T& value) {
         ctx.count_op(OpKind::kRegisterWrite);
-        DAIET_EXPECTS(idx < cells_.size());
+        DAIET_EXPECTS(idx < size_);
         cells_[idx] = value;
     }
 
@@ -73,26 +82,26 @@ public:
     /// loops of a pass add up their charges instead of paying one call
     /// per access.
     T& cell(std::size_t idx) {
-        DAIET_EXPECTS(idx < cells_.size());
+        DAIET_EXPECTS(idx < size_);
         return cells_[idx];
     }
 
     /// Control-plane access (no packet in flight, not op-charged):
     /// the controller may reset or inspect registers out of band.
     const T& peek(std::size_t idx) const {
-        DAIET_EXPECTS(idx < cells_.size());
+        DAIET_EXPECTS(idx < size_);
         return cells_[idx];
     }
 
     void poke(std::size_t idx, const T& value) {
-        DAIET_EXPECTS(idx < cells_.size());
+        DAIET_EXPECTS(idx < size_);
         cells_[idx] = value;
     }
 
-    void fill(const T& value) { cells_.assign(cells_.size(), value); }
+    void fill(const T& value) { std::fill_n(cells_.get(), size_, value); }
 
-    std::size_t size() const noexcept { return cells_.size(); }
-    std::size_t footprint_bytes() const noexcept { return footprint_for(cells_.size()); }
+    std::size_t size() const noexcept { return size_; }
+    std::size_t footprint_bytes() const noexcept { return footprint_for(size_); }
     /// SRAM bytes an array of `size` cells occupies.
     static constexpr std::size_t footprint_for(std::size_t size) noexcept {
         return size * sizeof(T);
@@ -100,8 +109,17 @@ public:
     const std::string& name() const noexcept { return name_; }
 
 private:
+    struct Free {
+        void operator()(T* cells) const noexcept { std::free(cells); }
+    };
+
     std::string name_;
-    std::vector<T> cells_;
+    /// From calloc, not a value-initializing container: a large array
+    /// comes from fresh zero pages the OS commits on first write, so
+    /// cells the data plane never touches cost SRAM in the book but no
+    /// host memory.
+    std::unique_ptr<T[], Free> cells_;
+    std::size_t size_;
     SramBook* book_;
 };
 

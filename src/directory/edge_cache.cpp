@@ -43,12 +43,6 @@ EdgeCacheSwitchProgram::EdgeCacheSwitchProgram(EdgeCacheConfig config,
     DAIET_EXPECTS(config.slots > 0);
     // A zero lease would take SRAM and never hit (expiry 0 = invalid).
     DAIET_EXPECTS(config.lease_ttl > 0);
-    keys_.fill(Key16{});
-    values_.fill(0);
-    expiry_.fill(0);
-    fwd_tag_.fill(0);
-    granted_.fill(0);
-    inval_seen_.fill(0);
 }
 
 sim::SimTime EdgeCacheSwitchProgram::now() const noexcept {

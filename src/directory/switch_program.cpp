@@ -14,10 +14,7 @@ DirectorySwitchProgram::DirectorySwitchProgram(dp::PipelineSwitch& chip,
                                                std::shared_ptr<FabricRouter> router)
     : TenantProgram{std::move(router)},
       owners_{"dir.owners", kNumRanges, chip.sram()},
-      range_hits_{"dir.range_hits", kNumRanges, chip.sram()} {
-    owners_.fill(0);
-    range_hits_.fill(0);
-}
+      range_hits_{"dir.range_hits", kNumRanges, chip.sram()} {}
 
 bool DirectorySwitchProgram::claims(const sim::ParsedFrame& frame,
                                     std::span<const std::byte> payload) const {

@@ -44,7 +44,10 @@ bool looks_like_kv(std::span<const std::byte> payload) noexcept {
     if (payload.size() < kKvMessageSize) return false;
     const auto hi = static_cast<std::uint16_t>(payload[0]);
     const auto lo = static_cast<std::uint16_t>(payload[1]);
-    return static_cast<std::uint16_t>(hi << 8 | lo) == kKvMagic;
+    const auto op = static_cast<std::uint8_t>(payload[2]);
+    return static_cast<std::uint16_t>(hi << 8 | lo) == kKvMagic &&
+           op >= static_cast<std::uint8_t>(KvOp::kGet) &&
+           op <= static_cast<std::uint8_t>(KvOp::kPutAck);
 }
 
 }  // namespace daiet::kv

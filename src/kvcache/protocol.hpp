@@ -100,7 +100,8 @@ KvWire serialize_kv(const KvMessage& msg);
 /// Throws BufferError on truncation or a bad magic/op.
 KvMessage parse_kv(std::span<const std::byte> payload);
 
-/// True if the payload starts with the kv magic.
+/// True if the payload is long enough, starts with the kv magic and
+/// names a known op: exactly the payloads parse_kv accepts.
 bool looks_like_kv(std::span<const std::byte> payload) noexcept;
 
 }  // namespace daiet::kv

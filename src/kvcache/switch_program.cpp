@@ -23,9 +23,6 @@ KvCacheSwitchProgram::KvCacheSwitchProgram(KvConfig config, sim::HostAddr server
       slot_key_(config.cache_slots) {
     DAIET_EXPECTS(config.cache_slots > 0);
     DAIET_EXPECTS(config.cache_slots <= 0xffff);
-    valid_.fill(0);
-    hits_.fill(0);
-    last_put_.fill(0);
     free_slots_.reserve(slots_);
     for (std::size_t s = slots_; s-- > 0;) {
         free_slots_.push_back(static_cast<std::uint16_t>(s));

@@ -65,11 +65,6 @@ public:
         return rates_[pixel];
     }
 
-    /// Mean intensity class `label` produces at `pixel` when active.
-    float class_intensity(std::uint8_t label, std::size_t pixel) const {
-        return templates_[label][pixel];
-    }
-
     const MnistConfig& config() const noexcept { return config_; }
 
 private:

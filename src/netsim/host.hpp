@@ -103,7 +103,6 @@ public:
     TimerRef timer_after(SimTime delay, std::function<void()> fn);
 
     const HostCounters& counters() const noexcept { return counters_; }
-    void reset_counters() noexcept { counters_ = HostCounters{}; }
 
     /// Timers whose callback payload was dropped at cancel/release time
     /// instead of lingering in the event queue until fire time.

@@ -119,10 +119,15 @@ void Link::transmit(int from_side, FrameBuf frame) {
         return;
     }
 
-    // Same-tick delivery batching: instead of one scheduled action per
-    // frame, park the frame in the direction's sorted FIFO and let one
-    // chained drainer dispatch per distinct arrival instant deliver
-    // everything due.
+    // Park the frame in the direction's arrival-ordered FIFO. One
+    // delivery event is outstanding per direction, for the head; drain()
+    // schedules the next. This is not batching: arrivals on a direction
+    // strictly increase whenever serialization takes at least 1 ns (every
+    // frame of 42 B or more below 336 Gb/s), so each drain() delivers one
+    // frame. What the chain fixes is the order of same-instant events
+    // across links, since a direction's next delivery is scheduled when
+    // its previous one runs, not when the frame is sent; scheduling each
+    // frame at transmit time would change that tie-break, and schedules.
     dir.pending.push_back({arrival, std::move(frame)});
     if (!dir.drainer_armed) {
         dir.drainer_armed = true;
@@ -134,9 +139,9 @@ void Link::drain(int from_side) {
     Direction& dir = dir_[from_side];
     Simulator& sim = *dir.sim;
     const SimTime now = sim.now();
-    // handle_frame may transmit on this very direction; same-instant
-    // arrivals it appends are picked up by this loop (indices, not
-    // iterators — the vector may reallocate underneath us).
+    // Frames due now: one, unless serialization rounded to 0 ns.
+    // handle_frame may transmit on this very direction and append to the
+    // FIFO (indices, not iterators: the vector may reallocate).
     while (dir.pending_head < dir.pending.size() &&
            dir.pending[dir.pending_head].at == now) {
         FrameBuf f = std::move(dir.pending[dir.pending_head].frame);

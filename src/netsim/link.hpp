@@ -109,9 +109,9 @@ public:
     }
 
 private:
-    /// A delivery waiting in the direction's same-tick batcher. Arrivals
-    /// are non-decreasing per direction (the busy clock chains), so the
-    /// FIFO is sorted by construction.
+    /// A frame in flight on one direction. Arrivals on a direction are
+    /// sorted by construction: each is the previous frame's serialization
+    /// end plus its own serialization time plus a fixed propagation delay.
     struct PendingDelivery {
         SimTime at{0};
         FrameBuf frame;
@@ -127,8 +127,8 @@ private:
         Node* dst{nullptr};
         SimTime busy_until{0};
         std::size_t backlog_bytes{0};
-        /// Same-tick delivery batcher: frames in flight, drained by one
-        /// chained dispatch per distinct arrival instant.
+        /// Frames in flight, in arrival order, with one delivery event
+        /// outstanding for the head (see transmit()).
         std::vector<PendingDelivery> pending;
         std::uint32_t pending_head{0};
         PortId dst_port{0};

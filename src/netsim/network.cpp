@@ -1,14 +1,73 @@
 #include "netsim/network.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "common/contracts.hpp"
 
 namespace daiet::sim {
+
+namespace {
+
+/// Installs shortest-path routes toward any number of destinations on
+/// one fabric: the adjacency and the nodes that take routes are found
+/// once, and every destination's BFS reuses the same buffers, so past
+/// the first a destination costs no allocation and no node-type test.
+class RouteInstaller {
+public:
+    RouteInstaller(const std::vector<std::unique_ptr<Node>>& nodes,
+                   const std::vector<std::unique_ptr<Link>>& links)
+        : adjacency_(nodes.size()), dist_(nodes.size()) {
+        for (const auto& link : links) {
+            Node& a = link->peer_of(1);  // side 1's peer is a
+            Node& b = link->peer_of(0);
+            adjacency_[a.id()].emplace_back(link->peer_port(1), b.id());
+            adjacency_[b.id()].emplace_back(link->peer_port(0), a.id());
+        }
+        for (const auto& node : nodes) {
+            if (RouteSink* sink = node->route_sink()) takers_.emplace_back(node->id(), sink);
+        }
+    }
+
+    /// BFS from `target`, then give every route taker but the target the
+    /// ports of its neighbours one hop closer as its routes to `addr`.
+    void install_toward(NodeId target, HostAddr addr) {
+        std::fill(dist_.begin(), dist_.end(), kUnreached);
+        queue_.clear();
+        dist_[target] = 0;
+        queue_.push_back(target);
+        for (std::size_t head = 0; head < queue_.size(); ++head) {
+            const NodeId u = queue_[head];
+            for (const auto& [port, peer] : adjacency_[u]) {
+                if (dist_[peer] == kUnreached) {
+                    dist_[peer] = dist_[u] + 1;
+                    queue_.push_back(peer);
+                }
+            }
+        }
+        for (const auto& [id, sink] : takers_) {
+            if (dist_[id] == kUnreached || id == target) continue;
+            hops_.clear();
+            for (const auto& [port, peer] : adjacency_[id]) {
+                if (dist_[peer] + 1 == dist_[id]) hops_.push_back(port);
+            }
+            if (!hops_.empty()) sink->install_route(addr, hops_);
+        }
+    }
+
+private:
+    static constexpr std::uint32_t kUnreached = std::numeric_limits<std::uint32_t>::max();
+
+    /// Per node: (local port, neighbour) for each link, in port order.
+    std::vector<std::vector<std::pair<PortId, NodeId>>> adjacency_;
+    std::vector<std::pair<NodeId, RouteSink*>> takers_;  ///< in node-id order
+    std::vector<std::uint32_t> dist_;
+    std::vector<NodeId> queue_;
+    std::vector<PortId> hops_;
+};
+
+}  // namespace
 
 Host& Network::add_host(std::string name) {
     const auto id = static_cast<NodeId>(nodes_.size());
@@ -88,61 +147,14 @@ Host* Network::host_by_addr(HostAddr addr) noexcept {
     return hosts_[addr - 1];
 }
 
-std::vector<std::vector<Network::Edge>> Network::adjacency() const {
-    std::vector<std::vector<Edge>> adj(nodes_.size());
-    for (const auto& link : links_) {
-        Node& a = link->peer_of(1);  // side 1's peer is a
-        Node& b = link->peer_of(0);
-        adj[a.id()].push_back({link->peer_port(1), b.id()});
-        adj[b.id()].push_back({link->peer_port(0), a.id()});
-    }
-    return adj;
-}
-
-void Network::install_routes_toward(const std::vector<std::vector<Edge>>& adjacency,
-                                    NodeId target, HostAddr addr) {
-    constexpr auto kInf = std::numeric_limits<std::uint32_t>::max();
-    // BFS from the destination over the undirected topology.
-    std::vector<std::uint32_t> dist(nodes_.size(), kInf);
-    std::deque<NodeId> queue;
-    dist[target] = 0;
-    queue.push_back(target);
-    while (!queue.empty()) {
-        const NodeId u = queue.front();
-        queue.pop_front();
-        for (const Edge& e : adjacency[u]) {
-            if (dist[e.peer] == kInf) {
-                dist[e.peer] = dist[u] + 1;
-                queue.push_back(e.peer);
-            }
-        }
-    }
-    // Every switch forwards towards any neighbour one hop closer.
-    for (const auto& node : nodes_) {
-        if (dist[node->id()] == kInf || node->id() == target) continue;
-        std::vector<PortId> next_hops;
-        for (const Edge& e : adjacency[node->id()]) {
-            if (dist[e.peer] + 1 == dist[node->id()]) next_hops.push_back(e.port);
-        }
-        if (next_hops.empty()) continue;
-        if (auto* l2 = dynamic_cast<L2Switch*>(node.get())) {
-            l2->install_route(addr, std::move(next_hops));
-        } else if (auto* psw = dynamic_cast<PipelineSwitchNode*>(node.get())) {
-            psw->install_route(addr, std::move(next_hops));
-        }
-    }
-}
-
 void Network::install_routes() {
-    const auto adj = adjacency();
-    for (Host* dst : hosts_) {
-        install_routes_toward(adj, dst->id(), dst->addr());
-    }
+    RouteInstaller routes{nodes_, links_};
+    for (Host* dst : hosts_) routes.install_toward(dst->id(), dst->addr());
 }
 
 void Network::install_switch_addresses(
     const std::vector<std::pair<const Node*, HostAddr>>& targets) {
-    const auto adj = adjacency();
+    RouteInstaller routes{nodes_, links_};
     for (const auto& [target, vaddr] : targets) {
         DAIET_EXPECTS(target != nullptr);
         // Both conflicts are deployment errors (two services fighting
@@ -163,7 +175,7 @@ void Network::install_switch_addresses(
                 " (cannot re-point it at node " + std::to_string(target->id()) +
                 ")"};
         }
-        install_routes_toward(adj, target->id(), vaddr);
+        routes.install_toward(target->id(), vaddr);
     }
 }
 

@@ -38,9 +38,9 @@ public:
     Link& connect(Node& a, Node& b, LinkParams params = {});
 
     /// Compute BFS shortest paths from every host and install ECMP
-    /// next-hop sets on every switch. Call after topology construction
-    /// (and after pipeline switches have their programs loaded, since
-    /// routes are pushed into program tables).
+    /// next-hop sets on every node with a route_sink(). Call after
+    /// topology construction (and after pipeline switches have their
+    /// programs loaded, since routes are pushed into program tables).
     void install_routes();
 
     /// Make a *switch* addressable: install ECMP routes for a virtual
@@ -114,18 +114,6 @@ public:
     }
 
 private:
-    /// Adjacency entry: the local port leading to a neighbour node.
-    struct Edge {
-        PortId port;
-        NodeId peer;
-    };
-
-    std::vector<std::vector<Edge>> adjacency() const;
-    /// BFS from `target` and install next-hop sets toward `addr` on
-    /// every switch except the target itself.
-    void install_routes_toward(const std::vector<std::vector<Edge>>& adjacency,
-                               NodeId target, HostAddr addr);
-
     Simulator sim_;
     std::unique_ptr<ShardedSimulator> par_;
     std::uint64_t seed_;

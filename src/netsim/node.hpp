@@ -13,6 +13,7 @@
 namespace daiet::sim {
 
 class Link;
+class RouteSink;
 class Simulator;
 
 using NodeId = std::uint32_t;
@@ -40,6 +41,10 @@ public:
 
     /// Deliver a frame arriving on `in_port`.
     virtual void handle_frame(FrameBuf frame, PortId in_port) = 0;
+
+    /// Where Network::install_routes puts this node's next hops; nullptr
+    /// for a node that only terminates traffic (a host).
+    virtual RouteSink* route_sink() { return nullptr; }
 
     NodeId id() const noexcept { return id_; }
     const std::string& name() const noexcept { return name_; }

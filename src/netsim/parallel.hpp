@@ -75,8 +75,6 @@ public:
     SimTime lookahead() const noexcept { return lookahead_; }
 
     Simulator& shard(std::size_t i) noexcept { return *shards_[i]; }
-    std::size_t shard_count() const noexcept { return shards_.size(); }
-    std::size_t thread_count() const noexcept { return threads_; }
 
     /// The (src -> dst) mailbox boundary link directions push into.
     std::vector<CrossFrame>& mailbox(std::size_t src, std::size_t dst) {

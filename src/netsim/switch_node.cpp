@@ -46,10 +46,10 @@ void L2Switch::handle_frame(FrameBuf frame, PortId in_port) {
     transmit(out, std::move(frame));
 }
 
-void PipelineSwitchNode::install_route(HostAddr dst, std::vector<PortId> ports) {
+RouteSink* PipelineSwitchNode::route_sink() {
     auto* sink = dynamic_cast<RouteSink*>(&chip_.program());
     DAIET_EXPECTS(sink != nullptr);
-    sink->install_route(dst, std::move(ports));
+    return sink;
 }
 
 void PipelineSwitchNode::handle_frame(FrameBuf frame, PortId in_port) {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -19,26 +20,28 @@ struct SwitchStats {
     std::uint64_t frames_dropped_no_route{0};
 };
 
-/// Interface a dataplane program implements to accept route installation
-/// from the network controller (the forwarding half of DAIET's "flow
-/// rules": tree id -> output port is handled by the DAIET tables; plain
-/// destination routing is handled here).
+/// Interface a switch's forwarding table implements to accept route
+/// installation from the network controller (the forwarding half of
+/// DAIET's "flow rules": tree id -> output port is handled by the DAIET
+/// tables; plain destination routing is handled here). `ports` is the
+/// ECMP next-hop set, valid only for the call.
 class RouteSink {
 public:
     virtual ~RouteSink() = default;
-    virtual void install_route(HostAddr dst, std::vector<dp::PortId> ports) = 0;
+    virtual void install_route(HostAddr dst, std::span<const dp::PortId> ports) = 0;
 };
 
 /// Classic store-and-forward L2/L3 switch with ECMP.
-class L2Switch : public Node {
+class L2Switch : public Node, public RouteSink {
 public:
     L2Switch(Simulator& sim, NodeId id, std::string name)
         : Node{sim, id, std::move(name)} {}
 
-    void install_route(HostAddr dst, std::vector<PortId> ports) {
+    void install_route(HostAddr dst, std::span<const PortId> ports) override {
         DAIET_EXPECTS(!ports.empty());
-        routes_[dst] = std::move(ports);
+        routes_[dst].assign(ports.begin(), ports.end());
     }
+    RouteSink* route_sink() override { return this; }
 
     void handle_frame(FrameBuf frame, PortId in_port) override;
 
@@ -61,8 +64,9 @@ public:
     dp::PipelineSwitch& chip() noexcept { return chip_; }
     const dp::PipelineSwitch& chip() const noexcept { return chip_; }
 
-    /// Forward route installation to the program if it is a RouteSink.
-    void install_route(HostAddr dst, std::vector<PortId> ports);
+    /// The loaded program, which must accept routes: a programmable
+    /// chip's destination table lives in its program.
+    RouteSink* route_sink() override;
 
     void handle_frame(FrameBuf frame, PortId in_port) override;
 

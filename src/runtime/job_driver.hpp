@@ -92,7 +92,6 @@ public:
     JobDriver(const JobDriver&) = delete;
     JobDriver& operator=(const JobDriver&) = delete;
 
-    std::size_t num_groups() const noexcept { return spec_.groups.size(); }
     const JobSpec& spec() const noexcept { return spec_; }
     ClusterRuntime& cluster() noexcept { return *rt_; }
     TreeId tree(std::size_t group) const;

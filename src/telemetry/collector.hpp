@@ -103,7 +103,6 @@ public:
     std::uint32_t max_watermark_bytes() const noexcept;
 
     const CollectorStats& stats() const noexcept { return stats_; }
-    std::size_t num_targets() const noexcept { return targets_.size(); }
 
 private:
     void on_datagram(sim::HostAddr src, std::uint16_t src_port,

@@ -15,7 +15,6 @@ CountMinSketch::CountMinSketch(std::string name, std::size_t width,
     : width_{width}, depth_{depth}, cells_{std::move(name), width * depth, book} {
     DAIET_EXPECTS(width > 0);
     DAIET_EXPECTS(depth > 0);
-    cells_.fill(0);
 }
 
 std::size_t CountMinSketch::row_cell(std::size_t row,

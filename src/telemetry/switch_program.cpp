@@ -22,10 +22,7 @@ TelemetrySwitchProgram::TelemetrySwitchProgram(TelemetryConfig config,
       port_bytes_{"tm.port_bytes", chip.config().num_ports, chip.sram()},
       prev_queue_drops_(chip.config().num_ports, 0),
       prev_loss_drops_(chip.config().num_ports, 0),
-      prev_ecn_marks_(chip.config().num_ports, 0) {
-    port_frames_.fill(0);
-    port_bytes_.fill(0);
-}
+      prev_ecn_marks_(chip.config().num_ports, 0) {}
 
 void TelemetrySwitchProgram::observe(dp::PacketContext& ctx,
                                      const sim::ParsedFrame& frame,
@@ -51,12 +48,7 @@ void TelemetrySwitchProgram::observe(dp::PacketContext& ctx,
     if (!frame.udp || frame.udp->dst_port != kv::kServerUdpPort) return;
     if (!kv::looks_like_kv(payload)) return;
     ctx.count_op(dp::OpKind::kParse);  // kv header
-    kv::KvMessage msg;
-    try {
-        msg = kv::parse_kv(payload);
-    } catch (const BufferError&) {
-        return;  // truncated or foreign; not ours to sketch
-    }
+    const kv::KvMessage msg = kv::parse_kv(payload);
     if (msg.op != kv::KvOp::kGet && msg.op != kv::KvOp::kPut) return;
     if (msg.op == kv::KvOp::kGet) {
         ++stats_.kv_gets_sketched;

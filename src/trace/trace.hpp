@@ -125,7 +125,6 @@ public:
     /// Drop recorded events but keep the current mode.
     void clear();
 
-    bool ring_mode() const noexcept { return ring_; }
     /// Ring capacity (0 when not in ring mode).
     std::size_t capacity() const noexcept { return ring_ ? events_.size() : 0; }
     /// Events currently held (≤ capacity in ring mode).

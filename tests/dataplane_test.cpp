@@ -3,7 +3,13 @@
 // application rule and recirculation.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstring>
+#include <optional>
+
 #include "common/bytes.hpp"
+#include "core/protocol.hpp"
 #include "dataplane/match_table.hpp"
 #include "dataplane/pipeline.hpp"
 #include "dataplane/pipeline_switch.hpp"
@@ -86,6 +92,62 @@ TEST(RegisterArray, ControlPlanePokeBypassesOpCounting) {
     reg.fill(1);
     EXPECT_EQ(reg.peek(0), 1U);
     EXPECT_EQ(reg.peek(3), 1U);
+}
+
+/// A fresh array reads as all-zero cells (the empty cell), also when
+/// its storage follows an array of the same size that was written and
+/// freed; its SRAM charge is size * sizeof(T).
+template <typename T>
+void expect_fresh_array_reads_zero(std::size_t size) {
+    SramBook book{0};
+    std::array<unsigned char, sizeof(T)> ones;
+    ones.fill(0xA5);
+    const auto dirty = std::bit_cast<T>(ones);
+    {
+        RegisterArray<T> used{"used", size, book};
+        used.fill(dirty);
+    }
+    EXPECT_EQ(book.used_bytes(), 0U);
+    RegisterArray<T> reg{"r", size, book};
+    EXPECT_EQ(book.used_bytes(), size * sizeof(T));
+    EXPECT_EQ(reg.footprint_bytes(), size * sizeof(T));
+    const T zero{};
+    for (std::size_t i = 0; i < size; ++i) {
+        ASSERT_EQ(std::memcmp(&reg.peek(i), &zero, sizeof(T)), 0) << "cell " << i;
+        ASSERT_TRUE(reg.peek(i) == zero) << "cell " << i;
+    }
+}
+
+TEST(RegisterArray, FreshArraysReadZero) {
+    // 16,384 cells is a DAIET tree slot's size.
+    for (const std::size_t size : {std::size_t{1}, std::size_t{64}, std::size_t{16384}}) {
+        SCOPED_TRACE(size);
+        expect_fresh_array_reads_zero<KvPair>(size);
+        expect_fresh_array_reads_zero<Key16>(size);
+        expect_fresh_array_reads_zero<std::uint32_t>(size);
+    }
+    EXPECT_TRUE(KvPair{}.key.empty());
+}
+
+TEST(RegisterArray, MoveKeepsCellsAndReleasesChargeOnce) {
+    SramBook book{0};
+    RegisterArray<std::uint32_t> other{"other", 16, book};
+    const std::size_t other_bytes = book.used_bytes();
+    std::optional<RegisterArray<KvPair>> from{std::in_place, "from", 1024, book};
+    const std::size_t total = book.used_bytes();
+    EXPECT_EQ(total, other_bytes + 1024 * sizeof(KvPair));
+    const KvPair pair{Key16::from_u64(7), 42};
+    from->poke(1000, pair);
+    {
+        RegisterArray<KvPair> to{std::move(*from)};
+        EXPECT_EQ(book.used_bytes(), total);
+        EXPECT_EQ(to.size(), 1024U);
+        EXPECT_EQ(to.peek(1000), pair);
+        EXPECT_EQ(from->size(), 0U);
+        from.reset();  // the moved-from array holds no charge to release
+        EXPECT_EQ(book.used_bytes(), total);
+    }
+    EXPECT_EQ(book.used_bytes(), other_bytes);
 }
 
 // --------------------------------------------------------- match table

@@ -43,6 +43,57 @@ TEST(KvProtocol, RejectsForeignTraffic) {
     EXPECT_FALSE(looks_like_kv(truncated));
 }
 
+/// A GET wire whose op byte is `op`: valid magic and size, any op.
+KvWire get_wire_with_op(std::uint8_t op, std::uint32_t seq) {
+    KvMessage get;
+    get.op = KvOp::kGet;
+    get.req_id = seq;
+    get.seq = seq;
+    get.key = Key16{"k"};
+    KvWire wire = serialize_kv(get);
+    wire[2] = std::byte{op};
+    return wire;
+}
+
+TEST(KvProtocol, UnknownOpIsNotKv) {
+    for (const std::uint8_t op : {0, 5, 9, 255}) {
+        const KvWire wire = get_wire_with_op(op, 1);
+        EXPECT_FALSE(looks_like_kv(wire)) << int{op};
+        EXPECT_THROW(parse_kv(wire), BufferError) << int{op};
+    }
+}
+
+TEST(KvProtocol, ServerIgnoresUnknownOps) {
+    sim::Network net{1};
+    const auto star = sim::make_star(net, 2, sim::l2_switches(net));
+    net.install_routes();
+    sim::Host& client = *star.hosts[1];
+    KvStoreServer server{*star.hosts[0], KvConfig{}};
+    server.preload(Key16{"k"}, 7);
+    std::size_t replies = 0;
+    client.udp_bind(kClientUdpPort,
+                    [&](sim::HostAddr, std::uint16_t, std::span<const std::byte>) {
+                        ++replies;
+                    });
+    std::uint32_t seq = 1;
+    for (const std::uint8_t op : {0, 5, 9, 255}) {
+        client.udp_send(server.addr(), kClientUdpPort, kServerUdpPort,
+                        get_wire_with_op(op, seq++));
+    }
+    EXPECT_NO_THROW(net.run());
+    EXPECT_EQ(replies, 0U);
+    EXPECT_EQ(server.stats().gets, 0U);
+    EXPECT_EQ(server.stats().puts, 0U);
+    EXPECT_EQ(server.stats().duplicates, 0U);
+
+    // The same path answers a well-formed GET.
+    client.udp_send(server.addr(), kClientUdpPort, kServerUdpPort,
+                    get_wire_with_op(static_cast<std::uint8_t>(KvOp::kGet), seq));
+    net.run();
+    EXPECT_EQ(replies, 1U);
+    EXPECT_EQ(server.stats().gets, 1U);
+}
+
 // -------------------------------------------------------------- helpers
 
 rt::ClusterOptions leaf_spine_options(std::size_t hosts) {

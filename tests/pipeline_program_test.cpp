@@ -167,6 +167,53 @@ TEST(DaietProgram, ClearTreeWipesStoredAndSpilledPairs) {
     EXPECT_EQ(round(h), round(fresh));
 }
 
+// Host storage is committed only where the data plane writes, so a
+// wiped slot differs from a fresh one in memory (its emptied cells carry
+// the identity value); it must not differ in anything the slot does.
+TEST(DaietProgram, ReconfiguredSlotReadsLikeAFreshOne) {
+    Config cfg;  // 16,384 cells per slot
+    cfg.max_trees = 1;
+    TreeRule min_rule;
+    min_rule.fn = AggFnId::kMinI32;  // identity INT32_MAX, not zero bits
+    min_rule.num_children = 1;
+    min_rule.out_port = kUpPort;
+    min_rule.flush_dst = kReducerAddr;
+
+    Harness used{cfg};
+    std::vector<KvPair> partial;
+    for (int i = 0; i < 300; ++i) partial.push_back(kv("p" + std::to_string(i), i));
+    for (std::size_t off = 0; off < partial.size(); off += 10) {
+        used.data(std::span{partial}.subspan(off, 10));
+    }
+    ASSERT_GT(used.program->occupied_cells(1), 0U);
+    used.program->clear_tree(1, 1);
+    used.program->configure_tree(1, min_rule);
+
+    Harness fresh{cfg};
+    fresh.program->configure_tree(1, min_rule);
+    for (Harness* h : {&used, &fresh}) {
+        EXPECT_EQ(h->program->occupied_cells(1), 0U);
+        EXPECT_EQ(h->program->held_pairs(1), 0U);
+    }
+    const auto round = [](Harness& target) {
+        std::vector<KvPair> pairs;
+        for (int i = 0; i < 40; ++i) pairs.push_back(kv("p" + std::to_string(i % 13), -i));
+        std::vector<std::vector<std::byte>> payloads;
+        for (std::size_t off = 0; off < pairs.size(); off += 10) {
+            for (const auto& p : target.data(std::span{pairs}.subspan(off, 10))) {
+                payloads.emplace_back(p.payload().begin(), p.payload().end());
+            }
+        }
+        for (const auto& p : target.end()) {
+            payloads.emplace_back(p.payload().begin(), p.payload().end());
+        }
+        return payloads;
+    };
+    const auto got = round(used);
+    EXPECT_EQ(got, round(fresh));
+    EXPECT_EQ(got.size(), 3U);  // 13 pairs: two DATA packets and the END
+}
+
 TEST(DaietProgram, LargeFlushRecirculates) {
     Config cfg = tiny_config(512);
     Harness h{cfg};
@@ -234,7 +281,7 @@ TEST(DaietProgram, OperationBudgetRespectedAtFullPacketSize) {
 
 TEST(DaietProgram, NonDaietTrafficForwardsViaRoutes) {
     Harness h{tiny_config()};
-    h.program->router().install(kReducerAddr, {5});
+    h.program->router().install(kReducerAddr, std::array<dp::PortId, 1>{5});
     auto frame = sim::build_udp_frame(kMapperAddr, kReducerAddr, 1, 9999,
                                       as_bytes("not daiet"));
     const auto out = h.chip.receive(dp::Packet{std::move(frame)}, 0);
@@ -253,7 +300,7 @@ TEST(DaietProgram, UnconfiguredTreeFallsBackToForwarding) {
     // forwarded like plain traffic, not dropped (§2 "no worse than
     // without in-network computation").
     Harness h{tiny_config()};
-    h.program->router().install(kReducerAddr, {6});
+    h.program->router().install(kReducerAddr, std::array<dp::PortId, 1>{6});
     const auto payload = serialize_data(42, std::vector{kv("a", 1)});
     auto frame = sim::build_udp_frame(kMapperAddr, kReducerAddr,
                                       kMapperUdpPort, kDaietUdpPort, payload);
@@ -290,7 +337,7 @@ TEST(DaietProgram, DoesNotFitTinySwitch) {
 
 TEST(DaietProgram, RouteEcmpStableForFlow) {
     Harness h{tiny_config()};
-    h.program->router().install(kReducerAddr, {1, 2, 4});
+    h.program->router().install(kReducerAddr, std::array<dp::PortId, 3>{1, 2, 4});
     dp::PortId first = dp::kPortInvalid;
     for (int i = 0; i < 10; ++i) {
         auto frame =

@@ -421,47 +421,103 @@ TEST(ClusterLayout, FatTreeK4PartialFill) {
     expect_layout(opts, want);
 }
 
-/// On every switch and for every host, the router's group mirror (the
-/// per-hop path) must resolve exactly what the charged table holds, at
-/// the cost of one table application.
-void expect_group_mirror_matches_table(const ClusterRuntime& rt) {
+/// Oracle for the routes install_routes computes: on every switch and
+/// for every host, the router resolves, in ascending port order, exactly
+/// the ports whose neighbour is one BFS hop closer to the host, at the
+/// cost of one table application.
+void expect_routes_step_one_hop_closer(ClusterRuntime& rt) {
+    const sim::Network& net = rt.network();
+    // (port, neighbour) per node, sorted by port.
+    std::vector<std::vector<std::pair<dp::PortId, sim::NodeId>>> ports(net.nodes().size());
+    for (const auto& link : net.links()) {
+        const sim::NodeId a = link->end_of(0).id();
+        const sim::NodeId b = link->end_of(1).id();
+        ports[a].emplace_back(link->peer_port(1), b);
+        ports[b].emplace_back(link->peer_port(0), a);
+    }
+    for (auto& p : ports) std::sort(p.begin(), p.end());
+
     std::size_t routes = 0;
-    for (const sim::PipelineSwitchNode* sw : rt.daiet_switches()) {
-        const std::shared_ptr<FabricRouter> router = rt.router_at(sw->id());
-        for (const sim::Host* host : rt.hosts()) {
+    for (const sim::Host* host : rt.hosts()) {
+        std::vector<int> dist(ports.size(), -1);
+        std::vector<sim::NodeId> queue{host->id()};
+        dist[host->id()] = 0;
+        for (std::size_t head = 0; head < queue.size(); ++head) {
+            for (const auto& [port, peer] : ports[queue[head]]) {
+                if (dist[peer] >= 0) continue;
+                dist[peer] = dist[queue[head]] + 1;
+                queue.push_back(peer);
+            }
+        }
+        for (const sim::PipelineSwitchNode* sw : rt.daiet_switches()) {
+            RoutePorts want;
+            for (const auto& [port, peer] : ports[sw->id()]) {
+                if (dist[peer] + 1 == dist[sw->id()]) want.ports[want.count++] = port;
+            }
+            ASSERT_GT(want.count, 0U) << sw->name() << " -> host " << host->addr();
+            const std::shared_ptr<FabricRouter> router = rt.router_at(sw->id());
             dp::Packet packet;
             dp::PacketContext ctx{packet, 0};
             const RoutePorts* got = router->apply(ctx, host->addr());
-            const RoutePorts* want = router->peek(host->addr());
             EXPECT_EQ(ctx.total_ops().of(dp::OpKind::kTableApply), 1U);
             EXPECT_EQ(ctx.total_ops().total(), 1U);
-            ASSERT_EQ(got == nullptr, want == nullptr)
-                << sw->name() << " -> host " << host->addr();
-            if (want == nullptr) continue;
+            ASSERT_NE(got, nullptr) << sw->name() << " -> host " << host->addr();
+            EXPECT_EQ(*got, want) << sw->name() << " -> host " << host->addr();
+            EXPECT_EQ(router->peek(host->addr()), got);
             ++routes;
-            EXPECT_EQ(*got, *want) << sw->name() << " -> host " << host->addr();
         }
     }
-    EXPECT_GT(routes, 0U);
+    EXPECT_EQ(routes, rt.hosts().size() * rt.daiet_switches().size());
+    for (const sim::PipelineSwitchNode* sw : rt.daiet_switches()) {
+        EXPECT_EQ(rt.router_at(sw->id())->size(), rt.hosts().size()) << sw->name();
+    }
 }
 
-TEST(FabricRouter, GroupMirrorMatchesTableOnFatTree) {
+TEST(FabricRouter, RoutesStepOneHopCloserOnFatTree) {
     ClusterOptions opts;
     opts.topology = TopologyKind::kFatTree;
     opts.fat_tree_k = 8;
     opts.num_hosts = 128;
     opts.config.max_trees = 1;
-    expect_group_mirror_matches_table(ClusterRuntime{opts});
+    ClusterRuntime rt{opts};
+    expect_routes_step_one_hop_closer(rt);
 }
 
-TEST(FabricRouter, GroupMirrorMatchesTableOnLeafSpine) {
+TEST(FabricRouter, RoutesStepOneHopCloserOnLeafSpine) {
     ClusterOptions opts;
     opts.topology = TopologyKind::kLeafSpine;
     opts.n_leaf = 4;
     opts.n_spine = 3;
     opts.num_hosts = 12;
     opts.config.max_trees = 1;
-    expect_group_mirror_matches_table(ClusterRuntime{opts});
+    ClusterRuntime rt{opts};
+    expect_routes_step_one_hop_closer(rt);
+}
+
+/// The capacity bounds host routes and switch vaddrs together: a new
+/// destination of either kind past it throws, re-installing a known one
+/// does not, and the SRAM charge is the capacity's whatever is stored.
+TEST(FabricRouter, DestinationsBeyondCapacityThrow) {
+    dp::SramBook book;
+    FabricRouter router{book, 4};
+    const std::size_t charged = book.used_bytes();
+    EXPECT_EQ(router.sram_bytes(), charged);
+    const std::array<dp::PortId, 2> ports{1, 3};
+    router.install(1, ports);
+    router.install(2, ports);
+    router.install(0xE0000001, ports);
+    router.install(0xF0000002, ports);
+    EXPECT_EQ(router.size(), 4U);
+    EXPECT_NO_THROW(router.install(2, std::array<dp::PortId, 1>{2}));
+    EXPECT_NO_THROW(router.install(0xE0000001, std::array<dp::PortId, 1>{2}));
+    EXPECT_THROW(router.install(3, ports), dp::ResourceError);
+    EXPECT_THROW(router.install(0xE0000003, ports), dp::ResourceError);
+    EXPECT_EQ(router.size(), 4U);
+    EXPECT_EQ(router.peek(3), nullptr);
+    EXPECT_EQ(router.peek(0xE0000003), nullptr);
+    ASSERT_NE(router.peek(2), nullptr);
+    EXPECT_EQ(router.peek(2)->count, 1U);
+    EXPECT_EQ(book.used_bytes(), charged);
 }
 
 // ------------------------------------------------------------ JobDriver

@@ -123,7 +123,7 @@ struct SegmentRecorder : dp::PipelineProgram, RouteSink {
     std::vector<Segment> segments;
     std::unordered_map<HostAddr, dp::PortId> routes;
 
-    void install_route(HostAddr dst, std::vector<dp::PortId> ports) override {
+    void install_route(HostAddr dst, std::span<const dp::PortId> ports) override {
         routes[dst] = ports.front();
     }
     void on_packet(dp::PacketContext& ctx) override {

@@ -880,7 +880,7 @@ TEST(SwitchProgramMux, ClaimPortUnionBeyondTheFilterOffersEveryFrame) {
         mux->add_tenant(a);
         mux->add_tenant(b);
         chip.load_program(mux);
-        router->install(2, {1});
+        router->install(2, std::array<dp::PortId, 1>{1});
         for (const std::uint16_t port : {std::uint16_t{9999}, a_ports.back(), b_ports.back()}) {
             const auto out = chip.receive(
                 dp::Packet{sim::build_udp_frame(1, 2, 9998, port, as_bytes("x"))}, 0);
@@ -924,8 +924,8 @@ struct ChipHarness {
         program = std::make_shared<kv::KvCacheSwitchProgram>(cfg, kServer, chip,
                                                              router);
         load_one_tenant(chip, router, program);
-        router->install(kServer, {1});
-        router->install(kClient, {2});
+        router->install(kServer, std::array<dp::PortId, 1>{1});
+        router->install(kClient, std::array<dp::PortId, 1>{2});
     }
 
     static dp::SwitchConfig switch_config() {
@@ -1088,6 +1088,35 @@ TEST(KvSwitchIdempotence, InstallDuringAWriteServesTheSnapshotUntilItsAck) {
     EXPECT_FALSE(h.get_hits(fresh));
 }
 
+/// A frame with the kv magic and size but an unknown op byte is not the
+/// cache's: the chip forwards it unchanged, as plain traffic, instead of
+/// throwing out of the pipeline.
+TEST(KvSwitchIdempotence, UnknownOpCrossesAsPlainTraffic) {
+    ChipHarness h;
+    const Key16 k{"hot"};
+    ASSERT_TRUE(h.program->insert(k, 5));
+    for (const std::uint8_t op : {0, 5, 9, 255}) {
+        kv::KvMessage get;
+        get.op = kv::KvOp::kGet;
+        get.req_id = op;
+        get.seq = op;
+        get.key = k;
+        auto wire = kv::serialize_kv(get);
+        wire[2] = std::byte{op};
+        const FrameBuf frame = sim::build_udp_frame(ChipHarness::kClient, ChipHarness::kServer,
+                                                    kv::kClientUdpPort, kv::kServerUdpPort,
+                                                    wire);
+        const std::vector<std::byte> sent(frame.bytes().begin(), frame.bytes().end());
+        std::vector<dp::Packet> out;
+        EXPECT_NO_THROW(out = h.chip.receive(dp::Packet{frame}, 2)) << int{op};
+        ASSERT_EQ(out.size(), 1U) << int{op};
+        EXPECT_EQ(out[0].meta().egress_port, 1U);  // on toward the server
+        EXPECT_TRUE(std::ranges::equal(out[0].payload(), sent));
+    }
+    EXPECT_EQ(h.program->stats().gets_seen, 0U);
+    EXPECT_TRUE(h.get_hits(k));  // the cache itself is untouched
+}
+
 // ----------------------------------------------- edge-cache admission
 
 /// A bare edge-cache chip on a switch node with no links: GETs, PUTs,
@@ -1110,8 +1139,8 @@ struct EdgeChipHarness {
                                                                  router);
         program->add_client(kClient);
         load_one_tenant(node.chip(), router, program);
-        router->install(dir::kServiceVaddr, {1});
-        router->install(kClient, {2});
+        router->install(dir::kServiceVaddr, std::array<dp::PortId, 1>{1});
+        router->install(kClient, std::array<dp::PortId, 1>{2});
         for (std::size_t r = 0; r < dir::kNumRanges; ++r) program->grant(r);
     }
 

@@ -6,6 +6,7 @@
 #include <array>
 #include <chrono>
 #include <map>
+#include <set>
 
 #include "common/hash.hpp"
 #include "common/rng.hpp"
@@ -94,6 +95,81 @@ TEST(Corpus, ImpossibleCollisionFreeConfigThrows) {
     cc.vocabulary_size = 100;
     cc.register_size = 8;  // 3 partitions x 8 cells < 100 words
     EXPECT_THROW(Corpus{cc}, std::runtime_error);
+}
+
+/// Vocabulary with enough duplicate draws to exercise deduplication:
+/// lengths 1-2 leave only 702 distinct words for 400 slots.
+CorpusConfig short_word_corpus(bool collision_free) {
+    CorpusConfig cc = small_corpus();
+    cc.vocabulary_size = 400;
+    cc.min_word_length = 1;
+    cc.max_word_length = 2;
+    cc.register_size = 1 << 16;
+    cc.collision_free = collision_free;
+    return cc;
+}
+
+TEST(Corpus, WordsAreDistinct) {
+    for (const bool collision_free : {true, false}) {
+        const Corpus corpus{short_word_corpus(collision_free)};
+        const std::set<std::string> distinct(corpus.vocabulary().begin(),
+                                             corpus.vocabulary().end());
+        EXPECT_EQ(distinct.size(), corpus.vocabulary().size())
+            << "collision_free=" << collision_free;
+    }
+}
+
+/// FNV-1a over every word, each followed by a newline.
+std::uint64_t vocabulary_digest(const Corpus& corpus) {
+    std::string joined;
+    for (const auto& w : corpus.vocabulary()) joined.append(w).push_back('\n');
+    return fnv1a64(joined);
+}
+
+/// FNV-1a over the split digests, in mapper order.
+std::uint64_t splits_digest(const Corpus& corpus) {
+    std::string joined;
+    for (std::size_t m = 0; m < corpus.config().num_mappers; ++m) {
+        joined.append(std::to_string(fnv1a64(corpus.split_text(m)))).push_back('\n');
+    }
+    return fnv1a64(joined);
+}
+
+struct GoldenCorpus {
+    bool collision_free;
+    std::uint64_t seed;
+    std::uint64_t vocabulary;
+    std::uint64_t splits;
+};
+
+TEST(Corpus, GoldenDigests) {
+    // Pins the generated text: Figure 3's shape (the CorpusConfig
+    // defaults: 144K words, 1.2M total, 24 mappers, 12 reducers) and
+    // ablate_register_size's collisions-allowed shape, two seeds each.
+    constexpr std::array<GoldenCorpus, 4> kGolden{{
+        {true, 42, 0x7df3f5480bb571d8ULL, 0xdc6a86d6967eb91aULL},
+        {true, 7, 0x6715d308e7b4c162ULL, 0xb3b6fd5fff2544d1ULL},
+        {false, 42, 0xb25813313274c194ULL, 0xc9e1098b46b4082bULL},
+        {false, 7, 0x052e1cff5262d828ULL, 0x9d49036d1f83fe80ULL},
+    }};
+    for (const auto& golden : kGolden) {
+        CorpusConfig cc;
+        if (!golden.collision_free) {
+            cc.total_words = 200'000;
+            cc.vocabulary_size = 24'000;
+            cc.num_mappers = 8;
+            cc.num_reducers = 4;
+            cc.collision_free = false;
+        }
+        cc.seed = golden.seed;
+        const Corpus corpus{cc};
+        SCOPED_TRACE(::testing::Message() << "collision_free=" << golden.collision_free
+                                          << " seed=" << golden.seed);
+        EXPECT_EQ(vocabulary_digest(corpus), golden.vocabulary) << std::hex
+            << "0x" << vocabulary_digest(corpus);
+        EXPECT_EQ(splits_digest(corpus), golden.splits) << std::hex
+            << "0x" << splits_digest(corpus);
+    }
 }
 
 TEST(Corpus, ZipfSkewsFrequencies) {

@@ -13,8 +13,7 @@ namespace daiet::dir {
 DirectorySwitchProgram::DirectorySwitchProgram(dp::PipelineSwitch& chip,
                                                std::shared_ptr<FabricRouter> router)
     : TenantProgram{std::move(router)},
-      owners_{"dir.owners", kNumRanges, chip.sram()},
-      range_hits_{"dir.range_hits", kNumRanges, chip.sram()} {}
+      owners_{"dir.owners", kNumRanges, chip.sram()} {}
 
 bool DirectorySwitchProgram::claims(const sim::ParsedFrame& frame,
                                     std::span<const std::byte> payload) const {
@@ -51,9 +50,6 @@ bool DirectorySwitchProgram::on_claimed(dp::PacketContext& ctx,
         send_nack(ctx, frame, msg);
         return true;
     }
-
-    const std::uint32_t load = range_hits_.read(ctx, range);
-    range_hits_.write(ctx, range, load + 1);
 
     // The steer: rewrite the frame's destination to the owning rack's
     // storage server, in the raw bytes (downstream switches route on
@@ -152,12 +148,6 @@ void DirectorySwitchProgram::add_edge(sim::HostAddr vaddr, dp::PortId port) {
         DAIET_EXPECTS(existing != vaddr);
     }
     edges_.emplace_back(vaddr, port);
-}
-
-std::vector<std::uint32_t> DirectorySwitchProgram::range_load() const {
-    std::vector<std::uint32_t> load(owners_.size());
-    for (std::size_t r = 0; r < owners_.size(); ++r) load[r] = range_hits_.peek(r);
-    return load;
 }
 
 }  // namespace daiet::dir

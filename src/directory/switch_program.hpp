@@ -79,7 +79,7 @@ public:
     }
     std::string name() const override { return "directory@svc1"; }
     std::size_t sram_bytes() const override {
-        return owners_.footprint_bytes() + range_hits_.footprint_bytes();
+        return owners_.footprint_bytes();
     }
 
     // --- control plane (the DirectoryController's API) ----------------------
@@ -98,11 +98,6 @@ public:
     void add_edge(sim::HostAddr vaddr, dp::PortId port);
     std::size_t num_edges() const noexcept { return edges_.size(); }
 
-    /// Requests steered per range since the last reset — the skew view
-    /// a rebalancer reads (and the telemetry-free fallback ranking).
-    std::vector<std::uint32_t> range_load() const;
-    void reset_range_load() { range_hits_.fill(0); }
-
     const DirectoryStats& stats() const noexcept { return stats_; }
 
 private:
@@ -112,7 +107,6 @@ private:
                               const kv::KvMessage& msg);
 
     dp::RegisterArray<sim::HostAddr> owners_;     ///< range -> server (0=none)
-    dp::RegisterArray<std::uint32_t> range_hits_; ///< steered per range
     std::vector<std::pair<sim::HostAddr, dp::PortId>> edges_;
     DirectoryStats stats_;
     std::uint32_t trace_name_id_{0};  ///< lazily interned name()

@@ -1,9 +1,9 @@
 #include "mapreduce/corpus.hpp"
 
-#include <algorithm>
+#include <array>
+#include <bit>
 #include <map>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "common/contracts.hpp"
 #include "common/hash.hpp"
@@ -42,24 +42,18 @@ Corpus::Corpus(CorpusConfig config) : config_{config} {
     }
 }
 
-std::string Corpus::random_word(Rng& rng) const {
-    const auto len = static_cast<std::size_t>(
-        rng.next_int(static_cast<std::int64_t>(config_.min_word_length),
-                     static_cast<std::int64_t>(config_.max_word_length)));
-    std::string w(len, 'a');
-    for (auto& c : w) {
-        c = static_cast<char>('a' + rng.next_below(26));
-    }
-    return w;
-}
-
 void Corpus::build_vocabulary(Rng& rng) {
     vocabulary_.reserve(config_.vocabulary_size);
-    std::unordered_set<std::string> seen;
-    // Per reducer partition: occupied register cells (collision check).
-    std::vector<std::unordered_set<std::uint32_t>> cells(config_.num_reducers);
+    const std::size_t cells = config_.register_size;
+    // collision_free: one bit per (reducer partition, register cell);
+    // otherwise open-addressed vocabulary indices, at most half full.
+    std::vector<bool> taken(config_.collision_free ? config_.num_reducers * cells : 0);
+    constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+    std::vector<std::uint32_t> slots(
+        config_.collision_free ? 0 : std::bit_ceil(2 * config_.vocabulary_size), kEmpty);
+    const std::size_t slot_mask = slots.size() - 1;
 
-    std::size_t rejected_collisions = 0;
+    std::size_t rejected = 0;
     const std::size_t max_attempts = config_.vocabulary_size * 400 + 100'000;
     std::size_t attempts = 0;
     while (vocabulary_.size() < config_.vocabulary_size) {
@@ -67,24 +61,39 @@ void Corpus::build_vocabulary(Rng& rng) {
             throw std::runtime_error{
                 "Corpus: cannot build a collision-free vocabulary of " +
                 std::to_string(config_.vocabulary_size) + " words into " +
-                std::to_string(config_.num_reducers) + " x " +
-                std::to_string(config_.register_size) +
-                " register cells (rejected " + std::to_string(rejected_collisions) +
-                " candidates); enlarge register_size or shrink the vocabulary"};
+                std::to_string(config_.num_reducers) + " x " + std::to_string(cells) +
+                " register cells (rejected " + std::to_string(rejected) +
+                " candidates, duplicate draws included); enlarge register_size or "
+                "shrink the vocabulary"};
         }
-        std::string w = random_word(rng);
-        if (!seen.insert(w).second) continue;
+        std::array<char, Key16::width> letters{};
+        const auto len = static_cast<std::size_t>(
+            rng.next_int(static_cast<std::int64_t>(config_.min_word_length),
+                         static_cast<std::int64_t>(config_.max_word_length)));
+        for (std::size_t i = 0; i < len; ++i) {
+            letters[i] = static_cast<char>('a' + rng.next_below(26));
+        }
+        const std::string_view word{letters.data(), len};
+        bool fresh = false;
         if (config_.collision_free) {
-            const auto part = partition_of(w);
-            const auto cell = static_cast<std::uint32_t>(register_index_from_crc(
-                Crc32::compute(Key16{w}.bytes()), config_.register_size));
-            if (!cells[part].insert(cell).second) {
-                ++rejected_collisions;
-                seen.erase(w);
-                continue;
+            const std::size_t bit =
+                partition_of(word) * cells +
+                register_index_from_crc(Crc32::compute(Key16{word}.bytes()), cells);
+            fresh = !taken[bit];
+            taken[bit] = true;
+        } else {
+            std::size_t slot = fnv1a64(word) & slot_mask;
+            while (slots[slot] != kEmpty && vocabulary_[slots[slot]] != word) {
+                slot = (slot + 1) & slot_mask;
             }
+            fresh = slots[slot] == kEmpty;
+            if (fresh) slots[slot] = static_cast<std::uint32_t>(vocabulary_.size());
         }
-        vocabulary_.push_back(std::move(w));
+        if (!fresh) {
+            ++rejected;
+            continue;
+        }
+        vocabulary_.emplace_back(word);
     }
 }
 

@@ -64,8 +64,14 @@ public:
     std::vector<std::pair<std::string, std::int64_t>> reference_counts() const;
 
 private:
+    /// Draws candidates (a length, then one letter each) until the
+    /// vocabulary is full. Collision-free: one bit per (reducer
+    /// partition, register cell) decides membership, and a candidate
+    /// joins exactly when its bit is clear. The bitmap also deduplicates,
+    /// since a repeat of an accepted word hits that word's own bit.
+    /// Otherwise an open-addressed index table drops repeats. Throws
+    /// std::runtime_error after vocabulary_size * 400 + 100'000 draws.
     void build_vocabulary(Rng& rng);
-    std::string random_word(Rng& rng) const;
 
     CorpusConfig config_;
     std::vector<std::string> vocabulary_;

@@ -7,6 +7,7 @@
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "core/protocol.hpp"
+#include "dataplane/context.hpp"
 #include "mapreduce/job.hpp"
 
 int main() {
@@ -41,7 +42,18 @@ int main() {
         opts.mode = ShuffleMode::kDaiet;
         opts.daiet.max_pairs_per_packet = pairs;
         opts.daiet.spillover_capacity = pairs;
-        const auto result = run_wordcount_job(corpus, opts);
+        JobResult result;
+        try {
+            result = run_wordcount_job(corpus, opts);
+        } catch (const dp::PipelineError& e) {
+            // A P4 compiler rejects a program whose pass exceeds the
+            // chip's op budget; the simulator rejects it at the first
+            // packet that does, and stderr names the limit.
+            std::cerr << pairs << " pairs/packet: " << e.what() << "\n";
+            table.add_row({std::to_string(pairs), std::to_string(data_packet_size(pairs)),
+                           "-", "-", "-", "NO (pass rejected by the pipeline)"});
+            continue;
+        }
         const auto frames = result.total_frames_at_reducers();
         table.add_row(
             {std::to_string(pairs), std::to_string(data_packet_size(pairs)),

@@ -128,7 +128,8 @@ public:
 
     /// Pool counters for this thread.
     static FramePoolStats pool_stats() noexcept;
-    /// Release every slab parked in this thread's free lists (tests).
+    /// Release every slab parked in this thread's free lists (tests, and
+    /// a WordCount job once its cluster is gone).
     static void trim_pool() noexcept;
 
 private:

@@ -198,12 +198,16 @@ void DaietSwitchProgram::handle_data(dp::PacketContext& ctx, TreeId tree,
 
     // Hash every key first and prefetch its cell: each pair lands on a
     // random one of R cells, so a packet's cell loads overlap instead of
-    // missing one after another.
-    std::array<std::uint32_t, kMaxWirePairs> index{};
+    // missing one after another. Every pair writes its cell or collides
+    // with an occupied one, so resolving the cells commits no block the
+    // pass would not have written.
+    std::array<std::uint32_t, kMaxWirePairs> index;
+    std::array<KvPair*, kMaxWirePairs> cells;
     for (std::size_t i = 0; i < n; ++i) {
         index[i] = static_cast<std::uint32_t>(register_index_from_crc(
             Crc32::compute(pairs.key_bytes(i)), config_.register_size));
-        __builtin_prefetch(&slot.cells.cell(index[i]));
+        cells[i] = &slot.cells.cell(index[i]);
+        __builtin_prefetch(cells[i]);
     }
 
     std::size_t stored = 0;
@@ -211,7 +215,7 @@ void DaietSwitchProgram::handle_data(dp::PacketContext& ctx, TreeId tree,
     for (std::size_t i = 0; i < n; ++i) {
         const KvPair pair = pairs[i];
         const std::uint32_t idx = index[i];
-        KvPair& cell = slot.cells.cell(idx);
+        KvPair& cell = *cells[i];
         if (cell.key.empty()) {
             // Algorithm 1 lines 6-9.
             cell = KvPair{pair.key, first_value(rule.fn, pair.value)};
@@ -336,11 +340,15 @@ std::size_t DaietSwitchProgram::drain_stack_chunk(dp::PacketContext& ctx, TreeId
     if (depth == 0) return 0;
     const std::size_t n = std::min<std::size_t>(depth, config_.max_pairs_per_packet);
     DataPacketBuilder packet{tree};
+    const KvPair cleared{Key16{}, identity_of(rule.fn)};
     for (std::size_t i = 0; i < n; ++i) {
-        KvPair& cell = slot.cells.cell(slot.index_stack.cell(depth - 1 - i));
-        packet.add(cell);
-        // Clear the cell for the next round.
-        cell = KvPair{Key16{}, identity_of(rule.fn)};
+        KvPair& cell = slot.cells.cell(slot.index_stack.peek(depth - 1 - i));
+        // Take the pair and clear the cell for the next round before
+        // encoding: the encoder's byte stores could alias the cell, so
+        // encoding straight from it reloads the cell and block tables.
+        const KvPair pair = cell;
+        cell = cleared;
+        packet.add(pair);
     }
     // Per pair: the stack, key and value reads, the key and value writes.
     ctx.count_ops(dp::OpKind::kRegisterRead, 3 * n);

@@ -123,7 +123,7 @@ private:
         /// Control-plane wipe of the aggregation state. Only cells on the
         /// index stack can hold a key (every empty->occupied write pushes
         /// its index), and the data plane never reads an empty cell's
-        /// value, so clearing [0, depth) leaves what a full fill() would.
+        /// value, so clearing [0, depth) leaves what a full clear() would.
         void wipe(AggFnId fn);
         /// Arm for a round: child countdown and loss-detection counters.
         void arm(std::uint32_t num_children);

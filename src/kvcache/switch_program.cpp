@@ -192,6 +192,6 @@ std::vector<std::pair<Key16, std::uint32_t>> KvCacheSwitchProgram::hit_counts()
     return out;
 }
 
-void KvCacheSwitchProgram::reset_hot_counters() { hits_.fill(0); }
+void KvCacheSwitchProgram::reset_hot_counters() { hits_.clear(); }
 
 }  // namespace daiet::kv

@@ -4,6 +4,7 @@
 #include <bit>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 #include "common/contracts.hpp"
 #include "common/hash.hpp"
@@ -58,13 +59,19 @@ void Corpus::build_vocabulary(Rng& rng) {
     std::size_t attempts = 0;
     while (vocabulary_.size() < config_.vocabulary_size) {
         if (++attempts > max_attempts) {
+            const std::string rejects = " (rejected " + std::to_string(rejected) +
+                                        " candidates, duplicate draws included); ";
             throw std::runtime_error{
-                "Corpus: cannot build a collision-free vocabulary of " +
-                std::to_string(config_.vocabulary_size) + " words into " +
-                std::to_string(config_.num_reducers) + " x " + std::to_string(cells) +
-                " register cells (rejected " + std::to_string(rejected) +
-                " candidates, duplicate draws included); enlarge register_size or "
-                "shrink the vocabulary"};
+                config_.collision_free
+                    ? "Corpus: cannot build a collision-free vocabulary of " +
+                          std::to_string(config_.vocabulary_size) + " words into " +
+                          std::to_string(config_.num_reducers) + " x " +
+                          std::to_string(cells) + " register cells" + rejects +
+                          "enlarge register_size or shrink the vocabulary"
+                    : "Corpus: cannot draw " + std::to_string(config_.vocabulary_size) +
+                          " distinct words of " + std::to_string(config_.min_word_length) +
+                          "-" + std::to_string(config_.max_word_length) + " letters" +
+                          rejects + "widen the word lengths or shrink the vocabulary"};
         }
         std::array<char, Key16::width> letters{};
         const auto len = static_cast<std::size_t>(

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/contracts.hpp"
+#include "common/framebuf.hpp"
 #include "mapreduce/collector.hpp"
 #include "mapreduce/record.hpp"
 #include "mapreduce/reduce.hpp"
@@ -173,20 +174,20 @@ void run_udp_shuffle(JobResult& result, std::vector<KvPair>& merged, Cluster& c,
 }
 
 void run_tcp_shuffle(JobResult& result, std::vector<KvPair>& merged, Cluster& c,
-                     const std::vector<MapOutput>& maps, const JobOptions& o) {
+                     std::vector<MapOutput>& maps, const JobOptions& o) {
     const std::size_t m = c.mappers.size();
     const std::size_t r = c.reducers.size();
 
     // Mapper-side sort (the baseline sorts at the mapper, §4) and
-    // re-serialization, done before the network phase starts.
+    // re-serialization, done before the network phase starts. Each file
+    // is replaced by its sorted self: the reference check reads the map
+    // outputs in any order, so the job keeps one copy of them.
     const auto presort_start = Clock::now();
-    std::vector<std::vector<IntermediateFile>> sorted_files(m);
-    for (std::size_t mi = 0; mi < m; ++mi) {
-        sorted_files[mi].reserve(r);
-        for (std::size_t ri = 0; ri < r; ++ri) {
-            auto records = maps[mi].partitions[ri].all_records();
+    for (MapOutput& mo : maps) {
+        for (IntermediateFile& file : mo.partitions) {
+            auto records = file.all_records();
             sort_by_key(records);
-            sorted_files[mi].emplace_back(records);
+            file = IntermediateFile{records};
         }
     }
     result.phases.presort_s = seconds_since(presort_start);
@@ -223,7 +224,7 @@ void run_tcp_shuffle(JobResult& result, std::vector<KvPair>& merged, Cluster& c,
                 for (std::size_t ri = 0; ri < r; ++ri) {
                     auto& conn =
                         c.mappers[mi]->tcp_connect(c.reducers[ri]->addr(), kTcpShufflePort);
-                    conn.on_established = [&conn, &file = sorted_files[mi][ri]] {
+                    conn.on_established = [&conn, &file = maps[mi].partitions[ri]] {
                         const auto bytes = file.bytes();
                         for (std::size_t off = 0; off < bytes.size();
                              off += kTcpAppChunkBytes) {
@@ -296,15 +297,24 @@ JobResult run_wordcount_job(const Corpus& corpus, const JobOptions& options) {
     result.phases.map_s = seconds_since(map_start);
 
     // --- shuffle + reduce ---------------------------------------------------
-    const auto build_start = Clock::now();
-    Cluster cluster = build_cluster(corpus, options);
-    result.phases.build_s = seconds_since(build_start);
     std::vector<KvPair> merged;
-    if (options.mode == ShuffleMode::kTcpBaseline) {
-        run_tcp_shuffle(result, merged, cluster, maps, options);
-    } else {
-        run_udp_shuffle(result, merged, cluster, maps);
+    {
+        const auto build_start = Clock::now();
+        Cluster cluster = build_cluster(corpus, options);
+        result.phases.build_s = seconds_since(build_start);
+        if (options.mode == ShuffleMode::kTcpBaseline) {
+            run_tcp_shuffle(result, merged, cluster, maps, options);
+        } else {
+            run_udp_shuffle(result, merged, cluster, maps);
+        }
+        result.switch_recirculations = cluster.runtime->total_recirculations();
+        result.switch_sram_used_bytes = cluster.runtime->max_switch_sram_used();
     }
+    // The cluster is gone and its frames are back in this thread's pool.
+    // Hand the idle slabs to the heap: a later job's frames fall in other
+    // size classes (TCP segments vs DAIET packets) and would otherwise
+    // sit next to this job's peak of idle ones.
+    FrameBuf::trim_pool();
 
     // --- job output -----------------------------------------------------------
     // Reducers own disjoint key sets, so one key sort orders the merged
@@ -316,8 +326,6 @@ JobResult run_wordcount_job(const Corpus& corpus, const JobOptions& options) {
         result.output.emplace_back(p.key.to_string(), i32_from_wire(p.value));
     }
     result.phases.output_s = seconds_since(output_start);
-    result.switch_recirculations = cluster.runtime->total_recirculations();
-    result.switch_sram_used_bytes = cluster.runtime->max_switch_sram_used();
     return result;
 }
 

@@ -29,13 +29,14 @@ std::uint32_t CountMinSketch::update(dp::PacketContext& ctx, const Key16& key) {
     const std::uint32_t crc = ctx.hash(key.bytes());
     std::uint32_t est = 0xffffffffu;
     for (std::size_t row = 0; row < depth_; ++row) {
-        ctx.count_op(dp::OpKind::kAlu);  // per-row scramble
-        const std::size_t cell = row_cell(row, crc);
-        const std::uint32_t next = cells_.read(ctx, cell) + 1;
-        cells_.write(ctx, cell, next);
-        est = std::min(est, next);
+        std::uint32_t& cell = cells_.cell(row_cell(row, crc));
+        est = std::min(est, ++cell);
     }
-    ctx.count_op(dp::OpKind::kAlu);  // the running min
+    // Per row: the scramble, the cell's read and its write back; then
+    // the running min.
+    ctx.count_ops(dp::OpKind::kAlu, depth_ + 1);
+    ctx.count_ops(dp::OpKind::kRegisterRead, depth_);
+    ctx.count_ops(dp::OpKind::kRegisterWrite, depth_);
     return est;
 }
 
@@ -86,8 +87,8 @@ std::vector<Key16> HotKeyLog::drain() const {
 }
 
 void HotKeyLog::reset() {
-    count_.fill(0);
-    dedup_.fill(Key16{});
+    count_.clear();
+    dedup_.clear();
 }
 
 }  // namespace daiet::telemetry

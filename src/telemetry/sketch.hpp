@@ -40,7 +40,7 @@ public:
     // --- control plane ------------------------------------------------------
     /// Estimate without a packet in flight (the poll path).
     std::uint32_t estimate(const Key16& key) const;
-    void reset() { cells_.fill(0); }
+    void reset() { cells_.clear(); }
 
     std::size_t width() const noexcept { return width_; }
     std::size_t depth() const noexcept { return depth_; }

@@ -30,10 +30,12 @@ void TelemetrySwitchProgram::observe(dp::PacketContext& ctx,
     // Stage 1: per-ingress-port counters, every frame.
     const dp::PortId in = ctx.packet().meta().ingress_port;
     if (in < port_frames_.size()) {
+        ++port_frames_.cell(in);
+        port_bytes_.cell(in) += ctx.packet().size_bytes();
+        // Two read-modify-writes: two reads, two writes and one add.
         ctx.count_op(dp::OpKind::kAlu);
-        port_frames_.write(ctx, in, port_frames_.read(ctx, in) + 1);
-        port_bytes_.write(ctx, in,
-                          port_bytes_.read(ctx, in) + ctx.packet().size_bytes());
+        ctx.count_ops(dp::OpKind::kRegisterRead, 2);
+        ctx.count_ops(dp::OpKind::kRegisterWrite, 2);
     }
     ++stats_.frames_observed;
     ++window_.frames_observed;
@@ -181,8 +183,8 @@ std::vector<PortStatRecord> TelemetrySwitchProgram::port_stats(bool reset_peaks)
 void TelemetrySwitchProgram::reset_window() {
     sketch_.reset();
     hot_log_.reset();
-    port_frames_.fill(0);
-    port_bytes_.fill(0);
+    port_frames_.clear();
+    port_bytes_.clear();
     window_ = TelemetryProgramStats{};
     ++stats_.windows_reset;
 }

@@ -89,9 +89,10 @@ TEST(RegisterArray, ControlPlanePokeBypassesOpCounting) {
     RegisterArray<std::uint32_t> reg{"r", 4, book};
     reg.poke(2, 7);
     EXPECT_EQ(reg.peek(2), 7U);
-    reg.fill(1);
-    EXPECT_EQ(reg.peek(0), 1U);
-    EXPECT_EQ(reg.peek(3), 1U);
+    reg.poke(3, 1);
+    reg.clear();
+    EXPECT_EQ(reg.peek(2), 0U);
+    EXPECT_EQ(reg.peek(3), 0U);
 }
 
 /// A fresh array reads as all-zero cells (the empty cell), also when
@@ -105,7 +106,7 @@ void expect_fresh_array_reads_zero(std::size_t size) {
     const auto dirty = std::bit_cast<T>(ones);
     {
         RegisterArray<T> used{"used", size, book};
-        used.fill(dirty);
+        for (std::size_t i = 0; i < size; ++i) used.poke(i, dirty);
     }
     EXPECT_EQ(book.used_bytes(), 0U);
     RegisterArray<T> reg{"r", size, book};
@@ -148,6 +149,86 @@ TEST(RegisterArray, MoveKeepsCellsAndReleasesChargeOnce) {
         EXPECT_EQ(book.used_bytes(), total);
     }
     EXPECT_EQ(book.used_bytes(), other_bytes);
+}
+
+/// Cell i's value in the block-storage tests: distinct and nonzero.
+constexpr std::uint64_t cell_value(std::size_t i) { return 3 * i + 1; }
+
+TEST(RegisterArray, WritesReadBackAcrossBlocksAndInPartialLastBlock) {
+    // Blocks of 16, 16 and 8 cells; written out of order, so blocks are
+    // carved in an order other than their index order.
+    constexpr std::size_t kSize = 40;
+    static_assert(kSize % RegisterArray<std::uint64_t>::kBlockCells != 0);
+    SramBook book{0};
+    RegisterArray<std::uint64_t> reg{"r", kSize, book};
+    Packet p;
+    PacketContext ctx{p, 0};
+    for (const std::size_t i : {39UL, 16UL, 15UL, 0UL, 31UL, 32UL}) {
+        reg.write(ctx, i, cell_value(i));
+    }
+    for (std::size_t i = 0; i < kSize; ++i) {
+        const bool written = i == 0 || i == 15 || i == 16 || i == 31 || i == 32 || i == 39;
+        EXPECT_EQ(reg.read(ctx, i), written ? cell_value(i) : 0U) << "cell " << i;
+    }
+    for (std::size_t i = 0; i < kSize; ++i) reg.cell(i) = cell_value(i);
+    for (std::size_t i = 0; i < kSize; ++i) EXPECT_EQ(reg.peek(i), cell_value(i)) << i;
+    EXPECT_EQ(reg.committed_bytes(), kSize * sizeof(std::uint64_t));
+    EXPECT_EQ(book.used_bytes(), kSize * sizeof(std::uint64_t));
+}
+
+TEST(RegisterArray, NeverWrittenCellReadsEmptyAndCommitsNoBlock) {
+    SramBook book{0};
+    RegisterArray<KvPair> reg{"r", 16384, book};
+    Packet p;
+    PacketContext ctx{p, 0};
+    EXPECT_TRUE(reg.peek(9000).key.empty());
+    EXPECT_EQ(reg.read(ctx, 16383), KvPair{});
+    EXPECT_EQ(reg.committed_bytes(), 0U);
+    EXPECT_EQ(book.used_bytes(), 16384 * sizeof(KvPair));  // SRAM charged in full
+
+    reg.poke(9000, KvPair{Key16::from_u64(5), 6});
+    EXPECT_EQ(reg.committed_bytes(), RegisterArray<KvPair>::kBlockCells * sizeof(KvPair));
+    EXPECT_TRUE(reg.peek(9001).key.empty());  // its block-mate, zeroed on carve
+    EXPECT_TRUE(reg.peek(100).key.empty());
+    EXPECT_EQ(reg.committed_bytes(), RegisterArray<KvPair>::kBlockCells * sizeof(KvPair));
+
+    // A partial last block commits only its own cells.
+    RegisterArray<std::uint32_t> small{"s", 20, book};
+    small.poke(19, 1);
+    EXPECT_EQ(small.committed_bytes(), 4 * sizeof(std::uint32_t));
+}
+
+TEST(RegisterArray, ClearEmptiesEveryWrittenCell) {
+    constexpr std::size_t kSize = 1000;
+    SramBook book{0};
+    RegisterArray<std::uint64_t> reg{"r", kSize, book};
+    for (std::size_t i = 0; i < kSize; i += 7) reg.poke(i, cell_value(i));
+    const std::size_t committed = reg.committed_bytes();
+    reg.clear();
+    for (std::size_t i = 0; i < kSize; ++i) ASSERT_EQ(reg.peek(i), 0U) << "cell " << i;
+    EXPECT_EQ(reg.committed_bytes(), committed);  // blocks stay for the next round
+    reg.poke(999, 5);
+    EXPECT_EQ(reg.peek(999), 5U);
+}
+
+TEST(RegisterArray, MovedArrayKeepsCellsAndGrows) {
+    // The first half's blocks are carved before the move, the second
+    // half's after it, from the arena the array took over.
+    constexpr std::size_t kSize = 300;
+    SramBook book{0};
+    std::optional<RegisterArray<std::uint64_t>> from{std::in_place, "from", kSize, book};
+    for (std::size_t i = 0; i < kSize / 2; i += 5) from->poke(i, cell_value(i));
+    RegisterArray<std::uint64_t> to{std::move(*from)};
+    from.reset();
+    for (std::size_t i = 0; i < kSize; ++i) {
+        ASSERT_EQ(to.peek(i), i % 5 == 0 && i < kSize / 2 ? cell_value(i) : 0U) << i;
+    }
+    for (std::size_t i = kSize / 2; i < kSize; i += 5) to.poke(i, cell_value(i));
+    for (std::size_t i = 0; i < kSize; ++i) {
+        ASSERT_EQ(to.peek(i), i % 5 == 0 ? cell_value(i) : 0U) << "cell " << i;
+    }
+    EXPECT_EQ(to.committed_bytes(), kSize * sizeof(std::uint64_t));
+    EXPECT_EQ(book.used_bytes(), kSize * sizeof(std::uint64_t));
 }
 
 // --------------------------------------------------------- match table

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <map>
 #include <set>
+#include <string>
 
 #include "common/hash.hpp"
 #include "common/rng.hpp"
@@ -117,6 +118,33 @@ TEST(Corpus, WordsAreDistinct) {
         EXPECT_EQ(distinct.size(), corpus.vocabulary().size())
             << "collision_free=" << collision_free;
     }
+}
+
+/// The message of a vocabulary build that gives up.
+std::string corpus_error(const CorpusConfig& cc) {
+    try {
+        const Corpus corpus{cc};
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "the vocabulary build did not give up";
+    return {};
+}
+
+/// Each mode names what limits it: the register cells when words must
+/// not collide, the word lengths when they may.
+TEST(Corpus, ImpossibleVocabularyNamesItsLimit) {
+    CorpusConfig cc = short_word_corpus(/*collision_free=*/false);
+    cc.vocabulary_size = 800;  // 26 + 26 * 26 = 702 distinct words
+    const std::string lengths = corpus_error(cc);
+    EXPECT_NE(lengths.find("1-2 letters"), std::string::npos) << lengths;
+    EXPECT_EQ(lengths.find("register"), std::string::npos) << lengths;
+
+    cc = small_corpus();
+    cc.vocabulary_size = 100;
+    cc.register_size = 8;
+    const std::string cells = corpus_error(cc);
+    EXPECT_NE(cells.find("3 x 8 register cells"), std::string::npos) << cells;
 }
 
 /// FNV-1a over every word, each followed by a newline.

@@ -180,6 +180,25 @@ private:
     std::size_t pos_{0};
 };
 
+/// Big-endian loads for the fixed-layout decoders, which check the
+/// size once and then read fields at known offsets instead of going
+/// through a bounds-checked ByteReader per field.
+inline std::uint16_t load_be16(const std::byte* p) noexcept {
+    return static_cast<std::uint16_t>(std::to_integer<std::uint16_t>(p[0]) << 8 |
+                                      std::to_integer<std::uint16_t>(p[1]));
+}
+
+inline std::uint32_t load_be32(const std::byte* p) noexcept {
+    return std::to_integer<std::uint32_t>(p[0]) << 24 |
+           std::to_integer<std::uint32_t>(p[1]) << 16 |
+           std::to_integer<std::uint32_t>(p[2]) << 8 |
+           std::to_integer<std::uint32_t>(p[3]);
+}
+
+inline std::uint64_t load_be64(const std::byte* p) noexcept {
+    return std::uint64_t{load_be32(p)} << 32 | load_be32(p + 4);
+}
+
 /// Convenience: view a string as bytes.
 inline std::span<const std::byte> as_bytes(std::string_view s) noexcept {
     return std::as_bytes(std::span{s.data(), s.size()});

@@ -43,6 +43,11 @@ public:
                   reinterpret_cast<char*>(bytes_.data()));
     }
 
+    /// Exactly one cell's bytes, as the wire decoders hand them over.
+    explicit FixedKey(std::span<const std::byte, Width> raw) noexcept {
+        std::copy(raw.begin(), raw.end(), bytes_.begin());
+    }
+
     explicit FixedKey(std::span<const std::byte> raw) {
         if (raw.size() > Width) {
             throw std::length_error{"FixedKey: key longer than cell width"};

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/bytes.hpp"
 #include "common/contracts.hpp"
 
 namespace daiet {
@@ -136,39 +135,31 @@ std::size_t DaietSwitchProgram::occupied_cells(TreeId tree) const {
     return occupied;
 }
 
-bool DaietSwitchProgram::claims(const sim::ParsedFrame& frame,
-                                std::span<const std::byte> payload) const {
-    return frame.udp && frame.udp->dst_port == kDaietUdpPort &&
-           looks_like_daiet(payload);
-}
-
 std::vector<std::uint16_t> DaietSwitchProgram::claim_ports() const {
     return {kDaietUdpPort};
 }
 
-bool DaietSwitchProgram::on_claimed(dp::PacketContext& ctx,
-                                    const sim::ParsedFrame& /*frame*/,
-                                    std::span<const std::byte> payload) {
+Claim DaietSwitchProgram::on_frame(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
+                                   std::span<const std::byte> payload) {
+    if (!frame.udp || frame.udp->dst_port != kDaietUdpPort) return Claim::kNotMine;
     ctx.count_op(dp::OpKind::kParse);  // DAIET preamble
-    DaietPacket packet;
-    try {
-        packet = parse_packet(payload);
-    } catch (const BufferError&) {
-        // Truncated, zero pairs, unknown type: the parser rejects it
-        // before any table sees it.
+    const std::optional<DaietPacket> packet = decode_daiet(payload);
+    if (!packet) {
+        // Bad magic, truncated, zero pairs, unknown type: the parser
+        // rejects it before any table sees it.
         ++drops_.malformed;
         ctx.mark_drop();
-        return true;
+        return Claim::kHandled;
     }
-    auto* data = std::get_if<DataPacket>(&packet);
+    const auto* data = std::get_if<DataPacket>(&*packet);
     if (data != nullptr && data->pairs.size() > config_.max_pairs_per_packet) {
         // The parser is unrolled for max_pairs_per_packet pairs (§5).
         ++drops_.oversized;
         ctx.mark_drop();
-        return true;
+        return Claim::kHandled;
     }
     const TreeId tree =
-        data != nullptr ? data->tree_id : std::get<EndPacket>(packet).tree_id;
+        data != nullptr ? data->tree_id : std::get<EndPacket>(*packet).tree_id;
 
     const TreeRule* rule = tree_table_.apply(ctx, tree);
     if (rule == nullptr) {
@@ -176,16 +167,16 @@ bool DaietSwitchProgram::on_claimed(dp::PacketContext& ctx,
         // that a partially deployed DAIET network stays correct (§2:
         // the application "should be no worse than without in-network
         // computation").
-        return false;
+        return Claim::kDeclined;
     }
 
     Slot& slot = *slots_[rule->slot];
     if (data != nullptr) {
         handle_data(ctx, tree, *rule, slot, data->pairs);
     } else {
-        handle_end(ctx, tree, *rule, slot, std::get<EndPacket>(packet));
+        handle_end(ctx, tree, *rule, slot, std::get<EndPacket>(*packet));
     }
-    return true;
+    return Claim::kHandled;
 }
 
 void DaietSwitchProgram::handle_data(dp::PacketContext& ctx, TreeId tree,

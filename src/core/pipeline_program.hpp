@@ -46,7 +46,7 @@ namespace daiet {
 /// parser rejects them, so none of their pairs reach a register and the
 /// round they belong to reads dirty at its END (declared-pairs check).
 struct DaietDropStats {
-    std::uint64_t malformed{0};  ///< parse_packet rejected the payload
+    std::uint64_t malformed{0};  ///< decode_daiet rejected the payload
     std::uint64_t oversized{0};  ///< DATA with more than max_pairs_per_packet pairs
 };
 
@@ -81,10 +81,10 @@ public:
     void clear_tree(TreeId tree, std::uint32_t num_children);
 
     // --- data plane ---------------------------------------------------------
-    bool claims(const sim::ParsedFrame& frame,
-                std::span<const std::byte> payload) const override;
-    bool on_claimed(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
-                    std::span<const std::byte> payload) override;
+    /// Claims every frame to the DAIET port: a payload decode_daiet
+    /// rejects is dropped and counted as malformed.
+    Claim on_frame(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
+                   std::span<const std::byte> payload) override;
     std::vector<std::uint16_t> claim_ports() const override;
     std::string name() const override { return "daiet"; }
     std::size_t sram_bytes() const override;

@@ -125,38 +125,22 @@ EndWire serialize_end(TreeId tree_id, std::uint32_t declared_pairs, bool dirty) 
     return out;
 }
 
-DaietPacket parse_packet(std::span<const std::byte> payload) {
-    if (!looks_like_daiet(payload)) {
-        throw BufferError{"not a DAIET packet (short or bad magic)"};
-    }
-    const auto type = static_cast<PacketType>(payload[2]);
-    const auto tree_id = static_cast<TreeId>(static_cast<std::uint16_t>(payload[3]) << 8 |
-                                             static_cast<std::uint16_t>(payload[4]));
-    const auto n = static_cast<std::size_t>(payload[5]);
-    switch (type) {
-        case PacketType::kEnd: {
-            if (payload.size() != kEndPacketSize) throw BufferError{"END packet size"};
-            ByteReader r{payload.subspan(kPreambleSize)};
-            EndPacket end;
-            end.tree_id = tree_id;
-            end.declared_pairs = r.get_u32();
-            end.dirty = r.get_u8() != 0;
-            return end;
-        }
-        case PacketType::kData:
-            if (n == 0) throw BufferError{"DATA packet with zero entries"};
-            if (payload.size() != data_packet_size(n)) {
-                throw BufferError{"DATA packet size does not match its entry count"};
-            }
+std::optional<DaietPacket> decode_daiet(std::span<const std::byte> payload) noexcept {
+    const std::byte* p = payload.data();
+    if (payload.size() < kPreambleSize || load_be16(p) != kDaietMagic) return std::nullopt;
+    const TreeId tree_id = load_be16(p + 3);
+    switch (static_cast<PacketType>(p[2])) {
+        case PacketType::kEnd:
+            if (payload.size() != kEndPacketSize) return std::nullopt;
+            return EndPacket{tree_id, load_be32(p + kPreambleSize),
+                             p[kPreambleSize + 4] != std::byte{0}};
+        case PacketType::kData: {
+            const auto n = std::to_integer<std::size_t>(p[5]);
+            if (n == 0 || payload.size() != data_packet_size(n)) return std::nullopt;
             return DataPacket{tree_id, PairSpan{payload.subspan(kPreambleSize)}};
+        }
     }
-    throw BufferError{"unknown DAIET packet type"};
-}
-
-bool looks_like_daiet(std::span<const std::byte> payload) noexcept {
-    if (payload.size() < kPreambleSize) return false;
-    return static_cast<std::uint8_t>(payload[0]) == (kDaietMagic >> 8) &&
-           static_cast<std::uint8_t>(payload[1]) == (kDaietMagic & 0xff);
+    return std::nullopt;
 }
 
 }  // namespace daiet

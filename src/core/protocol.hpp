@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <optional>
 #include <span>
 #include <variant>
 #include <vector>
@@ -221,14 +222,11 @@ std::vector<std::byte> serialize_data(TreeId tree_id, std::span<const KvPair> pa
 /// Serialize an END packet.
 EndWire serialize_end(TreeId tree_id, std::uint32_t declared_pairs = 0, bool dirty = false);
 
-/// Parse a DAIET payload into a view of it (a DataPacket's pairs point
-/// into `payload`, so the payload must outlive it), checked once: a DATA
+/// Decode a DAIET payload into a view of it (a DataPacket's pairs point
+/// into `payload`, so the payload must outlive it), or nothing: a DATA
 /// payload must be exactly data_packet_size(n) bytes with n > 0, an END
-/// exactly kEndPacketSize. Throws BufferError on anything else; the
+/// exactly kEndPacketSize, and both start with the DAIET magic. The
 /// switch and the receivers drop and count what it rejects.
-DaietPacket parse_packet(std::span<const std::byte> payload);
-
-/// True if the payload starts with the DAIET magic.
-bool looks_like_daiet(std::span<const std::byte> payload) noexcept;
+std::optional<DaietPacket> decode_daiet(std::span<const std::byte> payload) noexcept;
 
 }  // namespace daiet

@@ -175,7 +175,8 @@ void SwitchProgramMux::on_packet(dp::PacketContext& ctx) {
         (!claim_filter_valid_ || claim_filter_.hit(frame->udp->dst_port) ||
          claim_filter_.hit(frame->udp->src_port))) {
         for (TenantProgram* tenant : tenants_raw_) {
-            if (!tenant->claims(*frame, payload)) continue;
+            const Claim claim = tenant->on_frame(ctx, *frame, payload);
+            if (claim == Claim::kNotMine) continue;
             if (trace::enabled()) {
                 auto& t = trace::tracer();
                 // The claiming tenant doubles as the location: the mux
@@ -185,7 +186,7 @@ void SwitchProgramMux::on_packet(dp::PacketContext& ctx) {
                 t.record({t.now(), ctx.packet().frame().trace_id(), name_id,
                           0, name_id, trace::EventKind::kTenantClaim});
             }
-            if (tenant->on_claimed(ctx, *frame, payload)) return;
+            if (claim == Claim::kHandled) return;
             break;  // claimed but declined: fall through to plain forwarding
         }
     }

@@ -11,14 +11,18 @@
 //     "port map"). Plain traffic, DAIET flushes and kv-cache replies
 //     all resolve egress ports here, and its SRAM footprint is charged
 //     once, not per tenant.
-//   * TenantProgram — a dataplane program that claims a slice of the
-//     traffic (by UDP port / magic) and handles only that slice.
+//   * TenantProgram — a dataplane program that owns a slice of the
+//     traffic (by address and UDP port) and handles only that slice.
+//     One call does both: the tenant checks the frame's addresses and
+//     ports, decodes its payload once, and acts on the decoded message
+//     — one parser state machine that classifies and extracts, as on
+//     hardware. A payload its decoder rejects is not its slice.
 //   * SwitchProgramMux — the compiled pipeline of a programmable chip,
-//     and the only program one runs: parses once, asks each tenant in
-//     registration order to claim the packet, and falls back to plain
-//     ECMP forwarding. This is what lets DAIET aggregation and the
-//     NetCache-style kv cache coexist on one fabric, arbitrated by a
-//     shared SramBook; a chip with one tenant runs a one-tenant mux.
+//     and the only program one runs: parses once, offers the packet to
+//     each tenant in registration order until one claims it, and falls
+//     back to plain ECMP forwarding. This is what lets DAIET aggregation
+//     and the NetCache-style kv cache coexist on one fabric, arbitrated
+//     by a shared SramBook; a chip with one tenant runs a one-tenant mux.
 #pragma once
 
 #include <algorithm>
@@ -51,7 +55,7 @@ struct RoutePorts {
 /// might claim traffic on (source or destination), as an inline list.
 /// The mux consults it before running the per-tenant claim loop, so
 /// frames that no tenant could possibly own — the bulk of plain fabric
-/// traffic — skip every tenant's claims() check. This is the
+/// traffic — skip every tenant's on_frame() call. This is the
 /// classification a P4 compiler folds into a handful of parser select
 /// cases; it narrows nothing, because a hit still runs the full claim
 /// loop.
@@ -151,6 +155,13 @@ private:
     std::size_t dense_routes_{0};  ///< entries of dense_ that hold a group
 };
 
+/// What a tenant did with a frame the mux offered it.
+enum class Claim : std::uint8_t {
+    kNotMine,   ///< not this tenant's slice: offer it to the next tenant
+    kDeclined,  ///< this tenant's, but no rule acts on it: plain forwarding
+    kHandled,   ///< consumed, answered or routed by the tenant: pass done
+};
+
 /// A co-resident dataplane program: claims its slice of the traffic and
 /// processes it against its own registers/tables, resolving ports
 /// through the shared FabricRouter. It runs only inside a
@@ -163,17 +174,18 @@ public:
     /// The tenant's name in the mux ("daiet", "kvcache@<server>", ...).
     virtual std::string name() const = 0;
 
-    /// True when this tenant owns the (UDP) packet — typically a port
-    /// plus protocol-magic check, the parser-level classification a P4
-    /// compiler turns into parser states.
-    virtual bool claims(const sim::ParsedFrame& frame,
-                        std::span<const std::byte> payload) const = 0;
-
-    /// Handle a claimed packet. Return false to decline after all (no
-    /// matching rule on this switch): the packet then falls through to
-    /// plain forwarding, keeping partial deployments correct.
-    virtual bool on_claimed(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
-                            std::span<const std::byte> payload) = 0;
+    /// Offered every UDP frame that passes the mux's port pre-filter,
+    /// until one tenant claims it. The tenant checks the frame's
+    /// addresses and ports, decodes the payload once and acts on the
+    /// decoded message. kNotMine leaves the frame to the next tenant
+    /// and charges no ops; kDeclined (no matching rule on this switch)
+    /// sends it to plain forwarding, which keeps partial deployments
+    /// correct. A payload the tenant's decoder rejects is kNotMine,
+    /// except where the tenant owns the address or port outright (its
+    /// own vaddr, the DAIET port): the frame ends there, dropped and
+    /// kHandled.
+    virtual Claim on_frame(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
+                           std::span<const std::byte> payload) = 0;
 
     /// Passive tap run on *every* parsed ingress frame before claim
     /// dispatch — including frames another tenant will consume. This is

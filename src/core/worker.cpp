@@ -78,18 +78,15 @@ ReducerReceiver::~ReducerReceiver() { host_->udp_unbind(kDaietUdpPort); }
 
 void ReducerReceiver::on_datagram(sim::HostAddr /*src*/, std::uint16_t /*src_port*/,
                                   std::span<const std::byte> payload) {
-    if (!looks_like_daiet(payload)) return;
-    DaietPacket packet;
-    try {
-        packet = parse_packet(payload);
-    } catch (const BufferError&) {
+    const std::optional<DaietPacket> packet = decode_daiet(payload);
+    if (!packet) {
         // Its pairs, if any, are lost: the round reads dirty at its END.
         ++stats_.malformed_packets;
         return;
     }
     stats_.payload_bytes_received += payload.size();
 
-    if (const auto* data = std::get_if<DataPacket>(&packet)) {
+    if (const auto* data = std::get_if<DataPacket>(&*packet)) {
         if (data->tree_id != tree_) return;
         ++stats_.data_packets_received;
         stats_.pairs_received += data->pairs.size();
@@ -100,7 +97,7 @@ void ReducerReceiver::on_datagram(sim::HostAddr /*src*/, std::uint16_t /*src_por
         return;
     }
 
-    const auto& end = std::get<EndPacket>(packet);
+    const auto& end = std::get<EndPacket>(*packet);
     if (end.tree_id != tree_) return;
     ++stats_.end_packets_received;
     declared_total_ += end.declared_pairs;

@@ -70,7 +70,7 @@ struct ReceiverStats {
     std::uint64_t data_packets_received{0};
     std::uint64_t end_packets_received{0};
     std::uint64_t payload_bytes_received{0};
-    /// DAIET payloads parse_packet rejected, ignored (any pairs they
+    /// DAIET payloads decode_daiet rejected, ignored (any pairs they
     /// carried are missing from the declared-pairs check).
     std::uint64_t malformed_packets{0};
 };

@@ -54,55 +54,54 @@ std::size_t EdgeCacheSwitchProgram::slot_of(dp::PacketContext& ctx,
     return register_index_from_crc(ctx.hash(key.bytes()), keys_.size());
 }
 
-bool EdgeCacheSwitchProgram::claims(const sim::ParsedFrame& frame,
-                                    std::span<const std::byte> payload) const {
-    if (!frame.udp) return false;
+Claim EdgeCacheSwitchProgram::on_frame(dp::PacketContext& ctx,
+                                       const sim::ParsedFrame& frame,
+                                       std::span<const std::byte> payload) {
+    if (!frame.udp) return Claim::kNotMine;
     // Lease invalidations addressed to this edge's vaddr.
-    if (frame.ip.dst == vaddr() &&
-        frame.udp->dst_port == kDirectoryUdpPort) {
-        return looks_like_directory(payload);
+    if (frame.ip.dst == vaddr() && frame.udp->dst_port == kDirectoryUdpPort) {
+        return on_invalidation(ctx, payload);
     }
-    // Requests from our clients toward the service vaddr.
-    if (frame.ip.dst == kServiceVaddr && frame.udp->dst_port == kv::kServerUdpPort &&
-        clients_.contains(frame.ip.src)) {
-        return kv::looks_like_kv(payload);
-    }
-    // Replies from the service (any rack server, or the service vaddr
-    // itself when a rack ToR cache impersonated it) toward our clients.
-    if (frame.udp->src_port == kv::kServerUdpPort &&
-        clients_.contains(frame.ip.dst)) {
-        return kv::looks_like_kv(payload);
-    }
-    return false;
+    // Requests from our clients toward the service vaddr, and replies
+    // from the service (any rack server, or the service vaddr itself
+    // when a rack ToR cache impersonated it) toward our clients.
+    const bool toward_service = frame.ip.dst == kServiceVaddr;
+    const bool mine =
+        toward_service ? frame.udp->dst_port == kv::kServerUdpPort &&
+                             clients_.contains(frame.ip.src)
+                       : frame.udp->src_port == kv::kServerUdpPort &&
+                             clients_.contains(frame.ip.dst);
+    return mine ? on_kv(ctx, frame, payload, toward_service) : Claim::kNotMine;
 }
 
-bool EdgeCacheSwitchProgram::on_claimed(dp::PacketContext& ctx,
-                                        const sim::ParsedFrame& frame,
-                                        std::span<const std::byte> payload) {
-    // --- lease invalidation from the directory ------------------------------
-    if (frame.ip.dst == vaddr()) {
-        ctx.count_op(dp::OpKind::kParse);  // directory header
-        const DirectoryMessage msg = parse_directory(payload);
-        ctx.mark_drop();  // consumed either way; it terminates here
-        if (msg.op != DirectoryOp::kInvalidate) return true;
-        const std::size_t cell = tag_cell(ctx, msg.tag, inval_seen_.size());
-        ctx.count_op(dp::OpKind::kAlu);  // tag compare
-        if (inval_seen_.read(ctx, cell) == msg.tag) {
-            // A replayed broadcast (its PUT was retransmitted through
-            // the directory). Skipping is about hit rate, not safety:
-            // this tag's invalidation already ran, and running it again
-            // could only wipe an entry a newer reply has refreshed.
-            ++stats_.duplicate_invalidations;
-            return true;
-        }
-        inval_seen_.write(ctx, cell, msg.tag);
-        apply_invalidate(ctx, msg.key);
-        return true;
+Claim EdgeCacheSwitchProgram::on_invalidation(dp::PacketContext& ctx,
+                                              std::span<const std::byte> payload) {
+    ctx.count_op(dp::OpKind::kParse);  // directory header
+    ctx.mark_drop();  // addressed to this edge: it terminates here
+    const std::optional<DirectoryMessage> msg = decode_directory(payload);
+    if (!msg || msg->op != DirectoryOp::kInvalidate) return Claim::kHandled;
+    const std::size_t cell = tag_cell(ctx, msg->tag, inval_seen_.size());
+    ctx.count_op(dp::OpKind::kAlu);  // tag compare
+    if (inval_seen_.read(ctx, cell) == msg->tag) {
+        // A replayed broadcast (its PUT was retransmitted through the
+        // directory). Skipping is about hit rate, not safety: this
+        // tag's invalidation already ran, and running it again could
+        // only wipe an entry a newer reply has refreshed.
+        ++stats_.duplicate_invalidations;
+        return Claim::kHandled;
     }
+    inval_seen_.write(ctx, cell, msg->tag);
+    apply_invalidate(ctx, msg->key);
+    return Claim::kHandled;
+}
 
+Claim EdgeCacheSwitchProgram::on_kv(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
+                                    std::span<const std::byte> payload,
+                                    bool toward_service) {
+    const std::optional<kv::KvMessage> decoded = kv::decode_kv(payload);
+    if (!decoded) return Claim::kNotMine;
+    const kv::KvMessage& msg = *decoded;
     ctx.count_op(dp::OpKind::kParse);  // kv header
-    const kv::KvMessage msg = kv::parse_kv(payload);
-    const bool toward_service = frame.ip.dst == kServiceVaddr;
 
     // --- GET from one of our clients ----------------------------------------
     if (toward_service && msg.op == kv::KvOp::kGet) {
@@ -129,7 +128,7 @@ bool EdgeCacheSwitchProgram::on_claimed(dp::PacketContext& ctx,
                                       kv::kKvFlagFound | kv::kKvFlagFromSwitch |
                                           kv::kKvFlagFromEdge,
                                       values_.read(ctx, slot));
-                return true;
+                return Claim::kHandled;
             }
             ++stats_.expired;
         }
@@ -142,7 +141,7 @@ bool EdgeCacheSwitchProgram::on_claimed(dp::PacketContext& ctx,
                       trace_name_id_, trace::EventKind::kEdgeMiss});
         }
         fwd_tag_.write(ctx, slot, tag);
-        return false;  // on toward the directory
+        return Claim::kDeclined;  // on toward the directory
     }
 
     // --- PUT from one of our clients ----------------------------------------
@@ -159,13 +158,13 @@ bool EdgeCacheSwitchProgram::on_claimed(dp::PacketContext& ctx,
         // invalidation per own-client PUT is the cheap price of that
         // ordering headroom.
         apply_invalidate(ctx, msg.key);
-        return false;  // on toward the directory
+        return Claim::kDeclined;  // on toward the directory
     }
 
     if (toward_service) {
         // Strays addressed to the service (replies cannot be): let the
         // directory sort them out.
-        return false;
+        return Claim::kDeclined;
     }
 
     // --- reply passing toward one of our clients ----------------------------
@@ -174,7 +173,7 @@ bool EdgeCacheSwitchProgram::on_claimed(dp::PacketContext& ctx,
         // PUT_ACKs and not-founds install nothing; a *replayed* reply
         // (served from the server's ReplyCache) may predate writes that
         // have passed the directory since, same rule as the rack cache.
-        return false;
+        return Claim::kDeclined;
     }
     const std::size_t slot = slot_of(ctx, msg.key);
     const std::size_t range =
@@ -187,27 +186,27 @@ bool EdgeCacheSwitchProgram::on_claimed(dp::PacketContext& ctx,
         // GET leaving and this reply returning: the value may predate
         // the write that triggered it. Refuse.
         ++stats_.stale_refused;
-        return false;
+        return Claim::kDeclined;
     }
     if (ticket != tag) {
         // Not the newest forwarded GET for this slot — a slower reply
         // that a later one may supersede. Installing it could roll a
         // slot backwards in server order.
-        return false;
+        return Claim::kDeclined;
     }
-    if (granted_.read(ctx, range) == 0) return false;
+    if (granted_.read(ctx, range) == 0) return Claim::kDeclined;
     ctx.count_op(dp::OpKind::kAlu);  // live-lease check
     if (!(keys_.read(ctx, slot) == msg.key) && now() < expiry_.read(ctx, slot)) {
         // Never evict a live lease for a colliding key: stability
         // beats recency at the edge, and the rack cache already owns
         // the head of the distribution.
-        return false;
+        return Claim::kDeclined;
     }
     keys_.write(ctx, slot, msg.key);
     values_.write(ctx, slot, msg.value);
     expiry_.write(ctx, slot, now() + config_.lease_ttl);
     ++stats_.cached;
-    return false;  // the reply continues to its client regardless
+    return Claim::kDeclined;  // the reply continues to its client regardless
 }
 
 void EdgeCacheSwitchProgram::apply_invalidate(dp::PacketContext& ctx,

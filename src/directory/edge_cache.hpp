@@ -112,10 +112,8 @@ public:
     static constexpr std::size_t kInvalDedupCells = 1024;
 
     // --- data plane ---------------------------------------------------------
-    bool claims(const sim::ParsedFrame& frame,
-                std::span<const std::byte> payload) const override;
-    bool on_claimed(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
-                    std::span<const std::byte> payload) override;
+    Claim on_frame(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
+                   std::span<const std::byte> payload) override;
     /// Invalidations arrive on the directory port, client requests on
     /// the kv server port.
     std::vector<std::uint16_t> claim_ports() const override {
@@ -152,6 +150,13 @@ public:
     const EdgeCacheConfig& config() const noexcept { return config_; }
 
 private:
+    /// Decode and act on what on_frame classified as this edge's. Kept
+    /// out of on_frame, which the mux offers every kv frame: a frame
+    /// that is not this edge's then costs only the address checks.
+    [[gnu::noinline]] Claim on_invalidation(dp::PacketContext& ctx,
+                                            std::span<const std::byte> payload);
+    [[gnu::noinline]] Claim on_kv(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
+                                  std::span<const std::byte> payload, bool toward_service);
     std::size_t slot_of(dp::PacketContext& ctx, const Key16& key) const;
     void apply_invalidate(dp::PacketContext& ctx, const Key16& key);
     sim::SimTime now() const noexcept;

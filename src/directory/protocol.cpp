@@ -20,31 +20,24 @@ DirectoryWire serialize_directory(const DirectoryMessage& msg) {
     return wire;
 }
 
-DirectoryMessage parse_directory(std::span<const std::byte> payload) {
-    ByteReader r{payload};
-    const std::uint16_t magic = r.get_u16();
-    if (magic != kDirectoryMagic) {
-        throw BufferError{"directory: bad magic"};
+std::optional<DirectoryMessage> decode_directory(
+    std::span<const std::byte> payload) noexcept {
+    const std::byte* p = payload.data();
+    if (payload.size() < kDirectoryMessageSize || load_be16(p) != kDirectoryMagic) {
+        return std::nullopt;
     }
-    DirectoryMessage msg;
-    const std::uint8_t op = r.get_u8();
+    const auto op = std::to_integer<std::uint8_t>(p[2]);
     if (op < static_cast<std::uint8_t>(DirectoryOp::kNack) ||
         op > static_cast<std::uint8_t>(DirectoryOp::kInvalidate)) {
-        throw BufferError{"directory: unknown op " + std::to_string(op)};
+        return std::nullopt;
     }
+    DirectoryMessage msg;
     msg.op = static_cast<DirectoryOp>(op);
-    msg.flags = r.get_u8();
-    msg.seq = r.get_u32();
-    msg.tag = r.get_u64();
-    msg.key = Key16{r.get_bytes(Key16::width)};
+    msg.flags = std::to_integer<std::uint8_t>(p[3]);
+    msg.seq = load_be32(p + 4);
+    msg.tag = load_be64(p + 8);
+    msg.key = Key16{std::span<const std::byte, Key16::width>{p + 16, Key16::width}};
     return msg;
-}
-
-bool looks_like_directory(std::span<const std::byte> payload) noexcept {
-    if (payload.size() < kDirectoryMessageSize) return false;
-    const auto hi = static_cast<std::uint16_t>(payload[0]);
-    const auto lo = static_cast<std::uint16_t>(payload[1]);
-    return static_cast<std::uint16_t>(hi << 8 | lo) == kDirectoryMagic;
 }
 
 std::size_t range_of_key(const Key16& key, std::size_t num_ranges) noexcept {

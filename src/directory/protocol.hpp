@@ -31,6 +31,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "common/fixed_key.hpp"
@@ -89,11 +90,11 @@ using DirectoryWire = std::array<std::byte, kDirectoryMessageSize>;
 
 DirectoryWire serialize_directory(const DirectoryMessage& msg);
 
-/// Throws BufferError on truncation or a bad magic/op.
-DirectoryMessage parse_directory(std::span<const std::byte> payload);
-
-/// True if the payload starts with the directory magic.
-bool looks_like_directory(std::span<const std::byte> payload) noexcept;
+/// The directory message a payload carries, or nothing when it is
+/// shorter than kDirectoryMessageSize, has another magic or names an
+/// unknown op.
+std::optional<DirectoryMessage> decode_directory(
+    std::span<const std::byte> payload) noexcept;
 
 /// The range (partition bucket) a key belongs to — the control-plane
 /// twin of the hash the dataplane computes through the switch hash

@@ -15,29 +15,31 @@ DirectorySwitchProgram::DirectorySwitchProgram(dp::PipelineSwitch& chip,
     : TenantProgram{std::move(router)},
       owners_{"dir.owners", kNumRanges, chip.sram()} {}
 
-bool DirectorySwitchProgram::claims(const sim::ParsedFrame& frame,
-                                    std::span<const std::byte> payload) const {
+Claim DirectorySwitchProgram::on_frame(dp::PacketContext& ctx,
+                                       const sim::ParsedFrame& frame,
+                                       std::span<const std::byte> payload) {
     // Exactly the service's request slice: kv frames addressed to the
     // service vaddr. Replies carry real server addresses and never
     // come back through here; the directory's own NACK/INVALIDATE
     // frames carry the directory port, not the service port.
-    return frame.udp.has_value() &&
-           frame.udp->dst_port == kv::kServerUdpPort &&
-           frame.ip.dst == service_addr() && kv::looks_like_kv(payload);
+    const bool mine = frame.udp && frame.udp->dst_port == kv::kServerUdpPort &&
+                      frame.ip.dst == service_addr();
+    return mine ? steer(ctx, frame, payload) : Claim::kNotMine;
 }
 
-bool DirectorySwitchProgram::on_claimed(dp::PacketContext& ctx,
-                                        const sim::ParsedFrame& frame,
-                                        std::span<const std::byte> payload) {
+Claim DirectorySwitchProgram::steer(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
+                                    std::span<const std::byte> payload) {
     ctx.count_op(dp::OpKind::kParse);  // kv header
-    const kv::KvMessage msg = kv::parse_kv(payload);
-    if (msg.op != kv::KvOp::kGet && msg.op != kv::KvOp::kPut) {
+    const std::optional<kv::KvMessage> decoded = kv::decode_kv(payload);
+    if (!decoded || (decoded->op != kv::KvOp::kGet && decoded->op != kv::KvOp::kPut)) {
         // Only requests are addressed to the service; anything else at
-        // the vaddr is stray and has nowhere to go.
+        // the vaddr, undecodable bytes included, is stray and has
+        // nowhere to go.
         ++stats_.foreign_dropped;
         ctx.mark_drop();
-        return true;
+        return Claim::kHandled;
     }
+    const kv::KvMessage& msg = *decoded;
 
     const std::size_t range =
         register_index_from_crc(ctx.hash(msg.key.bytes()), owners_.size());
@@ -48,7 +50,7 @@ bool DirectorySwitchProgram::on_claimed(dp::PacketContext& ctx,
         // the client's RetryChannel retries it after the flip instead
         // of the request dying in a routing black hole.
         send_nack(ctx, frame, msg);
-        return true;
+        return Claim::kHandled;
     }
 
     // The steer: rewrite the frame's destination to the owning rack's
@@ -58,7 +60,7 @@ bool DirectorySwitchProgram::on_claimed(dp::PacketContext& ctx,
     dp::Packet& packet = ctx.packet();
     const bool rewritten =
         sim::rewrite_frame_ipv4_dst(packet.mutable_bytes(), owner);
-    DAIET_ASSERT(rewritten);  // claims() guaranteed an IPv4 frame
+    DAIET_ASSERT(rewritten);  // a parsed UDP frame is IPv4
     ctx.count_op(dp::OpKind::kAlu);  // header rewrite
     // The raw header bytes changed: the context's parsed-header cache
     // must not serve the stale destination to a later pass.
@@ -82,7 +84,7 @@ bool DirectorySwitchProgram::on_claimed(dp::PacketContext& ctx,
     }
 
     router().forward(ctx, steered);
-    return true;
+    return Claim::kHandled;
 }
 
 void DirectorySwitchProgram::send_nack(dp::PacketContext& ctx,

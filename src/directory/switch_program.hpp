@@ -57,7 +57,7 @@ struct DirectoryStats {
     std::uint64_t puts_steered{0};
     std::uint64_t nacks{0};              ///< requests bounced mid-migration
     std::uint64_t invalidations_sent{0}; ///< lease INVALIDATE frames emitted
-    std::uint64_t foreign_dropped{0};    ///< unparseable frames at the vaddr
+    std::uint64_t foreign_dropped{0};    ///< stray frames at the vaddr, dropped
 };
 
 class DirectorySwitchProgram : public TenantProgram {
@@ -70,10 +70,8 @@ public:
                            std::shared_ptr<FabricRouter> router);
 
     // --- data plane ---------------------------------------------------------
-    bool claims(const sim::ParsedFrame& frame,
-                std::span<const std::byte> payload) const override;
-    bool on_claimed(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
-                    std::span<const std::byte> payload) override;
+    Claim on_frame(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
+                   std::span<const std::byte> payload) override;
     std::vector<std::uint16_t> claim_ports() const override {
         return {kv::kServerUdpPort};
     }
@@ -101,6 +99,11 @@ public:
     const DirectoryStats& stats() const noexcept { return stats_; }
 
 private:
+    /// Decode and steer a frame addressed to the service. Kept out of
+    /// on_frame, which the mux offers every kv frame: a frame that is
+    /// not the service's then costs only the address checks.
+    [[gnu::noinline]] Claim steer(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
+                                  std::span<const std::byte> payload);
     void send_nack(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
                    const kv::KvMessage& msg);
     void broadcast_invalidate(dp::PacketContext& ctx, const sim::ParsedFrame& frame,

@@ -19,35 +19,24 @@ KvWire serialize_kv(const KvMessage& msg) {
     return wire;
 }
 
-KvMessage parse_kv(std::span<const std::byte> payload) {
-    ByteReader r{payload};
-    const std::uint16_t magic = r.get_u16();
-    if (magic != kKvMagic) {
-        throw BufferError{"kv: bad magic"};
-    }
-    KvMessage msg;
-    const std::uint8_t op = r.get_u8();
+std::optional<KvMessage> decode_kv(std::span<const std::byte> payload) noexcept {
+    // One size check, then fields at fixed offsets (see the layout in
+    // the header).
+    const std::byte* p = payload.data();
+    if (payload.size() < kKvMessageSize || load_be16(p) != kKvMagic) return std::nullopt;
+    const auto op = std::to_integer<std::uint8_t>(p[2]);
     if (op < static_cast<std::uint8_t>(KvOp::kGet) ||
         op > static_cast<std::uint8_t>(KvOp::kPutAck)) {
-        throw BufferError{"kv: unknown op " + std::to_string(op)};
+        return std::nullopt;
     }
+    KvMessage msg;
     msg.op = static_cast<KvOp>(op);
-    msg.flags = r.get_u8();
-    msg.req_id = r.get_u32();
-    msg.seq = r.get_u32();
-    msg.key = Key16{r.get_bytes(Key16::width)};
-    msg.value = r.get_u32();
+    msg.flags = std::to_integer<std::uint8_t>(p[3]);
+    msg.req_id = load_be32(p + 4);
+    msg.seq = load_be32(p + 8);
+    msg.key = Key16{std::span<const std::byte, Key16::width>{p + 12, Key16::width}};
+    msg.value = load_be32(p + 12 + Key16::width);
     return msg;
-}
-
-bool looks_like_kv(std::span<const std::byte> payload) noexcept {
-    if (payload.size() < kKvMessageSize) return false;
-    const auto hi = static_cast<std::uint16_t>(payload[0]);
-    const auto lo = static_cast<std::uint16_t>(payload[1]);
-    const auto op = static_cast<std::uint8_t>(payload[2]);
-    return static_cast<std::uint16_t>(hi << 8 | lo) == kKvMagic &&
-           op >= static_cast<std::uint8_t>(KvOp::kGet) &&
-           op <= static_cast<std::uint8_t>(KvOp::kPutAck);
 }
 
 }  // namespace daiet::kv

@@ -28,6 +28,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "common/fixed_key.hpp"
@@ -97,11 +98,8 @@ using KvWire = std::array<std::byte, kKvMessageSize>;
 
 KvWire serialize_kv(const KvMessage& msg);
 
-/// Throws BufferError on truncation or a bad magic/op.
-KvMessage parse_kv(std::span<const std::byte> payload);
-
-/// True if the payload is long enough, starts with the kv magic and
-/// names a known op: exactly the payloads parse_kv accepts.
-bool looks_like_kv(std::span<const std::byte> payload) noexcept;
+/// The kv message a payload carries, or nothing when it is shorter
+/// than kKvMessageSize, has another magic or names an unknown op.
+std::optional<KvMessage> decode_kv(std::span<const std::byte> payload) noexcept;
 
 }  // namespace daiet::kv

@@ -27,9 +27,9 @@ sim::HostAddr KvStoreServer::addr() const noexcept { return host_->addr(); }
 
 void KvStoreServer::on_datagram(sim::HostAddr src, std::uint16_t src_port,
                                 std::span<const std::byte> payload) {
-    if (!looks_like_kv(payload)) return;
-    const KvMessage msg = parse_kv(payload);
-    if (msg.op != KvOp::kGet && msg.op != KvOp::kPut) return;
+    const std::optional<KvMessage> decoded = decode_kv(payload);
+    if (!decoded || (decoded->op != KvOp::kGet && decoded->op != KvOp::kPut)) return;
+    const KvMessage& msg = *decoded;
 
     // At-most-once: a retransmission is answered by replaying the
     // recorded reply bytes, never by re-executing (a duplicate PUT
@@ -46,20 +46,21 @@ void KvStoreServer::on_datagram(sim::HostAddr src, std::uint16_t src_port,
             // a value later writes have superseded).
             const auto recorded = replies_.find(src, msg.seq);
             DAIET_ASSERT(recorded.has_value());
-            KvMessage replay = parse_kv(*recorded);
-            replay.flags |= kKvFlagReplay;
+            std::optional<KvMessage> replay = decode_kv(*recorded);
+            DAIET_ASSERT(replay.has_value());  // bytes this server wrote
+            replay->flags |= kKvFlagReplay;
             // The ECN echo describes the path *now*, not at recording
             // time: re-derive it from this retransmission's mark so a
             // drained queue stops signalling and a newly standing one
             // starts — it is exactly the retry traffic the back-off
             // loop wants to throttle.
-            replay.flags &= static_cast<std::uint8_t>(~kKvFlagEce);
-            if (host_->rx_ecn_ce()) replay.flags |= kKvFlagEce;
+            replay->flags &= static_cast<std::uint8_t>(~kKvFlagEce);
+            if (host_->rx_ecn_ce()) replay->flags |= kKvFlagEce;
             if (trace::enabled()) {
                 trace::tracer().annotate_next_tx(transport::request_tag(src, msg.seq));
             }
             host_->udp_send(src, kServerUdpPort, src_port,
-                            serialize_kv(replay));
+                            serialize_kv(*replay));
             return;
         }
         case transport::Sighting::kForgotten:
@@ -112,7 +113,7 @@ void KvStoreServer::on_datagram(sim::HostAddr src, std::uint16_t src_port,
         // follow the chain across the server hop.
         if (trace::enabled()) {
             trace::tracer().annotate_next_tx(
-                transport::request_tag(src, parse_kv(wire).seq));
+                transport::request_tag(src, decode_kv(wire)->seq));
         }
         host_->udp_send(src, kServerUdpPort, src_port, wire);
     };
@@ -183,14 +184,15 @@ void KvClient::on_datagram(sim::HostAddr /*src*/, std::uint16_t /*src_port*/,
     // directory), so instead of waiting out the RTO the client nudges
     // the retry channel after a short, fixed delay — long enough for a
     // few retries to span the migration's drain window.
-    if (dir::looks_like_directory(payload)) {
-        const dir::DirectoryMessage msg = dir::parse_directory(payload);
-        if (msg.op == dir::DirectoryOp::kNack) on_nack(msg.seq);
+    if (const auto nack = dir::decode_directory(payload)) {
+        if (nack->op == dir::DirectoryOp::kNack) on_nack(nack->seq);
         return;
     }
-    if (!looks_like_kv(payload)) return;
-    const KvMessage msg = parse_kv(payload);
-    if (msg.op != KvOp::kGetReply && msg.op != KvOp::kPutAck) return;
+    const std::optional<KvMessage> decoded = decode_kv(payload);
+    if (!decoded || (decoded->op != KvOp::kGetReply && decoded->op != KvOp::kPutAck)) {
+        return;
+    }
+    const KvMessage& msg = *decoded;
     // Congestion feedback first, duplicates included: a CE mark on the
     // reply path or the server's ECE echo both mean a fabric queue is
     // standing between us and the server, and the retry transport

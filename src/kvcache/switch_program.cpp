@@ -29,26 +29,26 @@ KvCacheSwitchProgram::KvCacheSwitchProgram(KvConfig config, sim::HostAddr server
     }
 }
 
-bool KvCacheSwitchProgram::claims(const sim::ParsedFrame& frame,
-                                  std::span<const std::byte> payload) const {
+Claim KvCacheSwitchProgram::on_frame(dp::PacketContext& ctx,
+                                     const sim::ParsedFrame& frame,
+                                     std::span<const std::byte> payload) {
     // Traffic of *this* kv service in either direction: requests
     // addressed to our server, replies coming from it. The address
     // check keeps caches of different services (one per storage rack)
     // from answering for each other's keys on a shared fabric.
-    if (!frame.udp) return false;
-    const bool to_server = frame.udp->dst_port == kServerUdpPort &&
-                           frame.ip.dst == server_;
-    const bool from_server = frame.udp->src_port == kServerUdpPort &&
-                             frame.ip.src == server_;
-    return (to_server || from_server) && looks_like_kv(payload);
+    if (!frame.udp) return Claim::kNotMine;
+    const bool toward_server = frame.udp->dst_port == kServerUdpPort;
+    const bool mine = (toward_server && frame.ip.dst == server_) ||
+                      (frame.udp->src_port == kServerUdpPort && frame.ip.src == server_);
+    return mine ? on_kv(ctx, frame, payload, toward_server) : Claim::kNotMine;
 }
 
-bool KvCacheSwitchProgram::on_claimed(dp::PacketContext& ctx,
-                                      const sim::ParsedFrame& frame,
-                                      std::span<const std::byte> payload) {
+Claim KvCacheSwitchProgram::on_kv(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
+                                  std::span<const std::byte> payload, bool toward_server) {
+    const std::optional<KvMessage> decoded = decode_kv(payload);
+    if (!decoded) return Claim::kNotMine;
+    const KvMessage& msg = *decoded;
     ctx.count_op(dp::OpKind::kParse);  // kv header
-    const KvMessage msg = parse_kv(payload);
-    const bool toward_server = frame.udp->dst_port == kServerUdpPort;
 
     if (toward_server && msg.op == KvOp::kGet) {
         ++stats_.gets_seen;
@@ -56,7 +56,7 @@ bool KvCacheSwitchProgram::on_claimed(dp::PacketContext& ctx,
         ctx.count_op(dp::OpKind::kAlu);  // valid check
         if (slot != nullptr && valid_.read(ctx, *slot) != 0) {
             serve_hit(ctx, frame, msg, *slot);
-            return true;
+            return Claim::kHandled;
         }
         // Miss: the request travels on to the server, whose per-key
         // access log doubles as the (exact) miss counter the
@@ -69,7 +69,7 @@ bool KvCacheSwitchProgram::on_claimed(dp::PacketContext& ctx,
                       transport::request_tag(frame.ip.src, msg.seq), 0, trace_name_id_,
                       trace::EventKind::kCacheMiss});
         }
-        return false;
+        return Claim::kDeclined;
     }
 
     if (toward_server && msg.op == KvOp::kPut) {
@@ -84,13 +84,13 @@ bool KvCacheSwitchProgram::on_claimed(dp::PacketContext& ctx,
                 ++stats_.invalidations;
             }
         }
-        return false;
+        return Claim::kDeclined;
     }
 
     if (!toward_server && msg.op == KvOp::kPutAck) {
         ++stats_.replies_seen;
         const std::uint16_t* slot = index_.apply(ctx, msg.key);
-        if (slot == nullptr) return false;
+        if (slot == nullptr) return Claim::kDeclined;
         const std::uint64_t tag = transport::request_tag(frame.ip.dst, msg.seq);
         ctx.count_op(dp::OpKind::kAlu);  // tag compare
         if (!msg.replayed() && last_put_.read(ctx, *slot) == tag) {
@@ -104,13 +104,13 @@ bool KvCacheSwitchProgram::on_claimed(dp::PacketContext& ctx,
             valid_.write(ctx, *slot, 0);
             ++stats_.invalidations;
         }
-        return false;
+        return Claim::kDeclined;
     }
 
     if (!toward_server) ++stats_.replies_seen;
     // GET_REPLYs pass through untouched: promotion into the cache is
     // the controller's decision, not the dataplane's.
-    return false;
+    return Claim::kDeclined;
 }
 
 void KvCacheSwitchProgram::serve_hit(dp::PacketContext& ctx,

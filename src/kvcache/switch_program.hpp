@@ -102,10 +102,8 @@ public:
                          std::shared_ptr<FabricRouter> router);
 
     // --- data plane ---------------------------------------------------------
-    bool claims(const sim::ParsedFrame& frame,
-                std::span<const std::byte> payload) const override;
-    bool on_claimed(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
-                    std::span<const std::byte> payload) override;
+    Claim on_frame(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
+                   std::span<const std::byte> payload) override;
     /// Claims in either direction carry the server port (dst on
     /// requests, src on replies).
     std::vector<std::uint16_t> claim_ports() const override {
@@ -140,6 +138,11 @@ public:
     const KvCacheStats& stats() const noexcept { return stats_; }
 
 private:
+    /// Decode and act on a frame of this service. Kept out of on_frame,
+    /// which the mux offers every kv frame: a frame of another service
+    /// then costs only the address checks, not this call's stack frame.
+    [[gnu::noinline]] Claim on_kv(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
+                                  std::span<const std::byte> payload, bool toward_server);
     /// Count the hit and answer the GET from `slot`.
     void serve_hit(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
                    const KvMessage& msg, std::uint16_t slot);

@@ -47,7 +47,7 @@ public:
     std::uint64_t pair_count() const noexcept { return pairs_; }
     std::uint64_t ends() const noexcept { return ends_; }
     std::uint64_t payload_bytes() const noexcept { return payload_bytes_; }
-    /// DAIET payloads parse_packet rejected, ignored.
+    /// DAIET payloads decode_daiet rejected, ignored.
     std::uint64_t malformed() const noexcept { return malformed_; }
     bool complete() const noexcept { return ends_ >= expected_ends_; }
 
@@ -56,17 +56,14 @@ public:
 
 private:
     void on_datagram(std::span<const std::byte> payload) {
-        if (!looks_like_daiet(payload)) return;
         // A checked view of the payload: its pairs are not decoded here.
-        DaietPacket packet;
-        try {
-            packet = parse_packet(payload);
-        } catch (const BufferError&) {
+        const std::optional<DaietPacket> packet = decode_daiet(payload);
+        if (!packet) {
             // Its pairs, if any, are lost: the round reads dirty at its END.
             ++malformed_;
             return;
         }
-        if (const auto* end = std::get_if<EndPacket>(&packet)) {
+        if (const auto* end = std::get_if<EndPacket>(&*packet)) {
             if (end->tree_id != tree_) return;
             payload_bytes_ += payload.size();
             declared_total_ += end->declared_pairs;
@@ -74,7 +71,7 @@ private:
             ++ends_;
             return;
         }
-        const auto& data = std::get<DataPacket>(packet);
+        const auto& data = std::get<DataPacket>(*packet);
         if (data.tree_id != tree_) return;
         payload_bytes_ += payload.size();
         pairs_ += data.pairs.size();

@@ -109,7 +109,9 @@ std::vector<KvPair> reduce_daiet_payloads(
             DAIET_EXPECTS(rest.size() >= kPreambleSize);
             const std::size_t size = data_packet_size(static_cast<std::uint8_t>(rest[5]));
             DAIET_EXPECTS(size <= rest.size());
-            const PairSpan pairs = std::get<DataPacket>(parse_packet(rest.first(size))).pairs;
+            const std::optional<DaietPacket> packet = decode_daiet(rest.first(size));
+            DAIET_EXPECTS(packet && std::holds_alternative<DataPacket>(*packet));
+            const PairSpan pairs = std::get<DataPacket>(*packet).pairs;
             for (const KvPair p : pairs) all.push_back(p);
             rest = rest.subspan(size);
         }

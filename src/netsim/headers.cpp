@@ -108,18 +108,6 @@ FrameBuf build_tcp_frame(HostAddr src, HostAddr dst, TcpHeader tcp,
 
 namespace {
 
-inline std::uint16_t load_be16(const std::byte* p) noexcept {
-    return static_cast<std::uint16_t>(std::to_integer<std::uint16_t>(p[0]) << 8 |
-                                      std::to_integer<std::uint16_t>(p[1]));
-}
-
-inline std::uint32_t load_be32(const std::byte* p) noexcept {
-    return std::to_integer<std::uint32_t>(p[0]) << 24 |
-           std::to_integer<std::uint32_t>(p[1]) << 16 |
-           std::to_integer<std::uint32_t>(p[2]) << 8 |
-           std::to_integer<std::uint32_t>(p[3]);
-}
-
 inline MacAddr load_mac(const std::byte* p) noexcept {
     MacAddr mac = 0;
     for (int i = 0; i < 6; ++i) mac = mac << 8 | std::to_integer<MacAddr>(p[i]);

@@ -51,9 +51,9 @@ void TelemetryCollector::tick() {
 void TelemetryCollector::on_datagram(sim::HostAddr /*src*/,
                                      std::uint16_t /*src_port*/,
                                      std::span<const std::byte> payload) {
-    if (!looks_like_telemetry(payload)) return;
-    const TelemetryMessage msg = parse_telemetry(payload);
-    if (msg.op == TelemetryOp::kProbe) return;  // not ours to answer
+    const std::optional<TelemetryMessage> decoded = decode_telemetry(payload);
+    if (!decoded || decoded->op == TelemetryOp::kProbe) return;  // not a report
+    const TelemetryMessage& msg = *decoded;
     ++stats_.report_frames_rx;
 
     SwitchView& view = views_[msg.switch_node];
@@ -69,7 +69,9 @@ void TelemetryCollector::on_datagram(sim::HostAddr /*src*/,
         // the smoothed hotness rates age one step per window advanced
         // (a lost window decays like an idle one — no data, no heat).
         auto& scores = hot_scores_[msg.switch_node];
-        for (std::uint32_t w = view.window; w < msg.window; ++w) {
+        // Decay stops once every score is gone, so a window number far
+        // ahead costs no more steps than the scores take to die out.
+        for (std::uint32_t w = view.window; w < msg.window && !scores.empty(); ++w) {
             for (auto it = scores.begin(); it != scores.end();) {
                 it->second *= kHotScoreDecay;
                 it = it->second < 0.25 ? scores.erase(it) : std::next(it);

@@ -74,67 +74,58 @@ std::vector<std::byte> serialize_hot_keys(sim::NodeId switch_node,
     return w.take();
 }
 
-TelemetryMessage parse_telemetry(std::span<const std::byte> payload) {
-    ByteReader r{payload};
-    if (r.get_u16() != kTelemetryMagic) {
-        throw BufferError{"telemetry: bad magic"};
+std::optional<TelemetryMessage> decode_telemetry(
+    std::span<const std::byte> payload) noexcept {
+    const std::byte* p = payload.data();
+    if (payload.size() < kTelemetryHeaderSize || load_be16(p) != kTelemetryMagic) {
+        return std::nullopt;
     }
+    const auto op = static_cast<TelemetryOp>(p[2]);
+    const auto count = std::to_integer<std::size_t>(p[3]);
+    std::size_t body = 0;
+    switch (op) {
+        case TelemetryOp::kProbe: break;
+        case TelemetryOp::kSummary: body = kSummaryRecordSize; break;
+        case TelemetryOp::kPortStats: body = count * kPortStatRecordSize; break;
+        case TelemetryOp::kHotKeys: body = count * kHotKeyRecordSize; break;
+        default: return std::nullopt;
+    }
+    if (payload.size() < kTelemetryHeaderSize + body) return std::nullopt;
+
     TelemetryMessage msg;
-    const std::uint8_t op = r.get_u8();
-    const std::uint8_t count = r.get_u8();
-    msg.switch_node = r.get_u32();
-    msg.window = r.get_u32();
-    switch (static_cast<TelemetryOp>(op)) {
-        case TelemetryOp::kProbe:
-            msg.op = TelemetryOp::kProbe;
-            break;
-        case TelemetryOp::kSummary: {
-            msg.op = TelemetryOp::kSummary;
-            msg.summary.frames_observed = r.get_u64();
-            msg.summary.bytes_observed = r.get_u64();
-            msg.summary.kv_gets = r.get_u32();
-            msg.summary.kv_puts = r.get_u32();
-            msg.summary.hot_logged = r.get_u32();
-            msg.summary.hot_dropped = r.get_u32();
-            break;
+    msg.op = op;
+    msg.switch_node = load_be32(p + 4);
+    msg.window = load_be32(p + 8);
+    p += kTelemetryHeaderSize;
+    if (op == TelemetryOp::kSummary) {
+        msg.summary.frames_observed = load_be64(p);
+        msg.summary.bytes_observed = load_be64(p + 8);
+        msg.summary.kv_gets = load_be32(p + 16);
+        msg.summary.kv_puts = load_be32(p + 20);
+        msg.summary.hot_logged = load_be32(p + 24);
+        msg.summary.hot_dropped = load_be32(p + 28);
+    } else if (op == TelemetryOp::kPortStats) {
+        msg.ports.resize(count);
+        for (PortStatRecord& r : msg.ports) {
+            r.port = load_be16(p);
+            r.frames = load_be32(p + 2);
+            r.bytes = load_be64(p + 6);
+            r.queue_drops = load_be32(p + 14);
+            r.loss_drops = load_be32(p + 18);
+            r.ecn_marks = load_be32(p + 22);
+            r.backlog_bytes = load_be32(p + 26);
+            r.watermark_bytes = load_be32(p + 30);
+            p += kPortStatRecordSize;
         }
-        case TelemetryOp::kPortStats: {
-            msg.op = TelemetryOp::kPortStats;
-            msg.ports.reserve(count);
-            for (std::uint8_t i = 0; i < count; ++i) {
-                PortStatRecord p;
-                p.port = r.get_u16();
-                p.frames = r.get_u32();
-                p.bytes = r.get_u64();
-                p.queue_drops = r.get_u32();
-                p.loss_drops = r.get_u32();
-                p.ecn_marks = r.get_u32();
-                p.backlog_bytes = r.get_u32();
-                p.watermark_bytes = r.get_u32();
-                msg.ports.push_back(p);
-            }
-            break;
+    } else if (op == TelemetryOp::kHotKeys) {
+        msg.hot_keys.resize(count);
+        for (HotKeyRecord& r : msg.hot_keys) {
+            r.key = Key16{std::span<const std::byte, Key16::width>{p, Key16::width}};
+            r.estimate = load_be32(p + Key16::width);
+            p += kHotKeyRecordSize;
         }
-        case TelemetryOp::kHotKeys: {
-            msg.op = TelemetryOp::kHotKeys;
-            msg.hot_keys.reserve(count);
-            for (std::uint8_t i = 0; i < count; ++i) {
-                HotKeyRecord k;
-                k.key = Key16{r.get_bytes(Key16::width)};
-                k.estimate = r.get_u32();
-                msg.hot_keys.push_back(k);
-            }
-            break;
-        }
-        default:
-            throw BufferError{"telemetry: unknown op"};
     }
     return msg;
-}
-
-bool looks_like_telemetry(std::span<const std::byte> payload) noexcept {
-    return payload.size() >= kTelemetryHeaderSize &&
-           payload[0] == std::byte{0x7E} && payload[1] == std::byte{0x1E};
 }
 
 }  // namespace daiet::telemetry

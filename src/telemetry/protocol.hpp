@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -128,10 +129,10 @@ std::vector<std::byte> serialize_hot_keys(sim::NodeId switch_node,
                                           std::uint32_t window,
                                           std::span<const HotKeyRecord> keys);
 
-/// Throws BufferError on truncation or a bad magic/op.
-TelemetryMessage parse_telemetry(std::span<const std::byte> payload);
-
-/// True if the payload starts with the telemetry magic.
-bool looks_like_telemetry(std::span<const std::byte> payload) noexcept;
+/// The telemetry message a payload carries, or nothing when it has
+/// another magic, names an unknown op or is shorter than its header
+/// plus the records its op and count call for.
+std::optional<TelemetryMessage> decode_telemetry(
+    std::span<const std::byte> payload) noexcept;
 
 }  // namespace daiet::telemetry

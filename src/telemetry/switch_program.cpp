@@ -48,9 +48,10 @@ void TelemetrySwitchProgram::observe(dp::PacketContext& ctx,
     // sees every GET/PUT at the ToR, including the ones a co-resident
     // cache tenant will absorb.
     if (!frame.udp || frame.udp->dst_port != kv::kServerUdpPort) return;
-    if (!kv::looks_like_kv(payload)) return;
+    const std::optional<kv::KvMessage> decoded = kv::decode_kv(payload);
+    if (!decoded) return;
+    const kv::KvMessage& msg = *decoded;
     ctx.count_op(dp::OpKind::kParse);  // kv header
-    const kv::KvMessage msg = kv::parse_kv(payload);
     if (msg.op != kv::KvOp::kGet && msg.op != kv::KvOp::kPut) return;
     if (msg.op == kv::KvOp::kGet) {
         ++stats_.kv_gets_sketched;
@@ -73,23 +74,24 @@ void TelemetrySwitchProgram::observe(dp::PacketContext& ctx,
     }
 }
 
-bool TelemetrySwitchProgram::claims(const sim::ParsedFrame& frame,
-                                    std::span<const std::byte> payload) const {
-    return frame.udp.has_value() &&
-           frame.udp->dst_port == kTelemetryUdpPort &&
-           frame.ip.dst == vaddr() && looks_like_telemetry(payload);
+Claim TelemetrySwitchProgram::on_frame(dp::PacketContext& ctx,
+                                       const sim::ParsedFrame& frame,
+                                       std::span<const std::byte> payload) {
+    const bool mine = frame.udp && frame.udp->dst_port == kTelemetryUdpPort &&
+                      frame.ip.dst == vaddr();
+    return mine ? on_probe(ctx, frame, payload) : Claim::kNotMine;
 }
 
-bool TelemetrySwitchProgram::on_claimed(dp::PacketContext& ctx,
-                                        const sim::ParsedFrame& frame,
-                                        std::span<const std::byte> payload) {
+Claim TelemetrySwitchProgram::on_probe(dp::PacketContext& ctx,
+                                       const sim::ParsedFrame& frame,
+                                       std::span<const std::byte> payload) {
+    // Addressed to this switch: consumed whatever it carries. Reports
+    // are never addressed to a switch, and undecodable bytes have
+    // nowhere to go.
     ctx.count_op(dp::OpKind::kParse);  // telemetry header
-    const TelemetryMessage msg = parse_telemetry(payload);
-    if (msg.op != TelemetryOp::kProbe) {
-        // Reports are never addressed to a switch; drop stray ones.
-        ctx.mark_drop();
-        return true;
-    }
+    ctx.mark_drop();
+    const std::optional<TelemetryMessage> msg = decode_telemetry(payload);
+    if (!msg || msg->op != TelemetryOp::kProbe) return Claim::kHandled;
     ++stats_.probes_answered;
 
     // Answer out of the probe's ingress port: the one port guaranteed
@@ -112,26 +114,24 @@ bool TelemetrySwitchProgram::on_claimed(dp::PacketContext& ctx,
     summary.kv_puts = static_cast<std::uint32_t>(window_.kv_puts_sketched);
     summary.hot_logged = static_cast<std::uint32_t>(window_.hot_logged);
     summary.hot_dropped = static_cast<std::uint32_t>(window_.hot_dropped);
-    emit(serialize_summary(node_->id(), msg.window, summary));
+    emit(serialize_summary(node_->id(), msg->window, summary));
 
     const std::vector<PortStatRecord> ports = port_stats(/*reset_peaks=*/true);
     for (std::size_t at = 0; at < ports.size(); at += kMaxPortStatsPerFrame) {
         const std::size_t n = std::min(kMaxPortStatsPerFrame, ports.size() - at);
-        emit(serialize_port_stats(node_->id(), msg.window,
+        emit(serialize_port_stats(node_->id(), msg->window,
                                   std::span{ports}.subspan(at, n)));
     }
 
     const std::vector<HotKeyRecord> hot = hot_keys();
     for (std::size_t at = 0; at < hot.size(); at += kMaxHotKeysPerFrame) {
         const std::size_t n = std::min(kMaxHotKeysPerFrame, hot.size() - at);
-        emit(serialize_hot_keys(node_->id(), msg.window,
+        emit(serialize_hot_keys(node_->id(), msg->window,
                                 std::span{hot}.subspan(at, n)));
     }
 
     reset_window();
-    // The probe is consumed by the switch.
-    ctx.mark_drop();
-    return true;
+    return Claim::kHandled;
 }
 
 std::vector<HotKeyRecord> TelemetrySwitchProgram::hot_keys() const {

@@ -74,10 +74,8 @@ public:
     // --- data plane ---------------------------------------------------------
     void observe(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
                  std::span<const std::byte> payload) override;
-    bool claims(const sim::ParsedFrame& frame,
-                std::span<const std::byte> payload) const override;
-    bool on_claimed(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
-                    std::span<const std::byte> payload) override;
+    Claim on_frame(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
+                   std::span<const std::byte> payload) override;
     /// The sketch tap in observe() must run on every frame.
     bool passive_observer() const noexcept override { return true; }
     std::vector<std::uint16_t> claim_ports() const override {
@@ -106,6 +104,11 @@ public:
     const TelemetryConfig& config() const noexcept { return config_; }
 
 private:
+    /// Decode a frame addressed to this switch and answer a probe. Kept
+    /// out of on_frame, which the mux offers every kv frame: a frame
+    /// not addressed to this switch then costs only the address checks.
+    [[gnu::noinline]] Claim on_probe(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
+                                     std::span<const std::byte> payload);
     /// Reset every per-window structure (poll = read and clear).
     void reset_window();
 

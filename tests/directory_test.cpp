@@ -39,17 +39,15 @@ TEST(DirProtocol, RoundTripsBothOps) {
         msg.key = Key16{"user:nack"};
         const auto wire = serialize_directory(msg);
         ASSERT_EQ(wire.size(), kDirectoryMessageSize);
-        EXPECT_TRUE(looks_like_directory(wire));
-        EXPECT_EQ(parse_directory(wire), msg);
+        EXPECT_EQ(decode_directory(wire), msg);
     }
 }
 
 TEST(DirProtocol, RejectsForeignTraffic) {
     const auto kv_wire = kv::serialize_kv(kv::KvMessage{});
-    EXPECT_FALSE(looks_like_directory(kv_wire));
-    EXPECT_THROW(parse_directory(kv_wire), BufferError);
+    EXPECT_FALSE(decode_directory(kv_wire));
     std::vector<std::byte> truncated{8, std::byte{0}};
-    EXPECT_FALSE(looks_like_directory(truncated));
+    EXPECT_FALSE(decode_directory(truncated));
 }
 
 TEST(DirProtocol, RangePartitionIsStableAndTotal) {

@@ -30,17 +30,15 @@ TEST(KvProtocol, RoundTripsAllOps) {
         msg.value = 0x01020304;
         const auto wire = serialize_kv(msg);
         ASSERT_EQ(wire.size(), kKvMessageSize);
-        EXPECT_TRUE(looks_like_kv(wire));
-        EXPECT_EQ(parse_kv(wire), msg);
+        EXPECT_EQ(decode_kv(wire), msg);
     }
 }
 
 TEST(KvProtocol, RejectsForeignTraffic) {
     const auto daiet_end = serialize_end(3);
-    EXPECT_FALSE(looks_like_kv(daiet_end));
-    EXPECT_THROW(parse_kv(daiet_end), BufferError);
+    EXPECT_FALSE(decode_kv(daiet_end));
     std::vector<std::byte> truncated{8, std::byte{0}};
-    EXPECT_FALSE(looks_like_kv(truncated));
+    EXPECT_FALSE(decode_kv(truncated));
 }
 
 /// A GET wire whose op byte is `op`: valid magic and size, any op.
@@ -58,8 +56,7 @@ KvWire get_wire_with_op(std::uint8_t op, std::uint32_t seq) {
 TEST(KvProtocol, UnknownOpIsNotKv) {
     for (const std::uint8_t op : {0, 5, 9, 255}) {
         const KvWire wire = get_wire_with_op(op, 1);
-        EXPECT_FALSE(looks_like_kv(wire)) << int{op};
-        EXPECT_THROW(parse_kv(wire), BufferError) << int{op};
+        EXPECT_FALSE(decode_kv(wire)) << int{op};
     }
 }
 

@@ -69,7 +69,7 @@ struct Harness {
         for (const auto& p : packets) {
             const auto frame = sim::parse_frame(p.payload());
             EXPECT_TRUE(frame && frame->udp);
-            out.push_back(parse_packet(frame->payload_of(p.payload())));
+            out.push_back(decode_daiet(frame->payload_of(p.payload())).value());
         }
         return out;
     }
@@ -376,6 +376,8 @@ std::vector<BadPayload> bad_payloads(const std::vector<KvPair>& pairs,
     out.back().bytes[2] = std::byte{99};
     const auto end = serialize_end(1, 3);
     out.push_back({"truncated END", {end.begin(), end.end() - 1}, false});
+    out.push_back({"bad magic", data, false});
+    out.back().bytes[0] = std::byte{0x00};
     return out;
 }
 
@@ -519,7 +521,7 @@ TEST_P(CrossValidation, PipelineMatchesReferenceAgent) {
         }
         for (const auto& out : pipeline.data(pairs)) {
             const auto frame = sim::parse_frame(out.payload());
-            const auto packet = parse_packet(frame->payload_of(out.payload()));
+            const auto packet = decode_daiet(frame->payload_of(out.payload())).value();
             account(pipeline_out, std::get<DataPacket>(packet).pairs);
         }
         for (const auto& flushed : agent.on_data(1, pairs)) {
@@ -530,7 +532,7 @@ TEST_P(CrossValidation, PipelineMatchesReferenceAgent) {
 
     for (const auto& out : pipeline.end()) {
         const auto frame = sim::parse_frame(out.payload());
-        const auto packet = parse_packet(frame->payload_of(out.payload()));
+        const auto packet = decode_daiet(frame->payload_of(out.payload())).value();
         if (const auto* data = std::get_if<DataPacket>(&packet)) {
             account(pipeline_out, data->pairs);
         }

@@ -1,11 +1,12 @@
 // Tests for the DAIET wire protocol and aggregation functions, and a
-// mutation fuzz of every tenant's wire parser.
+// table-driven sweep of every payload kind's decoder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <exception>
+#include <initializer_list>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -28,9 +29,7 @@ TEST(Protocol, DataRoundTrip) {
     }
     const auto bytes = serialize_data(42, pairs);
     EXPECT_EQ(bytes.size(), data_packet_size(7));
-    EXPECT_TRUE(looks_like_daiet(bytes));
-
-    const auto parsed = parse_packet(bytes);
+    const auto parsed = decode_daiet(bytes).value();
     const auto* data = std::get_if<DataPacket>(&parsed);
     ASSERT_NE(data, nullptr);
     EXPECT_EQ(data->tree_id, 42);
@@ -40,7 +39,7 @@ TEST(Protocol, DataRoundTrip) {
 TEST(Protocol, EndRoundTrip) {
     const auto bytes = serialize_end(7, 123456, true);
     EXPECT_EQ(bytes.size(), kEndPacketSize);
-    const auto parsed = parse_packet(bytes);
+    const auto parsed = decode_daiet(bytes).value();
     const auto* end = std::get_if<EndPacket>(&parsed);
     ASSERT_NE(end, nullptr);
     EXPECT_EQ(end->tree_id, 7);
@@ -49,7 +48,7 @@ TEST(Protocol, EndRoundTrip) {
 }
 
 TEST(Protocol, EndDefaultsAreCleanZero) {
-    const auto parsed = parse_packet(serialize_end(3));
+    const auto parsed = decode_daiet(serialize_end(3)).value();
     const auto* end = std::get_if<EndPacket>(&parsed);
     ASSERT_NE(end, nullptr);
     EXPECT_EQ(end->declared_pairs, 0U);
@@ -65,15 +64,14 @@ TEST(Protocol, TenPairPacketFitsParseBudget) {
 TEST(Protocol, RejectsBadMagic) {
     auto bytes = serialize_end(1);
     bytes[0] = std::byte{0x00};
-    EXPECT_FALSE(looks_like_daiet(bytes));
-    EXPECT_THROW(parse_packet(bytes), BufferError);
+    EXPECT_FALSE(decode_daiet(bytes));
 }
 
 TEST(Protocol, RejectsTruncatedData) {
     const std::vector<KvPair> pairs{KvPair{Key16{"a"}, 1}, KvPair{Key16{"b"}, 2}};
     auto bytes = serialize_data(1, pairs);
     bytes.resize(bytes.size() - 5);
-    EXPECT_THROW(parse_packet(bytes), BufferError);
+    EXPECT_FALSE(decode_daiet(bytes));
 }
 
 TEST(Protocol, RejectsZeroEntryData) {
@@ -82,7 +80,7 @@ TEST(Protocol, RejectsZeroEntryData) {
     w.put_u8(static_cast<std::uint8_t>(PacketType::kData));
     w.put_u16(1);
     w.put_u8(0);
-    EXPECT_THROW(parse_packet(w.bytes()), BufferError);
+    EXPECT_FALSE(decode_daiet(w.bytes()));
 }
 
 TEST(Protocol, RejectsUnknownType) {
@@ -91,12 +89,12 @@ TEST(Protocol, RejectsUnknownType) {
     w.put_u8(99);
     w.put_u16(1);
     w.put_u8(0);
-    EXPECT_THROW(parse_packet(w.bytes()), BufferError);
+    EXPECT_FALSE(decode_daiet(w.bytes()));
 }
 
 TEST(Protocol, ShortBufferIsNotDaiet) {
     const std::vector<std::byte> tiny(3);
-    EXPECT_FALSE(looks_like_daiet(tiny));
+    EXPECT_FALSE(decode_daiet(tiny));
 }
 
 TEST(Protocol, RandomRoundTripProperty) {
@@ -110,7 +108,7 @@ TEST(Protocol, RandomRoundTripProperty) {
         }
         const auto tree = static_cast<TreeId>(rng.next_below(65536));
         const auto bytes = serialize_data(tree, pairs);
-        const auto parsed = parse_packet(bytes);
+        const auto parsed = decode_daiet(bytes).value();
         const auto* data = std::get_if<DataPacket>(&parsed);
         ASSERT_NE(data, nullptr);
         EXPECT_EQ(data->tree_id, tree);
@@ -215,31 +213,164 @@ TEST(KvPairSort, MatchesComparisonSort) {
     check("singletons in both halves", both_halves);
 }
 
-// ------------------------------------------------------- parser fuzzing
+// ------------------------------------------------------ decoder fuzzing
 
-/// Seeded mutation fuzz of one wire parser: every truncation of each
-/// golden message, then 5K random byte-flip (half of them biased to the
-/// header bytes) and truncate mutations of each. A mutant must either
-/// parse or throw BufferError, never any other exception; UB is left to
-/// the sanitizer build. `on_parsed(msg, mutant)` checks every successful
-/// parse. Returns how many mutants were {rejected, parsed}.
-template <typename Parse, typename OnParsed>
-std::array<std::size_t, 2> fuzz_parser(const std::vector<std::vector<std::byte>>& golden,
-                                       Parse parse, OnParsed on_parsed) {
+// A decoder rejects bad bytes by returning nothing; none may throw.
+static_assert(noexcept(kv::decode_kv({})));
+static_assert(noexcept(dir::decode_directory({})));
+static_assert(noexcept(telemetry::decode_telemetry({})));
+static_assert(noexcept(decode_daiet({})));
+
+std::vector<std::byte> bytes_of(std::span<const std::byte> s) { return {s.begin(), s.end()}; }
+
+/// One valid wire of every op of each payload kind.
+std::vector<std::vector<std::byte>> kv_wires() {
+    std::vector<std::vector<std::byte>> out;
+    for (const kv::KvOp op :
+         {kv::KvOp::kGet, kv::KvOp::kGetReply, kv::KvOp::kPut, kv::KvOp::kPutAck}) {
+        kv::KvMessage msg;
+        msg.op = op;
+        msg.flags = kv::kKvFlagFound | kv::kKvFlagFromSwitch;
+        msg.req_id = 0x01020304;
+        msg.seq = 0x0a0b0c0d;
+        msg.key = Key16{"user:fuzz"};
+        msg.value = 0xdeadbeef;
+        out.push_back(bytes_of(kv::serialize_kv(msg)));
+    }
+    return out;
+}
+
+std::vector<std::vector<std::byte>> directory_wires() {
+    std::vector<std::vector<std::byte>> out;
+    for (const dir::DirectoryOp op : {dir::DirectoryOp::kNack, dir::DirectoryOp::kInvalidate}) {
+        dir::DirectoryMessage msg;
+        msg.op = op;
+        msg.flags = 0x5a;
+        msg.seq = 0xfeedf00d;
+        msg.tag = 0x0102030405060708ULL;
+        msg.key = Key16{"user:fuzz"};
+        out.push_back(bytes_of(dir::serialize_directory(msg)));
+    }
+    return out;
+}
+
+std::vector<std::vector<std::byte>> telemetry_wires() {
+    using namespace telemetry;
+    SummaryRecord summary;
+    summary.frames_observed = 1234;
+    summary.bytes_observed = 0x0102030405060708ULL;
+    summary.kv_gets = 56;
+    summary.hot_dropped = 9;
+    const std::vector<PortStatRecord> ports{{.port = 1, .frames = 9, .bytes = 900},
+                                            {.port = 2, .queue_drops = 3, .ecn_marks = 4,
+                                             .watermark_bytes = 77}};
+    const std::vector<HotKeyRecord> keys{{Key16{"hot:a"}, 40}, {Key16{"hot:b"}, 7},
+                                         {Key16{"hot:c"}, 2}};
+    return {serialize_probe(3, 17), serialize_summary(3, 17, summary),
+            serialize_port_stats(3, 17, ports), serialize_hot_keys(3, 17, keys)};
+}
+
+std::vector<std::vector<std::byte>> daiet_wires() {
+    std::vector<KvPair> pairs;
+    for (int i = 0; i < 10; ++i) {
+        pairs.push_back(KvPair{Key16{"key" + std::to_string(i)}, wire_from_i32(i)});
+    }
+    return {serialize_data(42, std::span{pairs}.first(3)), serialize_data(7, pairs),
+            bytes_of(serialize_end(42, 30, true))};
+}
+
+/// What a decoded message serializes back to.
+std::vector<std::byte> reencode(const kv::KvMessage& m) { return bytes_of(kv::serialize_kv(m)); }
+std::vector<std::byte> reencode(const dir::DirectoryMessage& m) {
+    return bytes_of(dir::serialize_directory(m));
+}
+std::vector<std::byte> reencode(const telemetry::TelemetryMessage& m) {
+    using namespace telemetry;
+    switch (m.op) {
+        case TelemetryOp::kProbe: return serialize_probe(m.switch_node, m.window);
+        case TelemetryOp::kSummary:
+            return serialize_summary(m.switch_node, m.window, m.summary);
+        case TelemetryOp::kPortStats:
+            return serialize_port_stats(m.switch_node, m.window, m.ports);
+        case TelemetryOp::kHotKeys:
+            return serialize_hot_keys(m.switch_node, m.window, m.hot_keys);
+    }
+    return {};
+}
+std::vector<std::byte> reencode(const DaietPacket& p) {
+    if (const auto* data = std::get_if<DataPacket>(&p)) {
+        return serialize_data(data->tree_id, std::vector<KvPair>(data->pairs.begin(),
+                                                                 data->pairs.end()));
+    }
+    const auto& end = std::get<EndPacket>(p);
+    return bytes_of(serialize_end(end.tree_id, end.declared_pairs, end.dirty));
+}
+
+/// True when `msg`, decoded from `wire`, serializes back to the bytes
+/// it was decoded from. Decoders ignore trailing bytes (kv, directory,
+/// telemetry), a probe's and a summary's count byte and an END's entry
+/// count, and read any nonzero END dirty byte as set, so those bytes
+/// are compared as the serializer writes them.
+template <typename Message>
+bool reencodes_to(const Message& msg, std::span<const std::byte> wire) {
+    std::vector<std::byte> expected = bytes_of(wire);
+    const std::vector<std::byte> again = reencode(msg);
+    if (expected.size() < again.size()) return false;
+    expected.resize(again.size());
+    if constexpr (std::is_same_v<Message, telemetry::TelemetryMessage>) {
+        if (msg.op == telemetry::TelemetryOp::kProbe) expected[3] = std::byte{0};
+        if (msg.op == telemetry::TelemetryOp::kSummary) expected[3] = std::byte{1};
+    }
+    if constexpr (std::is_same_v<Message, DaietPacket>) {
+        if (std::holds_alternative<EndPacket>(msg)) {
+            expected[5] = std::byte{0};
+            if (expected.back() != std::byte{0}) expected.back() = std::byte{1};
+        }
+    }
+    return again == expected;
+}
+
+/// Table-driven sweep of one decoder over bad and good bytes: every
+/// prefix of every golden wire (only the whole wire decodes), every op
+/// byte 0-255 on each (an unknown op never decodes, the wire's own op
+/// decodes to the wire), 5K seeded byte-flip and truncate mutants of
+/// each (half biased to the header) and 2K seeded random payloads (half
+/// behind the kind's magic). Every case either returns nothing or a
+/// message that re-encodes to its bytes; decoders are noexcept, so a
+/// throw would end the test binary. Returns how many cases were
+/// {rejected, decoded}.
+template <typename Decode>
+std::array<std::size_t, 2> sweep_decoder(const std::vector<std::vector<std::byte>>& golden,
+                                         Decode decode, std::uint16_t magic,
+                                         std::initializer_list<std::uint8_t> known_ops) {
     std::array<std::size_t, 2> verdicts{};
     const auto verdict = [&](std::span<const std::byte> m) {
-        try {
-            on_parsed(parse(m), m);
-            ++verdicts[1];
-        } catch (const BufferError&) {
-            ++verdicts[0];
-        } catch (const std::exception& e) {
-            ADD_FAILURE() << "non-BufferError exception: " << e.what();
+        const auto msg = decode(m);
+        ++verdicts[msg.has_value()];
+        if (msg) {
+            EXPECT_TRUE(reencodes_to(*msg, m)) << "a " << m.size() << "-byte payload";
         }
+        return msg.has_value();
+    };
+    const auto known = [&](std::uint8_t op) {
+        return std::find(known_ops.begin(), known_ops.end(), op) != known_ops.end();
     };
     Rng rng{2017};
     for (const std::vector<std::byte>& bytes : golden) {
-        for (std::size_t len = 0; len <= bytes.size(); ++len) verdict({bytes.data(), len});
+        for (std::size_t len = 0; len <= bytes.size(); ++len) {
+            EXPECT_EQ(verdict({bytes.data(), len}), len == bytes.size()) << "prefix " << len;
+        }
+        for (int op = 0; op < 256; ++op) {
+            std::vector<std::byte> m = bytes;
+            m[2] = static_cast<std::byte>(op);
+            const bool decoded = verdict(m);
+            if (!known(static_cast<std::uint8_t>(op))) {
+                EXPECT_FALSE(decoded) << "op " << op;
+            }
+            if (m[2] == bytes[2]) {
+                EXPECT_TRUE(decoded) << "op " << op;
+            }
+        }
         for (int i = 0; i < 5000; ++i) {
             std::vector<std::byte> m = bytes;
             const std::size_t reach =
@@ -251,78 +382,86 @@ std::array<std::size_t, 2> fuzz_parser(const std::vector<std::vector<std::byte>>
             verdict(m);
         }
     }
+    for (int i = 0; i < 2000; ++i) {
+        std::vector<std::byte> m(rng.next_below(300));
+        for (std::byte& b : m) b = static_cast<std::byte>(rng.next_below(256));
+        if (m.size() >= 3 && rng.next_below(2) == 0) {
+            m[0] = static_cast<std::byte>(magic >> 8);
+            m[1] = static_cast<std::byte>(magic & 0xff);
+            m[2] = static_cast<std::byte>(*(known_ops.begin() +
+                                            rng.next_below(known_ops.size())));
+        }
+        verdict(m);
+    }
     return verdicts;
 }
 
-std::vector<std::byte> bytes_of(std::span<const std::byte> s) { return {s.begin(), s.end()}; }
-
-TEST(Parsers, KvParserSurvivesMutationAndRoundTrips) {
-    std::vector<std::vector<std::byte>> golden;
-    for (const kv::KvOp op :
-         {kv::KvOp::kGet, kv::KvOp::kGetReply, kv::KvOp::kPut, kv::KvOp::kPutAck}) {
-        kv::KvMessage msg;
-        msg.op = op;
-        msg.flags = kv::kKvFlagFound | kv::kKvFlagFromSwitch;
-        msg.req_id = 0x01020304;
-        msg.seq = 0x0a0b0c0d;
-        msg.key = Key16{"user:fuzz"};
-        msg.value = 0xdeadbeef;
-        golden.push_back(bytes_of(kv::serialize_kv(msg)));
-        // A valid message re-serializes byte-identically.
-        EXPECT_EQ(bytes_of(kv::serialize_kv(kv::parse_kv(golden.back()))), golden.back());
-    }
-    // Every field is stored raw, so any mutant that parses does too.
-    const auto v = fuzz_parser(golden, kv::parse_kv, [](const kv::KvMessage& msg, auto m) {
-        EXPECT_EQ(bytes_of(kv::serialize_kv(msg)), bytes_of(m));
-    });
+TEST(Decoders, KvSurvivesEveryPrefixOpByteAndRandomBytes) {
+    const auto v = sweep_decoder(kv_wires(), kv::decode_kv, kv::kKvMagic, {1, 2, 3, 4});
     EXPECT_GT(v[0], 0U);
     EXPECT_GT(v[1], 0U);
 }
 
-TEST(Parsers, DirectoryParserSurvivesMutation) {
-    std::vector<std::vector<std::byte>> golden;
-    for (const dir::DirectoryOp op : {dir::DirectoryOp::kNack, dir::DirectoryOp::kInvalidate}) {
-        dir::DirectoryMessage msg;
-        msg.op = op;
-        msg.seq = 0xfeedf00d;
-        msg.tag = 0x0102030405060708ULL;
-        msg.key = Key16{"user:fuzz"};
-        golden.push_back(bytes_of(dir::serialize_directory(msg)));
-    }
-    const auto v = fuzz_parser(golden, dir::parse_directory,
-                               [](const dir::DirectoryMessage&, auto) {});
+TEST(Decoders, DirectorySurvivesEveryPrefixOpByteAndRandomBytes) {
+    const auto v = sweep_decoder(directory_wires(), dir::decode_directory,
+                                 dir::kDirectoryMagic, {1, 2});
     EXPECT_GT(v[0], 0U);
     EXPECT_GT(v[1], 0U);
 }
 
-TEST(Parsers, TelemetryParserSurvivesMutation) {
-    using namespace telemetry;
-    SummaryRecord summary;
-    summary.frames_observed = 1234;
-    summary.kv_gets = 56;
-    const std::vector<PortStatRecord> ports{{.port = 1, .frames = 9, .bytes = 900},
-                                            {.port = 2, .queue_drops = 3, .ecn_marks = 4}};
-    const std::vector<HotKeyRecord> keys{{Key16{"hot:a"}, 40}, {Key16{"hot:b"}, 7},
-                                         {Key16{"hot:c"}, 2}};
-    const std::vector<std::vector<std::byte>> golden{
-        serialize_probe(3, 17), serialize_summary(3, 17, summary),
-        serialize_port_stats(3, 17, ports), serialize_hot_keys(3, 17, keys)};
-    const auto v = fuzz_parser(golden, parse_telemetry, [](const TelemetryMessage&, auto) {});
+TEST(Decoders, TelemetrySurvivesEveryPrefixOpByteAndRandomBytes) {
+    const auto v = sweep_decoder(telemetry_wires(), telemetry::decode_telemetry,
+                                 telemetry::kTelemetryMagic, {1, 2, 3, 4});
     EXPECT_GT(v[0], 0U);
     EXPECT_GT(v[1], 0U);
 }
 
-TEST(Parsers, DaietParserSurvivesMutation) {
-    std::vector<KvPair> pairs;
-    for (int i = 0; i < 10; ++i) {
-        pairs.push_back(KvPair{Key16{"key" + std::to_string(i)}, wire_from_i32(i)});
-    }
-    const std::vector<std::vector<std::byte>> golden{
-        serialize_data(42, std::span{pairs}.first(3)), serialize_data(7, pairs),
-        bytes_of(serialize_end(42, 30, true))};
-    const auto v = fuzz_parser(golden, parse_packet, [](const DaietPacket&, auto) {});
+TEST(Decoders, DaietSurvivesEveryPrefixOpByteAndRandomBytes) {
+    const auto v = sweep_decoder(daiet_wires(), decode_daiet, kDaietMagic, {1, 2});
     EXPECT_GT(v[0], 0U);
     EXPECT_GT(v[1], 0U);
+}
+
+// The two payloads that once passed a magic-and-size check and then
+// threw from the parser behind it.
+TEST(Decoders, RejectUnknownDirectoryOpAndShortPortStats) {
+    auto nack = directory_wires().front();
+    nack[2] = std::byte{9};
+    EXPECT_FALSE(dir::decode_directory(nack));
+    auto ports = telemetry::serialize_port_stats(3, 17, {});
+    ports[3] = std::byte{5};  // five records declared, none present
+    EXPECT_FALSE(telemetry::decode_telemetry(ports));
+}
+
+TEST(Decoders, RoundTripEveryOpOfEveryKind) {
+    for (const auto& wire : kv_wires()) {
+        const auto msg = kv::decode_kv(wire);
+        ASSERT_TRUE(msg);
+        EXPECT_EQ(static_cast<std::uint8_t>(msg->op), std::to_integer<std::uint8_t>(wire[2]));
+        EXPECT_EQ(reencode(*msg), wire);
+    }
+    for (const auto& wire : directory_wires()) {
+        const auto msg = dir::decode_directory(wire);
+        ASSERT_TRUE(msg);
+        EXPECT_EQ(static_cast<std::uint8_t>(msg->op), std::to_integer<std::uint8_t>(wire[2]));
+        EXPECT_EQ(msg->flags, 0x5a);
+        EXPECT_EQ(reencode(*msg), wire);
+    }
+    for (const auto& wire : telemetry_wires()) {
+        const auto msg = telemetry::decode_telemetry(wire);
+        ASSERT_TRUE(msg);
+        EXPECT_EQ(static_cast<std::uint8_t>(msg->op), std::to_integer<std::uint8_t>(wire[2]));
+        EXPECT_EQ(msg->switch_node, 3U);
+        EXPECT_EQ(msg->window, 17U);
+        EXPECT_EQ(reencode(*msg), wire);
+    }
+    for (const auto& wire : daiet_wires()) {
+        const auto packet = decode_daiet(wire);
+        ASSERT_TRUE(packet);
+        EXPECT_EQ(packet->index() == 0 ? PacketType::kData : PacketType::kEnd,
+                  static_cast<PacketType>(wire[2]));
+        EXPECT_EQ(reencode(*packet), wire);
+    }
 }
 
 // -------------------------------------------------------- aggregation

@@ -26,8 +26,7 @@ TEST(TelemetryProtocol, RoundTripsAllOps) {
     const std::uint32_t window = 7;
 
     const auto probe_wire = serialize_probe(node, window);
-    EXPECT_TRUE(looks_like_telemetry(probe_wire));
-    const TelemetryMessage probe = parse_telemetry(probe_wire);
+    const TelemetryMessage probe = decode_telemetry(probe_wire).value();
     EXPECT_EQ(probe.op, TelemetryOp::kProbe);
     EXPECT_EQ(probe.switch_node, node);
     EXPECT_EQ(probe.window, window);
@@ -40,7 +39,7 @@ TEST(TelemetryProtocol, RoundTripsAllOps) {
     summary.hot_logged = 17;
     summary.hot_dropped = 3;
     const TelemetryMessage sum =
-        parse_telemetry(serialize_summary(node, window, summary));
+        decode_telemetry(serialize_summary(node, window, summary)).value();
     EXPECT_EQ(sum.op, TelemetryOp::kSummary);
     EXPECT_EQ(sum.summary, summary);
 
@@ -58,7 +57,7 @@ TEST(TelemetryProtocol, RoundTripsAllOps) {
         ports.push_back(rec);
     }
     const TelemetryMessage ps =
-        parse_telemetry(serialize_port_stats(node, window, ports));
+        decode_telemetry(serialize_port_stats(node, window, ports)).value();
     EXPECT_EQ(ps.op, TelemetryOp::kPortStats);
     EXPECT_EQ(ps.ports, ports);
 
@@ -67,17 +66,16 @@ TEST(TelemetryProtocol, RoundTripsAllOps) {
         keys.push_back({Key16::from_u64(100 + i), 50 - i});
     }
     const TelemetryMessage hk =
-        parse_telemetry(serialize_hot_keys(node, window, keys));
+        decode_telemetry(serialize_hot_keys(node, window, keys)).value();
     EXPECT_EQ(hk.op, TelemetryOp::kHotKeys);
     EXPECT_EQ(hk.hot_keys, keys);
 }
 
 TEST(TelemetryProtocol, RejectsForeignTraffic) {
     const auto kv_wire = kv::serialize_kv(kv::KvMessage{});
-    EXPECT_FALSE(looks_like_telemetry(kv_wire));
-    EXPECT_THROW(parse_telemetry(kv_wire), BufferError);
+    EXPECT_FALSE(decode_telemetry(kv_wire));
     std::vector<std::byte> truncated{4, std::byte{0x7E}};
-    EXPECT_FALSE(looks_like_telemetry(truncated));
+    EXPECT_FALSE(decode_telemetry(truncated));
 }
 
 // ------------------------------------------------- sketch data structures

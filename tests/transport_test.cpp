@@ -794,7 +794,7 @@ TEST(SwitchProgramMux, UnclaimedTrafficIsDroppedOrForwardedSanely) {
 TEST(SwitchProgramMux, DispatchOrderDoesNotChangeResults) {
     // Three tenants on one chip: daiet plus two kv caches (one per
     // storage server). Registration order must not affect any
-    // tenant's results — claims() scopes each to its own slice.
+    // tenant's results — on_frame() scopes each to its own slice.
     kv::KvWorkload workload;
     workload.num_keys = 64;
     workload.zipf_s = 0.9;
@@ -844,19 +844,16 @@ public:
         : TenantProgram{std::move(router)}, name_{std::move(name)},
           ports_{std::move(ports)} {}
 
-    bool claims(const sim::ParsedFrame&, std::span<const std::byte>) const override {
+    Claim on_frame(dp::PacketContext&, const sim::ParsedFrame&,
+                   std::span<const std::byte>) override {
         ++offered;
-        return false;
-    }
-    bool on_claimed(dp::PacketContext&, const sim::ParsedFrame&,
-                    std::span<const std::byte>) override {
-        return false;
+        return Claim::kNotMine;
     }
     std::vector<std::uint16_t> claim_ports() const override { return ports_; }
     std::size_t sram_bytes() const override { return 0; }
     std::string name() const override { return name_; }
 
-    mutable std::size_t offered{0};
+    std::size_t offered{0};
 
 private:
     std::string name_;
@@ -984,7 +981,7 @@ struct ChipHarness {
         const auto frame = sim::parse_frame(out[0].payload());
         if (!frame || !frame->udp) return false;
         const kv::KvMessage reply =
-            kv::parse_kv(frame->payload_of(out[0].payload()));
+            kv::decode_kv(frame->payload_of(out[0].payload())).value();
         if (reply.op != kv::KvOp::kGetReply || !reply.from_switch()) return false;
         if (value != nullptr) *value = reply.value;
         return true;
@@ -1188,7 +1185,8 @@ struct EdgeChipHarness {
         if (out.size() != 1) return false;
         const auto frame = sim::parse_frame(out[0].payload());
         if (!frame || !frame->udp || frame->ip.dst != kClient) return false;
-        const kv::KvMessage reply = kv::parse_kv(frame->payload_of(out[0].payload()));
+        const kv::KvMessage reply =
+            kv::decode_kv(frame->payload_of(out[0].payload())).value();
         if (reply.op != kv::KvOp::kGetReply || !reply.from_edge()) return false;
         if (value != nullptr) *value = reply.value;
         return true;

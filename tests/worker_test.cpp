@@ -151,7 +151,7 @@ TEST_F(WorkerFixture, PayloadSizesStayUnderParseBudget) {
     EXPECT_EQ(tx.stats().payload_bytes_sent, 10 * 206U + kEndPacketSize);
 }
 
-/// One malformed DAIET payload of each kind parse_packet rejects, for
+/// One malformed DAIET payload of each kind decode_daiet rejects, for
 /// tree 5.
 std::vector<std::pair<const char*, std::vector<std::byte>>> malformed_payloads() {
     const auto data = serialize_data(5, std::vector{kv("x", 1), kv("y", 1)});

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "common/hash.hpp"
 
 namespace daiet {
 
@@ -60,7 +61,15 @@ DaietSwitchProgram::DaietSwitchProgram(Config config, dp::PipelineSwitch& chip,
       tree_table_{"daiet_tree", std::max<std::size_t>(config.max_trees, 1),
                   chip.sram()},
       slot_sram_{chip.sram(), "daiet_slots",
-                 config.max_trees * Slot::footprint_bytes(config)} {}
+                 config.max_trees * Slot::footprint_bytes(config)} {
+    // The parser is unrolled for max_pairs_per_packet pairs: at 0 every
+    // DATA packet would be dropped as oversized, and no flush packet
+    // holds more than kMaxWirePairs.
+    if (config.max_pairs_per_packet == 0 || config.max_pairs_per_packet > kMaxWirePairs) {
+        throw std::invalid_argument{"DaietSwitchProgram: max_pairs_per_packet must be in [1, " +
+                                    std::to_string(kMaxWirePairs) + "]"};
+    }
+}
 
 std::size_t DaietSwitchProgram::sram_bytes() const {
     return tree_table_.footprint_bytes() + slot_sram_.bytes();

@@ -32,7 +32,6 @@
 #include "core/aggregation.hpp"
 #include "core/config.hpp"
 #include "core/protocol.hpp"
-#include "core/switch_agent.hpp"
 #include "core/tenancy.hpp"
 #include "dataplane/match_table.hpp"
 #include "dataplane/pipeline_switch.hpp"
@@ -41,6 +40,18 @@
 #include "netsim/switch_node.hpp"
 
 namespace daiet {
+
+/// Counters for one tree on one switch; the data-reduction numbers in
+/// EXPERIMENTS.md are ratios of these.
+struct AgentTreeStats {
+    std::uint64_t pairs_in{0};         ///< pairs received
+    std::uint64_t pairs_stored{0};     ///< stored into an empty cell
+    std::uint64_t pairs_combined{0};   ///< merged into an existing cell
+    std::uint64_t pairs_spilled{0};    ///< collided and went to spillover
+    std::uint64_t pairs_out{0};        ///< pairs forwarded downstream
+    std::uint64_t spill_flushes{0};    ///< spillover bucket flushes
+    std::uint64_t end_packets_in{0};
+};
 
 /// DAIET payloads this switch dropped without touching any tree: the
 /// parser rejects them, so none of their pairs reach a register and the
@@ -64,7 +75,9 @@ class DaietSwitchProgram : public TenantProgram {
 public:
     /// Reserves the SRAM of all `max_trees` register slots from the
     /// chip's book at construction, as a P4 compile would, and throws
-    /// dp::ResourceError if the configuration does not fit the chip.
+    /// dp::ResourceError if the configuration does not fit the chip, or
+    /// std::invalid_argument if max_pairs_per_packet is 0 or above
+    /// kMaxWirePairs (no DATA packet could pass the parser).
     /// Host memory for a slot's registers is allocated only when the
     /// controller first places a tree in it (configure_tree), so a
     /// switch no tree crosses costs its reservation but no cells. Ports
@@ -95,7 +108,6 @@ public:
     std::size_t held_pairs(TreeId tree) const;
     /// Control-plane scan: key cells of the tree's slot that hold a key.
     std::size_t occupied_cells(TreeId tree) const;
-    const Config& config() const noexcept { return config_; }
 
 private:
     struct Slot {

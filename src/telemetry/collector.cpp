@@ -55,6 +55,12 @@ void TelemetryCollector::on_datagram(sim::HostAddr /*src*/,
     if (!decoded || decoded->op == TelemetryOp::kProbe) return;  // not a report
     const TelemetryMessage& msg = *decoded;
     ++stats_.report_frames_rx;
+    // A switch echoes its probe's window, so a genuine report names a
+    // target and a window poll_once already sent.
+    if (msg.window >= next_window_ || std::ranges::count(targets_, msg.switch_node) == 0) {
+        ++stats_.unrequested_frames;
+        return;
+    }
 
     SwitchView& view = views_[msg.switch_node];
     if (msg.window < view.window) {
@@ -69,8 +75,8 @@ void TelemetryCollector::on_datagram(sim::HostAddr /*src*/,
         // the smoothed hotness rates age one step per window advanced
         // (a lost window decays like an idle one — no data, no heat).
         auto& scores = hot_scores_[msg.switch_node];
-        // Decay stops once every score is gone, so a window number far
-        // ahead costs no more steps than the scores take to die out.
+        // Decay stops once every score is gone, so a long-silent switch
+        // costs no more steps than its scores take to die out.
         for (std::uint32_t w = view.window; w < msg.window && !scores.empty(); ++w) {
             for (auto it = scores.begin(); it != scores.end();) {
                 it->second *= kHotScoreDecay;

@@ -56,6 +56,9 @@ struct CollectorStats {
     std::uint64_t report_frames_rx{0};
     std::uint64_t windows_merged{0};  ///< first frame of a fresh window
     std::uint64_t stale_frames{0};    ///< frames older than the merged window
+    /// Reports no probe asked for: a window not yet probed, or a switch
+    /// that is not a target. Dropped before they touch any view.
+    std::uint64_t unrequested_frames{0};
 };
 
 class TelemetryCollector {

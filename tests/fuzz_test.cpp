@@ -4,7 +4,8 @@
 // leave Simulator::run, every run must reach quiescence, and the kv
 // read-your-writes, kv value-parity and aggregation oracles must hold.
 // Two fixed cases replay payloads that once passed a magic-and-size
-// check and then threw from the parser behind it.
+// check and then threw from the parser behind it; a third forges
+// telemetry reports that once displaced the collector's genuine ones.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -538,6 +539,33 @@ TEST(FabricFuzz, PortStatsWithMissingRecordsAreDroppedEverywhere) {
     auto wire = telemetry::serialize_port_stats(3, 2, {});
     wire[3] = std::byte{5};  // five records declared, none present
     expect_survives_everywhere(wire);
+}
+
+// A report for a window the collector never probed once replaced the
+// switch's view, so every genuine report after it counted as stale; one
+// from a switch that is not a target once gained a view of its own.
+TEST(FabricFuzz, ForgedTelemetryReportsLeaveTheViewsToGenuineOnes) {
+    rt::ClusterRuntime rt{leaf_spine(4, 8)};
+    telemetry::TelemetryService tel{rt, {.collector_host = 1}};
+    sim::Host& from = rt.host(4);
+    const sim::NodeId tor = rt.network().edge_switch_of(from)->id();
+    constexpr sim::NodeId kStranger = 9999;
+    for (const auto& [node, window] : {std::pair{tor, 1'000'000U}, std::pair{kStranger, 1U}}) {
+        from.send_frame(sim::build_udp_frame(
+            from.addr(), rt.host(1).addr(), telemetry::kTelemetryUdpPort,
+            telemetry::kCollectorUdpPort,
+            telemetry::serialize_summary(node, window, {.frames_observed = 7})));
+    }
+    tel.start(100 * sim::kMicrosecond, 1 * sim::kMillisecond);
+    ASSERT_NO_THROW(rt.run());
+
+    const telemetry::CollectorStats& stats = tel.collector().stats();
+    EXPECT_EQ(stats.unrequested_frames, 2U);
+    EXPECT_EQ(stats.stale_frames, 0U);
+    EXPECT_EQ(tel.collector().view(kStranger), nullptr);
+    const telemetry::SwitchView* view = tel.collector().view(tor);
+    ASSERT_NE(view, nullptr);
+    EXPECT_EQ(view->window, stats.polls);  // the last probed window
 }
 
 }  // namespace

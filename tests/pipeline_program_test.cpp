@@ -1,14 +1,15 @@
 // Tests for the DAIET dataplane program running inside the switch
-// model, including cross-validation against the host-side reference
-// implementation of Algorithm 1.
+// model, including cross-validation against a test-only reference model
+// of Algorithm 1 (reference_agent.hpp).
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 
 #include "alloc_counter.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline_program.hpp"
-#include "core/switch_agent.hpp"
+#include "reference_agent.hpp"
 
 namespace daiet {
 namespace {
@@ -25,12 +26,17 @@ struct Harness {
     explicit Harness(Config c, std::uint32_t children = 1)
         : cfg{c}, chip{"sw", make_switch_config()} {
         program = load_daiet_program(cfg, chip);
-        TreeRule rule;
-        rule.fn = AggFnId::kSumI32;
-        rule.num_children = children;
-        rule.out_port = kUpPort;
-        rule.flush_dst = kReducerAddr;
-        program->configure_tree(1, rule);
+        program->configure_tree(1, rule(AggFnId::kSumI32, children));
+    }
+
+    /// A rule for a tree flushing out of kUpPort to the reducer.
+    static TreeRule rule(AggFnId fn, std::uint32_t children = 1) {
+        TreeRule r;
+        r.fn = fn;
+        r.num_children = children;
+        r.out_port = kUpPort;
+        r.flush_dst = kReducerAddr;
+        return r;
     }
 
     static dp::SwitchConfig make_switch_config() {
@@ -41,19 +47,11 @@ struct Harness {
     }
 
     /// Inject a DATA packet; returns emitted packets.
-    std::vector<dp::Packet> data(std::span<const KvPair> pairs, dp::PortId in = 0) {
-        const auto payload = serialize_data(1, pairs);
-        auto frame = sim::build_udp_frame(kMapperAddr, kReducerAddr,
-                                          kMapperUdpPort, kDaietUdpPort, payload);
-        return chip.receive(dp::Packet{std::move(frame)}, in);
+    std::vector<dp::Packet> data(std::span<const KvPair> pairs, TreeId tree = 1) {
+        return raw(serialize_data(tree, pairs));
     }
 
-    std::vector<dp::Packet> end(dp::PortId in = 0) {
-        const auto payload = serialize_end(1);
-        auto frame = sim::build_udp_frame(kMapperAddr, kReducerAddr,
-                                          kMapperUdpPort, kDaietUdpPort, payload);
-        return chip.receive(dp::Packet{std::move(frame)}, in);
-    }
+    std::vector<dp::Packet> end(TreeId tree = 1) { return raw(serialize_end(tree)); }
 
     /// Inject an arbitrary payload on the DAIET port.
     std::vector<dp::Packet> raw(std::span<const std::byte> payload) {
@@ -173,11 +171,8 @@ TEST(DaietProgram, ClearTreeWipesStoredAndSpilledPairs) {
 TEST(DaietProgram, ReconfiguredSlotReadsLikeAFreshOne) {
     Config cfg;  // 16,384 cells per slot
     cfg.max_trees = 1;
-    TreeRule min_rule;
-    min_rule.fn = AggFnId::kMinI32;  // identity INT32_MAX, not zero bits
-    min_rule.num_children = 1;
-    min_rule.out_port = kUpPort;
-    min_rule.flush_dst = kReducerAddr;
+    // kMinI32's identity is INT32_MAX, not zero bits.
+    const TreeRule min_rule = Harness::rule(AggFnId::kMinI32);
 
     Harness used{cfg};
     std::vector<KvPair> partial;
@@ -352,6 +347,143 @@ TEST(DaietProgram, RouteEcmpStableForFlow) {
     }
 }
 
+// ------------------------------------------- Algorithm 1 on one chip
+
+/// Per-key totals of the DATA packets among `packets`.
+std::map<std::string, std::int64_t> totals(const std::vector<dp::Packet>& packets) {
+    std::map<std::string, std::int64_t> out;
+    for (const DaietPacket& packet : Harness::decode(packets)) {
+        if (const auto* data = std::get_if<DataPacket>(&packet)) {
+            for (const KvPair p : data->pairs) out[p.key.to_string()] += i32_from_wire(p.value);
+        }
+    }
+    return out;
+}
+
+/// The message of the E that `fn` throws; empty if it throws none.
+template <typename E, typename Fn>
+std::string thrown_message(Fn&& fn) {
+    try {
+        fn();
+    } catch (const E& e) {
+        return e.what();
+    }
+    return {};
+}
+
+/// One register cell: every key after the first collides.
+Config one_cell_config(std::size_t spillover_capacity) {
+    Config cfg = tiny_config(1);
+    cfg.spillover_capacity = spillover_capacity;
+    return cfg;
+}
+
+TEST(DaietProgram, CollisionGoesToSpillover) {
+    Harness h{one_cell_config(4)};
+    EXPECT_TRUE(h.data(std::vector{kv("a", 1), kv("b", 2), kv("c", 3)}).empty());
+    EXPECT_EQ(h.program->tree_stats(1).pairs_spilled, 2U);
+    // The stored key still aggregates.
+    EXPECT_TRUE(h.data(std::vector{kv("a", 10)}).empty());
+    EXPECT_EQ(h.program->tree_stats(1).pairs_combined, 1U);
+    EXPECT_EQ(h.program->held_pairs(1), 3U);
+}
+
+TEST(DaietProgram, FullSpilloverFlushesImmediately) {
+    Harness h{one_cell_config(2)};
+    // "b" and "c" spill; the queue (capacity 2) fills and flushes at once.
+    const auto out = h.data(std::vector{kv("a", 1), kv("b", 2), kv("c", 3)});
+    ASSERT_EQ(out.size(), 1U);
+    EXPECT_EQ(out[0].meta().egress_port, kUpPort);
+    EXPECT_EQ(totals(out), (std::map<std::string, std::int64_t>{{"b", 2}, {"c", 3}}));
+    EXPECT_EQ(h.program->tree_stats(1).spill_flushes, 1U);
+    EXPECT_EQ(h.program->held_pairs(1), 1U);
+}
+
+// §4: "The non-aggregated values in the spillover bucket are the first
+// to be sent to the next node."
+TEST(DaietProgram, SpilloverSentBeforeRegistersOnEnd) {
+    Harness h{one_cell_config(8)};
+    h.data(std::vector{kv("stored", 1), kv("spilled", 2)});
+    const auto out = h.end();
+    const auto decoded = Harness::decode(out);
+    ASSERT_EQ(decoded.size(), 3U);  // spillover, registers, END
+    EXPECT_EQ(std::get<DataPacket>(decoded[0]).pairs[0].key.to_string(), "spilled");
+    EXPECT_EQ(std::get<DataPacket>(decoded[1]).pairs[0].key.to_string(), "stored");
+    EXPECT_TRUE(std::holds_alternative<EndPacket>(decoded[2]));
+}
+
+TEST(DaietProgram, TreeCombinerFoldsTheValues) {
+    struct Case {
+        const char* name;
+        AggFnId fn;
+        std::int64_t want;
+    };
+    for (const Case c : {Case{"min", AggFnId::kMinI32, 10}, Case{"count", AggFnId::kCount, 3}}) {
+        SCOPED_TRACE(c.name);
+        Harness h{tiny_config()};
+        h.program->configure_tree(2, Harness::rule(c.fn));
+        EXPECT_TRUE(h.data(std::vector{kv("d", 30), kv("d", 10), kv("d", 20)}, 2).empty());
+        EXPECT_EQ(totals(h.end(2)), (std::map<std::string, std::int64_t>{{"d", c.want}}));
+    }
+}
+
+TEST(DaietProgram, TreesAggregateIndependently) {
+    Harness h{tiny_config()};
+    h.program->configure_tree(2, Harness::rule(AggFnId::kSumI32, 2));
+    h.data(std::vector{kv("k", 1)}, 1);
+    h.data(std::vector{kv("k", 100)}, 2);
+    EXPECT_EQ(totals(h.end(1)), (std::map<std::string, std::int64_t>{{"k", 1}}));
+    EXPECT_EQ(h.program->held_pairs(2), 1U);
+    EXPECT_TRUE(h.end(2).empty());  // one of two children
+    const auto out = h.end(2);
+    const auto decoded = Harness::decode(out);
+    ASSERT_EQ(decoded.size(), 2U);
+    EXPECT_EQ(std::get<DataPacket>(decoded[0]).tree_id, 2U);
+    EXPECT_EQ(totals(out), (std::map<std::string, std::int64_t>{{"k", 100}}));
+}
+
+TEST(DaietProgram, TreeSlotsAreLimited) {
+    Harness h{tiny_config()};  // max_trees = 2; tree 1 holds slot 0
+    h.program->configure_tree(2, Harness::rule(AggFnId::kSumI32));
+    EXPECT_NO_THROW(h.program->configure_tree(1, Harness::rule(AggFnId::kMinI32)));
+    EXPECT_NE(thrown_message<std::runtime_error>([&] {
+                  h.program->configure_tree(3, Harness::rule(AggFnId::kSumI32));
+              }).find("out of tree slots"),
+              std::string::npos);
+}
+
+TEST(DaietProgram, UnknownTreeThrows) {
+    Harness h{tiny_config()};
+    EXPECT_THROW(h.program->tree_stats(9), std::runtime_error);
+    EXPECT_THROW(h.program->held_pairs(9), std::runtime_error);
+    EXPECT_THROW(h.program->occupied_cells(9), std::runtime_error);
+}
+
+// The parser is unrolled for max_pairs_per_packet pairs: a value no DATA
+// packet can pass is refused at load, not discovered as drops.
+TEST(DaietProgram, UnusableMaxPairsPerPacketIsRejected) {
+    struct Case {
+        std::size_t max_pairs;
+        bool usable;
+    };
+    for (const Case c : {Case{0, false}, Case{1, true}, Case{10, true},
+                         Case{kMaxWirePairs, true}, Case{kMaxWirePairs + 1, false}}) {
+        SCOPED_TRACE(c.max_pairs);
+        Config cfg = tiny_config();
+        cfg.max_pairs_per_packet = c.max_pairs;
+        if (!c.usable) {
+            EXPECT_NE(thrown_message<std::invalid_argument>([&] { Harness{cfg}; })
+                          .find("max_pairs_per_packet"),
+                      std::string::npos);
+            continue;
+        }
+        Harness h{cfg};
+        EXPECT_TRUE(h.data(std::vector{kv("a", 1)}).empty());
+        EXPECT_EQ(h.program->held_pairs(1), 1U);
+        EXPECT_EQ(h.program->drop_stats().oversized, 0U);
+    }
+}
+
 // ------------------------------------------------- cross-validation
 
 /// One malformed DAIET payload of each kind the parser rejects, plus a
@@ -488,7 +620,7 @@ struct CrossParams {
 
 class CrossValidation : public ::testing::TestWithParam<CrossParams> {};
 
-/// The dataplane program and the host-side agent are two
+/// The dataplane program and the reference model are two
 /// implementations of the same algorithm: fed the same packet stream,
 /// they must hold the same state and flush the same multiset.
 TEST_P(CrossValidation, PipelineMatchesReferenceAgent) {
@@ -498,7 +630,7 @@ TEST_P(CrossValidation, PipelineMatchesReferenceAgent) {
     cfg.max_trees = 1;
 
     Harness pipeline{cfg};
-    SwitchAgent agent{cfg};
+    ReferenceAgent agent{cfg};
     agent.configure_tree(1, AggFnId::kSumI32, 1);
 
     Rng rng{param.seed};
@@ -524,9 +656,7 @@ TEST_P(CrossValidation, PipelineMatchesReferenceAgent) {
             const auto packet = decode_daiet(frame->payload_of(out.payload())).value();
             account(pipeline_out, std::get<DataPacket>(packet).pairs);
         }
-        for (const auto& flushed : agent.on_data(1, pairs)) {
-            account(agent_out, flushed);
-        }
+        account(agent_out, agent.on_data(1, pairs));
         EXPECT_EQ(pipeline.program->held_pairs(1), agent.held_pairs(1));
     }
 
@@ -539,9 +669,7 @@ TEST_P(CrossValidation, PipelineMatchesReferenceAgent) {
     }
     const auto end = agent.on_end(1);
     EXPECT_TRUE(end.completed);
-    for (const auto& flushed : end.packets) {
-        account(agent_out, flushed);
-    }
+    account(agent_out, end.pairs);
 
     EXPECT_EQ(pipeline_out, agent_out);
 
@@ -561,6 +689,74 @@ INSTANTIATE_TEST_SUITE_P(
                       CrossParams{128, 60, 200, 3},  // moderate
                       CrossParams{1024, 100, 300, 4},
                       CrossParams{4096, 2000, 400, 5}));
+
+// ------------------------------------------------------------ property
+
+struct ConservationParams {
+    std::size_t register_size;
+    std::size_t vocab;
+    std::size_t pairs;
+    std::uint32_t children;
+};
+
+class ChipConservation : public ::testing::TestWithParam<ConservationParams> {};
+
+/// Whatever the register pressure and spillover behaviour, the fold of
+/// every pair the chip forwards, early and at END, equals the fold of
+/// every pair it received: the paper's correctness requirement.
+TEST_P(ChipConservation, ValuePreservingUnderPressure) {
+    const auto param = GetParam();
+    Config cfg;
+    cfg.register_size = param.register_size;
+    cfg.max_trees = 1;
+    cfg.spillover_capacity = 10;
+    Harness h{cfg, param.children};
+
+    Rng rng{param.pairs * 31 + param.register_size};
+    std::map<std::string, std::int64_t> expected;
+    std::map<std::string, std::int64_t> forwarded;
+    const auto forward = [&forwarded](const std::vector<dp::Packet>& out) {
+        for (const auto& [key, total] : totals(out)) forwarded[key] += total;
+    };
+
+    // Interleave data among `children` senders; each sends an END.
+    std::size_t sent = 0;
+    for (std::uint32_t child = 0; child < param.children; ++child) {
+        std::vector<KvPair> batch;
+        for (std::size_t i = 0; i < param.pairs / param.children; ++i) {
+            const auto word = "w" + std::to_string(rng.next_below(param.vocab));
+            const auto value = static_cast<std::int32_t>(rng.next_int(-50, 50));
+            expected[word] += value;
+            batch.push_back(kv(word, value));
+            ++sent;
+            if (batch.size() == cfg.max_pairs_per_packet) {
+                forward(h.data(batch));
+                batch.clear();
+            }
+        }
+        if (!batch.empty()) forward(h.data(batch));
+        const auto out = h.end();
+        EXPECT_EQ(!out.empty(), child + 1 == param.children);
+        forward(out);
+    }
+
+    // Drop zero-total keys from both sides (sums may cancel).
+    std::erase_if(expected, [](const auto& kvp) { return kvp.second == 0; });
+    std::erase_if(forwarded, [](const auto& kvp) { return kvp.second == 0; });
+    EXPECT_EQ(forwarded, expected);
+    EXPECT_EQ(h.program->tree_stats(1).pairs_in, sent);
+    EXPECT_EQ(h.program->held_pairs(1), 0U);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pressure, ChipConservation,
+    ::testing::Values(
+        ConservationParams{1, 20, 200, 1},      // pathological: 1 cell
+        ConservationParams{4, 50, 500, 2},      // heavy collisions
+        ConservationParams{64, 50, 500, 3},     // moderate
+        ConservationParams{1024, 100, 1000, 4}, // light
+        ConservationParams{16384, 500, 5000, 6} // paper-sized registers
+        ));
 
 }  // namespace
 }  // namespace daiet
